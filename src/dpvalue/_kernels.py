@@ -221,19 +221,57 @@ def _chain_nb(
 # --------------------------------------------------------------------------
 # numpy fallback (same semantics, vectorised per step)
 # --------------------------------------------------------------------------
+# One formula per loss, shared with the variance probe's noise replay
+# (``metrics._utility_rows``) and with ``models.loss``. Scores ``s`` may be a
+# vector or a (trials, l) block; reductions run over the last axis.
+
+
+def log_loss(s, y):
+    """Per-point logistic loss ``softplus(-s) + (1-y)*s`` of the scores ``s``.
+
+    With ``softplus(-s) = log1p(exp(-|s|)) + max(-s, 0)`` the sum is evaluated
+    as ``log1p(exp(-|s|)) + max(s, 0) - y*s``: one stable softplus per point,
+    exact where it saturates, instead of two ``logaddexp`` calls.
+    """
+    out = np.abs(s)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(s, 0.0)
+    out -= y * s
+    return out
+
+
+def accuracy(s, y, loss_code):
+    """Share of test points whose thresholded score equals the label."""
+    thr = 0.5 if loss_code == LOSS_MSE else 0.0
+    return np.count_nonzero((s >= thr) == y, axis=-1) / y.shape[0]
+
+
+def mse_stats(x, y):
+    """Sufficient statistics ``(A, b, c)`` of the mean squared error on (x, y):
+    ``mean((x @ theta - y)**2) = theta.A.theta - 2 b.theta + c``."""
+    l = y.shape[0]
+    return x.T @ x / l, x.T @ y / l, float(y @ y) / l
+
+
+def mse_quadratic(thetas, stats):
+    """Mean squared error of a parameter vector, or of each row of a
+    (trials, d) block, from ``mse_stats``: O(d^2) per row instead of O(l*d)."""
+    a, b, c = stats
+    p = thetas @ a
+    p -= 2.0 * b
+    return np.einsum("...i,...i->...", p, thetas) + c
 
 
 def utility_np(theta, xt, yt, loss_code, util_code, lam):
     s = xt @ theta
     if util_code == UTIL_ACCURACY:
-        thr = 0.5 if loss_code == LOSS_MSE else 0.0
-        pred = (s >= thr).astype(np.float64)
-        return float(np.mean(pred == yt))
+        return float(accuracy(s, yt, loss_code))
     if loss_code == LOSS_MSE:
         e = s - yt
-        return float(-np.mean(e * e))
-    ll = -yt * np.logaddexp(0.0, -s) - (1.0 - yt) * np.logaddexp(0.0, s)
-    return float(np.mean(ll) - lam * float(theta @ theta))
+        return -float(e @ e) / yt.shape[0]
+    return -float(log_loss(s, yt).sum()) / yt.shape[0] - lam * float(theta @ theta)
 
 
 def party_grad_np(theta, x, y, a, b, loss_code, lam):
@@ -246,6 +284,7 @@ def party_grad_np(theta, x, y, a, b, loss_code, lam):
     return (xb.T @ (sig - yb)) / (b - a) + 2.0 * lam * theta
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported as ChainDiverged
 def _chain_np(
     x,
     y,
@@ -285,7 +324,7 @@ def _chain_np(
         for pos in range(n):
             j = perms[t, pos]
             g = party_grad_np(theta, x, y, party_ptr[j], party_ptr[j + 1], loss_code, lam)
-            nrm = float(np.linalg.norm(g))
+            nrm = math.sqrt(float(g @ g))
             if nrm > clip:
                 g *= clip / nrm
             if record_grads:

@@ -4,6 +4,7 @@ corruption for the noisy-label experiments."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,17 @@ class CsvSchema:
             raise ValueError("test_rows must be >= 0")
 
 
+def _number(cell: str, row: int, column: str) -> float:
+    """A finite float from a CSV cell; ``float()`` alone accepts nan and inf."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"non-numeric value at row {row}, column {column!r}: {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value at row {row}, column {column!r}: {cell!r}")
+    return value
+
+
 def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
     """Load a header-bearing CSV deterministically (file row order kept).
 
@@ -107,20 +119,11 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
     raw_labels = []
     for r, row in enumerate(rows):
         for c, name in enumerate(feat_names):
-            cell = row[col_of[name]]
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric value at row {r}, column {name!r}: {cell!r}"
-                ) from None
+            values[r, c] = _number(row[col_of[name]], r, name)
         raw_labels.append(row[col_of[schema.label]])
 
     if schema.task == "regression":
-        try:
-            labels = np.array([float(v) for v in raw_labels])
-        except ValueError:
-            raise ValueError("non-numeric label in regression CSV") from None
+        labels = np.array([_number(v, r, schema.label) for r, v in enumerate(raw_labels)])
     else:
         classes = sorted(set(raw_labels))
         if len(classes) < 2:

@@ -221,6 +221,7 @@ class FrozenScenario:
     pcoefs: np.ndarray  # (k, n)
     xt: np.ndarray
     yt: np.ndarray
+    mse: tuple  # the test set's sufficient statistics, _kernels.mse_stats
     loss_code: int
     util_code: int
     lr: float
@@ -246,13 +247,15 @@ def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
     )
     res = run_valuation(silent)
     xt = design_matrix(cfg.utility.test_features, cfg.model)
+    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
     return FrozenScenario(
         theta_prev=res.states["theta_prev"],
         g_hat=res.gradients["g_hat"],
         v_prev=res.states["v_prev"],
         pcoefs=res.pcoefs,
         xt=xt,
-        yt=np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64),
+        yt=yt,
+        mse=_kernels.mse_stats(xt, yt),
         loss_code=cfg.model.loss_code,
         util_code=cfg.utility.util_code,
         lr=cfg.model.learning_rate,
@@ -262,16 +265,12 @@ def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
 
 def _utility_rows(thetas: np.ndarray, sc: FrozenScenario) -> np.ndarray:
     """Utility of every row of a (trials, d) parameter block."""
-    s = thetas @ sc.xt.T
     if sc.util_code == _kernels.UTIL_ACCURACY:
-        thr = 0.5 if sc.loss_code == _kernels.LOSS_MSE else 0.0
-        pred = (s >= thr).astype(np.float64)
-        return np.mean(pred == sc.yt, axis=1)
+        return _kernels.accuracy(thetas @ sc.xt.T, sc.yt, sc.loss_code)
     if sc.loss_code == _kernels.LOSS_MSE:
-        e = s - sc.yt
-        return -np.mean(e * e, axis=1)
-    ll = -sc.yt * np.logaddexp(0.0, -s) - (1.0 - sc.yt) * np.logaddexp(0.0, s)
-    return np.mean(ll, axis=1) - sc.lam * np.sum(thetas * thetas, axis=1)
+        return -_kernels.mse_quadratic(thetas, sc.mse)
+    ll = _kernels.log_loss(thetas @ sc.xt.T, sc.yt).sum(axis=1)
+    return -ll / sc.yt.shape[0] - sc.lam * np.einsum("ij,ij->i", thetas, thetas)
 
 
 def conditional_variance(
@@ -310,12 +309,17 @@ def conditional_variance(
         else:
             prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
             base = scenario.theta_prev[:, j, :] - scenario.lr * prefix
-        z = std * rng.standard_normal((trials, k, d))
+        # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
+        thetas = rng.standard_normal((trials, k, d))
+        thetas *= std
         if mode != "iid":
-            z = np.cumsum(z, axis=1) * inv_t[None, :, None]
+            np.cumsum(thetas, axis=1, out=thetas)
+            thetas *= inv_t[None, :, None]
+        thetas *= scenario.lr
+        np.subtract(base, thetas, out=thetas)
         psi = np.zeros(trials)
         for t in range(kq, k):
-            vt = _utility_rows(base[t] - scenario.lr * z[:, t, :], scenario)
+            vt = _utility_rows(thetas[:, t, :], scenario)
             psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
         draws[j] = psi / (k - kq)
     var = float(draws.var(axis=1, ddof=1).mean())

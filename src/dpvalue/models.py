@@ -107,12 +107,10 @@ def grad(spec: ModelSpec, theta: np.ndarray, batch_x: np.ndarray, batch_y: np.nd
 
 def loss(spec: ModelSpec, theta: np.ndarray, batch_x: np.ndarray, batch_y: np.ndarray) -> float:
     """Scalar loss matching ``grad`` (used by the finite-difference checks)."""
-    s = batch_x @ theta
     if spec.loss_code == LOSS_MSE:
-        e = s - batch_y
-        return float(np.mean(e * e))
-    ce = batch_y * np.logaddexp(0.0, -s) + (1.0 - batch_y) * np.logaddexp(0.0, s)
-    return float(np.mean(ce) + spec.l2 * float(theta @ theta))
+        return float(_kernels.mse_quadratic(theta, _kernels.mse_stats(batch_x, batch_y)))
+    ce = _kernels.log_loss(batch_x @ theta, batch_y)
+    return float(ce.sum()) / batch_y.shape[0] + spec.l2 * float(theta @ theta)
 
 
 def utility(uspec: UtilitySpec, mspec: ModelSpec, theta: np.ndarray) -> float:

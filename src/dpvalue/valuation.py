@@ -340,6 +340,7 @@ def permutation_expectation(v_oracle, spec: SemivalueSpec) -> np.ndarray:
     return psi / count
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the logistic gradient's exp overflows harmlessly
 def run_federated(
     cfg: RunConfig,
     rounds: int,
@@ -400,7 +401,7 @@ def run_federated(
         released = np.empty((n, d))
         for j in range(n):
             g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
-            nrm = float(np.linalg.norm(g))
+            nrm = math.sqrt(float(g @ g))
             if nrm > cfg.noise.clip_norm:
                 g *= cfg.noise.clip_norm / nrm
             if std > 0.0:

@@ -24,6 +24,20 @@ def test_load_csv_non_numeric_cell(tmp_path):
         data.load_csv(p, data.CsvSchema(label="label"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_csv_non_finite_feature_cell(tmp_path, cell):
+    # float() parses these; the run would only fail later, as a divergence
+    p = write_csv(tmp_path / "d.csv", f"a,b,label\n1,2,0\n3,{cell},1\n")
+    with pytest.raises(ValueError, match=r"non-finite value at row 1, column 'b'"):
+        data.load_csv(p, data.CsvSchema(label="label"))
+
+
+def test_load_csv_non_finite_regression_label(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "a,y\n1,0.5\n2,NaN\n3,1.5\n")
+    with pytest.raises(ValueError, match=r"non-finite value at row 1, column 'y'"):
+        data.load_csv(p, data.CsvSchema(label="y", task="regression"))
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         data.load_csv(tmp_path / "nope.csv", data.CsvSchema(label="label"))

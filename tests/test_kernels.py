@@ -1,4 +1,5 @@
-"""Backend twin checks: numba kernels against the pure-numpy path."""
+"""Kernel checks: the numba twin against the numpy path, and the numpy utility
+layer against the formulas it replaced."""
 
 import numpy as np
 import pytest
@@ -62,3 +63,71 @@ def test_softplus_utility_stable_at_extremes():
     v = _kernels.utility_np(theta, xt, yt, _kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS, 0.0)
     assert np.isfinite(v)
     assert v == pytest.approx(0.0, abs=1e-12)  # both points classified with certainty
+
+
+# -- utility layer against the formulas it replaced --------------------------
+
+MSE, LOGISTIC = _kernels.LOSS_MSE, _kernels.LOSS_LOGISTIC
+NEG_LOSS, ACCURACY = _kernels.UTIL_NEG_LOSS, _kernels.UTIL_ACCURACY
+
+
+def reference_utility(theta, xt, yt, loss_code, util_code, lam):
+    """Two logaddexp terms per test point and a direct mean squared error."""
+    s = xt @ theta
+    if util_code == ACCURACY:
+        thr = 0.5 if loss_code == MSE else 0.0
+        pred = (s >= thr).astype(np.float64)
+        return float(np.mean(pred == yt))
+    if loss_code == MSE:
+        e = s - yt
+        return float(-np.mean(e * e))
+    ll = -yt * np.logaddexp(0.0, -s) - (1.0 - yt) * np.logaddexp(0.0, s)
+    return float(np.mean(ll) - lam * float(theta @ theta))
+
+
+def reference_loss(loss_code, lam, theta, x, y):
+    s = x @ theta
+    if loss_code == MSE:
+        e = s - y
+        return float(np.mean(e * e))
+    ce = y * np.logaddexp(0.0, -s) + (1.0 - y) * np.logaddexp(0.0, s)
+    return float(np.mean(ce) + lam * float(theta @ theta))
+
+
+def random_thetas(xt, rng, count, min_abs_score):
+    """Random parameters; with min_abs_score every test score has |s| >= it."""
+    for _ in range(count):
+        theta = rng.standard_normal(xt.shape[1])
+        if min_abs_score:
+            theta *= min_abs_score / np.min(np.abs(xt @ theta))
+        yield theta
+
+
+@pytest.mark.parametrize("min_abs_score", [0.0, 800.0])
+@pytest.mark.parametrize("util_code", [NEG_LOSS, ACCURACY])
+@pytest.mark.parametrize("loss_code", [MSE, LOGISTIC])
+def test_utility_matches_reference(loss_code, util_code, min_abs_score):
+    rng = np.random.default_rng(5)
+    xt = rng.standard_normal((200, 11))
+    # accuracy compares the 0/1 prediction with the label, so a label 2 never counts
+    yt = rng.integers(0, 3 if util_code == ACCURACY else 2, 200).astype(np.float64)
+    lam = 0.02 if loss_code == LOGISTIC else 0.0
+    for theta in random_thetas(xt, rng, 25, min_abs_score):
+        want = reference_utility(theta, xt, yt, loss_code, util_code, lam)
+        got = _kernels.utility_np(theta, xt, yt, loss_code, util_code, lam)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("min_abs_score", [0.0, 800.0])
+@pytest.mark.parametrize("loss_kind", ["mse_linear", "logistic_l2"])
+def test_model_loss_matches_reference(loss_kind, min_abs_score):
+    rng = np.random.default_rng(8)
+    lam = 0.05 if loss_kind == "logistic_l2" else 0.0
+    spec = models.ModelSpec(loss_kind, 0.1, l2=lam, add_bias=False)
+    x = rng.standard_normal((30, 4))
+    y = rng.integers(0, 2, 30).astype(np.float64)
+    for theta in random_thetas(x, rng, 25, min_abs_score):
+        want = reference_loss(spec.loss_code, lam, theta, x, y)
+        got = models.loss(spec, theta, x, y)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dpvalue import data, dp, metrics, models
+from dpvalue import _kernels, data, dp, metrics, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
 
@@ -246,6 +248,26 @@ def probe_base(n_parties=6, sigma=1.0):
     ncfg = dp.NoiseConfig(1.0, sigma, budget=20, mode="iid")
     return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", n_parties),
                      k=20, master_seed=9)
+
+
+@pytest.mark.parametrize("loss,util", [("mse_linear", "neg_test_loss"),
+                                       ("logistic_l2", "neg_test_loss"),
+                                       ("logistic_l2", "test_accuracy")])
+def test_utility_rows_match_chain_utility(loss, util):
+    # the variance-probe shape: d=7 with the bias column, l=64, 500 trial rows
+    cfg = probe_base()
+    lam = 0.01 if loss == "logistic_l2" else 0.0
+    mspec = models.ModelSpec(loss, 0.05, models.InitSpec("zeros"), l2=lam)
+    uspec = models.UtilitySpec(util, cfg.utility.test_features, cfg.utility.test_labels)
+    scenario = metrics.freeze_scenario(replace(cfg, model=mspec, utility=uspec))
+    assert scenario.xt.shape == (64, 7)
+    rng = np.random.default_rng(4)
+    block = scenario.theta_prev[-1, 0] + rng.standard_normal((500, 7))
+    rows = metrics._utility_rows(block, scenario)
+    for i, theta in enumerate(block):
+        want = _kernels.utility_np(theta, scenario.xt, scenario.yt, mspec.loss_code,
+                                   uspec.util_code, lam)
+        assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_probe_zero_sigma_zero_variance():
