@@ -1,18 +1,14 @@
 """Hot inner loops of the permutation-valuation chain.
 
 The sequential chain (for every sampled permutation: clip, perturb, combine,
-step the model, score the utility) dominates runtime, so it is compiled with
-numba. A pure-numpy twin with identical semantics is kept as a fallback and
-for cross-checking; select it with ``DPVALUE_BACKEND=numpy`` or by passing
-``backend="numpy"`` explicitly. Both paths consume pre-generated permutation,
-init and noise arrays, so a given seed yields the same run on either path up
-to floating-point associativity.
+step the model, score the utility) dominates runtime. It is a numpy loop over
+iterations and parties that consumes pre-generated permutation, init and noise
+arrays, so a given seed yields the same run every time.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -21,206 +17,6 @@ LOSS_LOGISTIC = 1
 UTIL_NEG_LOSS = 0
 UTIL_ACCURACY = 1
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def default_backend() -> str:
-    env = os.environ.get("DPVALUE_BACKEND", "").strip().lower()
-    if env == "numpy":
-        return "numpy"
-    if env == "numba" and not HAS_NUMBA:
-        raise RuntimeError("DPVALUE_BACKEND=numba but numba is not importable")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-# --------------------------------------------------------------------------
-# numba path
-# --------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _softplus(x):
-    # log(1 + e^x) without overflow
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
-
-
-@njit(cache=True)
-def _utility_nb(theta, xt, yt, loss_code, util_code, lam):
-    l = xt.shape[0]
-    d = theta.shape[0]
-    if util_code == UTIL_ACCURACY:
-        thr = 0.5 if loss_code == LOSS_MSE else 0.0
-        correct = 0
-        for r in range(l):
-            s = 0.0
-            for c in range(d):
-                s += xt[r, c] * theta[c]
-            pred = 1.0 if s >= thr else 0.0
-            if pred == yt[r]:
-                correct += 1
-        return correct / l
-    if loss_code == LOSS_MSE:
-        acc = 0.0
-        for r in range(l):
-            s = 0.0
-            for c in range(d):
-                s += xt[r, c] * theta[c]
-            e = s - yt[r]
-            acc += e * e
-        return -acc / l
-    acc = 0.0
-    for r in range(l):
-        s = 0.0
-        for c in range(d):
-            s += xt[r, c] * theta[c]
-        # y*log(sig) + (1-y)*log(1-sig)
-        acc += -yt[r] * _softplus(-s) - (1.0 - yt[r]) * _softplus(s)
-    reg = 0.0
-    for c in range(d):
-        reg += theta[c] * theta[c]
-    return acc / l - lam * reg
-
-
-@njit(cache=True)
-def _party_grad_nb(theta, x, y, a, b, loss_code, lam, out):
-    d = theta.shape[0]
-    for c in range(d):
-        out[c] = 0.0
-    bs = b - a
-    if loss_code == LOSS_MSE:
-        for r in range(a, b):
-            s = 0.0
-            for c in range(d):
-                s += x[r, c] * theta[c]
-            w = 2.0 * (s - y[r]) / bs
-            for c in range(d):
-                out[c] += w * x[r, c]
-    else:
-        for r in range(a, b):
-            s = 0.0
-            for c in range(d):
-                s += x[r, c] * theta[c]
-            sig = 1.0 / (1.0 + math.exp(-s))
-            w = (sig - y[r]) / bs
-            for c in range(d):
-                out[c] += w * x[r, c]
-        for c in range(d):
-            out[c] += 2.0 * lam * theta[c]
-
-
-@njit(cache=True)
-def _chain_nb(
-    x,
-    y,
-    party_ptr,
-    xt,
-    yt,
-    loss_code,
-    util_code,
-    lr,
-    lam,
-    clip,
-    perms,
-    inits,
-    noise,
-    diag,
-    correlated,
-    p_by_pos,
-    kq,
-    record_grads,
-    record_states,
-    marginals,
-    pcoefs,
-    psi,
-    roll,
-    g_hat,
-    g_tilde,
-    g_star,
-    theta_prev_rec,
-    v_prev_rec,
-):
-    k, n = perms.shape
-    d = inits.shape[1]
-    theta = np.empty(d)
-    g = np.empty(d)
-    rel = np.empty(d)
-    for t in range(k):
-        for c in range(d):
-            theta[c] = inits[t, c]
-        v_prev = _utility_nb(theta, xt, yt, loss_code, util_code, lam)
-        if not np.isfinite(v_prev):
-            return t, -1
-        for pos in range(n):
-            j = perms[t, pos]
-            _party_grad_nb(theta, x, y, party_ptr[j], party_ptr[j + 1], loss_code, lam, g)
-            nrm = 0.0
-            for c in range(d):
-                nrm += g[c] * g[c]
-            nrm = math.sqrt(nrm)
-            if nrm > clip:
-                s = clip / nrm
-                for c in range(d):
-                    g[c] *= s
-            if record_grads:
-                for c in range(d):
-                    g_hat[t, j, c] = g[c]
-            for c in range(d):
-                g[c] += noise[t, j, c]
-            if record_grads:
-                for c in range(d):
-                    g_tilde[t, j, c] = g[c]
-            if correlated and t > 0:
-                dg = diag[t]
-                for c in range(d):
-                    rel[c] = (1.0 - dg) * roll[j, c] + dg * g[c]
-            else:
-                # first iteration: no history, release the perturbed gradient
-                for c in range(d):
-                    rel[c] = g[c]
-            if correlated:
-                tt = t + 1.0
-                for c in range(d):
-                    roll[j, c] = (tt - 1.0) / tt * roll[j, c] + g[c] / tt
-            if record_grads:
-                for c in range(d):
-                    g_star[t, j, c] = rel[c]
-            if record_states:
-                for c in range(d):
-                    theta_prev_rec[t, j, c] = theta[c]
-                v_prev_rec[t, j] = v_prev
-            for c in range(d):
-                theta[c] -= lr * rel[c]
-            v_after = _utility_nb(theta, xt, yt, loss_code, util_code, lam)
-            if not np.isfinite(v_after):
-                return t, j
-            m = v_after - v_prev
-            marginals[t, j] = m
-            pcoefs[t, j] = p_by_pos[pos]
-            if t >= kq:
-                cnt = t - kq + 1.0
-                psi[j] = (cnt - 1.0) / cnt * psi[j] + p_by_pos[pos] * m / cnt
-            v_prev = v_after
-    return -1, -1
-
-
-# --------------------------------------------------------------------------
-# numpy fallback (same semantics, vectorised per step)
-# --------------------------------------------------------------------------
 # One formula per loss, shared with the variance probe's noise replay
 # (``metrics._utility_rows``) and with ``models.loss``. Scores ``s`` may be a
 # vector or a (trials, l) block; reductions run over the last axis.
@@ -284,80 +80,6 @@ def party_grad_np(theta, x, y, a, b, loss_code, lam):
     return (xb.T @ (sig - yb)) / (b - a) + 2.0 * lam * theta
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence is reported as ChainDiverged
-def _chain_np(
-    x,
-    y,
-    party_ptr,
-    xt,
-    yt,
-    loss_code,
-    util_code,
-    lr,
-    lam,
-    clip,
-    perms,
-    inits,
-    noise,
-    diag,
-    correlated,
-    p_by_pos,
-    kq,
-    record_grads,
-    record_states,
-    marginals,
-    pcoefs,
-    psi,
-    roll,
-    g_hat,
-    g_tilde,
-    g_star,
-    theta_prev_rec,
-    v_prev_rec,
-):
-    k, n = perms.shape
-    for t in range(k):
-        theta = inits[t].copy()
-        v_prev = utility_np(theta, xt, yt, loss_code, util_code, lam)
-        if not np.isfinite(v_prev):
-            return t, -1
-        for pos in range(n):
-            j = perms[t, pos]
-            g = party_grad_np(theta, x, y, party_ptr[j], party_ptr[j + 1], loss_code, lam)
-            nrm = math.sqrt(float(g @ g))
-            if nrm > clip:
-                g *= clip / nrm
-            if record_grads:
-                g_hat[t, j] = g
-            g = g + noise[t, j]
-            if record_grads:
-                g_tilde[t, j] = g
-            if correlated and t > 0:
-                rel = (1.0 - diag[t]) * roll[j] + diag[t] * g
-            else:
-                rel = g.copy()
-            if correlated:
-                tt = t + 1.0
-                roll[j] = (tt - 1.0) / tt * roll[j] + g / tt
-            if record_grads:
-                g_star[t, j] = rel
-            if record_states:
-                theta_prev_rec[t, j] = theta
-                v_prev_rec[t, j] = v_prev
-            theta = theta - lr * rel
-            v_after = utility_np(theta, xt, yt, loss_code, util_code, lam)
-            if not np.isfinite(v_after):
-                return t, j
-            m = v_after - v_prev
-            marginals[t, j] = m
-            pcoefs[t, j] = p_by_pos[pos]
-            if t >= kq:
-                cnt = t - kq + 1.0
-                psi[j] = (cnt - 1.0) / cnt * psi[j] + p_by_pos[pos] * m / cnt
-            v_prev = v_after
-    return -1, -1
-
-
 class ChainDiverged(RuntimeError):
     """Non-finite utility during a run; names the iteration and party."""
 
@@ -391,73 +113,81 @@ def run_chain(
     kq=0,
     record_grads=False,
     record_states=False,
-    backend=None,
 ):
     """Run the full valuation chain; returns a dict of per-run arrays.
 
     ``marginals[t, j]`` is the raw utility delta of party ``j`` at iteration
     ``t`` and ``pcoefs[t, j]`` the position coefficient it was observed with;
     ``psi`` is the streaming estimate (burn-in already applied when
-    ``kq > 0``).
+    ``kq > 0``). Divergence raises ``ChainDiverged`` without numpy warnings.
     """
     k, n = perms.shape
     d = inits.shape[1]
+    x = np.ascontiguousarray(x)
+    xt = np.ascontiguousarray(xt)
     marginals = np.zeros((k, n))
     pcoefs = np.zeros((k, n))
-    psi = np.zeros(n)
+    psi = [0.0] * n
     roll = np.zeros((n, d))
-    shape_g = (k, n, d) if record_grads else (1, 1, 1)
-    shape_s = (k, n, d) if record_states else (1, 1, 1)
-    g_hat = np.zeros(shape_g)
-    g_tilde = np.zeros(shape_g)
-    g_star = np.zeros(shape_g)
-    theta_prev = np.zeros(shape_s)
-    v_prev = np.zeros(shape_s[:2])
-
-    impl = _chain_nb if (backend or default_backend()) == "numba" else _chain_np
-    bad_t, bad_j = impl(
-        np.ascontiguousarray(x),
-        np.ascontiguousarray(y),
-        party_ptr,
-        np.ascontiguousarray(xt),
-        np.ascontiguousarray(yt),
-        loss_code,
-        util_code,
-        lr,
-        lam,
-        clip,
-        perms,
-        inits,
-        noise,
-        diag,
-        correlated,
-        p_by_pos,
-        kq,
-        record_grads,
-        record_states,
-        marginals,
-        pcoefs,
-        psi,
-        roll,
-        g_hat,
-        g_tilde,
-        g_star,
-        theta_prev,
-        v_prev,
-    )
-    if bad_t >= 0:
-        raise ChainDiverged(bad_t + 1, bad_j)
-    out = {
-        "marginals": marginals,
-        "pcoefs": pcoefs,
-        "psi": psi,
-        "roll": roll,
-    }
+    out = {"marginals": marginals, "pcoefs": pcoefs, "roll": roll}
     if record_grads:
-        out["g_hat"] = g_hat
-        out["g_tilde"] = g_tilde
-        out["g_star"] = g_star
+        g_hat = out["g_hat"] = np.zeros((k, n, d))
+        g_tilde = out["g_tilde"] = np.zeros((k, n, d))
+        g_star = out["g_star"] = np.zeros((k, n, d))
     if record_states:
-        out["theta_prev"] = theta_prev
-        out["v_prev"] = v_prev
+        theta_prev = out["theta_prev"] = np.zeros((k, n, d))
+        v_prev_rec = out["v_prev"] = np.zeros((k, n))
+
+    # Per-step scalars come from Python lists: indexing numpy arrays for them
+    # costs more than the arithmetic they feed.
+    orders = perms.tolist()
+    ptr = party_ptr.tolist()
+    coefs = p_by_pos.tolist()
+    diags = diag.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(k):
+            noise_t = noise[t]
+            marg_t = marginals[t]
+            pcoefs[t, perms[t]] = p_by_pos
+            combine = correlated and t > 0
+            dg = diags[t]
+            tt = t + 1.0
+            roll_keep = (tt - 1.0) / tt
+            retained = t >= kq
+            if retained:
+                cnt = t - kq + 1.0
+                psi_keep = (cnt - 1.0) / cnt
+            theta = inits[t].copy()
+            v_prev = utility_np(theta, xt, yt, loss_code, util_code, lam)
+            if not math.isfinite(v_prev):
+                raise ChainDiverged(t + 1, -1)
+            for pos, j in enumerate(orders[t]):
+                g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+                nrm = math.sqrt(float(g @ g))
+                if nrm > clip:
+                    g *= clip / nrm
+                if record_grads:
+                    g_hat[t, j] = g
+                g += noise_t[j]
+                if record_grads:
+                    g_tilde[t, j] = g
+                # first iteration: no history, release the perturbed gradient
+                rel = (1.0 - dg) * roll[j] + dg * g if combine else g
+                if correlated:
+                    roll[j] = roll_keep * roll[j] + g / tt
+                if record_grads:
+                    g_star[t, j] = rel
+                if record_states:
+                    theta_prev[t, j] = theta
+                    v_prev_rec[t, j] = v_prev
+                theta -= lr * rel
+                v_after = utility_np(theta, xt, yt, loss_code, util_code, lam)
+                if not math.isfinite(v_after):
+                    raise ChainDiverged(t + 1, j)
+                m = v_after - v_prev
+                marg_t[j] = m
+                if retained:
+                    psi[j] = psi_keep * psi[j] + coefs[pos] * m / cnt
+                v_prev = v_after
+    out["psi"] = np.array(psi)
     return out

@@ -94,7 +94,6 @@ class RunConfig:
     record_gradients: bool = False
     record_states: bool = False
     exact_permutations: bool = False  # enumerate all n! permutations instead
-    backend: str | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -266,7 +265,6 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
         kq,
         cfg.record_gradients,
         cfg.record_states,
-        backend=cfg.backend,
     )
 
     retained = out["marginals"][kq:]

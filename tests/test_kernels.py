@@ -1,4 +1,4 @@
-"""Kernel checks: the numba twin against the numpy path, and the numpy utility
+"""Kernel checks: the chain against a plain reference loop, and the utility
 layer against the formulas it replaced."""
 
 import numpy as np
@@ -7,53 +7,90 @@ import pytest
 from dpvalue import _kernels, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
 
-
-def make_cfg(mode, sigma, backend, record=False, loss="logistic_l2", util="neg_test_loss"):
+def make_cfg():
     ds = data.synth_classification(18, 5, 2, seed=2, separation=3.0, n_test=25)
-    lam = 0.02 if loss == "logistic_l2" else 0.0
-    mspec = models.ModelSpec(loss, 0.08, models.InitSpec("gaussian", 0.1, seed=1), l2=lam)
-    uspec = models.UtilitySpec(util, ds.test_features, ds.test_labels)
-    q = 0.5 if mode == "corr_y" else None
-    ncfg = dp.NoiseConfig(1.0, sigma, budget=14, mode=mode, q=q)
-    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), k=14,
-                     master_seed=6, backend=backend, record_gradients=record,
-                     record_states=record)
-
-
-@needs_numba
-@pytest.mark.parametrize("mode,sigma", [("iid", 0.0), ("iid", 2.0), ("corr_x", 2.0),
-                                        ("corr_y", 2.0), ("fl_schedule", 1.0)])
-def test_backends_agree(mode, sigma):
-    a = run_valuation(make_cfg(mode, sigma, "numba", record=True))
-    b = run_valuation(make_cfg(mode, sigma, "numpy", record=True))
-    assert np.allclose(a.psi, b.psi, rtol=1e-9, atol=1e-12)
-    assert np.allclose(a.marginals, b.marginals, rtol=1e-9, atol=1e-12)
-    for key in ("g_hat", "g_tilde", "g_star"):
-        assert np.allclose(a.gradients[key], b.gradients[key], rtol=1e-9, atol=1e-12)
-
-
-@needs_numba
-@pytest.mark.parametrize("loss,util", [("mse_linear", "neg_test_loss"),
-                                       ("logistic_l2", "test_accuracy")])
-def test_backends_agree_other_objectives(loss, util):
-    a = run_valuation(make_cfg("corr_x", 1.0, "numba", loss=loss, util=util))
-    b = run_valuation(make_cfg("corr_x", 1.0, "numpy", loss=loss, util=util))
-    assert np.allclose(a.psi, b.psi, rtol=1e-9, atol=1e-12)
+    mspec = models.ModelSpec("logistic_l2", 0.08, models.InitSpec("gaussian", 0.1, seed=1), l2=0.02)
+    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    ncfg = dp.NoiseConfig(1.0, 2.0, budget=14, mode="corr_x")
+    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), k=14, master_seed=6)
 
 
 def test_same_backend_bit_identical():
-    backend = _kernels.default_backend()
-    a = run_valuation(make_cfg("corr_x", 2.0, backend))
-    b = run_valuation(make_cfg("corr_x", 2.0, backend))
+    a = run_valuation(make_cfg())
+    b = run_valuation(make_cfg())
     assert np.array_equal(a.psi, b.psi)
     assert np.array_equal(a.marginals, b.marginals)
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("DPVALUE_BACKEND", "numpy")
-    assert _kernels.default_backend() == "numpy"
+def reference_chain(x, y, ptr, xt, yt, loss_code, util_code, lr, lam, clip, perms, inits,
+                    noise, diag, correlated, p_by_pos, kq):
+    """One step at a time with numpy scalars and fresh arrays, no hoisting."""
+    k, n = perms.shape
+    d = inits.shape[1]
+    out = {name: np.zeros((k, n)) for name in ("marginals", "pcoefs", "v_prev")}
+    for name in ("g_hat", "g_tilde", "g_star", "theta_prev"):
+        out[name] = np.zeros((k, n, d))
+    out["psi"] = np.zeros(n)
+    out["roll"] = np.zeros((n, d))
+    roll = out["roll"]
+    for t in range(k):
+        theta = inits[t].copy()
+        v_prev = _kernels.utility_np(theta, xt, yt, loss_code, util_code, lam)
+        for pos in range(n):
+            j = perms[t, pos]
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+            nrm = np.linalg.norm(g)
+            if nrm > clip:
+                g = g * (clip / nrm)
+            out["g_hat"][t, j] = g
+            g = g + noise[t, j]
+            out["g_tilde"][t, j] = g
+            if correlated and t > 0:
+                rel = (1.0 - diag[t]) * roll[j] + diag[t] * g
+            else:
+                rel = g.copy()
+            if correlated:
+                roll[j] = t / (t + 1.0) * roll[j] + g / (t + 1.0)
+            out["g_star"][t, j] = rel
+            out["theta_prev"][t, j] = theta
+            out["v_prev"][t, j] = v_prev
+            theta = theta - lr * rel
+            v_after = _kernels.utility_np(theta, xt, yt, loss_code, util_code, lam)
+            m = v_after - v_prev
+            out["marginals"][t, j] = m
+            out["pcoefs"][t, j] = p_by_pos[pos]
+            if t >= kq:
+                cnt = t - kq + 1.0
+                out["psi"][j] = (cnt - 1.0) / cnt * out["psi"][j] + p_by_pos[pos] * m / cnt
+            v_prev = v_after
+    return out
+
+
+@pytest.mark.parametrize("loss_code,util_code", [(_kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS),
+                                                 (_kernels.LOSS_MSE, _kernels.UTIL_ACCURACY)])
+@pytest.mark.parametrize("mode", ["iid", "corr_x", "corr_y"])
+def test_chain_matches_reference_loop(mode, loss_code, util_code):
+    rng = np.random.default_rng(11)
+    n, d, k = 7, 4, 12
+    ptr = np.concatenate([[0], np.cumsum(rng.integers(1, 5, n))]).astype(np.int64)
+    x = rng.standard_normal((ptr[-1], d))
+    y = rng.integers(0, 2, ptr[-1]).astype(np.float64)
+    xt = rng.standard_normal((30, d))
+    yt = rng.integers(0, 2, 30).astype(np.float64)
+    lam = 0.02 if loss_code == _kernels.LOSS_LOGISTIC else 0.0
+    ncfg = dp.NoiseConfig(0.8, 1.5, budget=k, mode=mode, q=0.25 if mode == "corr_y" else None)
+    perms = np.array([rng.permutation(n) for _ in range(k)])
+    inits = 0.1 * rng.standard_normal((k, d))
+    noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
+    args = (x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam, ncfg.clip_norm, perms, inits,
+            noise, dp.diag_schedule(ncfg), ncfg.correlated, rng.uniform(0.0, 1.0, n),
+            ncfg.burn_in)
+    want = reference_chain(*args)
+    got = _kernels.run_chain(*args, record_grads=True, record_states=True)
+    assert set(got) == set(want)
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
 
 
 def test_softplus_utility_stable_at_extremes():

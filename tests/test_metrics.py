@@ -130,6 +130,60 @@ def test_similarity_skips_zero_norm():
     assert rep.skipped_terms == 1
 
 
+def reference_similarity(g_hat, g_tilde, g_star):
+    """The per-record loop: five norms per (t, j) record."""
+    def abs_cos(a, b):
+        return abs(float(a @ b)) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
+
+    k, n, _ = g_hat.shape
+    d_cos = d_l2 = 0.0
+    skipped = terms = 0
+    for t in range(k):
+        for j in range(n):
+            gh, gt, gs = g_hat[t, j], g_tilde[t, j], g_star[t, j]
+            if min(np.linalg.norm(gh), np.linalg.norm(gt), np.linalg.norm(gs)) == 0.0:
+                skipped += 1
+                continue
+            d_cos += abs_cos(gh, gs) - abs_cos(gh, gt)
+            d_l2 += float(np.linalg.norm(gh - gs)) - float(np.linalg.norm(gh - gt))
+            terms += 1
+    return d_cos / terms, d_l2 / terms, skipped
+
+
+def test_similarity_matches_reference_loop():
+    # corr_x-like stacks: clipped gradients, plus noise, then the prefix mean over t
+    rng = np.random.default_rng(4)
+    k, n, d = 200, 40, 9
+    g_hat = rng.standard_normal((k, n, d))
+    g_hat /= np.maximum(1.0, np.linalg.norm(g_hat, axis=-1, keepdims=True))
+    g_tilde = g_hat + 1.5 * rng.standard_normal((k, n, d))
+    g_star = np.cumsum(g_tilde, axis=0) / np.arange(1.0, k + 1.0)[:, None, None]
+    g_hat[3, 5] = 0.0
+    g_hat[150, 0] = 0.0
+    g_tilde[17, 39] = 0.0
+    g_star[88, 20] = 0.0
+    g_star[3, 5] = 0.0  # one record with two zero rows is skipped once
+    want_cos, want_l2, want_skipped = reference_similarity(g_hat, g_tilde, g_star)
+    rep = metrics.grad_similarity(g_hat, g_tilde, g_star)
+    assert rep.delta_cos == pytest.approx(want_cos, rel=1e-12, abs=1e-12)
+    assert rep.delta_l2 == pytest.approx(want_l2, rel=1e-12, abs=1e-12)
+    assert rep.skipped_terms == want_skipped == 4
+
+
+def test_similarity_all_zero_raises():
+    g = np.zeros((4, 3, 2))
+    with pytest.raises(ValueError, match="no usable"):
+        metrics.grad_similarity(g, np.ones_like(g), np.ones_like(g))
+
+
+def test_similarity_shape_mismatch_raises():
+    g = np.ones((4, 3, 2))
+    with pytest.raises(ValueError, match="one shape"):
+        metrics.grad_similarity(g, g, np.ones((4, 3, 3)))
+    with pytest.raises(ValueError, match="one shape"):
+        metrics.grad_similarity(g, np.ones((5, 3, 2)), g)
+
+
 # -- closed-form noise variance -------------------------------------------------
 
 
