@@ -10,11 +10,15 @@ with cos(a, b) = |a.b| / (|a||b|) and the means taken in one vectorised pass
 over every (t, j) record whose three gradients have non-zero norms, the
 closed-form variance identities for noisy squared norms, the N/P/Q moment sums
 of the implicit correlated noise, and the Monte Carlo probe for how the
-conditional estimator variance scales with the budget k.
+conditional estimator variance scales with the budget k. The probe's noise
+replay uses a second core: one draw thread fills two reused blocks in turn
+from the probe's single random stream while the caller scores them, so its
+results are bitwise those of a single-threaded replay.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -288,9 +292,16 @@ def conditional_variance(
     The correlated modes use the prefix-mean weights; corr_y additionally
     drops the first k*q iterations from the estimator. With
     ``return_samples`` the per-party, per-trial estimator draws come back too.
+
+    One worker thread owns the noise generator and draws party j+1's
+    standard normal (trials, k, d) block while this thread turns party j's
+    into parameters and scores them. Two blocks are reused in turn, and the
+    draws run in party order on one stream, so every result is bitwise that
+    of a single-threaded replay. Leaving the pool joins the worker on every
+    exit path, and ``result()`` re-raises an error from it here.
     """
     k, n, d = scenario.theta_prev.shape
-    std = np.sqrt(noise_cfg.budget) * noise_cfg.clip_norm * noise_cfg.noise_multiplier
+    std = noise_cfg.per_release_std
     kq = 0
     if mode == "corr_y":
         kq = int(round(k * q))
@@ -301,28 +312,33 @@ def conditional_variance(
     if std == 0.0:
         return (0.0, np.zeros((n, trials))) if return_samples else 0.0
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # used by the draw thread only
     inv_t = 1.0 / np.arange(1, k + 1)
     draws = np.empty((n, trials))
-    for j in range(n):
-        if mode == "iid":
-            base = scenario.theta_prev[:, j, :] - scenario.lr * scenario.g_hat[:, j, :]
-        else:
-            prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
-            base = scenario.theta_prev[:, j, :] - scenario.lr * prefix
-        # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
-        thetas = rng.standard_normal((trials, k, d))
-        thetas *= std
-        if mode != "iid":
-            np.cumsum(thetas, axis=1, out=thetas)
-            thetas *= inv_t[None, :, None]
-        thetas *= scenario.lr
-        np.subtract(base, thetas, out=thetas)
-        psi = np.zeros(trials)
-        for t in range(kq, k):
-            vt = _utility_rows(thetas[:, t, :], scenario)
-            psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
-        draws[j] = psi / (k - kq)
+    blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(rng.standard_normal, out=blocks[0])
+        for j in range(n):
+            if mode == "iid":
+                base = scenario.theta_prev[:, j, :] - scenario.lr * scenario.g_hat[:, j, :]
+            else:
+                prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
+                base = scenario.theta_prev[:, j, :] - scenario.lr * prefix
+            thetas = pending.result()
+            if j + 1 < n:  # the other block, which party j-1 is done with
+                pending = pool.submit(rng.standard_normal, out=blocks[(j + 1) % 2])
+            # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
+            thetas *= std
+            if mode != "iid":
+                np.cumsum(thetas, axis=1, out=thetas)
+                thetas *= inv_t[None, :, None]
+            thetas *= scenario.lr
+            np.subtract(base, thetas, out=thetas)
+            psi = np.zeros(trials)
+            for t in range(kq, k):
+                vt = _utility_rows(thetas[:, t, :], scenario)
+                psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
+            draws[j] = psi / (k - kq)
     var = float(draws.var(axis=1, ddof=1).mean())
     return (var, draws) if return_samples else var
 

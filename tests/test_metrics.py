@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -324,11 +326,143 @@ def test_utility_rows_match_chain_utility(loss, util):
         assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_probe_zero_sigma_zero_variance():
+def test_probe_zero_sigma_zero_variance(monkeypatch):
     cfg = probe_base(sigma=0.0)
     scenario = metrics.freeze_scenario(cfg)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the zero-noise probe started a draw thread")
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
     var = metrics.conditional_variance(scenario, "iid", cfg.noise, trials=200, seed=0)
     assert var == 0.0
+    var, draws = metrics.conditional_variance(scenario, "corr_x", cfg.noise, trials=200,
+                                              seed=0, return_samples=True)
+    assert var == 0.0 and draws.shape == (6, 200) and not draws.any()
+
+
+def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
+    """The single-threaded noise replay, one fresh block per party."""
+    k, n, d = scenario.theta_prev.shape
+    std = np.sqrt(noise_cfg.budget) * noise_cfg.clip_norm * noise_cfg.noise_multiplier
+    kq = int(round(k * q)) if mode == "corr_y" else 0
+    rng = np.random.default_rng(seed)
+    inv_t = 1.0 / np.arange(1, k + 1)
+    draws = np.empty((n, trials))
+    for j in range(n):
+        if mode == "iid":
+            base = scenario.theta_prev[:, j, :] - scenario.lr * scenario.g_hat[:, j, :]
+        else:
+            prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
+            base = scenario.theta_prev[:, j, :] - scenario.lr * prefix
+        # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
+        thetas = rng.standard_normal((trials, k, d))
+        thetas *= std
+        if mode != "iid":
+            np.cumsum(thetas, axis=1, out=thetas)
+            thetas *= inv_t[None, :, None]
+        thetas *= scenario.lr
+        np.subtract(base, thetas, out=thetas)
+        psi = np.zeros(trials)
+        for t in range(kq, k):
+            vt = metrics._utility_rows(thetas[:, t, :], scenario)
+            psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
+        draws[j] = psi / (k - kq)
+    return float(draws.var(axis=1, ddof=1).mean()), draws
+
+
+PROBE_MODES = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", 0.5)]
+
+
+@pytest.mark.parametrize("mode,q", PROBE_MODES)
+def test_probe_matches_single_threaded_replay(mode, q):
+    # 6 parties, so both blocks are reused; an odd trial count
+    cfg = probe_base()
+    scenario = metrics.freeze_scenario(cfg)
+    want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
+    var, draws = metrics.conditional_variance(scenario, mode, cfg.noise, trials=137,
+                                              seed=11, q=q, return_samples=True)
+    assert draws.shape == (6, 137)
+    assert np.array_equal(draws, want)
+    assert var == want_var
+
+
+def test_probe_concurrent_replays_stay_exact():
+    # more threads than cores and a short switch interval: a block handed over
+    # before it is filled, or shared between replays, changes the draws
+    cfg = probe_base()
+    scenario = metrics.freeze_scenario(cfg)
+    jobs = [(mode, q, seed) for seed in (1, 2) for mode, q in PROBE_MODES]
+    results = {}
+
+    def replay(job):
+        mode, q, seed = job
+        results[job] = metrics.conditional_variance(scenario, mode, cfg.noise, trials=101,
+                                                    seed=seed, q=q, return_samples=True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=replay, args=(job,)) for job in jobs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == len(jobs)
+    for (mode, q, seed), (var, draws) in results.items():
+        want_var, want = reference_replay(scenario, mode, cfg.noise, 101, seed=seed, q=q)
+        assert np.array_equal(draws, want) and var == want_var
+
+
+def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
+    cfg = probe_base()
+    scenario = metrics.freeze_scenario(cfg)
+    score = metrics._utility_rows
+    calls, threads_seen = [], []
+
+    def failing_rows(thetas, sc):
+        calls.append(1)
+        threads_seen.append(threading.active_count())
+        if len(calls) == 3:
+            raise RuntimeError("scoring failed")
+        return score(thetas, sc)
+
+    monkeypatch.setattr(metrics, "_utility_rows", failing_rows)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        metrics.conditional_variance(scenario, "corr_x", cfg.noise, trials=137, seed=0)
+    assert threads_seen == [before + 1] * 3  # exactly one draw thread
+    assert threading.active_count() == before
+
+
+def test_probe_draw_error_reaches_the_caller(monkeypatch):
+    cfg = probe_base()
+    scenario = metrics.freeze_scenario(cfg)
+    make_rng = np.random.default_rng
+    draw_threads = set()
+
+    class FailingGenerator:
+        """Draws like the seeded generator; its third block fails."""
+
+        def __init__(self, seed):
+            self.rng, self.blocks = make_rng(seed), 0
+
+        def standard_normal(self, out):
+            draw_threads.add(threading.get_ident())
+            self.blocks += 1
+            if self.blocks == 3:
+                raise FloatingPointError("draw failed")
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        metrics.conditional_variance(scenario, "iid", cfg.noise, trials=137, seed=0)
+    assert threading.active_count() == before
+    assert len(draw_threads) == 1 and threading.get_ident() not in draw_threads
 
 
 def test_probe_validation():
