@@ -1,16 +1,7 @@
 """Semivalue data valuation under differentially private gradient release."""
 
 from .data import CsvSchema, PartitionedDataset, corrupt_labels, load_csv, partition, synth_classification
-from .dp import (
-    NoiseConfig,
-    RollingGradientState,
-    calibrate_sigma,
-    clip_gradient,
-    combine_diag,
-    effective_noise_variance,
-    release_correlated,
-    sample_noise,
-)
+from .dp import NoiseConfig, calibrate_sigma
 from .models import InitSpec, ModelSpec, UtilitySpec, grad, init_params, utility
 from .valuation import (
     RunConfig,
@@ -32,13 +23,7 @@ __all__ = [
     "partition",
     "synth_classification",
     "NoiseConfig",
-    "RollingGradientState",
     "calibrate_sigma",
-    "clip_gradient",
-    "combine_diag",
-    "effective_noise_variance",
-    "release_correlated",
-    "sample_noise",
     "InitSpec",
     "ModelSpec",
     "UtilitySpec",

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .dp import clip_in_place, release
+
 LOSS_MSE = 0
 LOSS_LOGISTIC = 1
 UTIL_NEG_LOSS = 0
@@ -149,10 +151,7 @@ def run_chain(
             noise_t = noise[t]
             marg_t = marginals[t]
             pcoefs[t, perms[t]] = p_by_pos
-            combine = correlated and t > 0
             dg = diags[t]
-            tt = t + 1.0
-            roll_keep = (tt - 1.0) / tt
             retained = t >= kq
             if retained:
                 cnt = t - kq + 1.0
@@ -163,18 +162,13 @@ def run_chain(
                 raise ChainDiverged(t + 1, -1)
             for pos, j in enumerate(orders[t]):
                 g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
-                nrm = math.sqrt(float(g @ g))
-                if nrm > clip:
-                    g *= clip / nrm
+                clip_in_place(g, clip)
                 if record_grads:
                     g_hat[t, j] = g
                 g += noise_t[j]
                 if record_grads:
                     g_tilde[t, j] = g
-                # first iteration: no history, release the perturbed gradient
-                rel = (1.0 - dg) * roll[j] + dg * g if combine else g
-                if correlated:
-                    roll[j] = roll_keep * roll[j] + g / tt
+                rel = release(g, roll[j], dg, t + 1) if correlated else g
                 if record_grads:
                     g_star[t, j] = rel
                 if record_states:

@@ -6,12 +6,14 @@ carry the dotted path of the offending field (e.g. ``noise.q``).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .dp import calibrate_sigma
+from . import metrics
+from .dp import NoiseConfig, calibrate_sigma
 
 EXPERIMENT_KINDS = (
     "valuation",
@@ -38,6 +40,15 @@ def _require(mapping: dict, key: str, path: str):
 
 def _opt(mapping: dict, key: str, default=None):
     return mapping.get(key, default)
+
+
+@contextmanager
+def _field(path: str):
+    """Report a failed engine check inside the block as a ConfigError on ``path``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 @dataclass
@@ -92,6 +103,14 @@ class NoiseSection:
 
 
 @dataclass
+class ProbeSection:
+    ks: tuple[int, ...] = (50, 100, 200, 400, 800)
+    noise_trials: int = 500
+    modes: tuple[str, ...] = ("iid", "corr_x")
+    q: float = 0.5
+
+
+@dataclass
 class ExperimentConfig:
     kind: str
     seed: int
@@ -105,6 +124,7 @@ class ExperimentConfig:
     semivalue_alpha: float = 1.0
     semivalue_beta: float = 1.0
     trials: int = 5
+    probe: ProbeSection | None = None  # variance-probe only
     extra: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
@@ -200,14 +220,10 @@ def _parse_noise(section: dict, k: int) -> NoiseSection:
         raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
     if "q" in section and section["q"] is not None:
         ns.q = float(section["q"])
-        if ns.mode == "corr_y":
-            if not (0.0 < ns.q < 1.0):
-                raise ConfigError("noise.q", f"must lie in (0, 1), got {ns.q}")
-            kq = k * ns.q
-            if abs(kq - round(kq)) > 1e-9 or round(kq) < 1:
-                raise ConfigError("noise.q", f"k*q must be a positive integer, got {kq}")
-        else:
+        if ns.mode != "corr_y":
             raise ConfigError("noise.q", "q only applies to corr_y")
+        with _field("noise.q"):
+            NoiseConfig(ns.clip_norm, 0.0, k, "corr_y", ns.q)
     elif ns.mode == "corr_y":
         raise ConfigError("noise.q", "corr_y requires a burn-in ratio q")
     if "sigma_g_sq" in section and section["sigma_g_sq"] is not None:
@@ -215,6 +231,28 @@ def _parse_noise(section: dict, k: int) -> NoiseSection:
         if ns.sigma_g_sq < 0:
             raise ConfigError("noise.sigma_g_sq", "must be >= 0")
     return ns
+
+
+def _parse_probe(section: dict, noise: NoiseSection) -> ProbeSection:
+    """The probe block, checked by the probe's own rules for every budget
+    and mode it will run."""
+    p = ProbeSection()
+    with _field("probe.ks"):
+        p.ks = metrics.probe_budgets(_opt(section, "ks", p.ks))
+    with _field("probe.noise_trials"):
+        p.noise_trials = metrics.probe_trials(int(_opt(section, "noise_trials", p.noise_trials)))
+    with _field("probe.modes"):
+        p.modes = tuple(metrics.probe_mode(m) for m in _opt(section, "modes", p.modes))
+    with _field("probe.q"):
+        p.q = float(_opt(section, "q", p.q))
+    base = NoiseConfig(noise.clip_norm, 0.0, 1, sigma_g_sq=noise.sigma_g_sq)
+    for mode in p.modes:
+        for k in p.ks:
+            with _field("probe.q"):
+                probe_noise = metrics.probe_noise(base, mode, k, p.q)
+            with _field("noise.sigma_g_sq"):
+                metrics.prefix_mean_only(probe_noise)
+    return p
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -250,7 +288,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
 
-    extra_keys = ("probe", "removal", "federated", "noisy_label", "similarity", "oracle")
+    probe = None
+    if kind == "variance-probe":
+        probe = _parse_probe(_opt(doc, "probe", {}) or {}, noise)
+
+    extra_keys = ("removal", "federated", "noisy_label", "similarity", "oracle")
     extra = {key: doc[key] for key in extra_keys if key in doc}
     return ExperimentConfig(
         kind=kind,
@@ -265,6 +307,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         semivalue_alpha=alpha,
         semivalue_beta=beta,
         trials=trials,
+        probe=probe,
         extra=extra,
         raw=doc,
     )

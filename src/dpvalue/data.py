@@ -267,14 +267,3 @@ def partition(ds: PartitionedDataset, n_parties: int, mode: str, size: int | Non
             corruption_mask=mask,
         )
     raise ValueError(f"unknown partition mode {mode!r}")
-
-
-def export_corruption_mask(ds: PartitionedDataset, path) -> None:
-    """Write the mask as a single 0/1 column aligned to training-row order."""
-    if ds.corruption_mask is None:
-        raise ValueError("dataset has no corruption mask")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["corrupted"])
-        for flag in ds.corruption_mask:
-            writer.writerow([int(flag)])

@@ -1,13 +1,19 @@
 """Gradient privatization: clipping, the k-scaled Gaussian mechanism, and
-the correlated-noise combiners.
+the correlated-noise combiner.
 
 Every released gradient carries noise of per-coordinate variance
 ``k * (C*sigma)^2`` so that the whole budget of ``k`` releases meets one
-(eps, delta) guarantee. The combiner re-weights already-released gradients
-(post-processing, so the guarantee is untouched): at iteration t the released
-vector is ``(1 - X_tt) * rolling_mean + X_tt * current``, which realizes a
-lower-triangular weighting whose off-diagonal entries are uniform. Supported
-diagonals:
+(eps, delta) guarantee. The combiner re-weights already-perturbed gradients
+(post-processing, so the guarantee is untouched). It is the lower-triangular
+k x k matrix
+
+    X_tl = X_tt               for l = t,
+    X_tl = (1 - X_tt)/(t - 1)  for l < t,
+
+so the release at iteration t is ``(1 - X_tt) * rolling_mean + X_tt *
+current``, and every row is a convex combination of the perturbed gradients
+seen so far (a special case of the matrix-factorization mechanisms of
+Denisov et al., 2022). Supported diagonals:
 
 * prefix mean ``X_tt = 1/t`` (the large-budget limiting matrix),
 * the gradient-variance-aware diagonal
@@ -23,6 +29,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 MODES = ("iid", "corr_x", "corr_y", "fl_schedule")
+
+
+def burn_in_count(k: int, q: float) -> int:
+    """Leading iterations dropped by a burn-in share q in [0, 1) of k."""
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"burn-in share q must lie in [0, 1), got {q}")
+    kq = k * q
+    if abs(kq - round(kq)) > 1e-9:
+        raise ValueError(f"k*q must be an integer, got {kq}")
+    return int(round(kq))
 
 
 @dataclass(frozen=True)
@@ -44,11 +60,8 @@ class NoiseConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if self.mode == "corr_y":
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise ValueError("corr_y needs a burn-in ratio q in (0, 1)")
-            kq = self.budget * self.q
-            if abs(kq - round(kq)) > 1e-9 or round(kq) < 1:
-                raise ValueError(f"k*q must be a positive integer, got {kq}")
+            if self.q is None or burn_in_count(self.budget, self.q) < 1:
+                raise ValueError(f"corr_y needs q with k*q a positive integer, got q={self.q}")
         elif self.q is not None:
             raise ValueError("q only applies to corr_y")
         if self.sigma_g_sq is not None and self.sigma_g_sq < 0:
@@ -61,9 +74,7 @@ class NoiseConfig:
     @property
     def burn_in(self) -> int:
         """Number of leading iterations whose marginals are discarded."""
-        if self.mode == "corr_y":
-            return int(round(self.budget * self.q))
-        return 0
+        return burn_in_count(self.budget, self.q) if self.mode == "corr_y" else 0
 
     @property
     def per_release_std(self) -> float:
@@ -71,34 +82,6 @@ class NoiseConfig:
 
     def with_budget(self, k: int) -> "NoiseConfig":
         return replace(self, budget=k)
-
-
-@dataclass(frozen=True)
-class RollingGradientState:
-    """Running mean of the released perturbed gradients of one party."""
-
-    g_roll: np.ndarray
-    count: int = 0
-
-    @classmethod
-    def empty(cls, d: int) -> "RollingGradientState":
-        return cls(np.zeros(d), 0)
-
-
-def clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient has non-finite entries")
-    nrm = float(np.linalg.norm(g))
-    return g / max(1.0, nrm / clip_norm)
-
-
-def sample_noise(d: int, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian draw with per-coordinate variance k*(C*sigma)^2."""
-    if cfg.noise_multiplier == 0.0:
-        return np.zeros(d)
-    return cfg.per_release_std * rng.standard_normal(d)
 
 
 def calibrate_sigma(epsilon: float, delta: float) -> float:
@@ -110,61 +93,39 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
 
 
-def combine_diag(mode: str, t: int, cfg: NoiseConfig) -> float:
-    """Diagonal combiner weight X_tt for iteration t (1-based)."""
-    if not 1 <= t <= cfg.budget:
-        raise ValueError(f"iteration t={t} outside 1..{cfg.budget}")
-    if mode == "fl_schedule":
-        return 0.75 - 0.7 * t / cfg.budget
-    if mode in ("corr_x", "corr_y"):
-        if cfg.sigma_g_sq is None or cfg.sigma_g_sq == 0.0:
-            return 1.0 / t
-        kcs = cfg.budget * (cfg.clip_norm * cfg.noise_multiplier) ** 2
-        return (kcs + t * cfg.sigma_g_sq) / (t * (kcs + cfg.sigma_g_sq))
-    raise ValueError(f"mode {mode!r} has no combiner diagonal")
-
-
 def diag_schedule(cfg: NoiseConfig) -> np.ndarray:
-    """All k diagonal weights for the configured mode (zeros for iid)."""
+    """The k diagonal weights X_tt, t = 1..k, of the configured combiner
+    (zeros for iid, which has none)."""
+    k = cfg.budget
     if not cfg.correlated:
-        return np.zeros(cfg.budget)
-    return np.array([combine_diag(cfg.mode, t, cfg) for t in range(1, cfg.budget + 1)])
+        return np.zeros(k)
+    t = np.arange(1, k + 1, dtype=np.float64)
+    if cfg.mode == "fl_schedule":
+        return 0.75 - 0.7 * t / k
+    if not cfg.sigma_g_sq:
+        return 1.0 / t
+    kcs = k * (cfg.clip_norm * cfg.noise_multiplier) ** 2
+    return (kcs + t * cfg.sigma_g_sq) / (t * (kcs + cfg.sigma_g_sq))
 
 
-def release_correlated(
-    g_tilde: np.ndarray, state: RollingGradientState, diag: float
-) -> tuple[np.ndarray, RollingGradientState]:
-    """Combine the current perturbed gradient with the rolling mean.
+def clip_in_place(g: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Scale ``g`` in place to norm at most ``clip_norm``. A non-finite ``g``
+    stays non-finite, so the chain's divergence guard still sees it."""
+    nrm = math.sqrt(float(g @ g))
+    if nrm > clip_norm:
+        g *= clip_norm / nrm
+    return g
 
-    At t=1 there is no history and the perturbed gradient is released as-is,
-    keeping the implicit row weights a convex combination for every diagonal
-    schedule. The new state absorbs the perturbed (not the released) gradient.
+
+def release(g_tilde: np.ndarray, roll: np.ndarray, dg: float, t: int) -> np.ndarray:
+    """Release the perturbed gradient ``g_tilde`` of iteration t (1-based)
+    through the combiner with diagonal weight ``dg``, and fold ``g_tilde``
+    into the rolling mean ``roll`` in place.
+
+    ``g_tilde`` and ``roll`` are one (d,) row or an (n, d) block of parties.
+    At t=1 there is no history and ``g_tilde`` itself is released.
     """
-    if g_tilde.shape != state.g_roll.shape:
-        raise ValueError("dimension mismatch between gradient and rolling state")
-    if not (0.0 < diag <= 1.0):
-        raise ValueError("diagonal weight must lie in (0, 1]")
-    t = state.count + 1
-    if t == 1:
-        released = g_tilde.copy()
-    else:
-        released = (1.0 - diag) * state.g_roll + diag * g_tilde
-    new_roll = (t - 1) / t * state.g_roll + g_tilde / t
-    return released, RollingGradientState(new_roll, t)
-
-
-def effective_noise_variance(mode: str, t: int, cfg: NoiseConfig) -> float:
-    """Per-coordinate variance of the implicit noise in the released gradient."""
-    if not 1 <= t <= cfg.budget:
-        raise ValueError(f"iteration t={t} outside 1..{cfg.budget}")
-    base = cfg.budget * (cfg.clip_norm * cfg.noise_multiplier) ** 2
-    if mode == "iid":
-        return base
-    if mode in ("corr_x", "corr_y"):
-        if cfg.sigma_g_sq:
-            raise ValueError(
-                "closed-form released variance only covers the prefix-mean weights; "
-                "use metrics.npq_closed_form for the variance-aware matrix"
-            )
-        return base / t
-    raise ValueError(f"mode {mode!r} unsupported")
+    rel = g_tilde if t == 1 else (1.0 - dg) * roll + dg * g_tilde
+    roll *= (t - 1.0) / t
+    roll += g_tilde / t
+    return rel

@@ -203,11 +203,7 @@ def run_removal_experiment(cfg: ExperimentConfig):
 
 
 def run_variance_probe_experiment(cfg: ExperimentConfig):
-    section = cfg.extra.get("probe", {})
-    ks = section.get("ks", [50, 100, 200, 400, 800])
-    trials = section.get("noise_trials", 500)
-    modes = section.get("modes", ["iid", "corr_x"])
-    q = section.get("q", 0.5)
+    ks, trials, modes, q = cfg.probe.ks, cfg.probe.noise_trials, cfg.probe.modes, cfg.probe.q
     ds = build_dataset(cfg, cfg.seed)
     base = build_run(cfg, ds, cfg.seed)
     rows = [["mode", "k", "variance", "slope"]]
@@ -215,8 +211,7 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
     out = {}
     for mode in modes:
         probe = metrics.variance_scaling_probe(
-            mode, ks, base, trials, seed=cfg.seed, q=q if mode == "corr_y" else 0.0,
-            keep_samples=True,
+            mode, ks, base, trials, seed=cfg.seed, q=q, keep_samples=True
         )
         out[mode] = {"ks": list(probe.ks), "variances": list(probe.variances), "slope": probe.slope}
         for k, v in zip(probe.ks, probe.variances):

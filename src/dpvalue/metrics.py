@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .dp import NoiseConfig
+from .dp import NoiseConfig, burn_in_count, diag_schedule
 from .models import design_matrix
 from .valuation import RunConfig, run_valuation
 
@@ -179,30 +179,20 @@ def npq_closed_form(
         s_t^2 = k(Cs)^2 * sum_l X_tl^2 + sg^2 * sum_{l<t} X_tl^2
                 + (1 - X_tt)^2 * sg^2,
 
-    so E|z_t|^2 = d s_t^2 and E|z_t|^4 = d(d+2) s_t^4. Sums start at kq+1
-    when a burn-in share q is given.
+    where sum_{l<t} X_tl^2 = (1 - X_tt)^2 / (t - 1) for the combiner's
+    uniform off-diagonals, so E|z_t|^2 = d s_t^2 and E|z_t|^4 = d(d+2) s_t^4.
+    Sums start at kq+1 when a burn-in share q is given.
     """
-    if not (0.0 <= q < 1.0):
-        raise ValueError("q must lie in [0, 1)")
-    kq = k * q
-    if abs(kq - round(kq)) > 1e-9:
-        raise ValueError(f"k*q must be an integer, got {kq}")
-    start = int(round(kq)) + 1
+    start = burn_in_count(k, q)
+    cfg = NoiseConfig(clip, sigma, k, mode="corr_x", sigma_g_sq=sigma_g_sq)
+    x = diag_schedule(cfg)[start:]
+    t = np.arange(start + 1, k + 1)
+    head_sq = (1.0 - x) ** 2 / np.maximum(t - 1, 1)  # zero at t = 1, where X_11 = 1
     kcs = k * (clip * sigma) ** 2
-    n_sum = p_sum = q_sum = 0.0
-    for t in range(start, k + 1):
-        if sigma_g_sq == 0.0:
-            off = 1.0 / t
-            diag = 1.0 / t
-        else:
-            off = kcs / (t * (kcs + sigma_g_sq))
-            diag = (kcs + t * sigma_g_sq) / (t * (kcs + sigma_g_sq))
-        sum_sq = (t - 1) * off * off + diag * diag
-        head_sq = (t - 1) * off * off
-        s_t = kcs * sum_sq + sigma_g_sq * head_sq + (1.0 - diag) ** 2 * sigma_g_sq
-        n_sum += d * s_t
-        p_sum += d * (d + 2) * s_t * s_t
-        q_sum += np.sqrt(d * (d + 2)) * s_t
+    s_t = kcs * (head_sq + x * x) + sigma_g_sq * head_sq + (1.0 - x) ** 2 * sigma_g_sq
+    n_sum = float(d * s_t.sum())
+    p_sum = float(d * (d + 2) * (s_t * s_t).sum())
+    q_sum = float(np.sqrt(d * (d + 2)) * s_t.sum())
     return n_sum, p_sum, q_sum
 
 
@@ -278,20 +268,60 @@ def _utility_rows(thetas: np.ndarray, sc: FrozenScenario) -> np.ndarray:
     return -ll / sc.yt.shape[0] - sc.lam * np.einsum("ij,ij->i", thetas, thetas)
 
 
+PROBE_MODES = ("iid", "corr_x", "corr_y")
+
+
+def probe_budgets(ks) -> tuple[int, ...]:
+    """The budgets of a slope fit: at least three, all positive."""
+    ks = tuple(int(k) for k in ks)
+    if len(ks) < 3 or min(ks) < 1:
+        raise ValueError(f"need at least three positive budgets for a slope fit, got {list(ks)}")
+    return ks
+
+
+def probe_trials(trials: int) -> int:
+    if trials < 100:
+        raise ValueError(f"need at least 100 trials per budget, got {trials}")
+    return trials
+
+
+def probe_mode(mode: str) -> str:
+    if mode not in PROBE_MODES:
+        raise ValueError(f"probe mode must be one of {', '.join(PROBE_MODES)}, got {mode!r}")
+    return mode
+
+
+def probe_noise(base: NoiseConfig, mode: str, k: int, q: float) -> NoiseConfig:
+    """The mechanism a probe of ``mode`` replays at budget k: ``base`` with
+    that mode, and the burn-in share q for corr_y."""
+    return replace(base, budget=k, mode=mode, q=q if mode == "corr_y" else None)
+
+
+def prefix_mean_only(noise: NoiseConfig) -> NoiseConfig:
+    """The replay knows only the prefix-mean combiner, so a correlated mode
+    with the variance-aware diagonal is rejected rather than probed as a
+    different mechanism."""
+    if noise.correlated and noise.sigma_g_sq:
+        raise ValueError(
+            "the probe replays only the prefix-mean combiner; "
+            f"{noise.mode} needs sigma_g_sq unset or 0, got {noise.sigma_g_sq}"
+        )
+    return noise
+
+
 def conditional_variance(
     scenario: FrozenScenario,
-    mode: str,
-    noise_cfg: NoiseConfig,
+    noise: NoiseConfig,
     trials: int,
     seed: int,
-    q: float = 0.0,
     return_samples: bool = False,
 ):
     """Var[psi | frozen sequences] by redrawing noise, averaged over parties.
 
-    The correlated modes use the prefix-mean weights; corr_y additionally
-    drops the first k*q iterations from the estimator. With
-    ``return_samples`` the per-party, per-trial estimator draws come back too.
+    ``noise`` names the mechanism: iid, or corr_x/corr_y with the prefix-mean
+    combiner, whose weights are its diagonal 1/t; corr_y additionally drops
+    the first k*q iterations from the estimator. With ``return_samples`` the
+    per-party, per-trial estimator draws come back too.
 
     One worker thread owns the noise generator and draws party j+1's
     standard normal (trials, k, d) block while this thread turns party j's
@@ -301,25 +331,23 @@ def conditional_variance(
     exit path, and ``result()`` re-raises an error from it here.
     """
     k, n, d = scenario.theta_prev.shape
-    std = noise_cfg.per_release_std
-    kq = 0
-    if mode == "corr_y":
-        kq = int(round(k * q))
-        if abs(k * q - kq) > 1e-9 or not (1 <= kq < k):
-            raise ValueError("corr_y probe needs integer k*q in [1, k)")
-    elif mode not in ("iid", "corr_x"):
-        raise ValueError(f"unknown probe mode {mode!r}")
+    probe_mode(noise.mode)
+    prefix_mean_only(noise)
+    if noise.budget != k:
+        raise ValueError(f"noise budget {noise.budget} must equal the scenario's k={k}")
+    std = noise.per_release_std
+    kq = noise.burn_in
     if std == 0.0:
         return (0.0, np.zeros((n, trials))) if return_samples else 0.0
 
     rng = np.random.default_rng(seed)  # used by the draw thread only
-    inv_t = 1.0 / np.arange(1, k + 1)
+    inv_t = diag_schedule(noise)  # the prefix-mean diagonal 1/t (zeros for iid)
     draws = np.empty((n, trials))
     blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(rng.standard_normal, out=blocks[0])
         for j in range(n):
-            if mode == "iid":
+            if not noise.correlated:
                 base = scenario.theta_prev[:, j, :] - scenario.lr * scenario.g_hat[:, j, :]
             else:
                 prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
@@ -329,7 +357,7 @@ def conditional_variance(
                 pending = pool.submit(rng.standard_normal, out=blocks[(j + 1) % 2])
             # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
             thetas *= std
-            if mode != "iid":
+            if noise.correlated:
                 np.cumsum(thetas, axis=1, out=thetas)
                 thetas *= inv_t[None, :, None]
             thetas *= scenario.lr
@@ -356,22 +384,21 @@ def variance_scaling_probe(
 
     For each budget the scenario is re-frozen at that length (the noiseless
     chain does not depend on the noise scale), then ``trials`` fresh noise
-    draws estimate Var[psi | theta^p sequence].
+    draws of ``mode`` (corr_y with burn-in share ``q``) estimate
+    Var[psi | theta^p sequence]. Every budget's mechanism is checked before
+    the first chain runs.
     """
-    ks = tuple(int(k) for k in ks)
-    if len(ks) < 3:
-        raise ValueError("need at least three budgets for a slope fit")
-    if trials < 100:
-        raise ValueError("need at least 100 trials per budget")
+    ks = probe_budgets(ks)
+    probe_trials(trials)
+    probe_mode(mode)
+    noises = [prefix_mean_only(probe_noise(base_cfg.noise, mode, k, q)) for k in ks]
     variances = []
     samples: dict[int, np.ndarray] = {}
-    for i, k in enumerate(ks):
+    for i, (k, noise) in enumerate(zip(ks, noises)):
         cfg_k = replace(base_cfg, k=k, noise=base_cfg.noise.with_budget(k))
         scenario = freeze_scenario(cfg_k)
-        var, draws = conditional_variance(
-            scenario, mode, cfg_k.noise, trials, seed=seed * 7919 + i, q=q,
-            return_samples=True,
-        )
+        var, draws = conditional_variance(scenario, noise, trials, seed=seed * 7919 + i,
+                                          return_samples=True)
         variances.append(var)
         if keep_samples:
             samples[k] = draws

@@ -154,24 +154,3 @@ def train_one_pass(
             continue
         theta = theta - spec.learning_rate * grad(spec, theta, x[idx], labels[idx])
     return theta
-
-
-def grid_search_lr(
-    spec: ModelSpec,
-    features: np.ndarray,
-    labels: np.ndarray,
-    party_of: np.ndarray,
-    uspec: UtilitySpec,
-    candidates,
-    seed: int = 0,
-) -> float:
-    """Pick the learning rate whose one-pass model scores best on the test set."""
-    parties = np.unique(party_of)
-    best_lr, best_v = None, -np.inf
-    for lr in candidates:
-        trial = ModelSpec(spec.loss_kind, lr, spec.init, spec.l2, spec.add_bias)
-        theta = train_one_pass(trial, features, labels, party_of, parties, seed)
-        v = utility(uspec, trial, theta)
-        if v > best_v:
-            best_lr, best_v = lr, v
-    return best_lr

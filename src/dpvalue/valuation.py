@@ -21,7 +21,6 @@ optionally passed through the correlated-noise combiner before the update.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +29,7 @@ from scipy.special import betaln, gammaln, logsumexp
 
 from . import _kernels
 from .data import PartitionedDataset
-from .dp import NoiseConfig, diag_schedule
+from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, release
 from .models import ModelSpec, UtilitySpec, design_matrix
 
 MAX_PARTIES_WEIGHTS = 10_000
@@ -125,40 +124,6 @@ class ValuationResult:
     def n_parties(self) -> int:
         return len(self.psi)
 
-    def marginal_records(self, party: int) -> list[tuple[int, float, float]]:
-        """(iteration t, position coefficient, raw marginal) for one party."""
-        return [
-            (t + 1, float(self.pcoefs[t, party]), float(self.marginals[t, party]))
-            for t in range(self.marginals.shape[0])
-        ]
-
-    def to_json(self) -> str:
-        def render(v: float) -> str:
-            return format(v, ".17g")
-
-        doc = {
-            "n_parties": self.n_parties,
-            "permutations_used": self.permutations_used,
-            "burn_in_dropped": self.burn_in_dropped,
-            "psi": [render(v) for v in self.psi],
-            "mu": [render(v) for v in self.mu],
-            "s_sq": [render(v) for v in self.s_sq],
-            "mean_adjusted_var": [
-                None if np.isnan(v) else render(v) for v in self.mean_adjusted_var
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("party,psi,mu,s_sq,mean_adjusted\n")
-            for j in range(self.n_parties):
-                mav = self.mean_adjusted_var[j]
-                mav_s = "" if np.isnan(mav) else format(mav, ".17g")
-                fh.write(
-                    f"{j},{self.psi[j]:.17g},{self.mu[j]:.17g},{self.s_sq[j]:.17g},{mav_s}\n"
-                )
-
 
 def estimation_stats(marginals: np.ndarray, guard: float = 1e-15):
     """Per-party mean, variance-of-the-mean, and mean-adjusted variance.
@@ -237,11 +202,6 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
         noise = std * noise_rng.standard_normal((k, n, d))
 
     diag = diag_schedule(cfg.noise)
-    if cfg.noise.correlated and len(diag) != k:
-        raise ValueError("combiner schedule length must equal k")
-    if not cfg.noise.correlated:
-        diag = np.zeros(k)
-
     _, p = semivalue_weights(cfg.semivalue)
     kq = cfg.noise.burn_in
 
@@ -359,12 +319,7 @@ def run_federated(
         raise ValueError("federated attribution uses test accuracy as the utility")
     if per_round_permutations < 1:
         raise ValueError("need at least one permutation per round")
-    rq = rounds * q
-    if abs(rq - round(rq)) > 1e-9:
-        raise ValueError(f"rounds*q must be an integer, got {rq}")
-    burn = int(round(rq))
-    if burn >= rounds:
-        raise ValueError("burn-in must leave at least one round")
+    burn = burn_in_count(rounds, q)
     if cfg.noise.budget != rounds:
         raise ValueError("noise budget must equal the number of rounds")
 
@@ -399,16 +354,10 @@ def run_federated(
         released = np.empty((n, d))
         for j in range(n):
             g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
-            nrm = math.sqrt(float(g @ g))
-            if nrm > cfg.noise.clip_norm:
-                g *= cfg.noise.clip_norm / nrm
-            if std > 0.0:
-                g = g + std * noise_rng.standard_normal(d)
-            if t > 0:
-                released[j] = (1.0 - diag[t]) * roll[j] + diag[t] * g
-            else:
-                released[j] = g
-            roll[j] = t / (t + 1.0) * roll[j] + g / (t + 1.0)
+            released[j] = clip_in_place(g, cfg.noise.clip_norm)
+        if std > 0.0:
+            released += std * noise_rng.standard_normal((n, d))
+        released = release(released, roll, diag[t], t + 1)
         for _ in range(per_round_permutations):
             perm = perm_rng.permutation(n)
             th = theta.copy()

@@ -207,3 +207,55 @@ def test_config_echo_roundtrip(tmp_path):
     echoed = yaml.safe_load((out / "config.echo").read_text())
     original = yaml.safe_load(cfg_path.read_text())
     assert echoed == original
+
+
+def probe_doc(outdir, **probe):
+    return {
+        "experiment": "variance-probe",
+        "seed": 1,
+        "k": 5,
+        "output_dir": str(outdir),
+        "dataset": {"source": "synth", "n_samples": 12, "n_test": 16, "d_feat": 3,
+                    "partition": {"mode": "equal-chunks", "n_parties": 3}},
+        "model": {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0},
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
+        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid"], "q": 0.5, **probe},
+    }
+
+
+@pytest.mark.parametrize("probe,noise,field", [
+    ({"noise_trials": 50}, {}, "probe.noise_trials"),
+    ({"ks": [10, 20]}, {}, "probe.ks"),
+    ({"ks": [0, 10, 20]}, {}, "probe.ks"),
+    ({"ks": 10}, {}, "probe.ks"),
+    ({"modes": ["iid", "fl_schedule"]}, {}, "probe.modes"),
+    ({"modes": ["corr_y"], "ks": [10, 20, 25], "q": 0.3}, {}, "probe.q"),  # k*q = 7.5 at k=25
+    ({"modes": ["corr_y"], "q": 1.0}, {}, "probe.q"),
+    ({"modes": ["iid", "corr_x"]}, {"sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
+    ({"modes": ["corr_y"]}, {"sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
+])
+def test_validate_rejects_bad_probe(tmp_path, capsys, probe, noise, field):
+    doc = probe_doc(tmp_path / "out", **probe)
+    doc["noise"].update(noise)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["validate", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("probe,noise", [
+    ({}, {}),
+    ({"modes": ["iid", "corr_x", "corr_y"]}, {"sigma_g_sq": 0.0}),
+    ({"modes": ["iid"]}, {"sigma_g_sq": 0.5}),  # iid replays no combiner
+])
+def test_validate_accepts_good_probe(tmp_path, probe, noise):
+    doc = probe_doc(tmp_path / "out", **probe)
+    doc["noise"].update(noise)
+    assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 0
+
+
+def test_validate_shipped_configs():
+    for path in sorted(Path(__file__).resolve().parents[1].glob("configs/*.yaml")):
+        assert cli.main(["validate", str(path)]) == 0, path.name

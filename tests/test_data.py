@@ -181,15 +181,3 @@ def test_partition_validation():
         data.partition(ds, 0, "equal-chunks")
     with pytest.raises(ValueError):
         data.partition(ds, 11, "equal-chunks")
-
-
-def test_export_corruption_mask(tmp_path):
-    ds = data.corrupt_labels(
-        data.synth_classification(20, 3, 2, seed=0, separation=2.0), 0.25, seed=1
-    )
-    path = tmp_path / "mask.csv"
-    data.export_corruption_mask(ds, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "corrupted"
-    flags = np.array([int(v) for v in lines[1:]], dtype=bool)
-    assert np.array_equal(flags, ds.corruption_mask)

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpvalue import dp
+from dpvalue import data, dp, metrics, models
+from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
 
 def test_clip_examples():
     g = np.array([2.0, 0.0])
-    clipped = dp.clip_gradient(g, 1.0)
+    clipped = dp.clip_in_place(g, 1.0)
+    assert clipped is g  # scaled in place
     assert np.allclose(clipped, [1.0, 0.0])
     assert np.linalg.norm(clipped) == pytest.approx(1.0)
     g2 = np.array([0.3, 0.4])
-    assert np.array_equal(dp.clip_gradient(g2, 1.0), g2)
+    assert np.array_equal(dp.clip_in_place(g2.copy(), 1.0), g2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -24,7 +26,7 @@ def test_clip_examples():
 )
 def test_clip_norm_property(vals, clip):
     g = np.array(vals)
-    out = dp.clip_gradient(g, clip)
+    out = dp.clip_in_place(g.copy(), clip)
     assert abs(np.linalg.norm(out) - min(np.linalg.norm(g), clip)) < 1e-9 * max(1.0, clip)
     # direction preserved
     if np.linalg.norm(g) > 0:
@@ -32,28 +34,45 @@ def test_clip_norm_property(vals, clip):
 
 
 def test_clip_rejects_nonfinite():
+    # a non-positive clip norm is rejected at the config; a non-finite gradient
+    # is never clipped into a finite one, so the chain's divergence guard sees it
     with pytest.raises(ValueError):
-        dp.clip_gradient(np.array([1.0, np.nan]), 1.0)
-    with pytest.raises(ValueError):
-        dp.clip_gradient(np.array([1.0]), 0.0)
+        dp.NoiseConfig(0.0, 1.0, budget=10)
+    with np.errstate(invalid="ignore"):  # as inside the chain
+        for g in ([1.0, np.nan], [np.inf, 1.0]):
+            assert not np.all(np.isfinite(dp.clip_in_place(np.array(g), 1.0)))
+
+
+def engine_noise(sigma, k, clip=1.0):
+    """The privacy noise the engine added in one recorded run: g_tilde - g_hat."""
+    ds = data.synth_classification(40, 5, 2, seed=3, separation=3.0, n_test=20)
+    mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
+    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    ncfg = dp.NoiseConfig(clip, sigma, budget=k)
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties), k=k,
+                    master_seed=4, record_gradients=True)
+    res = run_valuation(cfg)
+    return res.gradients["g_tilde"] - res.gradients["g_hat"]
 
 
 def test_sample_noise_zero_sigma():
-    cfg = dp.NoiseConfig(1.0, 0.0, budget=10)
-    assert np.array_equal(dp.sample_noise(5, cfg, np.random.default_rng(0)), np.zeros(5))
+    assert dp.NoiseConfig(1.0, 0.0, budget=10).per_release_std == 0.0
+    assert not engine_noise(0.0, 5).any()
 
 
 def test_sample_noise_variance():
-    cfg = dp.NoiseConfig(1.0, 1.0, budget=1)
-    draws = dp.sample_noise(1_000_000, cfg, np.random.default_rng(1))
-    assert abs(draws.var() - 1.0) < 0.01
+    # per-coordinate variance k*(C*sigma)^2 over 150*40*6 engine draws
+    k, clip, sigma = 150, 0.5, 0.1
+    z = engine_noise(sigma, k, clip)
+    assert abs(z.var() / (k * (clip * sigma) ** 2) - 1.0) < 0.05
+    assert abs(z.mean()) < 0.05 * z.std()
 
 
 def test_sample_noise_budget_scaling():
-    rng = np.random.default_rng(2)
-    v1 = dp.sample_noise(1_000_000, dp.NoiseConfig(1.0, 1.0, budget=1), rng).var()
-    v100 = dp.sample_noise(1_000_000, dp.NoiseConfig(1.0, 1.0, budget=100), rng).var()
-    assert abs(v100 / v1 - 100.0) < 3.0
+    v1 = dp.NoiseConfig(1.0, 1.5, budget=1).per_release_std ** 2
+    v100 = dp.NoiseConfig(1.0, 1.5, budget=100).per_release_std ** 2
+    assert v100 / v1 == pytest.approx(100.0, rel=1e-12)
+    assert v1 == pytest.approx(1.5**2, rel=1e-12)
 
 
 def test_calibrate_sigma_value():
@@ -79,132 +98,211 @@ def test_calibrate_sigma_scaling_and_limits():
 def test_noise_config_validation():
     with pytest.raises(ValueError):
         dp.NoiseConfig(0.0, 1.0, budget=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="integer"):
         dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y", q=0.31)  # k*q not integral
     with pytest.raises(ValueError):
         dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y")  # q missing
+    with pytest.raises(ValueError):
+        dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y", q=0.0)  # no burn-in
     with pytest.raises(ValueError):
         dp.NoiseConfig(1.0, 1.0, budget=10, mode="iid", q=0.5)
     cfg = dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y", q=0.5)
     assert cfg.burn_in == 5
 
 
+def test_burn_in_count_rule():
+    assert dp.burn_in_count(10, 0.0) == 0
+    assert dp.burn_in_count(10, 0.3) == 3  # 10*0.3 is 3.0000000000000004
+    assert dp.burn_in_count(800, 0.5) == 400
+    with pytest.raises(ValueError, match="integer"):
+        dp.burn_in_count(10, 0.15)
+    for q in (-0.1, 1.0):
+        with pytest.raises(ValueError):
+            dp.burn_in_count(10, q)
+
+
+# -- the combiner diagonal ---------------------------------------------------------
+
+
+def combine_diag(mode, t, cfg):
+    """The per-t diagonal formula that ``diag_schedule`` vectorised, kept verbatim."""
+    if not 1 <= t <= cfg.budget:
+        raise ValueError(f"iteration t={t} outside 1..{cfg.budget}")
+    if mode == "fl_schedule":
+        return 0.75 - 0.7 * t / cfg.budget
+    if mode in ("corr_x", "corr_y"):
+        if cfg.sigma_g_sq is None or cfg.sigma_g_sq == 0.0:
+            return 1.0 / t
+        kcs = cfg.budget * (cfg.clip_norm * cfg.noise_multiplier) ** 2
+        return (kcs + t * cfg.sigma_g_sq) / (t * (kcs + cfg.sigma_g_sq))
+    raise ValueError(f"mode {mode!r} has no combiner diagonal")
+
+
+def reference_schedule(cfg):
+    if not cfg.correlated:
+        return np.zeros(cfg.budget)
+    return np.array([combine_diag(cfg.mode, t, cfg) for t in range(1, cfg.budget + 1)])
+
+
+SCHEDULES = [
+    dict(mode="iid"),
+    dict(mode="corr_x"),
+    dict(mode="corr_x", sigma_g_sq=0.0),
+    dict(mode="corr_x", sigma_g_sq=0.7),
+    dict(mode="corr_y"),
+    dict(mode="corr_y", sigma_g_sq=2.5),
+    dict(mode="fl_schedule"),
+    dict(mode="fl_schedule", sigma_g_sq=0.7),
+]
+# corr_y needs k*q >= 1 with q < 1, so it has no k=1 config
+SCHEDULE_CASES = [(k, kw) for k in (1, 7, 800) for kw in SCHEDULES
+                  if not (k == 1 and kw["mode"] == "corr_y")]
+
+
+@pytest.mark.parametrize("k,kw", SCHEDULE_CASES,
+                         ids=["-".join(map(str, [k, *kw.values()])) for k, kw in SCHEDULE_CASES])
+def test_diag_schedule_matches_per_t_formula(k, kw):
+    if kw["mode"] == "corr_y":
+        kw = dict(kw, q=1.0 / k)
+    cfg = dp.NoiseConfig(1.3, 0.9, budget=k, **kw)
+    got, want = dp.diag_schedule(cfg), reference_schedule(cfg)
+    assert got.shape == (k,) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))  # same bits
+
+
 def test_combine_diag_prefix_mean():
-    cfg = dp.NoiseConfig(1.0, 1.0, budget=8, mode="corr_x")
-    assert dp.combine_diag("corr_x", 1, cfg) == 1.0
-    assert dp.combine_diag("corr_x", 4, cfg) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        dp.combine_diag("corr_x", 0, cfg)
-    with pytest.raises(ValueError):
-        dp.combine_diag("corr_x", 9, cfg)
+    x = dp.diag_schedule(dp.NoiseConfig(1.0, 1.0, budget=8, mode="corr_x"))
+    assert x.shape == (8,)
+    assert x[0] == 1.0
+    assert x[3] == pytest.approx(0.25)
 
 
 def test_combine_diag_variance_aware_reductions():
     # sigma_g^2 = 0 reduces to the prefix mean
-    cfg0 = dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_x", sigma_g_sq=0.0)
-    for t in range(1, 11):
-        assert dp.combine_diag("corr_x", t, cfg0) == pytest.approx(1.0 / t)
+    x0 = dp.diag_schedule(dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_x", sigma_g_sq=0.0))
+    assert np.array_equal(x0, 1.0 / np.arange(1, 11))
     # huge budget pushes the variance-aware diagonal back to 1/t
-    cfg = dp.NoiseConfig(1.0, 1.0, budget=10**9, mode="corr_x", sigma_g_sq=1.0)
+    big = dp.NoiseConfig(1.0, 1.0, budget=10**6, mode="corr_x", sigma_g_sq=1.0)
+    x = dp.diag_schedule(big)
     for t in (2, 5, 10):
-        assert abs(dp.combine_diag("corr_x", t, cfg) - 1.0 / t) < 1e-6
+        assert abs(x[t - 1] - 1.0 / t) < 1e-5
+    # and sigma = 0 leaves nothing to smooth: every release is the current gradient
+    flat = dp.NoiseConfig(1.0, 0.0, budget=10, mode="corr_x", sigma_g_sq=1.0)
+    assert np.array_equal(dp.diag_schedule(flat), np.ones(10))
 
 
 def test_combine_diag_in_unit_interval():
-    cfg = dp.NoiseConfig(1.0, 2.0, budget=50, mode="corr_x", sigma_g_sq=3.0)
-    fl = dp.NoiseConfig(1.0, 2.0, budget=50, mode="fl_schedule")
-    for t in range(1, 51):
-        assert 0.0 < dp.combine_diag("corr_x", t, cfg) <= 1.0
-        assert 0.0 < dp.combine_diag("fl_schedule", t, fl) <= 1.0
+    for cfg in (dp.NoiseConfig(1.0, 2.0, budget=50, mode="corr_x", sigma_g_sq=3.0),
+                dp.NoiseConfig(1.0, 2.0, budget=50, mode="fl_schedule")):
+        x = dp.diag_schedule(cfg)
+        assert np.all((0.0 < x) & (x <= 1.0))
 
 
 def test_fl_schedule_endpoints():
-    cfg = dp.NoiseConfig(1.0, 1.0, budget=10, mode="fl_schedule")
-    assert dp.combine_diag("fl_schedule", 10, cfg) == pytest.approx(0.05)
-    assert dp.combine_diag("fl_schedule", 1, cfg) == pytest.approx(0.75 - 0.07)
+    x = dp.diag_schedule(dp.NoiseConfig(1.0, 1.0, budget=10, mode="fl_schedule"))
+    assert x[9] == pytest.approx(0.05)
+    assert x[0] == pytest.approx(0.75 - 0.07)
+
+
+# -- the release step ---------------------------------------------------------------
+
+
+def release_all(gs, diag):
+    """Release the rows of ``gs`` (t along axis 0) one iteration at a time."""
+    roll = np.zeros(gs.shape[1:])
+    return np.array([dp.release(gs[t], roll, diag[t], t + 1) for t in range(len(gs))])
 
 
 def test_release_first_iteration_passthrough():
-    state = dp.RollingGradientState.empty(3)
+    roll = np.zeros(3)
     g = np.array([1.0, -2.0, 0.5])
-    released, state2 = dp.release_correlated(g, state, diag=1.0)
+    released = dp.release(g, roll, 0.3, 1)
     assert np.array_equal(released, g)
-    assert state2.count == 1
-    assert np.array_equal(state2.g_roll, g)
+    assert np.array_equal(roll, g)  # the rolling mean absorbed g in place
 
 
 def test_release_constant_gradients_stay_fixed():
     g = np.array([0.7, -0.1])
-    state = dp.RollingGradientState.empty(2)
-    for t in range(1, 8):
-        released, state = dp.release_correlated(g, state, diag=1.0 / t)
-        assert np.allclose(released, g)
+    for cfg in (dp.NoiseConfig(1.0, 1.0, budget=7, mode="corr_x"),
+                dp.NoiseConfig(1.0, 1.0, budget=7, mode="fl_schedule")):
+        released = release_all(np.tile(g, (7, 1)), dp.diag_schedule(cfg))
+        assert np.allclose(released, g, atol=1e-15)
 
 
-def test_release_prefix_mean_unrolls():
-    rng = np.random.default_rng(8)
-    gs = rng.standard_normal((12, 4))
-    state = dp.RollingGradientState.empty(4)
-    for t in range(1, 13):
-        released, state = dp.release_correlated(gs[t - 1], state, diag=1.0 / t)
-        assert np.allclose(released, gs[:t].mean(axis=0), atol=1e-12)
+DIAGONALS = st.one_of(
+    st.builds(dict, mode=st.just("corr_x")),
+    st.builds(dict, mode=st.just("corr_x"),
+              sigma_g_sq=st.one_of(st.just(0.0), st.floats(1e-3, 50.0))),
+    st.builds(dict, mode=st.just("fl_schedule")),
+)
 
 
-def test_release_row_weights_sum_to_one():
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.floats(0.0, 5.0), DIAGONALS)
+def test_release_row_weights_sum_to_one(k, sigma, kw):
     # feed basis vectors: the released vector exposes the implicit row weights
-    for diag_fn in (lambda t: 1.0 / t, lambda t: 0.75 - 0.7 * t / 6):
-        k = 6
-        state = dp.RollingGradientState.empty(k)
-        for t in range(1, k + 1):
-            e = np.zeros(k)
-            e[t - 1] = 1.0
-            released, state = dp.release_correlated(e, state, diag=diag_fn(t))
-            assert np.all(released >= -1e-12)
-            assert released.sum() == pytest.approx(1.0, abs=1e-12)
-            # lower triangular: no weight on future gradients
-            assert np.all(released[t:] == 0.0)
+    diag = dp.diag_schedule(dp.NoiseConfig(1.0, sigma, budget=k, **kw))
+    rows = release_all(np.eye(k), diag)
+    assert np.all(rows >= 0.0)  # every row is a convex combination ...
+    assert np.allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.array_equal(rows, np.tril(rows))  # ... of the gradients seen so far
+    for t in range(1, k):  # with uniform off-diagonals (1 - X_tt) / (t - 1)
+        assert np.allclose(rows[t, :t], (1.0 - diag[t]) / t, rtol=1e-12, atol=1e-15)
+        assert rows[t, t] == pytest.approx(diag[t], rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_release_prefix_mean_unrolls(k, d, seed):
+    gs = np.random.default_rng(seed).standard_normal((k, d))
+    released = release_all(gs, dp.diag_schedule(dp.NoiseConfig(1.0, 1.0, budget=k, mode="corr_x")))
+    want = np.cumsum(gs, axis=0) / np.arange(1, k + 1)[:, None]
+    assert np.allclose(released, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       DIAGONALS)
+def test_release_block_equals_rows(k, n, d, seed, kw):
+    # one (n, d) release per iteration is bitwise n single-row releases
+    gs = np.random.default_rng(seed).standard_normal((k, n, d))
+    diag = dp.diag_schedule(dp.NoiseConfig(1.0, 2.0, budget=k, **kw))
+    block = release_all(gs, diag)
+    rows = np.stack([release_all(gs[:, j, :], diag) for j in range(n)], axis=1)
+    assert np.array_equal(block.view(np.int64), rows.view(np.int64))
 
 
 def test_release_ignores_future_gradients():
     rng = np.random.default_rng(3)
     gs = rng.standard_normal((6, 3))
-    def releases(stack):
-        state = dp.RollingGradientState.empty(3)
-        out = []
-        for t in range(1, 5):
-            rel, state = dp.release_correlated(stack[t - 1], state, diag=1.0 / t)
-            out.append(rel)
-        return np.array(out)
-    base = releases(gs)
+    diag = 1.0 / np.arange(1, 7)
+    base = release_all(gs, diag)[:4]
     perturbed = gs.copy()
     perturbed[5] += 100.0
-    assert np.array_equal(base, releases(perturbed))
+    assert np.array_equal(base, release_all(perturbed, diag)[:4])
 
 
 def test_release_depends_only_on_perturbed_sequence():
     # post-processing: identical perturbed gradients give identical releases,
     # whatever raw gradients produced them
-    rng = np.random.default_rng(4)
-    g_tilde = rng.standard_normal((5, 3))
-    state_a = dp.RollingGradientState.empty(3)
-    state_b = dp.RollingGradientState.empty(3)
-    for t in range(1, 6):
-        rel_a, state_a = dp.release_correlated(g_tilde[t - 1], state_a, diag=1.0 / t)
-        rel_b, state_b = dp.release_correlated(g_tilde[t - 1].copy(), state_b, diag=1.0 / t)
-        assert np.array_equal(rel_a, rel_b)
+    g_tilde = np.random.default_rng(4).standard_normal((5, 3))
+    diag = 1.0 / np.arange(1, 6)
+    assert np.array_equal(release_all(g_tilde, diag), release_all(g_tilde.copy(), diag))
 
 
 def test_effective_noise_variance():
-    cfg = dp.NoiseConfig(2.0, 1.5, budget=100, mode="corr_x")
-    base = 100 * (2.0 * 1.5) ** 2
-    assert dp.effective_noise_variance("iid", 37, cfg) == pytest.approx(base)
-    assert dp.effective_noise_variance("corr_x", 1, cfg) == pytest.approx(base)
-    assert dp.effective_noise_variance("corr_x", 100, cfg) == pytest.approx((2.0 * 1.5) ** 2)
-    with pytest.raises(ValueError):
-        dp.effective_noise_variance("fl_schedule", 1, cfg)
-    aware = dp.NoiseConfig(2.0, 1.5, budget=100, mode="corr_x", sigma_g_sq=1.0)
-    with pytest.raises(ValueError):
-        dp.effective_noise_variance("corr_x", 2, aware)
+    # implicit per-coordinate noise variance of the released gradient at t:
+    # k(Cs)^2 for iid, k(Cs)^2 * sum_l X_tl^2 = k(Cs)^2 / t for the prefix mean,
+    # which is also the per-t term of the closed-form N sum
+    k, clip, sigma = 100, 2.0, 1.5
+    base = k * (clip * sigma) ** 2
+    rows = release_all(np.eye(k), dp.diag_schedule(dp.NoiseConfig(clip, sigma, budget=k,
+                                                                  mode="corr_x")))
+    per_row = base * (rows * rows).sum(axis=1)
+    t = np.arange(1, k + 1)
+    assert np.allclose(per_row, base / t, rtol=1e-12)
+    n_from = [metrics.npq_closed_form(k, clip, sigma, 0.0, d=1, q=s / k)[0] for s in range(k)]
+    assert np.allclose(-np.diff(n_from + [0.0]), base / t, rtol=1e-9)
 
 
 def test_released_noise_variance_monte_carlo():
@@ -212,8 +310,8 @@ def test_released_noise_variance_monte_carlo():
     k, c, sigma = 16, 1.0, 1.0
     reps = 1_000_000
     rng = np.random.default_rng(11)
-    z = math.sqrt(k) * c * sigma * rng.standard_normal((reps, 16))
-    prefix = np.cumsum(z, axis=1) / np.arange(1, 17)
+    z = math.sqrt(k) * c * sigma * rng.standard_normal((k, reps))
+    released = release_all(z, dp.diag_schedule(dp.NoiseConfig(c, sigma, budget=k, mode="corr_x")))
     for t in (1, 4, 16):
         target = k * (c * sigma) ** 2 / t
-        assert abs(prefix[:, t - 1].var() / target - 1.0) < 0.03
+        assert abs(released[t - 1].var() / target - 1.0) < 0.03

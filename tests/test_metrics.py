@@ -334,9 +334,9 @@ def test_probe_zero_sigma_zero_variance(monkeypatch):
         raise AssertionError("the zero-noise probe started a draw thread")
 
     monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
-    var = metrics.conditional_variance(scenario, "iid", cfg.noise, trials=200, seed=0)
+    var = metrics.conditional_variance(scenario, cfg.noise, trials=200, seed=0)
     assert var == 0.0
-    var, draws = metrics.conditional_variance(scenario, "corr_x", cfg.noise, trials=200,
+    var, draws = metrics.conditional_variance(scenario, probe_noise(cfg, "corr_x"), trials=200,
                                               seed=0, return_samples=True)
     assert var == 0.0 and draws.shape == (6, 200) and not draws.any()
 
@@ -374,14 +374,18 @@ def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
 PROBE_MODES = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", 0.5)]
 
 
+def probe_noise(cfg, mode, q=0.0):
+    return metrics.probe_noise(cfg.noise, mode, cfg.k, q)
+
+
 @pytest.mark.parametrize("mode,q", PROBE_MODES)
 def test_probe_matches_single_threaded_replay(mode, q):
     # 6 parties, so both blocks are reused; an odd trial count
     cfg = probe_base()
     scenario = metrics.freeze_scenario(cfg)
     want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
-    var, draws = metrics.conditional_variance(scenario, mode, cfg.noise, trials=137,
-                                              seed=11, q=q, return_samples=True)
+    var, draws = metrics.conditional_variance(scenario, probe_noise(cfg, mode, q), trials=137,
+                                              seed=11, return_samples=True)
     assert draws.shape == (6, 137)
     assert np.array_equal(draws, want)
     assert var == want_var
@@ -397,8 +401,8 @@ def test_probe_concurrent_replays_stay_exact():
 
     def replay(job):
         mode, q, seed = job
-        results[job] = metrics.conditional_variance(scenario, mode, cfg.noise, trials=101,
-                                                    seed=seed, q=q, return_samples=True)
+        results[job] = metrics.conditional_variance(scenario, probe_noise(cfg, mode, q), trials=101,
+                                                    seed=seed, return_samples=True)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -433,7 +437,7 @@ def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
     monkeypatch.setattr(metrics, "_utility_rows", failing_rows)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="scoring failed"):
-        metrics.conditional_variance(scenario, "corr_x", cfg.noise, trials=137, seed=0)
+        metrics.conditional_variance(scenario, probe_noise(cfg, "corr_x"), trials=137, seed=0)
     assert threads_seen == [before + 1] * 3  # exactly one draw thread
     assert threading.active_count() == before
 
@@ -460,22 +464,50 @@ def test_probe_draw_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="draw failed"):
-        metrics.conditional_variance(scenario, "iid", cfg.noise, trials=137, seed=0)
+        metrics.conditional_variance(scenario, cfg.noise, trials=137, seed=0)
     assert threading.active_count() == before
     assert len(draw_threads) == 1 and threading.get_ident() not in draw_threads
 
 
 def test_probe_validation():
     cfg = probe_base()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="three"):
         metrics.variance_scaling_probe("iid", [10, 20], cfg, trials=500)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="three"):
+        metrics.variance_scaling_probe("iid", [0, 10, 20], cfg, trials=500)
+    with pytest.raises(ValueError, match="100 trials"):
         metrics.variance_scaling_probe("iid", [10, 20, 40], cfg, trials=50)
+    with pytest.raises(ValueError, match="integer"):
+        metrics.variance_scaling_probe("corr_y", [10, 20, 25], cfg, trials=100, q=0.3)
     scenario = metrics.freeze_scenario(cfg)
-    with pytest.raises(ValueError):
-        metrics.conditional_variance(scenario, "warp", cfg.noise, trials=200, seed=0)
-    with pytest.raises(ValueError):
-        metrics.conditional_variance(scenario, "corr_y", cfg.noise, trials=200, seed=0, q=0.13)
+    for mode in ("warp", "fl_schedule"):
+        with pytest.raises(ValueError):
+            metrics.conditional_variance(scenario, replace(cfg.noise, mode=mode), trials=200, seed=0)
+    with pytest.raises(ValueError, match="budget"):
+        metrics.conditional_variance(scenario, cfg.noise.with_budget(21), trials=200, seed=0)
+    with pytest.raises(ValueError, match="integer"):
+        probe_noise(cfg, "corr_y", q=0.13)
+
+
+@pytest.mark.parametrize("mode,q", [("corr_x", 0.0), ("corr_y", 0.5)])
+def test_probe_rejects_variance_aware_combiner(mode, q, monkeypatch):
+    # the replay knows only the prefix-mean weights 1/t, so a variance-aware
+    # diagonal is refused before any chain runs instead of probed as another mechanism
+    cfg = probe_base()
+    aware = replace(cfg, noise=replace(cfg.noise, sigma_g_sq=0.5))
+    scenario = metrics.freeze_scenario(cfg)
+
+    def no_chain(cfg):
+        raise AssertionError("a chain ran before the probe checked its mechanism")
+
+    monkeypatch.setattr(metrics, "freeze_scenario", no_chain)
+    with pytest.raises(ValueError, match="prefix-mean"):
+        metrics.variance_scaling_probe(mode, [10, 20, 40], aware, trials=100, q=q)
+    with pytest.raises(ValueError, match="prefix-mean"):
+        metrics.conditional_variance(scenario, probe_noise(aware, mode, q), trials=100, seed=0)
+    # iid replays no combiner, and sigma_g_sq = 0 is the prefix mean itself
+    for noise in (aware.noise, replace(probe_noise(cfg, mode, q), sigma_g_sq=0.0)):
+        assert metrics.prefix_mean_only(noise) is noise
 
 
 def test_probe_iid_matches_direct_simulation():
@@ -501,5 +533,5 @@ def test_probe_iid_matches_direct_simulation():
                 acc += scenario.pcoefs[t, j] * (-np.mean(e * e) - scenario.v_prev[t, j])
             psis.append(acc / k)
         direct.append(np.var(psis, ddof=1))
-    fast = metrics.conditional_variance(scenario, "iid", cfg.noise, trials=2000, seed=1)
+    fast = metrics.conditional_variance(scenario, cfg.noise, trials=2000, seed=1)
     assert abs(np.mean(direct) / fast - 1.0) < 0.25  # both are MC estimates

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpvalue import data, models
+from dpvalue import models
 
 
 def finite_diff_grad(spec, theta, x, y, step=1e-5):
@@ -127,14 +127,3 @@ def test_model_spec_validation():
         models.ModelSpec("mse_linear", 0.1, l2=0.1)
     with pytest.raises(ValueError):
         models.ModelSpec("huber", 0.1)
-
-
-def test_grid_search_lr_picks_best():
-    ds = data.synth_classification(120, 5, 2, seed=21, separation=6.0, n_test=120)
-    spec = models.ModelSpec("logistic_l2", 0.01, l2=0.001)
-    # negated test loss separates learning rates that accuracy cannot
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
-    best = models.grid_search_lr(
-        spec, ds.features, ds.labels, ds.party_of, uspec, [1e-6, 0.3], seed=0
-    )
-    assert best == 0.3

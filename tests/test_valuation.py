@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+import yaml
 from scipy.stats import chi2
 
 from conftest import orthogonal_chain_task
-from dpvalue import data, dp, models
+from dpvalue import _kernels, cli, data, dp, experiments, models
+from dpvalue.config import load_config
 from dpvalue.valuation import (
     RunConfig,
     SemivalueSpec,
@@ -234,15 +237,6 @@ def test_permutation_sampling_uniform():
     assert stat < chi2.ppf(1 - 1e-3, 23)
 
 
-def test_marginal_records_helper(small_task):
-    ds, mspec, uspec = small_task
-    res = run_valuation(run_cfg(ds, mspec, uspec, 6, seed=1, mode="iid", sigma=1.0))
-    records = res.marginal_records(3)
-    assert len(records) == 6
-    assert records[0][0] == 1  # iterations are 1-based
-    assert records[2] == (3, res.pcoefs[2, 3], res.marginals[2, 3])
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_guard():
     # squared test loss overflows once the step is extreme enough; the chain
@@ -254,17 +248,23 @@ def test_divergence_guard():
         run_valuation(cfg)
 
 
-def test_result_serialization_roundtrip(tmp_path, small_task):
-    ds, mspec, uspec = small_task
-    res = run_valuation(run_cfg(ds, mspec, uspec, 8, seed=2, mode="iid", sigma=1.0))
-    doc = res.to_json()
-    assert '"psi"' in doc
-    path = tmp_path / "res.csv"
-    res.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "party,psi,mu,s_sq,mean_adjusted"
-    got = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    assert np.array_equal(got, res.psi)  # 17 significant digits round-trip
+def test_result_serialization_roundtrip(tmp_path):
+    # the CLI's result.json writes psi with 17 significant digits, which
+    # round-trips every float64 exactly
+    doc = {
+        "experiment": "valuation", "seed": 2, "k": 8, "output_dir": str(tmp_path / "out"),
+        "dataset": {"source": "synth", "n_samples": 20, "n_test": 30, "d_feat": 4},
+        "model": {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01},
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
+    }
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert cli.main(["run", str(path)]) == 0
+    written = json.loads((tmp_path / "out" / "result.json").read_text())
+    cfg = load_config(path)
+    res = run_valuation(experiments.build_run(cfg, experiments.build_dataset(cfg, 2), 2))
+    assert np.array_equal(np.array([float(v) for v in written["psi"]]), res.psi)
+    assert np.array_equal(np.array([float(v) for v in written["s_sq"]]), res.s_sq)
 
 
 # -- estimation stats ------------------------------------------------------
@@ -363,3 +363,83 @@ def test_federated_validation():
     iid_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="iid", sigma=1.0)
     with pytest.raises(ValueError, match="fl_schedule"):
         run_federated(iid_cfg, rounds=10, per_round_permutations=10, q=0.2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
+    """The federated loop before the shared release step, kept verbatim:
+    per-party clip, noise drawn one party at a time, and an inline combine."""
+    rq = rounds * q
+    if abs(rq - round(rq)) > 1e-9:
+        raise ValueError(f"rounds*q must be an integer, got {rq}")
+    burn = int(round(rq))
+
+    ds = cfg.dataset
+    n = ds.n_parties
+    x, y, ptr = ds.sorted_by_party()
+    x = models.design_matrix(x, cfg.model)
+    xt = models.design_matrix(cfg.utility.test_features, cfg.model)
+    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
+    d = x.shape[1]
+    loss_code = cfg.model.loss_code
+    util_code = cfg.utility.util_code
+    lam = cfg.model.l2
+    lr = cfg.model.learning_rate
+
+    ss = np.random.SeedSequence(cfg.master_seed)
+    init_ss, noise_ss, perm_ss = ss.spawn(3)
+    noise_rng = np.random.default_rng(noise_ss)
+    perm_rng = np.random.default_rng(perm_ss)
+
+    if cfg.model.init.kind == "zeros":
+        theta = np.zeros(d)
+    else:
+        theta = cfg.model.init.scale * np.random.default_rng(init_ss).standard_normal(d)
+
+    diag = dp.diag_schedule(cfg.noise)
+    std = cfg.noise.per_release_std
+    roll = np.zeros((n, d))
+    nu = np.zeros((rounds, n))
+
+    for t in range(rounds):
+        released = np.empty((n, d))
+        for j in range(n):
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+            nrm = math.sqrt(float(g @ g))
+            if nrm > cfg.noise.clip_norm:
+                g *= cfg.noise.clip_norm / nrm
+            if std > 0.0:
+                g = g + std * noise_rng.standard_normal(d)
+            if t > 0:
+                released[j] = (1.0 - diag[t]) * roll[j] + diag[t] * g
+            else:
+                released[j] = g
+            roll[j] = t / (t + 1.0) * roll[j] + g / (t + 1.0)
+        for _ in range(per_round_permutations):
+            perm = perm_rng.permutation(n)
+            th = theta.copy()
+            v_prev = _kernels.utility_np(th, xt, yt, loss_code, util_code, lam)
+            for j in perm:
+                th = th - lr * released[j]
+                v_after = _kernels.utility_np(th, xt, yt, loss_code, util_code, lam)
+                nu[t, j] += v_after - v_prev
+                v_prev = v_after
+        nu[t] /= per_round_permutations
+        theta = theta - lr * released.mean(axis=0)
+    return nu[burn:].mean(axis=0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize("clip", [0.05, 1e6])  # clipping active on every gradient, or never
+@pytest.mark.parametrize("mode", ["fl_schedule", "corr_x"])
+def test_federated_matches_reference_loop(mode, clip, sigma):
+    ds = data.partition(data.synth_classification(48, 5, 2, seed=4, separation=2.0, n_test=40),
+                        6, "equal-chunks")
+    mspec = models.ModelSpec("logistic_l2", 0.3, models.InitSpec("gaussian", 0.2), l2=0.01)
+    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    ncfg = dp.NoiseConfig(clip, sigma, budget=5, mode=mode)
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 6), k=5, master_seed=8)
+    want = reference_federated(cfg, 5, 12, q=0.2)
+    got = run_federated(cfg, 5, 12, q=0.2)
+    assert np.array_equal(got, want)
+    assert want.any()
