@@ -1,29 +1,23 @@
 """YAML experiment configs: one structured file per experiment.
 
-Field names and defaults are documented in the README. Validation errors
-carry the dotted path of the offending field (e.g. ``noise.q``).
+Field names and defaults are documented in the README. Parsing is the one
+validation boundary: each value is cast and checked by the engine's own rule
+for it, for every run the experiment will make, and a failure is a
+``ConfigError`` carrying the dotted path of the field (e.g. ``noise.q``).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
-from . import metrics
-from .dp import NoiseConfig, calibrate_sigma
-
-EXPERIMENT_KINDS = (
-    "valuation",
-    "noisy-label",
-    "removal",
-    "variance-probe",
-    "similarity",
-    "federated",
-    "oracle-check",
-)
+from . import data, metrics, models, valuation
+from .dp import NoiseConfig, burn_in_count, calibrate_sigma, mechanism
+from .experiments import RUNNERS
+from .valuation import SemivalueSpec
 
 
 class ConfigError(ValueError):
@@ -38,68 +32,37 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _opt(mapping: dict, key: str, default=None):
-    return mapping.get(key, default)
-
-
 @contextmanager
 def _field(path: str):
-    """Report a failed engine check inside the block as a ConfigError on ``path``."""
+    """Report a failed cast, engine check or file read as a ConfigError on ``path``."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None):
+    """``obj`` with ``attr`` (``key`` by default) set from ``section[key]`` if
+    given; ``replace`` re-runs the dataclass's checks, reported at ``path.key``."""
+    if section.get(key) is None:
+        return obj
+    with _field(f"{path}.{key}"):
+        return replace(obj, **{attr or key: cast(section[key])})
 
 
 @dataclass
 class DatasetSection:
-    source: str = "synth"
-    # synth
-    n_samples: int = 400
-    n_test: int = 200
-    d_feat: int = 10
-    n_classes: int = 2
-    separation: float = 3.0
-    # csv
-    path: str | None = None
-    label: str | None = None
-    task: str = "classification"
-    standardize: bool = False
-    test_rows: int = 0
-    # shared
+    synth: dict | None = None  # the shape arguments of synth_classification
+    path: str | None = None  # csv
+    schema: data.CsvSchema | None = None  # csv
+    rows: int = 400  # training rows the source yields, before any partition
     corrupt_ratio: float = 0.0
     corrupt_seed_offset: int = 1000
     partition_mode: str = "per-sample"
-    n_parties: int | None = None
+    n_parties: int = 400
     party_size: int | None = None
-
-
-@dataclass
-class ModelSection:
-    loss: str = "logistic_l2"
-    learning_rate: float = 0.05
-    l2: float = 0.01
-    init_kind: str = "zeros"
-    init_scale: float = 0.1
-    add_bias: bool = True
-
-
-@dataclass
-class NoiseSection:
-    clip_norm: float = 1.0
-    mode: str = "iid"
-    sigma: float | None = None
-    epsilon: float | None = None
-    delta: float = 5e-5
-    q: float | None = None
-    sigma_g_sq: float | None = None
-
-    def resolve_sigma(self) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        if self.epsilon is not None:
-            return calibrate_sigma(self.epsilon, self.delta)
-        raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
 
 
 @dataclass
@@ -110,206 +73,264 @@ class ProbeSection:
     q: float = 0.5
 
 
+@dataclass(frozen=True)
+class RemovalSection:
+    fractions: tuple[float, ...]
+    orders: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class FederatedSection:
+    noise: NoiseConfig  # fl_schedule, one release per round
+    permutations: int
+    q: float
+
+
+@dataclass(frozen=True)
+class OracleSection:
+    n: int
+    semivalues: tuple[SemivalueSpec, ...]
+    tolerance: float
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
     seed: int
-    k: int
     output_dir: str
     dataset: DatasetSection
-    model: ModelSection
-    noise: NoiseSection
-    utility: str = "neg_test_loss"
-    semivalue_kind: str = "shapley"
-    semivalue_alpha: float = 1.0
-    semivalue_beta: float = 1.0
-    trials: int = 5
-    probe: ProbeSection | None = None  # variance-probe only
-    extra: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    model: models.ModelSpec
+    noise: NoiseConfig  # at budget k
+    utility: str
+    semivalue: SemivalueSpec  # over the dataset's parties
+    trials: int
+    # the block of the experiment's own kind; the others stay None
+    probe: ProbeSection | None = None
+    removal: RemovalSection | None = None
+    similarity: tuple[NoiseConfig, ...] | None = None  # corr_x at each of ``ks``
+    federated: FederatedSection | None = None
+    noisy_label: tuple[tuple[str, NoiseConfig], ...] | None = None  # (label, mechanism) runs
+    oracle: OracleSection | None = None
+    raw: dict | None = None
 
 
 def _parse_dataset(section: dict) -> DatasetSection:
     ds = DatasetSection()
-    ds.source = _opt(section, "source", "synth")
-    if ds.source not in ("synth", "csv"):
-        raise ConfigError("dataset.source", f"must be synth or csv, got {ds.source!r}")
-    for key in ("n_samples", "n_test", "d_feat", "n_classes"):
-        if key in section:
-            val = int(section[key])
-            if val < 1:
-                raise ConfigError(f"dataset.{key}", "must be >= 1")
-            setattr(ds, key, val)
-    if "separation" in section:
-        ds.separation = float(section["separation"])
-        if ds.separation <= 0:
-            raise ConfigError("dataset.separation", "must be positive")
-    if ds.source == "csv":
-        ds.path = _require(section, "path", "dataset")
-        if not Path(ds.path).exists():
-            raise ConfigError("dataset.path", f"file not found: {ds.path}")
-        ds.label = _require(section, "label", "dataset")
-        ds.task = _opt(section, "task", "classification")
-        ds.standardize = bool(_opt(section, "standardize", False))
-        ds.test_rows = int(_opt(section, "test_rows", 0))
-    ds.corrupt_ratio = float(_opt(section, "corrupt_ratio", 0.0))
-    if not (0.0 <= ds.corrupt_ratio < 1.0):
-        raise ConfigError("dataset.corrupt_ratio", "must lie in [0, 1)")
-    part = _opt(section, "partition", {"mode": "per-sample"})
-    ds.partition_mode = _opt(part, "mode", "per-sample")
-    if ds.partition_mode not in ("per-sample", "equal-chunks", "by-size"):
-        raise ConfigError("dataset.partition.mode", f"unknown mode {ds.partition_mode!r}")
+    source = section.get("source", "synth")
+    if source not in ("synth", "csv"):
+        raise ConfigError("dataset.source", f"must be synth or csv, got {source!r}")
+    if source == "synth":
+        ds.synth = {"n_samples": 400, "n_test": 200, "d_feat": 10, "n_classes": 2, "separation": 3.0}
+        for key, default in ds.synth.items():
+            with _field(f"dataset.{key}"):
+                ds.synth[key] = (float if key == "separation" else int)(section.get(key, default))
+                data.check_synth(**ds.synth)
+        ds.rows = ds.synth["n_samples"]
+    else:
+        ds.path = str(_require(section, "path", "dataset"))
+        with _field("dataset.label"):
+            ds.schema = data.CsvSchema(str(_require(section, "label", "dataset")))
+        for key, cast in (("task", str), ("standardize", bool), ("test_rows", int)):
+            ds.schema = _set(ds.schema, "dataset", section, key, cast)
+        with _field("dataset.path"):
+            ds.rows = data.load_csv(ds.path, ds.schema).n_train
+    with _field("dataset.corrupt_ratio"):
+        ds.corrupt_ratio = float(section.get("corrupt_ratio", 0.0))
+        data.corruption_count(ds.rows, ds.corrupt_ratio)
+    part = section.get("partition") or {}
+    with _field("dataset.partition.mode"):
+        ds.partition_mode = data.partition_mode(part.get("mode", "per-sample"))
+    ds.n_parties = ds.rows  # per-sample: every row is a party
     if ds.partition_mode != "per-sample":
-        ds.n_parties = int(_require(part, "n_parties", "dataset.partition"))
-        if ds.n_parties < 1:
-            raise ConfigError("dataset.partition.n_parties", "must be >= 1")
+        with _field("dataset.partition.n_parties"):
+            ds.n_parties = int(_require(part, "n_parties", "dataset.partition"))
+            data.party_layout(ds.rows, ds.n_parties, "equal-chunks")
     if ds.partition_mode == "by-size":
-        ds.party_size = int(_require(part, "size", "dataset.partition"))
-        if ds.party_size < 1:
-            raise ConfigError("dataset.partition.size", "must be >= 1")
+        with _field("dataset.partition.size"):
+            ds.party_size = int(_require(part, "size", "dataset.partition"))
+            data.party_layout(ds.rows, ds.n_parties, "by-size", ds.party_size)
     return ds
 
 
-def _parse_model(section: dict) -> ModelSection:
-    m = ModelSection()
-    m.loss = _opt(section, "loss", "logistic_l2")
-    if m.loss not in ("mse_linear", "logistic_l2"):
-        raise ConfigError("model.loss", f"unknown loss {m.loss!r}")
-    m.learning_rate = float(_opt(section, "learning_rate", 0.05))
-    if m.learning_rate <= 0:
-        raise ConfigError("model.learning_rate", "must be positive")
-    m.l2 = float(_opt(section, "l2", 0.01 if m.loss == "logistic_l2" else 0.0))
-    if m.loss == "logistic_l2" and m.l2 <= 0:
-        raise ConfigError("model.l2", "logistic_l2 needs a positive l2 penalty")
-    if m.loss == "mse_linear" and m.l2 != 0:
-        raise ConfigError("model.l2", "l2 penalty only applies to logistic_l2")
-    init = _opt(section, "init", {"kind": "zeros"})
-    m.init_kind = _opt(init, "kind", "zeros")
-    if m.init_kind not in ("zeros", "gaussian"):
-        raise ConfigError("model.init.kind", f"unknown init {m.init_kind!r}")
-    m.init_scale = float(_opt(init, "scale", 0.1))
-    if m.init_kind == "gaussian" and m.init_scale <= 0:
-        raise ConfigError("model.init.scale", "must be positive")
-    m.add_bias = bool(_opt(section, "add_bias", True))
-    return m
+def _parse_model(section: dict) -> models.ModelSpec:
+    init_section = section.get("init") or {}
+    with _field("model.init.kind"):
+        init = models.InitSpec(init_section.get("kind", "zeros"))
+    init = _set(init, "model.init", init_section, "scale", float)
+    loss = section.get("loss", "logistic_l2")
+    with _field("model.loss"):
+        spec = models.ModelSpec(loss, 0.05, init, l2=0.01 if loss == "logistic_l2" else 0.0)
+    for key, cast in (("learning_rate", float), ("l2", float), ("add_bias", bool)):
+        spec = _set(spec, "model", section, key, cast)
+    return spec
 
 
-def _parse_noise(section: dict, k: int) -> NoiseSection:
-    ns = NoiseSection()
-    ns.clip_norm = float(_opt(section, "clip_norm", 1.0))
-    if ns.clip_norm <= 0:
-        raise ConfigError("noise.clip_norm", "must be positive")
-    ns.mode = _opt(section, "mode", "iid")
-    if ns.mode not in ("iid", "corr_x", "corr_y", "fl_schedule", "no_dp"):
-        raise ConfigError("noise.mode", f"unknown mode {ns.mode!r}")
-    if "sigma" in section and section["sigma"] is not None:
-        ns.sigma = float(section["sigma"])
-        if ns.sigma < 0:
-            raise ConfigError("noise.sigma", "must be >= 0")
-    if "epsilon" in section and section["epsilon"] is not None:
-        ns.epsilon = float(section["epsilon"])
-        if ns.epsilon <= 0:
-            raise ConfigError("noise.epsilon", "must be positive")
-    ns.delta = float(_opt(section, "delta", 5e-5))
-    if not (0.0 < ns.delta < 1.0):
-        raise ConfigError("noise.delta", "must lie in (0, 1)")
-    if ns.mode == "no_dp":
-        ns.sigma = 0.0
-        ns.mode = "iid"
-    elif ns.sigma is None and ns.epsilon is None:
-        raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
-    if "q" in section and section["q"] is not None:
-        ns.q = float(section["q"])
-        if ns.mode != "corr_y":
-            raise ConfigError("noise.q", "q only applies to corr_y")
-        with _field("noise.q"):
-            NoiseConfig(ns.clip_norm, 0.0, k, "corr_y", ns.q)
-    elif ns.mode == "corr_y":
-        raise ConfigError("noise.q", "corr_y requires a burn-in ratio q")
-    if "sigma_g_sq" in section and section["sigma_g_sq"] is not None:
-        ns.sigma_g_sq = float(section["sigma_g_sq"])
-        if ns.sigma_g_sq < 0:
-            raise ConfigError("noise.sigma_g_sq", "must be >= 0")
-    return ns
+def _parse_noise(section: dict, noise: NoiseConfig) -> NoiseConfig:
+    """The mechanism at the budget of ``noise``: sigma given directly or
+    calibrated from epsilon/delta, then the mode and its burn-in share."""
+    for key, attr in (("clip_norm", None), ("sigma_g_sq", None), ("sigma", "noise_multiplier")):
+        noise = _set(noise, "noise", section, key, float, attr)
+    mode = section.get("mode", "iid")
+    if section.get("sigma") is None:
+        if section.get("epsilon") is not None:
+            with _field("noise.delta"):
+                delta = float(section.get("delta", 5e-5))
+            with _field("noise.epsilon"):
+                sigma = calibrate_sigma(float(section["epsilon"]), delta)
+            noise = replace(noise, noise_multiplier=sigma)
+        elif mode != "no_dp":
+            raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
+    with _field("noise.q"):
+        q = None if section.get("q") is None else float(section["q"])
+    # a q given to a mode without burn-in is rejected by NoiseConfig, not dropped
+    with _field("noise.q" if q is not None or mode == "corr_y" else "noise.mode"):
+        return replace(mechanism(noise, mode, noise.budget, q), q=q)
 
 
-def _parse_probe(section: dict, noise: NoiseSection) -> ProbeSection:
+def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
     """The probe block, checked by the probe's own rules for every budget
     and mode it will run."""
     p = ProbeSection()
     with _field("probe.ks"):
-        p.ks = metrics.probe_budgets(_opt(section, "ks", p.ks))
+        p.ks = metrics.probe_budgets(section.get("ks", p.ks))
     with _field("probe.noise_trials"):
-        p.noise_trials = metrics.probe_trials(int(_opt(section, "noise_trials", p.noise_trials)))
+        p.noise_trials = metrics.probe_trials(int(section.get("noise_trials", p.noise_trials)))
     with _field("probe.modes"):
-        p.modes = tuple(metrics.probe_mode(m) for m in _opt(section, "modes", p.modes))
+        p.modes = tuple(metrics.probe_mode(m) for m in section.get("modes", p.modes))
     with _field("probe.q"):
-        p.q = float(_opt(section, "q", p.q))
-    base = NoiseConfig(noise.clip_norm, 0.0, 1, sigma_g_sq=noise.sigma_g_sq)
-    for mode in p.modes:
-        for k in p.ks:
+        p.q = float(section.get("q", p.q))
+    for k in p.ks:
+        with _field("probe.ks"):  # the noiseless chain frozen at k
+            valuation.estimable(noise.with_budget(k))
+        for mode in p.modes:
             with _field("probe.q"):
-                probe_noise = metrics.probe_noise(base, mode, k, p.q)
+                probe_noise = mechanism(noise, mode, k, p.q)
             with _field("noise.sigma_g_sq"):
                 metrics.prefix_mean_only(probe_noise)
     return p
+
+
+def _parse_removal(section: dict) -> RemovalSection:
+    with _field("removal.fractions"):
+        fractions = metrics.removal_fractions(section.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4)))
+    with _field("removal.orders"):
+        orders = tuple(metrics.removal_order(o)
+                       for o in section.get("orders", ("highest-first", "random")))
+    return RemovalSection(fractions, orders)
+
+
+def _parse_similarity(section: dict, noise: NoiseConfig) -> tuple[NoiseConfig, ...]:
+    with _field("similarity.ks"):
+        return tuple(valuation.estimable(mechanism(noise, "corr_x", int(k)))
+                     for k in section.get("ks", (100, 200)))
+
+
+def _parse_federated(section: dict, noise: NoiseConfig, utility: str) -> FederatedSection:
+    with _field("utility"):
+        valuation.federated_utility(utility)
+    with _field("federated.rounds"):
+        noise = mechanism(noise, "fl_schedule", int(section.get("rounds", 10)))
+    with _field("federated.permutations"):
+        perms = valuation.federated_permutations(int(section.get("permutations", 100)))
+    with _field("federated.q"):
+        q = float(section.get("q", 0.2))
+        burn_in_count(noise.budget, q)
+    return FederatedSection(noise, perms, q)
+
+
+def _parse_noisy_label(section: dict, noise: NoiseConfig, dataset: DatasetSection):
+    """The runs of one seed: each mode at the burn-in share q (``noise.q`` by
+    default), then the q_grid ablation, where q = 0 is the square corr_x matrix."""
+    with _field("dataset.corrupt_ratio"):
+        if data.corruption_count(dataset.rows, dataset.corrupt_ratio) == 0:
+            raise ValueError("noisy-label detection needs at least one corrupted label")
+    k = noise.budget
+    with _field("noisy_label.q"):
+        q = noise.q if section.get("q") is None else float(section["q"])
+        burn_in_count(k, q or 0.0)  # an unset q fails below, at the corr_y run
+    runs = []
+    for mode in section.get("modes", ("no_dp", "iid", "corr_y")):
+        with _field("noisy_label.q" if mode == "corr_y" else "noisy_label.modes"):
+            runs.append((mode, valuation.estimable(mechanism(noise, mode, k, q))))
+    with _field("noisy_label.q_grid"):
+        for qq in section.get("q_grid", ()) or ():
+            qq = float(qq)
+            burn_in_count(k, qq)
+            label, mode = (f"corr_y(q={qq})", "corr_y") if qq > 0 else ("corr_x", "corr_x")
+            runs.append((label, valuation.estimable(mechanism(noise, mode, k, qq))))
+    return tuple(runs)
+
+
+def _parse_oracle(section: dict) -> OracleSection:
+    with _field("oracle.n"):
+        n = valuation.enumerable_parties(int(section.get("n", 4)))
+    with _field("oracle.kinds"):
+        specs = tuple(SemivalueSpec(kind, n, 4.0, 1.0)
+                      for kind in section.get("kinds", ("shapley", "banzhaf")))
+    with _field("oracle.tolerance"):
+        tolerance = float(section.get("tolerance", 1e-10))
+    return OracleSection(n, specs, tolerance)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("", "config root must be a mapping")
     kind = _require(doc, "experiment", "")
-    if kind not in EXPERIMENT_KINDS:
+    if not isinstance(kind, str) or kind not in RUNNERS:
         raise ConfigError("experiment", f"unknown kind {kind!r}")
-    seed = int(_opt(doc, "seed", 0))
-    k = int(_opt(doc, "k", 100))
-    if k < 1:
-        raise ConfigError("k", "must be >= 1")
-    output_dir = _opt(doc, "output_dir", f"out/{kind}")
+    with _field("seed"):
+        seed = int(doc.get("seed", 0))
+    with _field("k"):
+        noise = NoiseConfig(1.0, 0.0, int(doc.get("k", 100)))
+    output_dir = doc.get("output_dir", f"out/{kind}")
 
-    dataset = _parse_dataset(_opt(doc, "dataset", {}) or {})
-    model = _parse_model(_opt(doc, "model", {}) or {})
-    noise = _parse_noise(_opt(doc, "noise", {}) or {}, k)
+    dataset = _parse_dataset(doc.get("dataset") or {})
+    model = _parse_model(doc.get("model") or {})
+    noise = _parse_noise(doc.get("noise") or {}, noise)
+    if kind in ("valuation", "removal", "variance-probe"):  # one chain at budget k
+        with _field("k"):
+            valuation.estimable(noise)
 
-    utility = _opt(doc, "utility", "neg_test_loss")
-    if utility not in ("neg_test_loss", "test_accuracy"):
-        raise ConfigError("utility", f"unknown utility {utility!r}")
+    utility = doc.get("utility", "neg_test_loss")
+    with _field("utility"):
+        models.utility_kind(utility)
 
-    semi = _opt(doc, "semivalue", {"kind": "shapley"}) or {}
-    semi_kind = _opt(semi, "kind", "shapley")
-    if semi_kind not in ("shapley", "banzhaf", "beta", "loo"):
-        raise ConfigError("semivalue.kind", f"unknown kind {semi_kind!r}")
-    alpha = float(_opt(semi, "alpha", 1.0))
-    beta = float(_opt(semi, "beta", 1.0))
-    if semi_kind == "beta" and (alpha <= 0 or beta <= 0):
-        raise ConfigError("semivalue.alpha", "beta semivalue needs alpha, beta > 0")
+    semi = doc.get("semivalue") or {}
+    with _field("semivalue.kind"):
+        semivalue = SemivalueSpec(semi.get("kind", "shapley"), dataset.n_parties)
+    for key in ("alpha", "beta"):
+        semivalue = _set(semivalue, "semivalue", semi, key, float)
 
-    trials = int(_opt(doc, "trials", 5))
+    with _field("trials"):
+        trials = int(doc.get("trials", 5))
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
 
-    probe = None
+    blocks = {}
     if kind == "variance-probe":
-        probe = _parse_probe(_opt(doc, "probe", {}) or {}, noise)
-
-    extra_keys = ("removal", "federated", "noisy_label", "similarity", "oracle")
-    extra = {key: doc[key] for key in extra_keys if key in doc}
+        blocks["probe"] = _parse_probe(doc.get("probe") or {}, noise)
+    elif kind == "removal":
+        blocks["removal"] = _parse_removal(doc.get("removal") or {})
+    elif kind == "similarity":
+        blocks["similarity"] = _parse_similarity(doc.get("similarity") or {}, noise)
+    elif kind == "federated":
+        blocks["federated"] = _parse_federated(doc.get("federated") or {}, noise, utility)
+    elif kind == "noisy-label":
+        blocks["noisy_label"] = _parse_noisy_label(doc.get("noisy_label") or {}, noise, dataset)
+    elif kind == "oracle-check":
+        blocks["oracle"] = _parse_oracle(doc.get("oracle") or {})
     return ExperimentConfig(
         kind=kind,
         seed=seed,
-        k=k,
         output_dir=output_dir,
         dataset=dataset,
         model=model,
         noise=noise,
         utility=utility,
-        semivalue_kind=semi_kind,
-        semivalue_alpha=alpha,
-        semivalue_beta=beta,
+        semivalue=semivalue,
         trials=trials,
-        probe=probe,
-        extra=extra,
         raw=doc,
+        **blocks,
     )
 
 

@@ -96,11 +96,7 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
     zero mean and unit variance and the same transform is applied to the test
     rows.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"dataset file not found: {path}") from None
-    with fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -154,6 +150,20 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
     )
 
 
+def check_synth(n_samples: int, d_feat: int, n_classes: int, separation: float, n_test: int) -> None:
+    """The shape rules of ``synth_classification``."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    if n_test < 1:
+        raise ValueError("need at least one test sample")
+    if d_feat < 1:
+        raise ValueError("need at least one feature")
+    if n_classes < 2:
+        raise ValueError("need at least two classes")
+    if separation <= 0:
+        raise ValueError("separation must be positive")
+
+
 def synth_classification(
     n_samples: int,
     d_feat: int,
@@ -167,16 +177,9 @@ def synth_classification(
     Labels are balanced to within one sample per class in both splits, and the
     whole construction is deterministic for a fixed seed.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    if d_feat < 1:
-        raise ValueError("need at least one feature")
-    if n_classes < 2:
-        raise ValueError("need at least two classes")
-    if separation <= 0:
-        raise ValueError("separation must be positive")
     if n_test is None:
         n_test = max(n_samples // 2, n_classes)
+    check_synth(n_samples, d_feat, n_classes, separation, n_test)
 
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_classes, d_feat))
@@ -207,15 +210,20 @@ def synth_classification(
     )
 
 
+def corruption_count(n: int, ratio: float) -> int:
+    """Labels ``corrupt_labels`` flips among n: floor(ratio * n)."""
+    if not (0.0 <= ratio < 1.0):
+        raise ValueError("ratio must lie in [0, 1)")
+    return int(ratio * n)
+
+
 def corrupt_labels(ds: PartitionedDataset, ratio: float, seed: int) -> PartitionedDataset:
     """Flip exactly floor(ratio * n_train) labels to a uniform different class."""
     if ds.task != "classification":
         raise ValueError("label corruption needs classification labels")
-    if not (0.0 <= ratio < 1.0):
-        raise ValueError("ratio must lie in [0, 1)")
     n = ds.n_train
     n_classes = ds.n_classes
-    count = int(ratio * n)
+    count = corruption_count(n, ratio)
     mask = np.zeros(n, dtype=bool)
     labels = ds.labels.copy()
     if count:
@@ -229,41 +237,42 @@ def corrupt_labels(ds: PartitionedDataset, ratio: float, seed: int) -> Partition
     return replace(ds, labels=labels, corruption_mask=mask)
 
 
-def partition(ds: PartitionedDataset, n_parties: int, mode: str, size: int | None = None) -> PartitionedDataset:
-    """Reassign training samples to parties.
+def partition_mode(mode: str) -> str:
+    if mode not in ("per-sample", "equal-chunks", "by-size"):
+        raise ValueError(f"unknown partition mode {mode!r}")
+    return mode
 
-    ``per-sample`` makes every sample its own party, ``equal-chunks`` slices
-    the rows into n nearly equal contiguous groups, and ``by-size`` gives each
-    party exactly ``size`` rows (the training set is truncated to
-    ``n_parties * size`` rows so the partition stays exact).
-    """
-    n = ds.n_train
-    if mode == "per-sample":
-        return replace(ds, party_of=np.arange(n, dtype=np.int64))
+
+def party_layout(n: int, n_parties: int, mode: str, size: int | None = None) -> np.ndarray:
+    """The party of each row ``partition`` keeps out of n: ``per-sample`` makes
+    every row a party, ``equal-chunks`` cuts the rows into n_parties nearly
+    equal contiguous groups, and ``by-size`` keeps the first n_parties*size."""
+    if partition_mode(mode) == "per-sample":
+        return np.arange(n, dtype=np.int64)
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
     if n_parties > n:
-        raise ValueError("more parties than training samples")
+        raise ValueError(f"more parties ({n_parties}) than training samples ({n})")
     if mode == "equal-chunks":
         base, extra = divmod(n, n_parties)
         sizes = [base + (1 if p < extra else 0) for p in range(n_parties)]
-        party_of = np.repeat(np.arange(n_parties, dtype=np.int64), sizes)
-        return replace(ds, party_of=party_of)
-    if mode == "by-size":
-        if size is None or size < 1:
-            raise ValueError("by-size needs a positive party size")
-        if n_parties * size > n:
-            raise ValueError(
-                f"n_parties*size = {n_parties * size} exceeds {n} training samples"
-            )
-        keep = n_parties * size
-        party_of = np.repeat(np.arange(n_parties, dtype=np.int64), size)
-        mask = ds.corruption_mask[:keep] if ds.corruption_mask is not None else None
-        return replace(
-            ds,
-            features=ds.features[:keep],
-            labels=ds.labels[:keep],
-            party_of=party_of,
-            corruption_mask=mask,
-        )
-    raise ValueError(f"unknown partition mode {mode!r}")
+        return np.repeat(np.arange(n_parties, dtype=np.int64), sizes)
+    if size is None or size < 1:
+        raise ValueError("by-size needs a positive party size")
+    if n_parties * size > n:
+        raise ValueError(f"n_parties*size = {n_parties * size} exceeds {n} training samples")
+    return np.repeat(np.arange(n_parties, dtype=np.int64), size)
+
+
+def partition(ds: PartitionedDataset, n_parties: int, mode: str, size: int | None = None) -> PartitionedDataset:
+    """Reassign training samples to parties by ``party_layout``."""
+    party_of = party_layout(ds.n_train, n_parties, mode, size)
+    keep = len(party_of)
+    mask = ds.corruption_mask[:keep] if ds.corruption_mask is not None else None
+    return replace(
+        ds,
+        features=ds.features[:keep],
+        labels=ds.labels[:keep],
+        party_of=party_of,
+        corruption_mask=mask,
+    )

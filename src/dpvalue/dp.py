@@ -84,6 +84,14 @@ class NoiseConfig:
         return replace(self, budget=k)
 
 
+def mechanism(base: NoiseConfig, mode: str, k: int, q: float | None = None) -> NoiseConfig:
+    """One run's mechanism: ``base`` at budget k with ``mode`` and, for corr_y
+    only, the burn-in share q; ``no_dp`` is the iid release at multiplier 0."""
+    if mode == "no_dp":
+        base, mode = replace(base, noise_multiplier=0.0), "iid"
+    return replace(base, budget=k, mode=mode, q=q if mode == "corr_y" else None)
+
+
 def calibrate_sigma(epsilon: float, delta: float) -> float:
     """Analytic Gaussian-mechanism multiplier sqrt(2*ln(1.25/delta))/eps."""
     if epsilon <= 0:

@@ -3,36 +3,31 @@ engine, and returns a result document plus summary rows for the CSV."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import data as data_mod
 from . import metrics, models
-from .config import ExperimentConfig
 from .dp import NoiseConfig
 from .valuation import (
     RunConfig,
-    SemivalueSpec,
     exact_semivalue,
     permutation_expectation,
     run_federated,
     run_valuation,
 )
 
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDataset:
     d = cfg.dataset
-    if d.source == "csv":
-        schema = data_mod.CsvSchema(
-            label=d.label,
-            task=d.task,
-            standardize=d.standardize,
-            test_rows=d.test_rows,
-        )
-        ds = data_mod.load_csv(d.path, schema)
+    if d.synth is None:
+        ds = data_mod.load_csv(d.path, d.schema)
     else:
-        ds = data_mod.synth_classification(
-            d.n_samples, d.d_feat, d.n_classes, seed, d.separation, n_test=d.n_test
-        )
+        ds = data_mod.synth_classification(seed=seed, **d.synth)
     if d.corrupt_ratio > 0:
         ds = data_mod.corrupt_labels(ds, d.corrupt_ratio, seed + d.corrupt_seed_offset)
     if d.partition_mode != "per-sample":
@@ -40,45 +35,16 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDatas
     return ds
 
 
-def build_model(cfg: ExperimentConfig) -> models.ModelSpec:
-    sec = cfg.model
-    return models.ModelSpec(
-        loss_kind=sec.loss,
-        learning_rate=sec.learning_rate,
-        init=models.InitSpec(sec.init_kind, sec.init_scale),
-        l2=sec.l2,
-        add_bias=sec.add_bias,
-    )
-
-
-def build_noise(cfg: ExperimentConfig, k: int, mode: str | None = None, q: float | None = None) -> NoiseConfig:
-    sec = cfg.noise
-    mode = mode if mode is not None else sec.mode
-    sigma = sec.resolve_sigma()
-    if mode == "no_dp":
-        mode, sigma = "iid", 0.0
-    return NoiseConfig(
-        clip_norm=sec.clip_norm,
-        noise_multiplier=sigma,
-        budget=k,
-        mode=mode,
-        q=q if q is not None else (sec.q if mode == "corr_y" else None),
-        sigma_g_sq=sec.sigma_g_sq,
-    )
-
-
-def build_run(cfg: ExperimentConfig, ds, seed: int, mode=None, q=None, k=None, **kw) -> RunConfig:
-    k = k if k is not None else cfg.k
-    mspec = build_model(cfg)
-    uspec = models.UtilitySpec(cfg.utility, ds.test_features, ds.test_labels)
-    semi = SemivalueSpec(cfg.semivalue_kind, ds.n_parties, cfg.semivalue_alpha, cfg.semivalue_beta)
+def build_run(cfg: ExperimentConfig, ds, seed: int, noise: NoiseConfig | None = None, **kw) -> RunConfig:
+    """The run of ``noise`` (the config's own mechanism by default) on ``ds``."""
+    noise = noise or cfg.noise
     return RunConfig(
         dataset=ds,
-        model=mspec,
-        utility=uspec,
-        noise=build_noise(cfg, k, mode=mode, q=q),
-        semivalue=semi,
-        k=k,
+        model=cfg.model,
+        utility=models.UtilitySpec(cfg.utility, ds.test_features, ds.test_labels),
+        noise=noise,
+        semivalue=cfg.semivalue,
+        k=noise.budget,
         master_seed=seed,
         **kw,
     )
@@ -110,32 +76,17 @@ def run_valuation_experiment(cfg: ExperimentConfig):
 
 
 def run_noisy_label_experiment(cfg: ExperimentConfig):
-    section = cfg.extra.get("noisy_label", {})
-    modes = section.get("modes", ["no_dp", "iid", "corr_y"])
-    q = section.get("q", cfg.noise.q)
-    q_grid = section.get("q_grid")
     rows = [["mode", "seed", "auc"]]
     aucs: dict[str, list[float]] = {}
     for seed_idx in range(cfg.trials):
         seed = cfg.seed + seed_idx
         ds = build_dataset(cfg, seed)
-        if ds.corruption_mask is None or not ds.corruption_mask.any():
-            raise ValueError("noisy-label experiment needs dataset.corrupt_ratio > 0")
         mask = _party_mask(ds)
-        for mode in modes:
-            run_q = q if mode == "corr_y" else None
-            res = run_valuation(build_run(cfg, ds, seed, mode=mode, q=run_q))
+        for label, noise in cfg.noisy_label:
+            res = run_valuation(build_run(cfg, ds, seed, noise))
             auc = metrics.auc_roc(-res.psi, mask)
-            aucs.setdefault(mode, []).append(auc)
-            rows.append([mode, str(seed), _fmt(auc)])
-        if q_grid:
-            for qq in q_grid:
-                label = f"corr_y(q={qq})" if qq > 0 else "corr_x"
-                mode = "corr_y" if qq > 0 else "corr_x"
-                res = run_valuation(build_run(cfg, ds, seed, mode=mode, q=qq if qq > 0 else None))
-                auc = metrics.auc_roc(-res.psi, mask)
-                aucs.setdefault(label, []).append(auc)
-                rows.append([label, str(seed), _fmt(auc)])
+            aucs.setdefault(label, []).append(auc)
+            rows.append([label, str(seed), _fmt(auc)])
     summary = {}
     for mode, vals in aucs.items():
         arr = np.array(vals)
@@ -152,31 +103,23 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
 
 def _party_mask(ds: data_mod.PartitionedDataset) -> np.ndarray:
     """Party-level corruption flag: any corrupted member marks the party."""
-    mask = np.zeros(ds.n_parties, dtype=bool)
-    for j in range(ds.n_parties):
-        members = ds.party_members(j)
-        mask[j] = bool(ds.corruption_mask[members].any())
-    return mask
+    return np.bincount(ds.party_of, weights=ds.corruption_mask, minlength=ds.n_parties) > 0
 
 
 def run_removal_experiment(cfg: ExperimentConfig):
-    section = cfg.extra.get("removal", {})
-    fractions = section.get("fractions", [0.0, 0.1, 0.2, 0.3, 0.4])
-    orders = section.get("orders", ["highest-first", "random"])
     ds = build_dataset(cfg, cfg.seed)
-    mspec = build_model(cfg)
-    uspec = models.UtilitySpec(cfg.utility, ds.test_features, ds.test_labels)
-    res = run_valuation(build_run(cfg, ds, cfg.seed))
+    run = build_run(cfg, ds, cfg.seed)
+    res = run_valuation(run)
 
     def trainer(keep: np.ndarray, seed: int) -> float:
-        theta = models.train_one_pass(mspec, ds.features, ds.labels, ds.party_of, keep, seed)
-        return models.utility(uspec, mspec, theta)
+        theta = models.train_one_pass(run.model, ds.features, ds.labels, ds.party_of, keep, seed)
+        return models.utility(run.utility, run.model, theta)
 
     rows = [["order", "fraction", "score", "stderr"]]
     tidy = [["order", "fraction", "seed", "score"]]
     curves = {}
-    for order in orders:
-        curve = metrics.removal_curve(res.psi, ds.n_parties, trainer, order, fractions)
+    for order in cfg.removal.orders:
+        curve = metrics.removal_curve(res.psi, ds.n_parties, trainer, order, cfg.removal.fractions)
         curves[order] = curve
         for i, f in enumerate(curve.fractions):
             se = curve.stderr[i] if curve.stderr else ""
@@ -225,16 +168,15 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
 
 
 def run_similarity_experiment(cfg: ExperimentConfig):
-    section = cfg.extra.get("similarity", {})
-    ks = section.get("ks", [100, 200])
     rows = [["k", "seed", "delta_cos", "delta_l2"]]
     out = {}
-    for k in ks:
+    for noise in cfg.similarity:
+        k = noise.budget
         per_seed = []
         for seed_idx in range(cfg.trials):
             seed = cfg.seed + seed_idx
             ds = build_dataset(cfg, seed)
-            run = build_run(cfg, ds, seed, mode="corr_x", k=k, record_gradients=True)
+            run = build_run(cfg, ds, seed, noise, record_gradients=True)
             res = run_valuation(run)
             rep = metrics.grad_similarity(
                 res.gradients["g_hat"], res.gradients["g_tilde"], res.gradients["g_star"]
@@ -247,22 +189,16 @@ def run_similarity_experiment(cfg: ExperimentConfig):
 
 
 def run_federated_experiment(cfg: ExperimentConfig):
-    section = cfg.extra.get("federated", {})
-    rounds = section.get("rounds", 10)
-    perms = section.get("permutations", 100)
-    q = section.get("q", 0.2)
+    fed = cfg.federated
     ds = build_dataset(cfg, cfg.seed)
-    run = build_run(cfg, ds, cfg.seed, mode="fl_schedule", k=rounds)
-    psi = run_federated(run, rounds, perms, q=q)
+    run = build_run(cfg, ds, cfg.seed, fed.noise)
+    psi = run_federated(run, fed.noise.budget, fed.permutations, q=fed.q)
     rows = [["party", "psi"]] + [[str(j), _fmt(v)] for j, v in enumerate(psi)]
     return {"kind": "federated", "psi": [format(v, ".17g") for v in psi]}, rows, {}
 
 
 def run_oracle_check_experiment(cfg: ExperimentConfig):
-    section = cfg.extra.get("oracle", {})
-    n = section.get("n", 4)
-    kinds = section.get("kinds", ["shapley", "banzhaf"])
-    tol = section.get("tolerance", 1e-10)
+    n, tol = cfg.oracle.n, cfg.oracle.tolerance
     rng = np.random.default_rng(cfg.seed)
     table = {tuple(sorted(s)): float(rng.standard_normal()) for s in _powerset(n)}
 
@@ -271,11 +207,10 @@ def run_oracle_check_experiment(cfg: ExperimentConfig):
 
     rows = [["kind", "max_abs_diff", "pass"]]
     worst = 0.0
-    for kind in kinds:
-        spec = SemivalueSpec(kind, n, 4.0, 1.0)
+    for spec in cfg.oracle.semivalues:
         diff = float(np.max(np.abs(exact_semivalue(v, spec) - permutation_expectation(v, spec))))
         worst = max(worst, diff)
-        rows.append([kind, format(diff, ".3e"), str(diff < tol)])
+        rows.append([spec.kind, format(diff, ".3e"), str(diff < tol)])
     ok = worst < tol
     doc = {"kind": "oracle-check", "max_abs_diff": worst, "pass": bool(ok)}
     if not ok:

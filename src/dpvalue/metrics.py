@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .dp import NoiseConfig, burn_in_count, diag_schedule
+from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism
 from .models import design_matrix
 from .valuation import RunConfig, run_valuation
 
@@ -67,6 +67,19 @@ def auc_roc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def removal_fractions(fractions) -> tuple[float, ...]:
+    fractions = tuple(float(f) for f in fractions)
+    if any(f < 0 or f >= 1 for f in fractions) or list(fractions) != sorted(set(fractions)):
+        raise ValueError("fractions must be strictly increasing within [0, 1)")
+    return fractions
+
+
+def removal_order(order: str) -> str:
+    if order not in ("highest-first", "lowest-first", "random"):
+        raise ValueError(f"unknown removal order {order!r}")
+    return order
+
+
 def removal_curve(
     psi: np.ndarray,
     n_parties: int,
@@ -82,11 +95,8 @@ def removal_curve(
     the largest psi first; ``random`` averages over ``random_seeds`` removal
     orders and reports the standard error.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if any(f < 0 or f >= 1 for f in fractions) or list(fractions) != sorted(set(fractions)):
-        raise ValueError("fractions must be strictly increasing within [0, 1)")
-    if order not in ("highest-first", "lowest-first", "random"):
-        raise ValueError(f"unknown removal order {order!r}")
+    fractions = removal_fractions(fractions)
+    removal_order(order)
     if order == "random" and random_seeds < 5:
         raise ValueError("random order needs >= 5 seeds")
 
@@ -291,12 +301,6 @@ def probe_mode(mode: str) -> str:
     return mode
 
 
-def probe_noise(base: NoiseConfig, mode: str, k: int, q: float) -> NoiseConfig:
-    """The mechanism a probe of ``mode`` replays at budget k: ``base`` with
-    that mode, and the burn-in share q for corr_y."""
-    return replace(base, budget=k, mode=mode, q=q if mode == "corr_y" else None)
-
-
 def prefix_mean_only(noise: NoiseConfig) -> NoiseConfig:
     """The replay knows only the prefix-mean combiner, so a correlated mode
     with the variance-aware diagonal is rejected rather than probed as a
@@ -391,7 +395,7 @@ def variance_scaling_probe(
     ks = probe_budgets(ks)
     probe_trials(trials)
     probe_mode(mode)
-    noises = [prefix_mean_only(probe_noise(base_cfg.noise, mode, k, q)) for k in ks]
+    noises = [prefix_mean_only(mechanism(base_cfg.noise, mode, k, q)) for k in ks]
     variances = []
     samples: dict[int, np.ndarray] = {}
     for i, (k, noise) in enumerate(zip(ks, noises)):

@@ -30,7 +30,6 @@ UTILITY_CODES = {"neg_test_loss": UTIL_NEG_LOSS, "test_accuracy": UTIL_ACCURACY}
 class InitSpec:
     kind: str = "zeros"  # zeros | gaussian
     scale: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("zeros", "gaussian"):
@@ -62,6 +61,12 @@ class ModelSpec:
         return LOSS_CODES[self.loss_kind]
 
 
+def utility_kind(kind: str) -> str:
+    if kind not in UTILITY_CODES:
+        raise ValueError(f"unknown utility kind {kind!r}")
+    return kind
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Utility kind plus the held-out test split it is scored on."""
@@ -71,8 +76,7 @@ class UtilitySpec:
     test_labels: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in UTILITY_CODES:
-            raise ValueError(f"unknown utility kind {self.kind!r}")
+        utility_kind(self.kind)
         if len(self.test_labels) == 0:
             raise ValueError("utility needs a non-empty test set")
         if self.test_features.shape[0] != self.test_labels.shape[0]:
@@ -122,13 +126,13 @@ def utility(uspec: UtilitySpec, mspec: ModelSpec, theta: np.ndarray) -> float:
     )
 
 
-def init_params(spec: ModelSpec, d: int, seed: int | None = None) -> np.ndarray:
+def init_params(spec: ModelSpec, d: int, seed: int) -> np.ndarray:
+    """Initial parameters of dimension d; a gaussian init draws them from ``seed``."""
     if d < 1:
         raise ValueError("model dimension must be >= 1")
     if spec.init.kind == "zeros":
         return np.zeros(d)
-    rng = np.random.default_rng(spec.init.seed if seed is None else seed)
-    return spec.init.scale * rng.standard_normal(d)
+    return spec.init.scale * np.random.default_rng(seed).standard_normal(d)
 
 
 def train_one_pass(

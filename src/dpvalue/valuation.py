@@ -81,6 +81,22 @@ def semivalue_weights(spec: SemivalueSpec) -> tuple[np.ndarray, np.ndarray]:
     return w, p
 
 
+def estimable(noise: NoiseConfig) -> NoiseConfig:
+    """A chain's mechanism, checked to leave ``estimation_stats`` the two
+    iterations after the burn-in that a variance estimate needs."""
+    if noise.budget - noise.burn_in < 2:
+        raise ValueError(f"budget k={noise.budget} after a burn-in of {noise.burn_in} "
+                         "leaves under the 2 iterations the estimator needs")
+    return noise
+
+
+def enumerable_parties(n: int) -> int:
+    """Party counts whose n! permutations are enumerated."""
+    if not 1 <= n <= 8:
+        raise ValueError(f"permutation enumeration needs 1 <= n <= 8, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dataset: PartitionedDataset
@@ -95,16 +111,12 @@ class RunConfig:
     exact_permutations: bool = False  # enumerate all n! permutations instead
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("budget k must be >= 1")
         if self.noise.budget != self.k:
             raise ValueError(
                 f"noise budget {self.noise.budget} must equal the run budget k={self.k}"
             )
         if self.semivalue.n != self.dataset.n_parties:
             raise ValueError("semivalue party count must match the dataset partition")
-        if self.noise.mode == "corr_y" and self.noise.burn_in >= self.k:
-            raise ValueError("burn-in must leave at least one retained iteration")
 
 
 @dataclass
@@ -166,6 +178,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     delta with the position coefficient of the configured semivalue. corr_y
     drops the first k*q iterations from psi and from the summary statistics.
     """
+    estimable(cfg.noise)
     ds = cfg.dataset
     n = ds.n_parties
     x, y, ptr = ds.sorted_by_party()
@@ -178,9 +191,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     perm_ss, init_ss, noise_ss = ss.spawn(3)
 
     if cfg.exact_permutations:
-        if n > 8:
-            raise ValueError("exact permutation enumeration capped at n <= 8")
-        perms = _all_permutations(n)
+        perms = _all_permutations(enumerable_parties(n))
         k = len(perms)
         if cfg.k != k or cfg.noise.budget != k:
             raise ValueError(f"exact mode needs k = n! = {k}")
@@ -273,9 +284,7 @@ def permutation_expectation(v_oracle, spec: SemivalueSpec) -> np.ndarray:
     Independent cross-check of ``exact_semivalue``: averages p(r) * marginal
     over every permutation instead of summing over subsets.
     """
-    n = spec.n
-    if n > 8:
-        raise ValueError("all-permutation expectation capped at n <= 8")
+    n = enumerable_parties(spec.n)
     _, p = semivalue_weights(spec)
     cache = {}
 
@@ -298,6 +307,18 @@ def permutation_expectation(v_oracle, spec: SemivalueSpec) -> np.ndarray:
     return psi / count
 
 
+def federated_utility(kind: str) -> str:
+    if kind != "test_accuracy":
+        raise ValueError("federated attribution uses test accuracy as the utility")
+    return kind
+
+
+def federated_permutations(count: int) -> int:
+    if count < 1:
+        raise ValueError("need at least one permutation per round")
+    return count
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the logistic gradient's exp overflows harmlessly
 def run_federated(
     cfg: RunConfig,
@@ -315,10 +336,8 @@ def run_federated(
     """
     if cfg.noise.mode not in ("fl_schedule", "corr_x"):
         raise ValueError("federated attribution needs fl_schedule or corr_x noise")
-    if cfg.utility.kind != "test_accuracy":
-        raise ValueError("federated attribution uses test accuracy as the utility")
-    if per_round_permutations < 1:
-        raise ValueError("need at least one permutation per round")
+    federated_utility(cfg.utility.kind)
+    federated_permutations(per_round_permutations)
     burn = burn_in_count(rounds, q)
     if cfg.noise.budget != rounds:
         raise ValueError("noise budget must equal the number of rounds")

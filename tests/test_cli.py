@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -102,13 +103,17 @@ def test_oracle_check_kind(tmp_path):
 
 
 def test_runtime_error_writes_record(tmp_path):
+    # a valid config whose chain diverges: only the run can see the cause
     doc = base_valuation_doc(tmp_path / "out")
-    doc["experiment"] = "noisy-label"  # corrupt_ratio missing -> runtime error
+    doc["model"] = {"loss": "mse_linear", "learning_rate": 1e200, "l2": 0}
+    doc["noise"] = {"clip_norm": 1.0, "sigma": 5.0, "mode": "iid"}
     cfg = write_config(tmp_path, doc)
+    assert cli.main(["validate", str(cfg)]) == 0
     rc = cli.main(["run", str(cfg)])
     assert rc == 1
     record = json.loads((tmp_path / "out" / "error.json").read_text())
-    assert "corrupt_ratio" in record["message"]
+    assert record["error"] == "ChainDiverged"
+    assert "non-finite utility" in record["message"]
 
 
 def test_tidy_sample_exports(tmp_path):
@@ -256,6 +261,118 @@ def test_validate_accepts_good_probe(tmp_path, probe, noise):
     assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 0
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def test_validate_shipped_configs():
-    for path in sorted(Path(__file__).resolve().parents[1].glob("configs/*.yaml")):
+    for path in sorted(REPO.glob("configs/*.yaml")):
         assert cli.main(["validate", str(path)]) == 0, path.name
+
+
+def test_validate_benchmark_configs(tmp_path):
+    # the benchmark counts a config that fails to validate against pass_ratio
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 9):
+            for name, doc in workloads.configs(workload, seed).items():
+                path = write_config(tmp_path, doc, f"{workload}-{seed}-{name}.yaml")
+                assert cli.main(["validate", str(path)]) == 0, path.name
+
+
+def kind_doc(outdir, kind):
+    """A small valid config of each experiment kind."""
+    doc = base_valuation_doc(outdir)
+    doc["experiment"] = kind
+    if kind == "noisy-label":
+        doc["k"] = 20
+        doc["dataset"]["corrupt_ratio"] = 0.3
+        doc["noisy_label"] = {"modes": ["no_dp", "iid", "corr_y"], "q": 0.5}
+    elif kind == "removal":
+        doc["removal"] = {"fractions": [0.0, 0.2], "orders": ["highest-first"]}
+    elif kind == "similarity":
+        doc["similarity"] = {"ks": [10]}
+    elif kind == "federated":
+        doc["utility"] = "test_accuracy"
+        doc["dataset"]["partition"] = {"mode": "equal-chunks", "n_parties": 4}
+        doc["federated"] = {"rounds": 10, "permutations": 5, "q": 0.2}
+    elif kind == "oracle-check":
+        doc = {"experiment": kind, "k": 1, "output_dir": str(outdir),
+               "noise": {"sigma": 0.0}, "oracle": {"n": 4}}
+    elif kind == "variance-probe":
+        doc = probe_doc(outdir)
+    return doc
+
+
+def set_path(doc, dotted, value):
+    *parents, key = dotted.split(".")
+    for name in parents:
+        doc = doc.setdefault(name, {})
+    doc[key] = value
+
+
+CSV = "csv-placeholder"  # replaced by a small csv file written per case
+
+BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
+    ("federated-q-fractional-burn-in", "federated", {"federated.q": 0.15}, "federated.q"),
+    ("noisy-label-q-fractional-burn-in", "noisy-label", {"noisy_label.q": 0.33}, "noisy_label.q"),
+    ("removal-unknown-order", "removal", {"removal.orders": ["bogus"]}, "removal.orders"),
+    ("oracle-n-over-cap", "oracle-check", {"oracle.n": 20}, "oracle.n"),
+    ("similarity-k-1", "similarity", {"similarity.ks": [1]}, "similarity.ks"),
+    ("one-class", "valuation", {"dataset.n_classes": 1}, "dataset.n_classes"),
+    ("csv-unknown-task", "valuation",
+     {"dataset": {"source": "csv", "path": CSV, "label": "y", "task": "bogus"}}, "dataset.task"),
+    ("k-1", "valuation", {"k": 1}, "k"),
+    ("corr-y-keeps-one-iteration", "valuation",
+     {"k": 10, "noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "corr_y", "q": 0.9}}, "k"),
+    ("k-not-a-number", "valuation", {"k": "x"}, "k"),
+    ("sigma-not-a-number", "valuation", {"noise.sigma": "abc"}, "noise.sigma"),
+    ("learning-rate-not-a-number", "valuation", {"model.learning_rate": "x"},
+     "model.learning_rate"),
+    ("probe-k-1", "variance-probe", {"probe.ks": [1, 10, 20]}, "probe.ks"),
+    ("removal-fractions-decreasing", "removal", {"removal.fractions": [0.3, 0.1]},
+     "removal.fractions"),
+    ("federated-no-permutations", "federated", {"federated.permutations": 0},
+     "federated.permutations"),
+    ("federated-no-rounds", "federated", {"federated.rounds": 0}, "federated.rounds"),
+    ("federated-loss-utility", "federated", {"utility": "neg_test_loss"}, "utility"),
+    ("noisy-label-unknown-mode", "noisy-label", {"noisy_label.modes": ["bogus"]},
+     "noisy_label.modes"),
+    ("noisy-label-q-grid-fractional-burn-in", "noisy-label", {"noisy_label.q_grid": [0.33]},
+     "noisy_label.q_grid"),
+    ("noisy-label-no-corruption", "noisy-label", {"dataset.corrupt_ratio": 0},
+     "dataset.corrupt_ratio"),
+    ("oracle-unknown-kind", "oracle-check", {"oracle.kinds": ["bogus"]}, "oracle.kinds"),
+    ("more-parties-than-samples", "valuation",  # 24 samples
+     {"dataset.partition": {"mode": "equal-chunks", "n_parties": 30}},
+     "dataset.partition.n_parties"),
+]
+
+
+@pytest.mark.parametrize("kind", ["valuation", "noisy-label", "removal", "similarity",
+                                  "federated", "oracle-check", "variance-probe"])
+def test_kind_doc_runs(tmp_path, kind):
+    # the unpatched base of every bad config below validates and runs
+    cfg = write_config(tmp_path, kind_doc(tmp_path / "out", kind))
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("kind,patch,field", [case[1:] for case in BAD_CONFIGS],
+                         ids=[case[0] for case in BAD_CONFIGS])
+def test_bad_config_is_a_config_error(tmp_path, capsys, kind, patch, field):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(12)))
+    doc = kind_doc(tmp_path / "out", kind)
+    for dotted, value in patch.items():
+        if isinstance(value, dict) and value.get("path") == CSV:
+            value = dict(value, path=str(csv_path))
+        set_path(doc, dotted, value)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["validate", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+    assert cli.main(["run", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()

@@ -110,6 +110,19 @@ def test_noise_config_validation():
     assert cfg.burn_in == 5
 
 
+def test_mechanism_per_run():
+    base = dp.NoiseConfig(1.0, 1.5, budget=10, mode="corr_y", q=0.5, sigma_g_sq=0.2)
+    no_dp = dp.mechanism(base, "no_dp", 20, 0.5)
+    assert (no_dp.mode, no_dp.noise_multiplier, no_dp.q, no_dp.budget) == ("iid", 0.0, None, 20)
+    assert dp.mechanism(base, "corr_x", 20, 0.5).q is None  # q is corr_y's alone
+    corr_y = dp.mechanism(base, "corr_y", 20, 0.25)
+    assert (corr_y.burn_in, corr_y.noise_multiplier, corr_y.sigma_g_sq) == (5, 1.5, 0.2)
+    with pytest.raises(ValueError, match="integer"):
+        dp.mechanism(base, "corr_y", 20, 0.33)
+    with pytest.raises(ValueError, match="unknown noise mode"):
+        dp.mechanism(base, "bogus", 20)
+
+
 def test_burn_in_count_rule():
     assert dp.burn_in_count(10, 0.0) == 0
     assert dp.burn_in_count(10, 0.3) == 3  # 10*0.3 is 3.0000000000000004

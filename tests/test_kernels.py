@@ -10,7 +10,7 @@ from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
 def make_cfg():
     ds = data.synth_classification(18, 5, 2, seed=2, separation=3.0, n_test=25)
-    mspec = models.ModelSpec("logistic_l2", 0.08, models.InitSpec("gaussian", 0.1, seed=1), l2=0.02)
+    mspec = models.ModelSpec("logistic_l2", 0.08, models.InitSpec("gaussian", 0.1), l2=0.02)
     uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     ncfg = dp.NoiseConfig(1.0, 2.0, budget=14, mode="corr_x")
     return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), k=14, master_seed=6)

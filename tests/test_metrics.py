@@ -375,7 +375,7 @@ PROBE_MODES = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", 0.5)]
 
 
 def probe_noise(cfg, mode, q=0.0):
-    return metrics.probe_noise(cfg.noise, mode, cfg.k, q)
+    return dp.mechanism(cfg.noise, mode, cfg.k, q)
 
 
 @pytest.mark.parametrize("mode,q", PROBE_MODES)

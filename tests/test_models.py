@@ -103,18 +103,19 @@ def test_mse_convexity_witness():
 
 def test_init_params():
     zeros = models.ModelSpec("mse_linear", 0.1)
-    assert np.array_equal(models.init_params(zeros, 5), np.zeros(5))
-    spec = models.ModelSpec("mse_linear", 0.1, init=models.InitSpec("gaussian", 0.1, seed=3))
-    a = models.init_params(spec, 4)
-    b = models.init_params(spec, 4)
-    assert np.array_equal(a, b)
+    assert np.array_equal(models.init_params(zeros, 5, seed=3), np.zeros(5))
+    spec = models.ModelSpec("mse_linear", 0.1, init=models.InitSpec("gaussian", 0.1))
+    a = models.init_params(spec, 4, seed=3)
+    b = models.init_params(spec, 4, seed=3)
+    assert np.array_equal(a, b)  # the seed argument defines the draw
+    assert not np.array_equal(a, models.init_params(spec, 4, seed=4))
     with pytest.raises(ValueError):
-        models.init_params(zeros, 0)
+        models.init_params(zeros, 0, seed=3)
 
 
 def test_gaussian_init_moments():
-    spec = models.ModelSpec("mse_linear", 0.1, init=models.InitSpec("gaussian", 0.1, seed=0))
-    draws = models.init_params(spec, 10_000)
+    spec = models.ModelSpec("mse_linear", 0.1, init=models.InitSpec("gaussian", 0.1))
+    draws = models.init_params(spec, 10_000, seed=0)
     assert abs(draws.var() - 0.01) < 0.05 * 0.01
 
 

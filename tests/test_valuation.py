@@ -298,6 +298,17 @@ def test_estimation_stats_needs_two():
         estimation_stats(np.ones((1, 3)))
 
 
+def test_run_needs_two_retained_iterations(small_task):
+    # checked before the chain runs, by the rule the config parser also calls
+    ds, mspec, uspec = small_task
+    for k, mode, q in ((1, "iid", None), (10, "corr_y", 0.9)):
+        cfg = run_cfg(ds, mspec, uspec, k, seed=0, mode=mode, q=q)
+        with pytest.raises(ValueError, match="2 iterations"):
+            run_valuation(cfg)
+    res = run_valuation(run_cfg(ds, mspec, uspec, 10, seed=0, mode="corr_y", q=0.8))
+    assert res.burn_in_dropped == 8 and np.all(np.isfinite(res.s_sq))
+
+
 # -- config validation ------------------------------------------------------
 
 
