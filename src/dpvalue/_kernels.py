@@ -9,6 +9,7 @@ arrays, so a given seed yields the same run every time.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,28 +96,29 @@ class ChainDiverged(RuntimeError):
         )
 
 
-def run_chain(
-    x,
-    y,
-    party_ptr,
-    xt,
-    yt,
-    loss_code,
-    util_code,
-    lr,
-    lam,
-    clip,
-    perms,
-    inits,
-    noise,
-    diag,
-    correlated,
-    p_by_pos,
-    kq=0,
-    record_grads=False,
-    record_states=False,
-):
-    """Run the full valuation chain; returns a dict of per-run arrays.
+@dataclass(frozen=True)
+class Task:
+    """The chain's input, built once per run by ``valuation.prepare``.
+
+    ``x``/``y`` are the training design matrix and labels sorted by party,
+    party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
+    the utility is scored on. ``x`` and ``xt`` are C-contiguous float64.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    ptr: np.ndarray
+    xt: np.ndarray
+    yt: np.ndarray
+    loss_code: int
+    util_code: int
+    lr: float
+    lam: float
+
+
+def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
+              record_grads=False, record_states=False):
+    """Run the full valuation chain on a ``Task``; returns a dict of per-run arrays.
 
     ``marginals[t, j]`` is the raw utility delta of party ``j`` at iteration
     ``t`` and ``pcoefs[t, j]`` the position coefficient it was observed with;
@@ -125,8 +127,8 @@ def run_chain(
     """
     k, n = perms.shape
     d = inits.shape[1]
-    x = np.ascontiguousarray(x)
-    xt = np.ascontiguousarray(xt)
+    x, y, xt, yt = task.x, task.y, task.xt, task.yt
+    loss_code, util_code, lr, lam = task.loss_code, task.util_code, task.lr, task.lam
     marginals = np.zeros((k, n))
     pcoefs = np.zeros((k, n))
     psi = [0.0] * n
@@ -143,7 +145,7 @@ def run_chain(
     # Per-step scalars come from Python lists: indexing numpy arrays for them
     # costs more than the arithmetic they feed.
     orders = perms.tolist()
-    ptr = party_ptr.tolist()
+    ptr = task.ptr.tolist()
     coefs = p_by_pos.tolist()
     diags = diag.tolist()
     with np.errstate(over="ignore", invalid="ignore"):

@@ -32,6 +32,16 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _section(doc: dict, key: str, path: str = "") -> dict:
+    """The mapping under ``key`` ({} when absent or null)."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}" if path else key, "must be a mapping")
+    return value
+
+
 @contextmanager
 def _field(path: str):
     """Report a failed cast, engine check or file read as a ConfigError on ``path``."""
@@ -57,6 +67,7 @@ class DatasetSection:
     synth: dict | None = None  # the shape arguments of synth_classification
     path: str | None = None  # csv
     schema: data.CsvSchema | None = None  # csv
+    task: str = "classification"
     rows: int = 400  # training rows the source yields, before any partition
     corrupt_ratio: float = 0.0
     corrupt_seed_offset: int = 1000
@@ -133,11 +144,14 @@ def _parse_dataset(section: dict) -> DatasetSection:
         for key, cast in (("task", str), ("standardize", bool), ("test_rows", int)):
             ds.schema = _set(ds.schema, "dataset", section, key, cast)
         with _field("dataset.path"):
-            ds.rows = data.load_csv(ds.path, ds.schema).n_train
+            loaded = data.load_csv(ds.path, ds.schema)
+        with _field("dataset.test_rows"):
+            models.check_test_split(loaded.test_features, loaded.test_labels)
+        ds.task, ds.rows = loaded.task, loaded.n_train
     with _field("dataset.corrupt_ratio"):
         ds.corrupt_ratio = float(section.get("corrupt_ratio", 0.0))
-        data.corruption_count(ds.rows, ds.corrupt_ratio)
-    part = section.get("partition") or {}
+        data.corruption_count(ds.rows, ds.corrupt_ratio, ds.task)
+    part = _section(section, "partition", "dataset")
     with _field("dataset.partition.mode"):
         ds.partition_mode = data.partition_mode(part.get("mode", "per-sample"))
     ds.n_parties = ds.rows  # per-sample: every row is a party
@@ -153,7 +167,7 @@ def _parse_dataset(section: dict) -> DatasetSection:
 
 
 def _parse_model(section: dict) -> models.ModelSpec:
-    init_section = section.get("init") or {}
+    init_section = _section(section, "init", "model")
     with _field("model.init.kind"):
         init = models.InitSpec(init_section.get("kind", "zeros"))
     init = _set(init, "model.init", init_section, "scale", float)
@@ -242,7 +256,7 @@ def _parse_noisy_label(section: dict, noise: NoiseConfig, dataset: DatasetSectio
     """The runs of one seed: each mode at the burn-in share q (``noise.q`` by
     default), then the q_grid ablation, where q = 0 is the square corr_x matrix."""
     with _field("dataset.corrupt_ratio"):
-        if data.corruption_count(dataset.rows, dataset.corrupt_ratio) == 0:
+        if data.corruption_count(dataset.rows, dataset.corrupt_ratio, dataset.task) == 0:
             raise ValueError("noisy-label detection needs at least one corrupted label")
     k = noise.budget
     with _field("noisy_label.q"):
@@ -279,14 +293,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(kind, str) or kind not in RUNNERS:
         raise ConfigError("experiment", f"unknown kind {kind!r}")
     with _field("seed"):
-        seed = int(doc.get("seed", 0))
+        seed = valuation.seed_value(int(doc.get("seed", 0)))
     with _field("k"):
         noise = NoiseConfig(1.0, 0.0, int(doc.get("k", 100)))
     output_dir = doc.get("output_dir", f"out/{kind}")
 
-    dataset = _parse_dataset(doc.get("dataset") or {})
-    model = _parse_model(doc.get("model") or {})
-    noise = _parse_noise(doc.get("noise") or {}, noise)
+    dataset = _parse_dataset(_section(doc, "dataset"))
+    model = _parse_model(_section(doc, "model"))
+    noise = _parse_noise(_section(doc, "noise"), noise)
     if kind in ("valuation", "removal", "variance-probe"):  # one chain at budget k
         with _field("k"):
             valuation.estimable(noise)
@@ -295,7 +309,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     with _field("utility"):
         models.utility_kind(utility)
 
-    semi = doc.get("semivalue") or {}
+    semi = _section(doc, "semivalue")
     with _field("semivalue.kind"):
         semivalue = SemivalueSpec(semi.get("kind", "shapley"), dataset.n_parties)
     for key in ("alpha", "beta"):
@@ -308,17 +322,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     blocks = {}
     if kind == "variance-probe":
-        blocks["probe"] = _parse_probe(doc.get("probe") or {}, noise)
+        blocks["probe"] = _parse_probe(_section(doc, "probe"), noise)
     elif kind == "removal":
-        blocks["removal"] = _parse_removal(doc.get("removal") or {})
+        blocks["removal"] = _parse_removal(_section(doc, "removal"))
     elif kind == "similarity":
-        blocks["similarity"] = _parse_similarity(doc.get("similarity") or {}, noise)
+        blocks["similarity"] = _parse_similarity(_section(doc, "similarity"), noise)
     elif kind == "federated":
-        blocks["federated"] = _parse_federated(doc.get("federated") or {}, noise, utility)
+        blocks["federated"] = _parse_federated(_section(doc, "federated"), noise, utility)
     elif kind == "noisy-label":
-        blocks["noisy_label"] = _parse_noisy_label(doc.get("noisy_label") or {}, noise, dataset)
+        blocks["noisy_label"] = _parse_noisy_label(_section(doc, "noisy_label"), noise, dataset)
     elif kind == "oracle-check":
-        blocks["oracle"] = _parse_oracle(doc.get("oracle") or {})
+        blocks["oracle"] = _parse_oracle(_section(doc, "oracle"))
     return ExperimentConfig(
         kind=kind,
         seed=seed,

@@ -47,9 +47,6 @@ class PartitionedDataset:
             raise ValueError("n_classes undefined for regression")
         return int(self.labels.max()) + 1
 
-    def party_members(self, party: int) -> np.ndarray:
-        return np.nonzero(self.party_of == party)[0]
-
     def sorted_by_party(self):
         """Rows grouped by party plus CSR offsets; used by the run engine."""
         order = np.argsort(self.party_of, kind="stable")
@@ -210,20 +207,20 @@ def synth_classification(
     )
 
 
-def corruption_count(n: int, ratio: float) -> int:
-    """Labels ``corrupt_labels`` flips among n: floor(ratio * n)."""
+def corruption_count(n: int, ratio: float, task: str) -> int:
+    """Labels ``corrupt_labels`` flips among n labels of ``task``: floor(ratio * n)."""
     if not (0.0 <= ratio < 1.0):
         raise ValueError("ratio must lie in [0, 1)")
+    if ratio > 0 and task != "classification":
+        raise ValueError("label corruption needs classification labels")
     return int(ratio * n)
 
 
 def corrupt_labels(ds: PartitionedDataset, ratio: float, seed: int) -> PartitionedDataset:
     """Flip exactly floor(ratio * n_train) labels to a uniform different class."""
-    if ds.task != "classification":
-        raise ValueError("label corruption needs classification labels")
     n = ds.n_train
+    count = corruption_count(n, ratio, ds.task)
     n_classes = ds.n_classes
-    count = corruption_count(n, ratio)
     mask = np.zeros(n, dtype=bool)
     labels = ds.labels.copy()
     if count:

@@ -37,14 +37,12 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDatas
 
 def build_run(cfg: ExperimentConfig, ds, seed: int, noise: NoiseConfig | None = None, **kw) -> RunConfig:
     """The run of ``noise`` (the config's own mechanism by default) on ``ds``."""
-    noise = noise or cfg.noise
     return RunConfig(
         dataset=ds,
         model=cfg.model,
         utility=models.UtilitySpec(cfg.utility, ds.test_features, ds.test_labels),
-        noise=noise,
+        noise=noise or cfg.noise,
         semivalue=cfg.semivalue,
-        k=noise.budget,
         master_seed=seed,
         **kw,
     )
@@ -153,9 +151,7 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
     tidy = [["mode", "k", "trial", "party", "psi"]]
     out = {}
     for mode in modes:
-        probe = metrics.variance_scaling_probe(
-            mode, ks, base, trials, seed=cfg.seed, q=q, keep_samples=True
-        )
+        probe = metrics.variance_scaling_probe(mode, ks, base, trials, seed=cfg.seed, q=q)
         out[mode] = {"ks": list(probe.ks), "variances": list(probe.variances), "slope": probe.slope}
         for k, v in zip(probe.ks, probe.variances):
             rows.append([mode, str(k), _fmt(v), ""])
@@ -192,7 +188,7 @@ def run_federated_experiment(cfg: ExperimentConfig):
     fed = cfg.federated
     ds = build_dataset(cfg, cfg.seed)
     run = build_run(cfg, ds, cfg.seed, fed.noise)
-    psi = run_federated(run, fed.noise.budget, fed.permutations, q=fed.q)
+    psi = run_federated(run, fed.permutations, q=fed.q)
     rows = [["party", "psi"]] + [[str(j), _fmt(v)] for j, v in enumerate(psi)]
     return {"kind": "federated", "psi": [format(v, ".17g") for v in psi]}, rows, {}
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism
-from .models import design_matrix
-from .valuation import RunConfig, run_valuation
+from .valuation import RunConfig, prepare, run_valuation
 
 
 @dataclass(frozen=True)
@@ -224,13 +223,8 @@ class FrozenScenario:
     g_hat: np.ndarray  # (k, n, d)
     v_prev: np.ndarray  # (k, n)
     pcoefs: np.ndarray  # (k, n)
-    xt: np.ndarray
-    yt: np.ndarray
+    task: _kernels.Task  # the run's test split, codes, learning rate and l2
     mse: tuple  # the test set's sufficient statistics, _kernels.mse_stats
-    loss_code: int
-    util_code: int
-    lr: float
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -238,8 +232,7 @@ class ProbeResult:
     ks: tuple[int, ...]
     variances: tuple[float, ...]
     slope: float
-    # per-budget (n_parties, trials) estimator draws, for tidy export
-    samples: dict[int, np.ndarray] | None = None
+    samples: dict[int, np.ndarray]  # per-budget (n_parties, trials) estimator draws
 
 
 def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
@@ -251,31 +244,26 @@ def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
         record_states=True,
     )
     res = run_valuation(silent)
-    xt = design_matrix(cfg.utility.test_features, cfg.model)
-    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
+    task = prepare(cfg)
     return FrozenScenario(
         theta_prev=res.states["theta_prev"],
         g_hat=res.gradients["g_hat"],
         v_prev=res.states["v_prev"],
         pcoefs=res.pcoefs,
-        xt=xt,
-        yt=yt,
-        mse=_kernels.mse_stats(xt, yt),
-        loss_code=cfg.model.loss_code,
-        util_code=cfg.utility.util_code,
-        lr=cfg.model.learning_rate,
-        lam=cfg.model.l2,
+        task=task,
+        mse=_kernels.mse_stats(task.xt, task.yt),
     )
 
 
 def _utility_rows(thetas: np.ndarray, sc: FrozenScenario) -> np.ndarray:
     """Utility of every row of a (trials, d) parameter block."""
-    if sc.util_code == _kernels.UTIL_ACCURACY:
-        return _kernels.accuracy(thetas @ sc.xt.T, sc.yt, sc.loss_code)
-    if sc.loss_code == _kernels.LOSS_MSE:
+    task = sc.task
+    if task.util_code == _kernels.UTIL_ACCURACY:
+        return _kernels.accuracy(thetas @ task.xt.T, task.yt, task.loss_code)
+    if task.loss_code == _kernels.LOSS_MSE:
         return -_kernels.mse_quadratic(thetas, sc.mse)
-    ll = _kernels.log_loss(thetas @ sc.xt.T, sc.yt).sum(axis=1)
-    return -ll / sc.yt.shape[0] - sc.lam * np.einsum("ij,ij->i", thetas, thetas)
+    ll = _kernels.log_loss(thetas @ task.xt.T, task.yt).sum(axis=1)
+    return -ll / task.yt.shape[0] - task.lam * np.einsum("ij,ij->i", thetas, thetas)
 
 
 PROBE_MODES = ("iid", "corr_x", "corr_y")
@@ -318,14 +306,13 @@ def conditional_variance(
     noise: NoiseConfig,
     trials: int,
     seed: int,
-    return_samples: bool = False,
-):
-    """Var[psi | frozen sequences] by redrawing noise, averaged over parties.
+) -> tuple[float, np.ndarray]:
+    """Var[psi | frozen sequences] by redrawing noise, averaged over parties,
+    and the (n_parties, trials) estimator draws it is taken over.
 
     ``noise`` names the mechanism: iid, or corr_x/corr_y with the prefix-mean
     combiner, whose weights are its diagonal 1/t; corr_y additionally drops
-    the first k*q iterations from the estimator. With ``return_samples`` the
-    per-party, per-trial estimator draws come back too.
+    the first k*q iterations from the estimator.
 
     One worker thread owns the noise generator and draws party j+1's
     standard normal (trials, k, d) block while this thread turns party j's
@@ -342,8 +329,9 @@ def conditional_variance(
     std = noise.per_release_std
     kq = noise.burn_in
     if std == 0.0:
-        return (0.0, np.zeros((n, trials))) if return_samples else 0.0
+        return 0.0, np.zeros((n, trials))
 
+    lr = scenario.task.lr
     rng = np.random.default_rng(seed)  # used by the draw thread only
     inv_t = diag_schedule(noise)  # the prefix-mean diagonal 1/t (zeros for iid)
     draws = np.empty((n, trials))
@@ -352,10 +340,10 @@ def conditional_variance(
         pending = pool.submit(rng.standard_normal, out=blocks[0])
         for j in range(n):
             if not noise.correlated:
-                base = scenario.theta_prev[:, j, :] - scenario.lr * scenario.g_hat[:, j, :]
+                base = scenario.theta_prev[:, j, :] - lr * scenario.g_hat[:, j, :]
             else:
                 prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
-                base = scenario.theta_prev[:, j, :] - scenario.lr * prefix
+                base = scenario.theta_prev[:, j, :] - lr * prefix
             thetas = pending.result()
             if j + 1 < n:  # the other block, which party j-1 is done with
                 pending = pool.submit(rng.standard_normal, out=blocks[(j + 1) % 2])
@@ -364,15 +352,14 @@ def conditional_variance(
             if noise.correlated:
                 np.cumsum(thetas, axis=1, out=thetas)
                 thetas *= inv_t[None, :, None]
-            thetas *= scenario.lr
+            thetas *= lr
             np.subtract(base, thetas, out=thetas)
             psi = np.zeros(trials)
             for t in range(kq, k):
                 vt = _utility_rows(thetas[:, t, :], scenario)
                 psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
             draws[j] = psi / (k - kq)
-    var = float(draws.var(axis=1, ddof=1).mean())
-    return (var, draws) if return_samples else var
+    return float(draws.var(axis=1, ddof=1).mean()), draws
 
 
 def variance_scaling_probe(
@@ -382,7 +369,6 @@ def variance_scaling_probe(
     trials: int,
     seed: int = 0,
     q: float = 0.0,
-    keep_samples: bool = False,
 ) -> ProbeResult:
     """Conditional estimator variance versus budget, with a log-log slope fit.
 
@@ -399,12 +385,8 @@ def variance_scaling_probe(
     variances = []
     samples: dict[int, np.ndarray] = {}
     for i, (k, noise) in enumerate(zip(ks, noises)):
-        cfg_k = replace(base_cfg, k=k, noise=base_cfg.noise.with_budget(k))
-        scenario = freeze_scenario(cfg_k)
-        var, draws = conditional_variance(scenario, noise, trials, seed=seed * 7919 + i,
-                                          return_samples=True)
+        scenario = freeze_scenario(replace(base_cfg, noise=base_cfg.noise.with_budget(k)))
+        var, samples[k] = conditional_variance(scenario, noise, trials, seed=seed * 7919 + i)
         variances.append(var)
-        if keep_samples:
-            samples[k] = draws
     slope = float(np.polyfit(np.log(ks), np.log(variances), 1)[0])
-    return ProbeResult(ks, tuple(variances), slope, samples if keep_samples else None)
+    return ProbeResult(ks, tuple(variances), slope, samples)

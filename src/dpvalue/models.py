@@ -67,6 +67,14 @@ def utility_kind(kind: str) -> str:
     return kind
 
 
+def check_test_split(features: np.ndarray, labels: np.ndarray) -> None:
+    """The held-out split a utility is scored on: non-empty, one label per row."""
+    if len(labels) == 0:
+        raise ValueError("utility needs a non-empty test set")
+    if features.shape[0] != labels.shape[0]:
+        raise ValueError("test features/labels length mismatch")
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Utility kind plus the held-out test split it is scored on."""
@@ -77,24 +85,18 @@ class UtilitySpec:
 
     def __post_init__(self):
         utility_kind(self.kind)
-        if len(self.test_labels) == 0:
-            raise ValueError("utility needs a non-empty test set")
-        if self.test_features.shape[0] != self.test_labels.shape[0]:
-            raise ValueError("test features/labels length mismatch")
+        check_test_split(self.test_features, self.test_labels)
 
     @property
     def util_code(self) -> int:
         return UTILITY_CODES[self.kind]
 
 
-def with_bias(features: np.ndarray) -> np.ndarray:
-    ones = np.ones((features.shape[0], 1))
-    return np.ascontiguousarray(np.hstack([features, ones]))
-
-
 def design_matrix(features: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """C-contiguous float64 rows, with a constant-1 column appended when the
+    model has a bias."""
     if spec.add_bias:
-        return with_bias(features)
+        features = np.hstack([features, np.ones((features.shape[0], 1))])
     return np.ascontiguousarray(features, dtype=np.float64)
 
 
@@ -126,13 +128,15 @@ def utility(uspec: UtilitySpec, mspec: ModelSpec, theta: np.ndarray) -> float:
     )
 
 
-def init_params(spec: ModelSpec, d: int, seed: int) -> np.ndarray:
-    """Initial parameters of dimension d; a gaussian init draws them from ``seed``."""
-    if d < 1:
+def init_params(spec: ModelSpec, shape, seed) -> np.ndarray:
+    """Initial parameters of ``shape``: ``d``, or ``(k, d)`` for one row per
+    chain iteration. A gaussian init draws them from ``seed``, an int or a
+    ``SeedSequence``."""
+    if min(np.atleast_1d(shape)) < 1:
         raise ValueError("model dimension must be >= 1")
     if spec.init.kind == "zeros":
-        return np.zeros(d)
-    return spec.init.scale * np.random.default_rng(seed).standard_normal(d)
+        return np.zeros(shape)
+    return spec.init.scale * np.random.default_rng(seed).standard_normal(shape)
 
 
 def train_one_pass(

@@ -30,7 +30,7 @@ from scipy.special import betaln, gammaln, logsumexp
 from . import _kernels
 from .data import PartitionedDataset
 from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, release
-from .models import ModelSpec, UtilitySpec, design_matrix
+from .models import ModelSpec, UtilitySpec, design_matrix, init_params
 
 MAX_PARTIES_WEIGHTS = 10_000
 
@@ -90,6 +90,13 @@ def estimable(noise: NoiseConfig) -> NoiseConfig:
     return noise
 
 
+def seed_value(seed: int) -> int:
+    """A master seed: numpy's generators take non-negative integers only."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def enumerable_parties(n: int) -> int:
     """Party counts whose n! permutations are enumerated."""
     if not 1 <= n <= 8:
@@ -99,22 +106,20 @@ def enumerable_parties(n: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; its budget k (permutations, or federated rounds) is ``noise.budget``."""
+
     dataset: PartitionedDataset
     model: ModelSpec
     utility: UtilitySpec
     noise: NoiseConfig
     semivalue: SemivalueSpec
-    k: int
     master_seed: int
     record_gradients: bool = False
     record_states: bool = False
     exact_permutations: bool = False  # enumerate all n! permutations instead
 
     def __post_init__(self):
-        if self.noise.budget != self.k:
-            raise ValueError(
-                f"noise budget {self.noise.budget} must equal the run budget k={self.k}"
-            )
+        seed_value(self.master_seed)
         if self.semivalue.n != self.dataset.n_parties:
             raise ValueError("semivalue party count must match the dataset partition")
 
@@ -169,6 +174,19 @@ def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.
     return perms
 
 
+def prepare(cfg: RunConfig) -> _kernels.Task:
+    """The chain's input arrays for one run, built once: the party-sorted
+    training design matrix with its CSR offsets and the test design matrix."""
+    x, y, ptr = cfg.dataset.sorted_by_party()
+    return _kernels.Task(
+        x=design_matrix(x, cfg.model), y=y, ptr=ptr,
+        xt=design_matrix(cfg.utility.test_features, cfg.model),
+        yt=np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64),
+        loss_code=cfg.model.loss_code, util_code=cfg.utility.util_code,
+        lr=cfg.model.learning_rate, lam=cfg.model.l2,
+    )
+
+
 def run_valuation(cfg: RunConfig) -> ValuationResult:
     """Execute the full chain for one configuration.
 
@@ -179,64 +197,32 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     drops the first k*q iterations from psi and from the summary statistics.
     """
     estimable(cfg.noise)
-    ds = cfg.dataset
-    n = ds.n_parties
-    x, y, ptr = ds.sorted_by_party()
-    x = design_matrix(x, cfg.model)
-    xt = design_matrix(cfg.utility.test_features, cfg.model)
-    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
-    d = x.shape[1]
-
+    task = prepare(cfg)
+    n, d = cfg.dataset.n_parties, task.x.shape[1]
     ss = np.random.SeedSequence(cfg.master_seed)
     perm_ss, init_ss, noise_ss = ss.spawn(3)
 
+    k = cfg.noise.budget
     if cfg.exact_permutations:
         perms = _all_permutations(enumerable_parties(n))
-        k = len(perms)
-        if cfg.k != k or cfg.noise.budget != k:
-            raise ValueError(f"exact mode needs k = n! = {k}")
+        if k != len(perms):
+            raise ValueError(f"exact mode needs k = n! = {len(perms)}")
     else:
-        k = cfg.k
         perms = sample_permutations(n, k, perm_ss)
-
-    if cfg.model.init.kind == "zeros":
-        inits = np.zeros((k, d))
-    else:
-        init_rng = np.random.default_rng(init_ss)
-        inits = cfg.model.init.scale * init_rng.standard_normal((k, d))
+    inits = init_params(cfg.model, (k, d), init_ss)
 
     std = cfg.noise.per_release_std
     if std == 0.0:
         noise = np.zeros((k, n, d))
     else:
-        noise_rng = np.random.default_rng(noise_ss)
-        noise = std * noise_rng.standard_normal((k, n, d))
+        noise = std * np.random.default_rng(noise_ss).standard_normal((k, n, d))
 
-    diag = diag_schedule(cfg.noise)
     _, p = semivalue_weights(cfg.semivalue)
     kq = cfg.noise.burn_in
-
-    out = _kernels.run_chain(
-        x,
-        y,
-        ptr,
-        xt,
-        yt,
-        cfg.model.loss_code,
-        cfg.utility.util_code,
-        cfg.model.learning_rate,
-        cfg.model.l2,
-        cfg.noise.clip_norm,
-        perms,
-        inits,
-        noise,
-        diag,
-        cfg.noise.correlated,
-        np.ascontiguousarray(p),
-        kq,
-        cfg.record_gradients,
-        cfg.record_states,
-    )
+    out = _kernels.run_chain(task, cfg.noise.clip_norm, perms, inits, noise,
+                             diag_schedule(cfg.noise), cfg.noise.correlated,
+                             np.ascontiguousarray(p), kq, cfg.record_gradients,
+                             cfg.record_states)
 
     retained = out["marginals"][kq:]
     mu, s_sq, mav = estimation_stats(retained)
@@ -320,49 +306,33 @@ def federated_permutations(count: int) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the logistic gradient's exp overflows harmlessly
-def run_federated(
-    cfg: RunConfig,
-    rounds: int,
-    per_round_permutations: int,
-    q: float = 0.2,
-) -> np.ndarray:
+def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -> np.ndarray:
     """Round-averaged Shapley attribution with a persistent global model.
 
-    Each round every party releases one privatized (and combiner-smoothed)
-    gradient at the current global model; a per-round Shapley nu_j is
-    estimated over ``per_round_permutations`` permutations of those released
-    gradients, the global model takes the average released step, and the
-    final value averages nu_j over the rounds after the burn-in share q.
+    Each of the ``cfg.noise.budget`` rounds every party releases one privatized
+    (and combiner-smoothed) gradient at the current global model; a per-round
+    Shapley nu_j is estimated over ``per_round_permutations`` permutations of
+    those released gradients, the global model takes the average released
+    step, and the final value averages nu_j over the rounds after the burn-in
+    share q.
     """
     if cfg.noise.mode not in ("fl_schedule", "corr_x"):
         raise ValueError("federated attribution needs fl_schedule or corr_x noise")
     federated_utility(cfg.utility.kind)
     federated_permutations(per_round_permutations)
+    rounds = cfg.noise.budget
     burn = burn_in_count(rounds, q)
-    if cfg.noise.budget != rounds:
-        raise ValueError("noise budget must equal the number of rounds")
 
-    ds = cfg.dataset
-    n = ds.n_parties
-    x, y, ptr = ds.sorted_by_party()
-    x = design_matrix(x, cfg.model)
-    xt = design_matrix(cfg.utility.test_features, cfg.model)
-    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
-    d = x.shape[1]
-    loss_code = cfg.model.loss_code
-    util_code = cfg.utility.util_code
-    lam = cfg.model.l2
-    lr = cfg.model.learning_rate
+    task = prepare(cfg)
+    x, y, ptr, xt, yt = task.x, task.y, task.ptr, task.xt, task.yt
+    loss_code, util_code, lr, lam = task.loss_code, task.util_code, task.lr, task.lam
+    n, d = cfg.dataset.n_parties, x.shape[1]
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
     noise_rng = np.random.default_rng(noise_ss)
     perm_rng = np.random.default_rng(perm_ss)
-
-    if cfg.model.init.kind == "zeros":
-        theta = np.zeros(d)
-    else:
-        theta = cfg.model.init.scale * np.random.default_rng(init_ss).standard_normal(d)
+    theta = init_params(cfg.model, d, init_ss)
 
     diag = diag_schedule(cfg.noise)
     std = cfg.noise.per_release_std

@@ -66,7 +66,7 @@ def probe_results():
     base = RunConfig(
         ds, mspec, uspec,
         dp.NoiseConfig(1.0, sigma, budget=PROBE_KS[0], mode="iid"),
-        SemivalueSpec("shapley", 6), k=PROBE_KS[0], master_seed=9,
+        SemivalueSpec("shapley", 6), master_seed=9,
     )
     start = time.time()
     out = {
@@ -167,7 +167,7 @@ def test_criterion_06_mean_adjusted_variance_ordering():
                 uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
                 cfg = RunConfig(
                     ds, mspec, uspec, dp.NoiseConfig(1.0, sigma, budget=k, mode=mode),
-                    SemivalueSpec("shapley", 20), k=k, master_seed=seed,
+                    SemivalueSpec("shapley", 20), master_seed=seed,
                 )
                 res = run_valuation(cfg)
                 ok = ~np.isnan(res.mean_adjusted_var)
@@ -210,7 +210,7 @@ def test_criterion_07_noisy_label_auc_ordering():
         ):
             cfg = RunConfig(
                 ds, mspec, uspec, dp.NoiseConfig(1.0, s, budget=k, mode=mode, q=q),
-                SemivalueSpec("banzhaf", 400), k=k, master_seed=seed,
+                SemivalueSpec("banzhaf", 400), master_seed=seed,
             )
             res = run_valuation(cfg)
             aucs[label].append(metrics.auc_roc(-res.psi, ds.corruption_mask))
@@ -242,7 +242,7 @@ def test_criterion_08_similarity_signs():
             uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
             cfg = RunConfig(
                 ds, mspec, uspec, dp.NoiseConfig(1.0, sigma, budget=k, mode="corr_x"),
-                SemivalueSpec("shapley", 40), k=k, master_seed=seed,
+                SemivalueSpec("shapley", 40), master_seed=seed,
                 record_gradients=True,
             )
             res = run_valuation(cfg)
@@ -276,7 +276,7 @@ def test_criterion_09_bookkeeping_and_weights():
     uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     cfg = RunConfig(
         ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y", q=0.5),
-        SemivalueSpec("shapley", 12), k=10, master_seed=2,
+        SemivalueSpec("shapley", 12), master_seed=2,
     )
     res = run_valuation(cfg)
     retained = res.marginals[res.burn_in_dropped :]

@@ -348,6 +348,25 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("more-parties-than-samples", "valuation",  # 24 samples
      {"dataset.partition": {"mode": "equal-chunks", "n_parties": 30}},
      "dataset.partition.n_parties"),
+    ("dataset-not-a-mapping", "valuation", {"dataset": [1, 2]}, "dataset"),
+    ("model-not-a-mapping", "valuation", {"model": "logistic_l2"}, "model"),
+    ("noise-not-a-mapping", "valuation", {"noise": 3}, "noise"),
+    ("semivalue-not-a-mapping", "valuation", {"semivalue": "shapley"}, "semivalue"),
+    ("partition-not-a-mapping", "valuation", {"dataset.partition": ["equal-chunks"]},
+     "dataset.partition"),
+    ("init-not-a-mapping", "valuation", {"model.init": "gaussian"}, "model.init"),
+    ("probe-not-a-mapping", "variance-probe", {"probe": [10, 20, 40]}, "probe"),
+    ("removal-not-a-mapping", "removal", {"removal": "random"}, "removal"),
+    ("similarity-not-a-mapping", "similarity", {"similarity": [10]}, "similarity"),
+    ("federated-not-a-mapping", "federated", {"federated": 10}, "federated"),
+    ("noisy-label-not-a-mapping", "noisy-label", {"noisy_label": ["iid"]}, "noisy_label"),
+    ("oracle-not-a-mapping", "oracle-check", {"oracle": 4}, "oracle"),
+    ("seed-negative", "valuation", {"seed": -1}, "seed"),
+    ("csv-no-test-rows", "valuation",
+     {"dataset": {"source": "csv", "path": CSV, "label": "y"}}, "dataset.test_rows"),
+    ("csv-regression-corrupted", "valuation",
+     {"dataset": {"source": "csv", "path": CSV, "label": "y", "task": "regression",
+                  "test_rows": 2, "corrupt_ratio": 0.25}}, "dataset.corrupt_ratio"),
 ]
 
 

@@ -49,7 +49,7 @@ def engine_noise(sigma, k, clip=1.0):
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
     uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     ncfg = dp.NoiseConfig(clip, sigma, budget=k)
-    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties), k=k,
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties),
                     master_seed=4, record_gradients=True)
     res = run_valuation(cfg)
     return res.gradients["g_tilde"] - res.gradients["g_hat"]

@@ -13,7 +13,7 @@ def make_cfg():
     mspec = models.ModelSpec("logistic_l2", 0.08, models.InitSpec("gaussian", 0.1), l2=0.02)
     uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     ncfg = dp.NoiseConfig(1.0, 2.0, budget=14, mode="corr_x")
-    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), k=14, master_seed=6)
+    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), master_seed=6)
 
 
 def test_same_backend_bit_identical():
@@ -83,11 +83,11 @@ def test_chain_matches_reference_loop(mode, loss_code, util_code):
     perms = np.array([rng.permutation(n) for _ in range(k)])
     inits = 0.1 * rng.standard_normal((k, d))
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
-    args = (x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam, ncfg.clip_norm, perms, inits,
-            noise, dp.diag_schedule(ncfg), ncfg.correlated, rng.uniform(0.0, 1.0, n),
-            ncfg.burn_in)
-    want = reference_chain(*args)
-    got = _kernels.run_chain(*args, record_grads=True, record_states=True)
+    args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated,
+            rng.uniform(0.0, 1.0, n), ncfg.burn_in)
+    want = reference_chain(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam, *args)
+    task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam)
+    got = _kernels.run_chain(task, *args, record_grads=True, record_states=True)
     assert set(got) == set(want)
     for name, value in want.items():
         assert np.array_equal(got[name], value), name

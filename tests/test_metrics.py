@@ -66,7 +66,7 @@ def make_removal_setup():
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
     uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
     ncfg = dp.NoiseConfig(1.0, 0.0, budget=150)
-    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 30), k=150, master_seed=7)
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 30), master_seed=7)
     res = run_valuation(cfg)
 
     def trainer(keep, seed):
@@ -303,7 +303,7 @@ def probe_base(n_parties=6, sigma=1.0):
     uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     ncfg = dp.NoiseConfig(1.0, sigma, budget=20, mode="iid")
     return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", n_parties),
-                     k=20, master_seed=9)
+                     master_seed=9)
 
 
 @pytest.mark.parametrize("loss,util", [("mse_linear", "neg_test_loss"),
@@ -316,12 +316,12 @@ def test_utility_rows_match_chain_utility(loss, util):
     mspec = models.ModelSpec(loss, 0.05, models.InitSpec("zeros"), l2=lam)
     uspec = models.UtilitySpec(util, cfg.utility.test_features, cfg.utility.test_labels)
     scenario = metrics.freeze_scenario(replace(cfg, model=mspec, utility=uspec))
-    assert scenario.xt.shape == (64, 7)
+    assert scenario.task.xt.shape == (64, 7)
     rng = np.random.default_rng(4)
     block = scenario.theta_prev[-1, 0] + rng.standard_normal((500, 7))
     rows = metrics._utility_rows(block, scenario)
     for i, theta in enumerate(block):
-        want = _kernels.utility_np(theta, scenario.xt, scenario.yt, mspec.loss_code,
+        want = _kernels.utility_np(theta, scenario.task.xt, scenario.task.yt, mspec.loss_code,
                                    uspec.util_code, lam)
         assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -334,10 +334,10 @@ def test_probe_zero_sigma_zero_variance(monkeypatch):
         raise AssertionError("the zero-noise probe started a draw thread")
 
     monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
-    var = metrics.conditional_variance(scenario, cfg.noise, trials=200, seed=0)
+    var, _ = metrics.conditional_variance(scenario, cfg.noise, trials=200, seed=0)
     assert var == 0.0
     var, draws = metrics.conditional_variance(scenario, probe_noise(cfg, "corr_x"), trials=200,
-                                              seed=0, return_samples=True)
+                                              seed=0)
     assert var == 0.0 and draws.shape == (6, 200) and not draws.any()
 
 
@@ -351,17 +351,17 @@ def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
     draws = np.empty((n, trials))
     for j in range(n):
         if mode == "iid":
-            base = scenario.theta_prev[:, j, :] - scenario.lr * scenario.g_hat[:, j, :]
+            base = scenario.theta_prev[:, j, :] - scenario.task.lr * scenario.g_hat[:, j, :]
         else:
             prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
-            base = scenario.theta_prev[:, j, :] - scenario.lr * prefix
+            base = scenario.theta_prev[:, j, :] - scenario.task.lr * prefix
         # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
         thetas = rng.standard_normal((trials, k, d))
         thetas *= std
         if mode != "iid":
             np.cumsum(thetas, axis=1, out=thetas)
             thetas *= inv_t[None, :, None]
-        thetas *= scenario.lr
+        thetas *= scenario.task.lr
         np.subtract(base, thetas, out=thetas)
         psi = np.zeros(trials)
         for t in range(kq, k):
@@ -375,7 +375,7 @@ PROBE_MODES = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", 0.5)]
 
 
 def probe_noise(cfg, mode, q=0.0):
-    return dp.mechanism(cfg.noise, mode, cfg.k, q)
+    return dp.mechanism(cfg.noise, mode, cfg.noise.budget, q)
 
 
 @pytest.mark.parametrize("mode,q", PROBE_MODES)
@@ -385,7 +385,7 @@ def test_probe_matches_single_threaded_replay(mode, q):
     scenario = metrics.freeze_scenario(cfg)
     want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
     var, draws = metrics.conditional_variance(scenario, probe_noise(cfg, mode, q), trials=137,
-                                              seed=11, return_samples=True)
+                                              seed=11)
     assert draws.shape == (6, 137)
     assert np.array_equal(draws, want)
     assert var == want_var
@@ -402,7 +402,7 @@ def test_probe_concurrent_replays_stay_exact():
     def replay(job):
         mode, q, seed = job
         results[job] = metrics.conditional_variance(scenario, probe_noise(cfg, mode, q), trials=101,
-                                                    seed=seed, return_samples=True)
+                                                    seed=seed)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -514,7 +514,7 @@ def test_probe_iid_matches_direct_simulation():
     # tiny case cross-check: replay the frozen scenario by hand
     cfg = probe_base(n_parties=3)
     scenario = metrics.freeze_scenario(cfg)
-    trials, k = 400, cfg.k
+    trials, k = 400, cfg.noise.budget
     std = np.sqrt(cfg.noise.budget) * cfg.noise.clip_norm * cfg.noise.noise_multiplier
     rng = np.random.default_rng(0)
     d = scenario.theta_prev.shape[2]
@@ -526,12 +526,12 @@ def test_probe_iid_matches_direct_simulation():
             for t in range(k):
                 theta = (
                     scenario.theta_prev[t, j]
-                    - scenario.lr * scenario.g_hat[t, j]
-                    - scenario.lr * std * rng.standard_normal(d)
+                    - scenario.task.lr * scenario.g_hat[t, j]
+                    - scenario.task.lr * std * rng.standard_normal(d)
                 )
-                e = scenario.xt @ theta - scenario.yt
+                e = scenario.task.xt @ theta - scenario.task.yt
                 acc += scenario.pcoefs[t, j] * (-np.mean(e * e) - scenario.v_prev[t, j])
             psis.append(acc / k)
         direct.append(np.var(psis, ddof=1))
-    fast = metrics.conditional_variance(scenario, cfg.noise, trials=2000, seed=1)
+    fast, _ = metrics.conditional_variance(scenario, cfg.noise, trials=2000, seed=1)
     assert abs(np.mean(direct) / fast - 1.0) < 0.25  # both are MC estimates

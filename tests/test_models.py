@@ -111,6 +111,13 @@ def test_init_params():
     assert not np.array_equal(a, models.init_params(spec, 4, seed=4))
     with pytest.raises(ValueError):
         models.init_params(zeros, 0, seed=3)
+    # one (k, d) block from a SeedSequence: the chain's per-iteration inits
+    ss = np.random.SeedSequence(7)
+    block = models.init_params(spec, (6, 4), seed=ss)
+    assert np.array_equal(block, 0.1 * np.random.default_rng(ss).standard_normal((6, 4)))
+    assert np.array_equal(models.init_params(zeros, (6, 4), seed=ss), np.zeros((6, 4)))
+    with pytest.raises(ValueError):
+        models.init_params(zeros, (0, 4), seed=3)
 
 
 def test_gaussian_init_moments():

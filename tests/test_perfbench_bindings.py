@@ -1,28 +1,35 @@
 """The benchmark's traced mode rebinds program functions by name from outside
-(``perfbench/spans.py``). These checks load that file as it stands, so a
-refactor that renames or re-signs a traced function fails here rather than
-only when the benchmark runs with ``--trace 1``."""
+(``perfbench/spans.py``) and checks their call counts against formulas in
+``perfbench/workloads.py``. These checks load both files as they stand, so a
+refactor that renames or re-signs a traced function, or changes how often a
+hot layer is called per step, fails here rather than only when the benchmark
+runs with ``--trace 1``."""
 
 import importlib.util
 import inspect
 from pathlib import Path
 
 import pytest
+import yaml
 
 import dpvalue
 import dpvalue.cli  # noqa: F401 - loads every module the spans bind into
-from dpvalue import _kernels, data, dp, models
+from dpvalue import _kernels, cli, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("spans")
 
 
 def test_every_binding_resolves(spans):
@@ -45,7 +52,7 @@ def test_traced_chain_records_spans_and_restores_bindings(spans):
     mspec = models.ModelSpec("logistic_l2", 0.1, models.InitSpec("zeros"), l2=0.01)
     uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     cfg = RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=4, mode="corr_x"),
-                    SemivalueSpec("shapley", 6), k=4, master_seed=0)
+                    SemivalueSpec("shapley", 6), master_seed=0)
     before = _kernels.run_chain
     tracer = spans.Tracer()
     with tracer.installed(dpvalue):
@@ -56,3 +63,43 @@ def test_traced_chain_records_spans_and_restores_bindings(spans):
     assert layers["kernels.party_grad_np.calls"] == 4 * 6
     assert layers["kernels.alloc_bytes"] > 0
     assert run_valuation is dpvalue.valuation.run_valuation
+
+
+SMALL = {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4, "separation": 3.0,
+         "partition": {"mode": "equal-chunks", "n_parties": 4}}
+LOGISTIC = {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01}
+TRACED_CONFIGS = {  # tiny configs of the kinds whose hot layers the workloads count
+    "variance-probe": {
+        "k": 10, "dataset": SMALL, "model": {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0},
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
+        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid", "corr_x", "corr_y"],
+                  "q": 0.5},
+    },
+    "federated": {
+        "k": 10, "dataset": SMALL, "model": LOGISTIC, "utility": "test_accuracy",
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "fl_schedule"},
+        "federated": {"rounds": 10, "permutations": 5, "q": 0.2},
+    },
+    "removal": {
+        "k": 12, "dataset": SMALL, "model": LOGISTIC, "utility": "test_accuracy",
+        "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"},
+        "removal": {"fractions": [0.0, 0.25, 0.5], "orders": ["highest-first", "random"]},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRACED_CONFIGS))
+def test_traced_calls_match_workload_formulas(spans, tmp_path, kind):
+    # the call-count gate of a traced benchmark run, on a config small enough for tier 1
+    workloads = load_perfbench("workloads")
+    doc = dict(TRACED_CONFIGS[kind], experiment=kind, seed=1, output_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    tracer = spans.Tracer()
+    with tracer.installed(dpvalue):
+        assert cli.main(["run", str(path)]) == 0
+    layers = tracer.layer_metrics()
+    expected = workloads.expected_calls(doc)
+    assert any(expected.values())
+    for span, calls in expected.items():
+        assert layers[f"{span}.calls"] == calls, span

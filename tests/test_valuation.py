@@ -34,7 +34,7 @@ def run_cfg(ds, mspec, uspec, k, seed, mode="iid", sigma=0.0, q=None, semi=None,
     n = ds.n_parties
     ncfg = dp.NoiseConfig(1.0, sigma, budget=k, mode=mode, q=q)
     semi = semi or SemivalueSpec("shapley", n)
-    return RunConfig(ds, mspec, uspec, ncfg, semi, k=k, master_seed=seed, **kw)
+    return RunConfig(ds, mspec, uspec, ncfg, semi, master_seed=seed, **kw)
 
 
 # -- weights ---------------------------------------------------------------
@@ -314,13 +314,11 @@ def test_run_needs_two_retained_iterations(small_task):
 
 def test_run_config_validation(small_task):
     ds, mspec, uspec = small_task
-    ncfg = dp.NoiseConfig(1.0, 1.0, budget=9)
-    with pytest.raises(ValueError, match="budget"):
-        RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties),
-                  k=10, master_seed=0)
+    ncfg = dp.NoiseConfig(1.0, 1.0, budget=10)
+    with pytest.raises(ValueError, match="non-negative"):
+        RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties), master_seed=-1)
     with pytest.raises(ValueError, match="party count"):
-        RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=10),
-                  SemivalueSpec("shapley", 3), k=10, master_seed=0)
+        RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 3), master_seed=0)
 
 
 # -- federated --------------------------------------------------------------
@@ -344,7 +342,7 @@ def test_federated_orders_corrupted_party_last():
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
     uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
     cfg = run_cfg(ds, mspec, uspec, 10, seed=3, mode="fl_schedule")
-    psi = run_federated(cfg, rounds=10, per_round_permutations=50, q=0.2)
+    psi = run_federated(cfg, per_round_permutations=50, q=0.2)
     assert psi[0] > psi[1]
 
 
@@ -353,7 +351,7 @@ def test_federated_single_round_no_burn_in():
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
     uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
     cfg = run_cfg(ds, mspec, uspec, 1, seed=3, mode="fl_schedule")
-    psi = run_federated(cfg, rounds=1, per_round_permutations=30, q=0.0)
+    psi = run_federated(cfg, per_round_permutations=30, q=0.0)
     assert psi.shape == (2,)
     assert np.all(np.isfinite(psi))
 
@@ -364,16 +362,16 @@ def test_federated_validation():
     uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
     acc_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="fl_schedule")
     with pytest.raises(ValueError, match="integer"):
-        run_federated(acc_cfg, rounds=10, per_round_permutations=10, q=0.15)
+        run_federated(acc_cfg, per_round_permutations=10, q=0.15)
     with pytest.raises(ValueError, match="permutation"):
-        run_federated(acc_cfg, rounds=10, per_round_permutations=0, q=0.2)
+        run_federated(acc_cfg, per_round_permutations=0, q=0.2)
     loss_uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
     bad_cfg = run_cfg(ds, mspec, loss_uspec, 10, seed=0, mode="fl_schedule")
     with pytest.raises(ValueError, match="accuracy"):
-        run_federated(bad_cfg, rounds=10, per_round_permutations=10, q=0.2)
+        run_federated(bad_cfg, per_round_permutations=10, q=0.2)
     iid_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="iid", sigma=1.0)
     with pytest.raises(ValueError, match="fl_schedule"):
-        run_federated(iid_cfg, rounds=10, per_round_permutations=10, q=0.2)
+        run_federated(iid_cfg, per_round_permutations=10, q=0.2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -449,8 +447,8 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
     mspec = models.ModelSpec("logistic_l2", 0.3, models.InitSpec("gaussian", 0.2), l2=0.01)
     uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
     ncfg = dp.NoiseConfig(clip, sigma, budget=5, mode=mode)
-    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 6), k=5, master_seed=8)
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 6), master_seed=8)
     want = reference_federated(cfg, 5, 12, q=0.2)
-    got = run_federated(cfg, 5, 12, q=0.2)
+    got = run_federated(cfg, 12, q=0.2)
     assert np.array_equal(got, want)
     assert want.any()
