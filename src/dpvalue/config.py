@@ -53,6 +53,23 @@ def _field(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
+def _integer(value) -> int:
+    """An integer field: an int or an integral float, never a fraction, a
+    string or a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    """A boolean field: only YAML true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None):
     """``obj`` with ``attr`` (``key`` by default) set from ``section[key]`` if
     given; ``replace`` re-runs the dataclass's checks, reported at ``path.key``."""
@@ -134,14 +151,15 @@ def _parse_dataset(section: dict) -> DatasetSection:
         ds.synth = {"n_samples": 400, "n_test": 200, "d_feat": 10, "n_classes": 2, "separation": 3.0}
         for key, default in ds.synth.items():
             with _field(f"dataset.{key}"):
-                ds.synth[key] = (float if key == "separation" else int)(section.get(key, default))
+                cast = float if key == "separation" else _integer
+                ds.synth[key] = cast(section.get(key, default))
                 data.check_synth(**ds.synth)
         ds.rows = ds.synth["n_samples"]
     else:
         ds.path = str(_require(section, "path", "dataset"))
         with _field("dataset.label"):
             ds.schema = data.CsvSchema(str(_require(section, "label", "dataset")))
-        for key, cast in (("task", str), ("standardize", bool), ("test_rows", int)):
+        for key, cast in (("task", str), ("standardize", _boolean), ("test_rows", _integer)):
             ds.schema = _set(ds.schema, "dataset", section, key, cast)
         with _field("dataset.path"):
             loaded = data.load_csv(ds.path, ds.schema)
@@ -157,11 +175,11 @@ def _parse_dataset(section: dict) -> DatasetSection:
     ds.n_parties = ds.rows  # per-sample: every row is a party
     if ds.partition_mode != "per-sample":
         with _field("dataset.partition.n_parties"):
-            ds.n_parties = int(_require(part, "n_parties", "dataset.partition"))
+            ds.n_parties = _integer(_require(part, "n_parties", "dataset.partition"))
             data.party_layout(ds.rows, ds.n_parties, "equal-chunks")
     if ds.partition_mode == "by-size":
         with _field("dataset.partition.size"):
-            ds.party_size = int(_require(part, "size", "dataset.partition"))
+            ds.party_size = _integer(_require(part, "size", "dataset.partition"))
             data.party_layout(ds.rows, ds.n_parties, "by-size", ds.party_size)
     return ds
 
@@ -174,7 +192,7 @@ def _parse_model(section: dict) -> models.ModelSpec:
     loss = section.get("loss", "logistic_l2")
     with _field("model.loss"):
         spec = models.ModelSpec(loss, 0.05, init, l2=0.01 if loss == "logistic_l2" else 0.0)
-    for key, cast in (("learning_rate", float), ("l2", float), ("add_bias", bool)):
+    for key, cast in (("learning_rate", float), ("l2", float), ("add_bias", _boolean)):
         spec = _set(spec, "model", section, key, cast)
     return spec
 
@@ -206,9 +224,9 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
     and mode it will run."""
     p = ProbeSection()
     with _field("probe.ks"):
-        p.ks = metrics.probe_budgets(section.get("ks", p.ks))
+        p.ks = metrics.probe_budgets(_integer(k) for k in section.get("ks", p.ks))
     with _field("probe.noise_trials"):
-        p.noise_trials = metrics.probe_trials(int(section.get("noise_trials", p.noise_trials)))
+        p.noise_trials = metrics.probe_trials(_integer(section.get("noise_trials", p.noise_trials)))
     with _field("probe.modes"):
         p.modes = tuple(metrics.probe_mode(m) for m in section.get("modes", p.modes))
     with _field("probe.q"):
@@ -235,7 +253,7 @@ def _parse_removal(section: dict) -> RemovalSection:
 
 def _parse_similarity(section: dict, noise: NoiseConfig) -> tuple[NoiseConfig, ...]:
     with _field("similarity.ks"):
-        return tuple(valuation.estimable(mechanism(noise, "corr_x", int(k)))
+        return tuple(valuation.estimable(mechanism(noise, "corr_x", _integer(k)))
                      for k in section.get("ks", (100, 200)))
 
 
@@ -243,9 +261,9 @@ def _parse_federated(section: dict, noise: NoiseConfig, utility: str) -> Federat
     with _field("utility"):
         valuation.federated_utility(utility)
     with _field("federated.rounds"):
-        noise = mechanism(noise, "fl_schedule", int(section.get("rounds", 10)))
+        noise = mechanism(noise, "fl_schedule", _integer(section.get("rounds", 10)))
     with _field("federated.permutations"):
-        perms = valuation.federated_permutations(int(section.get("permutations", 100)))
+        perms = valuation.federated_permutations(_integer(section.get("permutations", 100)))
     with _field("federated.q"):
         q = float(section.get("q", 0.2))
         burn_in_count(noise.budget, q)
@@ -277,7 +295,7 @@ def _parse_noisy_label(section: dict, noise: NoiseConfig, dataset: DatasetSectio
 
 def _parse_oracle(section: dict) -> OracleSection:
     with _field("oracle.n"):
-        n = valuation.enumerable_parties(int(section.get("n", 4)))
+        n = valuation.enumerable_parties(_integer(section.get("n", 4)))
     with _field("oracle.kinds"):
         specs = tuple(SemivalueSpec(kind, n, 4.0, 1.0)
                       for kind in section.get("kinds", ("shapley", "banzhaf")))
@@ -293,9 +311,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(kind, str) or kind not in RUNNERS:
         raise ConfigError("experiment", f"unknown kind {kind!r}")
     with _field("seed"):
-        seed = valuation.seed_value(int(doc.get("seed", 0)))
+        seed = valuation.seed_value(_integer(doc.get("seed", 0)))
     with _field("k"):
-        noise = NoiseConfig(1.0, 0.0, int(doc.get("k", 100)))
+        noise = NoiseConfig(1.0, 0.0, _integer(doc.get("k", 100)))
     output_dir = doc.get("output_dir", f"out/{kind}")
 
     dataset = _parse_dataset(_section(doc, "dataset"))
@@ -316,7 +334,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         semivalue = _set(semivalue, "semivalue", semi, key, float)
 
     with _field("trials"):
-        trials = int(doc.get("trials", 5))
+        trials = _integer(doc.get("trials", 5))
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
 

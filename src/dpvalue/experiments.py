@@ -150,8 +150,9 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
     rows = [["mode", "k", "variance", "slope"]]
     tidy = [["mode", "k", "trial", "party", "psi"]]
     out = {}
+    probes = metrics.variance_scaling_probe(modes, ks, base, trials, seed=cfg.seed, q=q)
     for mode in modes:
-        probe = metrics.variance_scaling_probe(mode, ks, base, trials, seed=cfg.seed, q=q)
+        probe = probes[mode]
         out[mode] = {"ks": list(probe.ks), "variances": list(probe.variances), "slope": probe.slope}
         for k, v in zip(probe.ks, probe.variances):
             rows.append([mode, str(k), _fmt(v), ""])

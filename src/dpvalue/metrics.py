@@ -10,10 +10,12 @@ with cos(a, b) = |a.b| / (|a||b|) and the means taken in one vectorised pass
 over every (t, j) record whose three gradients have non-zero norms, the
 closed-form variance identities for noisy squared norms, the N/P/Q moment sums
 of the implicit correlated noise, and the Monte Carlo probe for how the
-conditional estimator variance scales with the budget k. The probe's noise
-replay uses a second core: one draw thread fills two reused blocks in turn
-from the probe's single random stream while the caller scores them, so its
-results are bitwise those of a single-threaded replay.
+conditional estimator variance scales with the budget k. The probe draws
+each budget's noise once and replays every mode (iid, corr_x, corr_y) from
+that draw. The draw uses a second core: one draw thread fills two reused
+blocks in turn from the probe's single random stream while the caller scores
+them, so each mode's results are bitwise those of a single-threaded replay of
+that mode alone.
 """
 
 from __future__ import annotations
@@ -303,90 +305,121 @@ def prefix_mean_only(noise: NoiseConfig) -> NoiseConfig:
 
 def conditional_variance(
     scenario: FrozenScenario,
-    noise: NoiseConfig,
+    noises,
     trials: int,
     seed: int,
-) -> tuple[float, np.ndarray]:
+) -> list[tuple[float, np.ndarray]]:
     """Var[psi | frozen sequences] by redrawing noise, averaged over parties,
-    and the (n_parties, trials) estimator draws it is taken over.
+    and the (n_parties, trials) estimator draws it is taken over: one
+    ``(var, draws)`` per mechanism of ``noises``, all replayed from one draw.
 
-    ``noise`` names the mechanism: iid, or corr_x/corr_y with the prefix-mean
-    combiner, whose weights are its diagonal 1/t; corr_y additionally drops
-    the first k*q iterations from the estimator.
+    Each mechanism is iid, or corr_x/corr_y with the prefix-mean combiner,
+    whose weights are its diagonal 1/t; corr_y additionally drops the first
+    k*q iterations from the estimator. All share the scenario's budget and
+    the per-release noise scale, so one standard normal (trials, k, d) block
+    per party feeds every mechanism: per iteration t its slab z_t is scaled
+    once, the iid parameters are ``base_iid[t] - lr*std*z_t`` and the
+    correlated ones ``base_corr[t] - lr*(std * prefix sum of z)/t``, shared
+    by corr_x and corr_y.
 
-    One worker thread owns the noise generator and draws party j+1's
-    standard normal (trials, k, d) block while this thread turns party j's
-    into parameters and scores them. Two blocks are reused in turn, and the
-    draws run in party order on one stream, so every result is bitwise that
-    of a single-threaded replay. Leaving the pool joins the worker on every
-    exit path, and ``result()`` re-raises an error from it here.
+    One worker thread owns the noise generator and draws party j+1's block
+    while this thread turns party j's into parameters and scores them. Two
+    blocks are reused in turn, and the draws run in party order on one
+    stream, so every result is bitwise that of a single-threaded replay of
+    each mechanism alone. Leaving the pool joins the worker on every exit
+    path, and ``result()`` re-raises an error from it here.
     """
     k, n, d = scenario.theta_prev.shape
-    probe_mode(noise.mode)
-    prefix_mean_only(noise)
-    if noise.budget != k:
-        raise ValueError(f"noise budget {noise.budget} must equal the scenario's k={k}")
-    std = noise.per_release_std
-    kq = noise.burn_in
+    noises = tuple(noises)
+    if not noises:
+        raise ValueError("need at least one mechanism to replay")
+    for noise in noises:
+        probe_mode(noise.mode)
+        prefix_mean_only(noise)
+        if noise.budget != k:
+            raise ValueError(f"noise budget {noise.budget} must equal the scenario's k={k}")
+    std = noises[0].per_release_std
+    if any(noise.per_release_std != std for noise in noises):
+        raise ValueError("mechanisms replayed from one draw need one per_release_std, got "
+                         f"{sorted({noise.per_release_std for noise in noises})}")
     if std == 0.0:
-        return 0.0, np.zeros((n, trials))
+        return [(0.0, np.zeros((n, trials))) for _ in noises]
 
     lr = scenario.task.lr
+    kqs = [noise.burn_in for noise in noises]
+    iid = any(not noise.correlated for noise in noises)
+    corr = [noise for noise in noises if noise.correlated]
+    inv_t = diag_schedule(corr[0]) if corr else None  # the prefix-mean diagonal 1/t
     rng = np.random.default_rng(seed)  # used by the draw thread only
-    inv_t = diag_schedule(noise)  # the prefix-mean diagonal 1/t (zeros for iid)
-    draws = np.empty((n, trials))
+    draws = [np.empty((n, trials)) for _ in noises]
     blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(rng.standard_normal, out=blocks[0])
         for j in range(n):
-            if not noise.correlated:
-                base = scenario.theta_prev[:, j, :] - lr * scenario.g_hat[:, j, :]
-            else:
-                prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
-                base = scenario.theta_prev[:, j, :] - lr * prefix
-            thetas = pending.result()
+            theta_prev, g_hat = scenario.theta_prev[:, j, :], scenario.g_hat[:, j, :]
+            pcoefs, v_prev = scenario.pcoefs[:, j], scenario.v_prev[:, j]
+            if iid:
+                base_iid = theta_prev - lr * g_hat
+            if corr:
+                base_corr = theta_prev - lr * (np.cumsum(g_hat, axis=0) * inv_t[:, None])
+                acc = np.zeros((trials, d))  # std times the prefix sum of z
+            z = pending.result()
             if j + 1 < n:  # the other block, which party j-1 is done with
                 pending = pool.submit(rng.standard_normal, out=blocks[(j + 1) % 2])
-            # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
-            thetas *= std
-            if noise.correlated:
-                np.cumsum(thetas, axis=1, out=thetas)
-                thetas *= inv_t[None, :, None]
-            thetas *= lr
-            np.subtract(base, thetas, out=thetas)
-            psi = np.zeros(trials)
-            for t in range(kq, k):
-                vt = _utility_rows(thetas[:, t, :], scenario)
-                psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
-            draws[j] = psi / (k - kq)
-    return float(draws.var(axis=1, ddof=1).mean()), draws
+            psis = [np.zeros(trials) for _ in noises]
+            for t in range(k):
+                # (trials, d) parameter slabs: theta[i] = base[t] - lr * (combined noise)[i]
+                zs = z[:, t, :] * std
+                if iid:
+                    theta_iid = base_iid[t] - zs * lr
+                if corr:
+                    acc += zs
+                    theta_corr = base_corr[t] - (acc * inv_t[t]) * lr
+                for psi, noise, kq in zip(psis, noises, kqs):
+                    if t >= kq:
+                        vt = _utility_rows(theta_corr if noise.correlated else theta_iid, scenario)
+                        psi += pcoefs[t] * (vt - v_prev[t])
+            for out, psi, kq in zip(draws, psis, kqs):
+                out[j] = psi / (k - kq)
+    return [(float(out.var(axis=1, ddof=1).mean()), out) for out in draws]
 
 
 def variance_scaling_probe(
-    mode: str,
+    modes,
     ks,
     base_cfg: RunConfig,
     trials: int,
     seed: int = 0,
     q: float = 0.0,
-) -> ProbeResult:
-    """Conditional estimator variance versus budget, with a log-log slope fit.
+) -> dict[str, ProbeResult]:
+    """Conditional estimator variance versus budget, with a log-log slope fit
+    per mode.
 
     For each budget the scenario is re-frozen at that length (the noiseless
     chain does not depend on the noise scale), then ``trials`` fresh noise
-    draws of ``mode`` (corr_y with burn-in share ``q``) estimate
-    Var[psi | theta^p sequence]. Every budget's mechanism is checked before
+    draws, shared by every mode (corr_y with burn-in share ``q``), estimate
+    Var[psi | theta^p sequence]. Every budget's mechanisms are checked before
     the first chain runs.
     """
     ks = probe_budgets(ks)
     probe_trials(trials)
-    probe_mode(mode)
-    noises = [prefix_mean_only(mechanism(base_cfg.noise, mode, k, q)) for k in ks]
-    variances = []
-    samples: dict[int, np.ndarray] = {}
-    for i, (k, noise) in enumerate(zip(ks, noises)):
-        scenario = freeze_scenario(replace(base_cfg, noise=base_cfg.noise.with_budget(k)))
-        var, samples[k] = conditional_variance(scenario, noise, trials, seed=seed * 7919 + i)
-        variances.append(var)
-    slope = float(np.polyfit(np.log(ks), np.log(variances), 1)[0])
-    return ProbeResult(ks, tuple(variances), slope, samples)
+    modes = tuple(dict.fromkeys(probe_mode(mode) for mode in modes))
+    noises = [[prefix_mean_only(mechanism(base_cfg.noise, mode, k, q)) for mode in modes]
+              for k in ks]
+    variances: dict[str, list[float]] = {mode: [] for mode in modes}
+    samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in modes}
+    for i, (k, at_k) in enumerate(zip(ks, noises)):
+        frozen = replace(base_cfg, noise=base_cfg.noise.with_budget(k))
+        # one freeze per (mode, k), as the benchmark's traced call counts expect; all are equal
+        for _ in modes:
+            scenario = freeze_scenario(frozen)
+        replays = conditional_variance(scenario, at_k, trials, seed=seed * 7919 + i)
+        for mode, (var, draws) in zip(modes, replays):
+            variances[mode].append(var)
+            samples[mode][k] = draws
+    return {
+        mode: ProbeResult(ks, tuple(variances[mode]),
+                          float(np.polyfit(np.log(ks), np.log(variances[mode]), 1)[0]),
+                          samples[mode])
+        for mode in modes
+    }

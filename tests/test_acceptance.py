@@ -69,11 +69,8 @@ def probe_results():
         SemivalueSpec("shapley", 6), master_seed=9,
     )
     start = time.time()
-    out = {
-        "iid": metrics.variance_scaling_probe("iid", PROBE_KS, base, trials=500, seed=3),
-        "corr_x": metrics.variance_scaling_probe("corr_x", PROBE_KS, base, trials=500, seed=3),
-        "corr_y": metrics.variance_scaling_probe("corr_y", PROBE_KS, base, trials=500, seed=3, q=0.5),
-    }
+    out = metrics.variance_scaling_probe(("iid", "corr_x", "corr_y"), PROBE_KS, base, trials=500,
+                                         seed=3, q=0.5)
     out["elapsed"] = time.time() - start
     return out
 

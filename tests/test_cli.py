@@ -367,7 +367,32 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("csv-regression-corrupted", "valuation",
      {"dataset": {"source": "csv", "path": CSV, "label": "y", "task": "regression",
                   "test_rows": 2, "corrupt_ratio": 0.25}}, "dataset.corrupt_ratio"),
+    ("seed-fractional", "valuation", {"seed": 2.7}, "seed"),
+    ("k-fractional", "valuation", {"k": 12.9}, "k"),
+    ("n-parties-fractional", "valuation",
+     {"dataset.partition": {"mode": "equal-chunks", "n_parties": 2.5}},
+     "dataset.partition.n_parties"),
+    ("add-bias-string", "valuation", {"model.add_bias": "no"}, "model.add_bias"),
+    ("add-bias-number", "valuation", {"model.add_bias": 0}, "model.add_bias"),
+    ("trials-boolean", "noisy-label", {"trials": True}, "trials"),
+    ("n-samples-string", "valuation", {"dataset.n_samples": "24"}, "dataset.n_samples"),
+    ("probe-trials-string", "variance-probe", {"probe.noise_trials": "100"}, "probe.noise_trials"),
+    ("probe-k-fractional", "variance-probe", {"probe.ks": [10, 20.5, 40]}, "probe.ks"),
+    ("federated-rounds-fractional", "federated", {"federated.rounds": 10.5}, "federated.rounds"),
+    ("csv-standardize-string", "valuation",
+     {"dataset": {"source": "csv", "path": CSV, "label": "y", "test_rows": 2,
+                  "standardize": "false"}}, "dataset.standardize"),
 ]
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    # YAML writes 12.0 for a computed budget; it is the integer 12, not a cast of 12.9
+    doc = base_valuation_doc(tmp_path / "out")
+    doc.update(seed=3.0, k=12.0)
+    doc["dataset"]["partition"] = {"mode": "equal-chunks", "n_parties": 4.0}
+    cfg = load_config(write_config(tmp_path, doc))
+    assert (cfg.seed, cfg.noise.budget, cfg.dataset.n_parties) == (3, 12, 4)
+    assert all(type(v) is int for v in (cfg.seed, cfg.noise.budget, cfg.dataset.n_parties))
 
 
 @pytest.mark.parametrize("kind", ["valuation", "noisy-label", "removal", "similarity",

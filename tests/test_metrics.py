@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -334,11 +335,13 @@ def test_probe_zero_sigma_zero_variance(monkeypatch):
         raise AssertionError("the zero-noise probe started a draw thread")
 
     monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
-    var, _ = metrics.conditional_variance(scenario, cfg.noise, trials=200, seed=0)
+    [(var, _)] = metrics.conditional_variance(scenario, [cfg.noise], trials=200, seed=0)
     assert var == 0.0
-    var, draws = metrics.conditional_variance(scenario, probe_noise(cfg, "corr_x"), trials=200,
-                                              seed=0)
-    assert var == 0.0 and draws.shape == (6, 200) and not draws.any()
+    noises = [probe_noise(cfg, mode, q) for mode, q in PROBE_MODES]
+    replays = metrics.conditional_variance(scenario, noises, trials=200, seed=0)
+    assert len(replays) == 3
+    for var, draws in replays:
+        assert var == 0.0 and draws.shape == (6, 200) and not draws.any()
 
 
 def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
@@ -384,11 +387,62 @@ def test_probe_matches_single_threaded_replay(mode, q):
     cfg = probe_base()
     scenario = metrics.freeze_scenario(cfg)
     want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
-    var, draws = metrics.conditional_variance(scenario, probe_noise(cfg, mode, q), trials=137,
-                                              seed=11)
+    [(var, draws)] = metrics.conditional_variance(scenario, [probe_noise(cfg, mode, q)],
+                                                  trials=137, seed=11)
     assert draws.shape == (6, 137)
     assert np.array_equal(draws, want)
     assert var == want_var
+
+
+def test_probe_replays_every_mode_from_one_draw():
+    # one call with all three mechanisms equals three single-mode replays bitwise
+    cfg = probe_base()
+    scenario = metrics.freeze_scenario(cfg)
+    replays = metrics.conditional_variance(
+        scenario, [probe_noise(cfg, mode, q) for mode, q in PROBE_MODES], trials=137, seed=11)
+    assert len(replays) == len(PROBE_MODES)
+    for (mode, q), (var, draws) in zip(PROBE_MODES, replays):
+        want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
+        assert np.array_equal(draws, want) and var == want_var, mode
+
+
+def test_probe_draws_one_block_per_party(monkeypatch):
+    cfg = probe_base()
+    scenario = metrics.freeze_scenario(cfg)
+    make_rng = np.random.default_rng
+    blocks = []
+
+    class CountingGenerator:
+        """Draws like the seeded generator and counts its blocks."""
+
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def standard_normal(self, out):
+            blocks.append(out.shape)
+            return self.rng.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    metrics.conditional_variance(scenario, [probe_noise(cfg, m, q) for m, q in PROBE_MODES],
+                                 trials=101, seed=0)
+    assert blocks == [(101, 20, 7)] * 6  # one block per party, shared by the three modes
+
+
+def test_probe_replay_holds_two_noise_blocks():
+    # the peak of a three-mode replay is its two reused (trials, k, d) blocks
+    # plus (trials, d) slabs; a third full-size block would read >= 3
+    cfg = probe_base(n_parties=2)
+    cfg = replace(cfg, noise=cfg.noise.with_budget(400))
+    scenario = metrics.freeze_scenario(cfg)
+    noises = [probe_noise(cfg, m, q) for m, q in PROBE_MODES]
+    trials, block = 500, 500 * 400 * 7 * 8
+    tracemalloc.start()
+    try:
+        metrics.conditional_variance(scenario, noises, trials=trials, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * block, peak / block
 
 
 def test_probe_concurrent_replays_stay_exact():
@@ -401,8 +455,8 @@ def test_probe_concurrent_replays_stay_exact():
 
     def replay(job):
         mode, q, seed = job
-        results[job] = metrics.conditional_variance(scenario, probe_noise(cfg, mode, q), trials=101,
-                                                    seed=seed)
+        [results[job]] = metrics.conditional_variance(scenario, [probe_noise(cfg, mode, q)],
+                                                      trials=101, seed=seed)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -437,7 +491,7 @@ def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
     monkeypatch.setattr(metrics, "_utility_rows", failing_rows)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="scoring failed"):
-        metrics.conditional_variance(scenario, probe_noise(cfg, "corr_x"), trials=137, seed=0)
+        metrics.conditional_variance(scenario, [probe_noise(cfg, "corr_x")], trials=137, seed=0)
     assert threads_seen == [before + 1] * 3  # exactly one draw thread
     assert threading.active_count() == before
 
@@ -464,7 +518,7 @@ def test_probe_draw_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="draw failed"):
-        metrics.conditional_variance(scenario, cfg.noise, trials=137, seed=0)
+        metrics.conditional_variance(scenario, [cfg.noise], trials=137, seed=0)
     assert threading.active_count() == before
     assert len(draw_threads) == 1 and threading.get_ident() not in draw_threads
 
@@ -472,19 +526,29 @@ def test_probe_draw_error_reaches_the_caller(monkeypatch):
 def test_probe_validation():
     cfg = probe_base()
     with pytest.raises(ValueError, match="three"):
-        metrics.variance_scaling_probe("iid", [10, 20], cfg, trials=500)
+        metrics.variance_scaling_probe(["iid"], [10, 20], cfg, trials=500)
     with pytest.raises(ValueError, match="three"):
-        metrics.variance_scaling_probe("iid", [0, 10, 20], cfg, trials=500)
+        metrics.variance_scaling_probe(["iid"], [0, 10, 20], cfg, trials=500)
     with pytest.raises(ValueError, match="100 trials"):
-        metrics.variance_scaling_probe("iid", [10, 20, 40], cfg, trials=50)
+        metrics.variance_scaling_probe(["iid"], [10, 20, 40], cfg, trials=50)
     with pytest.raises(ValueError, match="integer"):
-        metrics.variance_scaling_probe("corr_y", [10, 20, 25], cfg, trials=100, q=0.3)
+        metrics.variance_scaling_probe(["iid", "corr_y"], [10, 20, 25], cfg, trials=100, q=0.3)
     scenario = metrics.freeze_scenario(cfg)
     for mode in ("warp", "fl_schedule"):
         with pytest.raises(ValueError):
-            metrics.conditional_variance(scenario, replace(cfg.noise, mode=mode), trials=200, seed=0)
+            metrics.conditional_variance(scenario, [replace(cfg.noise, mode=mode)], trials=200,
+                                         seed=0)
     with pytest.raises(ValueError, match="budget"):
-        metrics.conditional_variance(scenario, cfg.noise.with_budget(21), trials=200, seed=0)
+        metrics.conditional_variance(scenario, [cfg.noise.with_budget(21)], trials=200, seed=0)
+    # mechanisms replayed from one draw share its budget and its noise scale
+    with pytest.raises(ValueError, match="budget"):
+        metrics.conditional_variance(scenario, [cfg.noise, cfg.noise.with_budget(21)], trials=200,
+                                     seed=0)
+    louder = replace(probe_noise(cfg, "corr_x"), noise_multiplier=2.0)
+    with pytest.raises(ValueError, match="per_release_std"):
+        metrics.conditional_variance(scenario, [cfg.noise, louder], trials=200, seed=0)
+    with pytest.raises(ValueError, match="mechanism"):
+        metrics.conditional_variance(scenario, [], trials=200, seed=0)
     with pytest.raises(ValueError, match="integer"):
         probe_noise(cfg, "corr_y", q=0.13)
 
@@ -502,9 +566,10 @@ def test_probe_rejects_variance_aware_combiner(mode, q, monkeypatch):
 
     monkeypatch.setattr(metrics, "freeze_scenario", no_chain)
     with pytest.raises(ValueError, match="prefix-mean"):
-        metrics.variance_scaling_probe(mode, [10, 20, 40], aware, trials=100, q=q)
+        metrics.variance_scaling_probe(["iid", mode], [10, 20, 40], aware, trials=100, q=q)
     with pytest.raises(ValueError, match="prefix-mean"):
-        metrics.conditional_variance(scenario, probe_noise(aware, mode, q), trials=100, seed=0)
+        metrics.conditional_variance(scenario, [aware.noise, probe_noise(aware, mode, q)],
+                                     trials=100, seed=0)
     # iid replays no combiner, and sigma_g_sq = 0 is the prefix mean itself
     for noise in (aware.noise, replace(probe_noise(cfg, mode, q), sigma_g_sq=0.0)):
         assert metrics.prefix_mean_only(noise) is noise
@@ -533,5 +598,5 @@ def test_probe_iid_matches_direct_simulation():
                 acc += scenario.pcoefs[t, j] * (-np.mean(e * e) - scenario.v_prev[t, j])
             psis.append(acc / k)
         direct.append(np.var(psis, ddof=1))
-    fast, _ = metrics.conditional_variance(scenario, cfg.noise, trials=2000, seed=1)
+    [(fast, _)] = metrics.conditional_variance(scenario, [cfg.noise], trials=2000, seed=1)
     assert abs(np.mean(direct) / fast - 1.0) < 0.25  # both are MC estimates
