@@ -2,7 +2,7 @@
 
 from .data import CsvSchema, PartitionedDataset, corrupt_labels, load_csv, partition, synth_classification
 from .dp import NoiseConfig, calibrate_sigma
-from .models import InitSpec, ModelSpec, UtilitySpec, grad, init_params, utility
+from .models import InitSpec, ModelSpec, UtilitySpec, init_params
 from .valuation import (
     RunConfig,
     SemivalueSpec,
@@ -27,9 +27,7 @@ __all__ = [
     "InitSpec",
     "ModelSpec",
     "UtilitySpec",
-    "grad",
     "init_params",
-    "utility",
     "RunConfig",
     "SemivalueSpec",
     "ValuationResult",

@@ -20,9 +20,9 @@ LOSS_LOGISTIC = 1
 UTIL_NEG_LOSS = 0
 UTIL_ACCURACY = 1
 
-# One formula per loss, shared with the variance probe's noise replay
-# (``metrics._utility_rows``) and with ``models.loss``. Scores ``s`` may be a
-# vector or a (trials, l) block; reductions run over the last axis.
+# One formula per loss, scored by ``utility_np`` for the chain, federated
+# attribution, retraining and the variance probe's noise replay. Scores ``s``
+# may be a vector or a (trials, l) block; reductions run over the last axis.
 
 
 def log_loss(s, y):
@@ -49,9 +49,9 @@ def accuracy(s, y, loss_code):
 
 def mse_stats(x, y):
     """Sufficient statistics ``(A, b, c)`` of the mean squared error on (x, y):
-    ``mean((x @ theta - y)**2) = theta.A.theta - 2 b.theta + c``."""
+    ``mean((x @ theta - y)**2) = theta.A.theta - b.theta + c``."""
     l = y.shape[0]
-    return x.T @ x / l, x.T @ y / l, float(y @ y) / l
+    return x.T @ x / l, 2.0 * (x.T @ y) / l, float(y @ y) / l
 
 
 def mse_quadratic(thetas, stats):
@@ -59,18 +59,20 @@ def mse_quadratic(thetas, stats):
     (trials, d) block, from ``mse_stats``: O(d^2) per row instead of O(l*d)."""
     a, b, c = stats
     p = thetas @ a
-    p -= 2.0 * b
+    p -= b
     return np.einsum("...i,...i->...", p, thetas) + c
 
 
-def utility_np(theta, xt, yt, loss_code, util_code, lam):
-    s = xt @ theta
-    if util_code == UTIL_ACCURACY:
-        return float(accuracy(s, yt, loss_code))
-    if loss_code == LOSS_MSE:
-        e = s - yt
-        return -float(e @ e) / yt.shape[0]
-    return -float(log_loss(s, yt).sum()) / yt.shape[0] - lam * float(theta @ theta)
+def utility_np(thetas, task):
+    """Test-set utility of a (d,) parameter vector, or of each row of a
+    (trials, d) block, on the ``Task``'s test split."""
+    if task.util_code == UTIL_NEG_LOSS and task.loss_code == LOSS_MSE:
+        return -mse_quadratic(thetas, task.mse)
+    s = thetas @ task.xt.T
+    if task.util_code == UTIL_ACCURACY:
+        return accuracy(s, task.yt, task.loss_code)
+    return (-log_loss(s, task.yt).sum(axis=-1) / task.yt.shape[0]
+            - task.lam * np.vecdot(thetas, thetas))
 
 
 def party_grad_np(theta, x, y, a, b, loss_code, lam):
@@ -102,7 +104,8 @@ class Task:
 
     ``x``/``y`` are the training design matrix and labels sorted by party,
     party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
-    the utility is scored on. ``x`` and ``xt`` are C-contiguous float64.
+    the utility is scored on and ``mse`` its ``mse_stats``. ``x`` and ``xt``
+    are C-contiguous float64.
     """
 
     x: np.ndarray
@@ -114,6 +117,7 @@ class Task:
     util_code: int
     lr: float
     lam: float
+    mse: tuple
 
 
 def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
@@ -127,8 +131,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
     """
     k, n = perms.shape
     d = inits.shape[1]
-    x, y, xt, yt = task.x, task.y, task.xt, task.yt
-    loss_code, util_code, lr, lam = task.loss_code, task.util_code, task.lr, task.lam
+    x, y, loss_code, lr, lam = task.x, task.y, task.loss_code, task.lr, task.lam
     marginals = np.zeros((k, n))
     pcoefs = np.zeros((k, n))
     psi = [0.0] * n
@@ -159,7 +162,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
                 cnt = t - kq + 1.0
                 psi_keep = (cnt - 1.0) / cnt
             theta = inits[t].copy()
-            v_prev = utility_np(theta, xt, yt, loss_code, util_code, lam)
+            v_prev = utility_np(theta, task)
             if not math.isfinite(v_prev):
                 raise ChainDiverged(t + 1, -1)
             for pos, j in enumerate(orders[t]):
@@ -177,7 +180,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
                     theta_prev[t, j] = theta
                     v_prev_rec[t, j] = v_prev
                 theta -= lr * rel
-                v_after = utility_np(theta, xt, yt, loss_code, util_code, lam)
+                v_after = utility_np(theta, task)
                 if not math.isfinite(v_after):
                     raise ChainDiverged(t + 1, j)
                 m = v_after - v_prev

@@ -73,13 +73,9 @@ def cmd_run(args) -> int:
     with open(outdir / "result.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(outdir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-    for name, extra_rows in extras.items():
+    for name, table in {"summary.csv": rows, **extras}.items():
         with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(extra_rows)
+            csv.writer(fh, lineterminator="\n").writerows(table)
     (outdir / "config.echo").write_text(echo_config(cfg), encoding="utf-8")
     _write_manifest(outdir)
     print(f"wrote {outdir}")

@@ -63,6 +63,13 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A float field: an int or a float, never a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _boolean(value) -> bool:
     """A boolean field: only YAML true or false."""
     if not isinstance(value, bool):
@@ -82,8 +89,7 @@ def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None)
 @dataclass
 class DatasetSection:
     synth: dict | None = None  # the shape arguments of synth_classification
-    path: str | None = None  # csv
-    schema: data.CsvSchema | None = None  # csv
+    loaded: data.PartitionedDataset | None = None  # csv, read once here
     task: str = "classification"
     rows: int = 400  # training rows the source yields, before any partition
     corrupt_ratio: float = 0.0
@@ -151,23 +157,23 @@ def _parse_dataset(section: dict) -> DatasetSection:
         ds.synth = {"n_samples": 400, "n_test": 200, "d_feat": 10, "n_classes": 2, "separation": 3.0}
         for key, default in ds.synth.items():
             with _field(f"dataset.{key}"):
-                cast = float if key == "separation" else _integer
+                cast = _number if key == "separation" else _integer
                 ds.synth[key] = cast(section.get(key, default))
                 data.check_synth(**ds.synth)
         ds.rows = ds.synth["n_samples"]
     else:
-        ds.path = str(_require(section, "path", "dataset"))
+        path = str(_require(section, "path", "dataset"))
         with _field("dataset.label"):
-            ds.schema = data.CsvSchema(str(_require(section, "label", "dataset")))
+            schema = data.CsvSchema(str(_require(section, "label", "dataset")))
         for key, cast in (("task", str), ("standardize", _boolean), ("test_rows", _integer)):
-            ds.schema = _set(ds.schema, "dataset", section, key, cast)
+            schema = _set(schema, "dataset", section, key, cast)
         with _field("dataset.path"):
-            loaded = data.load_csv(ds.path, ds.schema)
+            ds.loaded = loaded = data.load_csv(path, schema)
         with _field("dataset.test_rows"):
             models.check_test_split(loaded.test_features, loaded.test_labels)
         ds.task, ds.rows = loaded.task, loaded.n_train
     with _field("dataset.corrupt_ratio"):
-        ds.corrupt_ratio = float(section.get("corrupt_ratio", 0.0))
+        ds.corrupt_ratio = _number(section.get("corrupt_ratio", 0.0))
         data.corruption_count(ds.rows, ds.corrupt_ratio, ds.task)
     part = _section(section, "partition", "dataset")
     with _field("dataset.partition.mode"):
@@ -188,11 +194,11 @@ def _parse_model(section: dict) -> models.ModelSpec:
     init_section = _section(section, "init", "model")
     with _field("model.init.kind"):
         init = models.InitSpec(init_section.get("kind", "zeros"))
-    init = _set(init, "model.init", init_section, "scale", float)
+    init = _set(init, "model.init", init_section, "scale", _number)
     loss = section.get("loss", "logistic_l2")
     with _field("model.loss"):
         spec = models.ModelSpec(loss, 0.05, init, l2=0.01 if loss == "logistic_l2" else 0.0)
-    for key, cast in (("learning_rate", float), ("l2", float), ("add_bias", _boolean)):
+    for key, cast in (("learning_rate", _number), ("l2", _number), ("add_bias", _boolean)):
         spec = _set(spec, "model", section, key, cast)
     return spec
 
@@ -201,19 +207,19 @@ def _parse_noise(section: dict, noise: NoiseConfig) -> NoiseConfig:
     """The mechanism at the budget of ``noise``: sigma given directly or
     calibrated from epsilon/delta, then the mode and its burn-in share."""
     for key, attr in (("clip_norm", None), ("sigma_g_sq", None), ("sigma", "noise_multiplier")):
-        noise = _set(noise, "noise", section, key, float, attr)
+        noise = _set(noise, "noise", section, key, _number, attr)
     mode = section.get("mode", "iid")
     if section.get("sigma") is None:
         if section.get("epsilon") is not None:
             with _field("noise.delta"):
-                delta = float(section.get("delta", 5e-5))
+                delta = _number(section.get("delta", 5e-5))
             with _field("noise.epsilon"):
-                sigma = calibrate_sigma(float(section["epsilon"]), delta)
+                sigma = calibrate_sigma(_number(section["epsilon"]), delta)
             noise = replace(noise, noise_multiplier=sigma)
         elif mode != "no_dp":
             raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
     with _field("noise.q"):
-        q = None if section.get("q") is None else float(section["q"])
+        q = None if section.get("q") is None else _number(section["q"])
     # a q given to a mode without burn-in is rejected by NoiseConfig, not dropped
     with _field("noise.q" if q is not None or mode == "corr_y" else "noise.mode"):
         return replace(mechanism(noise, mode, noise.budget, q), q=q)
@@ -230,7 +236,7 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
     with _field("probe.modes"):
         p.modes = tuple(metrics.probe_mode(m) for m in section.get("modes", p.modes))
     with _field("probe.q"):
-        p.q = float(section.get("q", p.q))
+        p.q = _number(section.get("q", p.q))
     for k in p.ks:
         with _field("probe.ks"):  # the noiseless chain frozen at k
             valuation.estimable(noise.with_budget(k))
@@ -244,7 +250,8 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
 
 def _parse_removal(section: dict) -> RemovalSection:
     with _field("removal.fractions"):
-        fractions = metrics.removal_fractions(section.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4)))
+        fractions = metrics.removal_fractions(
+            _number(f) for f in section.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4)))
     with _field("removal.orders"):
         orders = tuple(metrics.removal_order(o)
                        for o in section.get("orders", ("highest-first", "random")))
@@ -265,7 +272,7 @@ def _parse_federated(section: dict, noise: NoiseConfig, utility: str) -> Federat
     with _field("federated.permutations"):
         perms = valuation.federated_permutations(_integer(section.get("permutations", 100)))
     with _field("federated.q"):
-        q = float(section.get("q", 0.2))
+        q = _number(section.get("q", 0.2))
         burn_in_count(noise.budget, q)
     return FederatedSection(noise, perms, q)
 
@@ -278,7 +285,7 @@ def _parse_noisy_label(section: dict, noise: NoiseConfig, dataset: DatasetSectio
             raise ValueError("noisy-label detection needs at least one corrupted label")
     k = noise.budget
     with _field("noisy_label.q"):
-        q = noise.q if section.get("q") is None else float(section["q"])
+        q = noise.q if section.get("q") is None else _number(section["q"])
         burn_in_count(k, q or 0.0)  # an unset q fails below, at the corr_y run
     runs = []
     for mode in section.get("modes", ("no_dp", "iid", "corr_y")):
@@ -286,7 +293,7 @@ def _parse_noisy_label(section: dict, noise: NoiseConfig, dataset: DatasetSectio
             runs.append((mode, valuation.estimable(mechanism(noise, mode, k, q))))
     with _field("noisy_label.q_grid"):
         for qq in section.get("q_grid", ()) or ():
-            qq = float(qq)
+            qq = _number(qq)
             burn_in_count(k, qq)
             label, mode = (f"corr_y(q={qq})", "corr_y") if qq > 0 else ("corr_x", "corr_x")
             runs.append((label, valuation.estimable(mechanism(noise, mode, k, qq))))
@@ -300,7 +307,7 @@ def _parse_oracle(section: dict) -> OracleSection:
         specs = tuple(SemivalueSpec(kind, n, 4.0, 1.0)
                       for kind in section.get("kinds", ("shapley", "banzhaf")))
     with _field("oracle.tolerance"):
-        tolerance = float(section.get("tolerance", 1e-10))
+        tolerance = _number(section.get("tolerance", 1e-10))
     return OracleSection(n, specs, tolerance)
 
 
@@ -331,7 +338,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     with _field("semivalue.kind"):
         semivalue = SemivalueSpec(semi.get("kind", "shapley"), dataset.n_parties)
     for key in ("alpha", "beta"):
-        semivalue = _set(semivalue, "semivalue", semi, key, float)
+        semivalue = _set(semivalue, "semivalue", semi, key, _number)
 
     with _field("trials"):
         trials = _integer(doc.get("trials", 5))

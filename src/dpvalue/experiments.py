@@ -8,12 +8,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import data as data_mod
-from . import metrics, models
+from . import _kernels, metrics, models
 from .dp import NoiseConfig
 from .valuation import (
     RunConfig,
     exact_semivalue,
     permutation_expectation,
+    prepare,
     run_federated,
     run_valuation,
 )
@@ -25,7 +26,7 @@ if TYPE_CHECKING:
 def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDataset:
     d = cfg.dataset
     if d.synth is None:
-        ds = data_mod.load_csv(d.path, d.schema)
+        ds = d.loaded
     else:
         ds = data_mod.synth_classification(seed=seed, **d.synth)
     if d.corrupt_ratio > 0:
@@ -108,10 +109,10 @@ def run_removal_experiment(cfg: ExperimentConfig):
     ds = build_dataset(cfg, cfg.seed)
     run = build_run(cfg, ds, cfg.seed)
     res = run_valuation(run)
+    task = prepare(run)
 
     def trainer(keep: np.ndarray, seed: int) -> float:
-        theta = models.train_one_pass(run.model, ds.features, ds.labels, ds.party_of, keep, seed)
-        return models.utility(run.utility, run.model, theta)
+        return _kernels.utility_np(models.train_one_pass(run.model, task, keep, seed), task)
 
     rows = [["order", "fraction", "score", "stderr"]]
     tidy = [["order", "fraction", "seed", "score"]]

@@ -30,6 +30,9 @@ from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism
 from .valuation import RunConfig, prepare, run_valuation
 
 
+REMOVAL_RANDOM_SEEDS = 5  # removal orders a ``random`` curve averages over
+
+
 @dataclass(frozen=True)
 class RemovalCurve:
     fractions: tuple[float, ...]
@@ -54,16 +57,13 @@ def auc_roc(scores: np.ndarray, positives: np.ndarray) -> float:
     n_neg = len(positives) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative")
+    # 1-based midranks: each run of tied scores sorted into positions i..j gets 0.5*(i+j)+1
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -87,19 +87,16 @@ def removal_curve(
     trainer,
     order: str,
     fractions,
-    random_seeds: int = 5,
 ) -> RemovalCurve:
     """Score the model after dropping a growing share of parties.
 
     ``trainer(included_party_ids, seed) -> score`` retrains from scratch and
     evaluates; it must be deterministic per seed. ``highest-first`` removes
-    the largest psi first; ``random`` averages over ``random_seeds`` removal
-    orders and reports the standard error.
+    the largest psi first; ``random`` averages over ``REMOVAL_RANDOM_SEEDS``
+    removal orders and reports the standard error.
     """
     fractions = removal_fractions(fractions)
     removal_order(order)
-    if order == "random" and random_seeds < 5:
-        raise ValueError("random order needs >= 5 seeds")
 
     all_parties = np.arange(n_parties)
 
@@ -117,14 +114,15 @@ def removal_curve(
 
     if order == "random":
         rows = []
-        for seed in range(random_seeds):
+        for seed in range(REMOVAL_RANDOM_SEEDS):
             rng = np.random.default_rng(seed)
             rows.append(curve_for(rng.permutation(n_parties), seed))
         arr = np.array(rows)
         # anchored mean keeps shared values (the fraction-0 baseline) exact
         mean = arr[0] + (arr - arr[0]).mean(axis=0)
         dev = arr - mean
-        stderr = np.sqrt((dev * dev).sum(axis=0) / (random_seeds - 1)) / np.sqrt(random_seeds)
+        seeds = REMOVAL_RANDOM_SEEDS
+        stderr = np.sqrt((dev * dev).sum(axis=0) / (seeds - 1)) / np.sqrt(seeds)
         return RemovalCurve(
             fractions, tuple(mean), order, tuple(stderr),
             per_seed=tuple(tuple(row) for row in rows),
@@ -226,7 +224,6 @@ class FrozenScenario:
     v_prev: np.ndarray  # (k, n)
     pcoefs: np.ndarray  # (k, n)
     task: _kernels.Task  # the run's test split, codes, learning rate and l2
-    mse: tuple  # the test set's sufficient statistics, _kernels.mse_stats
 
 
 @dataclass(frozen=True)
@@ -246,26 +243,16 @@ def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
         record_states=True,
     )
     res = run_valuation(silent)
-    task = prepare(cfg)
     return FrozenScenario(
         theta_prev=res.states["theta_prev"],
         g_hat=res.gradients["g_hat"],
         v_prev=res.states["v_prev"],
         pcoefs=res.pcoefs,
-        task=task,
-        mse=_kernels.mse_stats(task.xt, task.yt),
+        task=prepare(cfg),
     )
 
 
-def _utility_rows(thetas: np.ndarray, sc: FrozenScenario) -> np.ndarray:
-    """Utility of every row of a (trials, d) parameter block."""
-    task = sc.task
-    if task.util_code == _kernels.UTIL_ACCURACY:
-        return _kernels.accuracy(thetas @ task.xt.T, task.yt, task.loss_code)
-    if task.loss_code == _kernels.LOSS_MSE:
-        return -_kernels.mse_quadratic(thetas, sc.mse)
-    ll = _kernels.log_loss(thetas @ task.xt.T, task.yt).sum(axis=1)
-    return -ll / task.yt.shape[0] - task.lam * np.einsum("ij,ij->i", thetas, thetas)
+_utility_rows = _kernels.utility_np  # the probe's (trials, d) blocks, traced as their own layer
 
 
 PROBE_MODES = ("iid", "corr_x", "corr_y")
@@ -345,7 +332,8 @@ def conditional_variance(
     if std == 0.0:
         return [(0.0, np.zeros((n, trials))) for _ in noises]
 
-    lr = scenario.task.lr
+    task = scenario.task
+    lr = task.lr
     kqs = [noise.burn_in for noise in noises]
     iid = any(not noise.correlated for noise in noises)
     corr = [noise for noise in noises if noise.correlated]
@@ -377,7 +365,7 @@ def conditional_variance(
                     theta_corr = base_corr[t] - (acc * inv_t[t]) * lr
                 for psi, noise, kq in zip(psis, noises, kqs):
                     if t >= kq:
-                        vt = _utility_rows(theta_corr if noise.correlated else theta_iid, scenario)
+                        vt = _utility_rows(theta_corr if noise.correlated else theta_iid, task)
                         psi += pcoefs[t] * (vt - v_prev[t])
             for out, psi, kq in zip(draws, psis, kqs):
                 out[j] = psi / (k - kq)

@@ -1,6 +1,7 @@
-"""Analytic-gradient models and utility functions.
+"""Model and utility specifications, parameter init and one-pass retraining.
 
-Two loss kinds are supported, both with closed-form gradients:
+Two loss kinds are supported, both with closed-form gradients
+(``_kernels.party_grad_np``) and scored by ``_kernels.utility_np``:
 
 * ``mse_linear`` -- linear regression scored by negated mean squared error,
   ``V(theta) = -(1/l) * sum_i (theta.x_i - y_i)^2``.
@@ -100,34 +101,6 @@ def design_matrix(features: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.ascontiguousarray(features, dtype=np.float64)
 
 
-def grad(spec: ModelSpec, theta: np.ndarray, batch_x: np.ndarray, batch_y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the loss on a batch (already bias-augmented)."""
-    if batch_x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if batch_x.shape[1] != theta.shape[0]:
-        raise ValueError(f"dimension mismatch: batch d={batch_x.shape[1]}, theta d={theta.shape[0]}")
-    return _kernels.party_grad_np(
-        theta, batch_x, batch_y, 0, batch_x.shape[0], spec.loss_code, spec.l2
-    )
-
-
-def loss(spec: ModelSpec, theta: np.ndarray, batch_x: np.ndarray, batch_y: np.ndarray) -> float:
-    """Scalar loss matching ``grad`` (used by the finite-difference checks)."""
-    if spec.loss_code == LOSS_MSE:
-        return float(_kernels.mse_quadratic(theta, _kernels.mse_stats(batch_x, batch_y)))
-    ce = _kernels.log_loss(batch_x @ theta, batch_y)
-    return float(ce.sum()) / batch_y.shape[0] + spec.l2 * float(theta @ theta)
-
-
-def utility(uspec: UtilitySpec, mspec: ModelSpec, theta: np.ndarray) -> float:
-    xt = design_matrix(uspec.test_features, mspec)
-    if xt.shape[1] != theta.shape[0]:
-        raise ValueError("dimension mismatch between theta and test features")
-    return _kernels.utility_np(
-        theta, xt, uspec.test_labels, mspec.loss_code, uspec.util_code, mspec.l2
-    )
-
-
 def init_params(spec: ModelSpec, shape, seed) -> np.ndarray:
     """Initial parameters of ``shape``: ``d``, or ``(k, d)`` for one row per
     chain iteration. A gaussian init draws them from ``seed``, an int or a
@@ -139,26 +112,20 @@ def init_params(spec: ModelSpec, shape, seed) -> np.ndarray:
     return spec.init.scale * np.random.default_rng(seed).standard_normal(shape)
 
 
-def train_one_pass(
-    spec: ModelSpec,
-    features: np.ndarray,
-    labels: np.ndarray,
-    party_of: np.ndarray,
-    include_parties: np.ndarray,
-    seed: int,
-) -> np.ndarray:
+def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.ndarray,
+                   seed: int) -> np.ndarray:
     """One pass of party-wise gradient descent, no clipping, no noise.
 
-    Parties are visited once each in a seeded random order; used for the
-    removal/addition retraining protocol and the synthetic-data sanity checks.
+    Parties of the prepared ``task`` are visited once each in a seeded random
+    order, each taking one step on its own rows; used for the removal/addition
+    retraining protocol and the synthetic-data sanity checks.
     """
-    x = design_matrix(features, spec)
     rng = np.random.default_rng(seed)
     order = np.asarray(include_parties)[rng.permutation(len(include_parties))]
-    theta = init_params(spec, x.shape[1], seed=seed)
+    theta = init_params(spec, task.x.shape[1], seed=seed)
+    ptr = task.ptr
     for party in order:
-        idx = np.nonzero(party_of == party)[0]
-        if idx.size == 0:
-            continue
-        theta = theta - spec.learning_rate * grad(spec, theta, x[idx], labels[idx])
+        g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
+                                   task.loss_code, task.lam)
+        theta = theta - spec.learning_rate * g
     return theta

@@ -176,14 +176,15 @@ def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.
 
 def prepare(cfg: RunConfig) -> _kernels.Task:
     """The chain's input arrays for one run, built once: the party-sorted
-    training design matrix with its CSR offsets and the test design matrix."""
+    training design matrix with its CSR offsets, the test design matrix and
+    its mean-squared-error statistics."""
     x, y, ptr = cfg.dataset.sorted_by_party()
+    xt = design_matrix(cfg.utility.test_features, cfg.model)
+    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
     return _kernels.Task(
-        x=design_matrix(x, cfg.model), y=y, ptr=ptr,
-        xt=design_matrix(cfg.utility.test_features, cfg.model),
-        yt=np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64),
+        x=design_matrix(x, cfg.model), y=y, ptr=ptr, xt=xt, yt=yt,
         loss_code=cfg.model.loss_code, util_code=cfg.utility.util_code,
-        lr=cfg.model.learning_rate, lam=cfg.model.l2,
+        lr=cfg.model.learning_rate, lam=cfg.model.l2, mse=_kernels.mse_stats(xt, yt),
     )
 
 
@@ -324,8 +325,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     burn = burn_in_count(rounds, q)
 
     task = prepare(cfg)
-    x, y, ptr, xt, yt = task.x, task.y, task.ptr, task.xt, task.yt
-    loss_code, util_code, lr, lam = task.loss_code, task.util_code, task.lr, task.lam
+    x, y, ptr, loss_code, lr, lam = task.x, task.y, task.ptr, task.loss_code, task.lr, task.lam
     n, d = cfg.dataset.n_parties, x.shape[1]
 
     ss = np.random.SeedSequence(cfg.master_seed)
@@ -350,10 +350,10 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
         for _ in range(per_round_permutations):
             perm = perm_rng.permutation(n)
             th = theta.copy()
-            v_prev = _kernels.utility_np(th, xt, yt, loss_code, util_code, lam)
+            v_prev = _kernels.utility_np(th, task)
             for j in perm:
                 th = th - lr * released[j]
-                v_after = _kernels.utility_np(th, xt, yt, loss_code, util_code, lam)
+                v_after = _kernels.utility_np(th, task)
                 nu[t, j] += v_after - v_prev
                 v_prev = v_after
         nu[t] /= per_round_permutations

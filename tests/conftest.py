@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dpvalue import data, models
+from dpvalue import _kernels, data, dp, models
+from dpvalue.valuation import RunConfig, SemivalueSpec, prepare
 
 
 @pytest.fixture
@@ -39,3 +40,16 @@ def orthogonal_chain_task(n: int, lr: float, seed: int = 0):
         return -np.mean(e * e)
 
     return ds, mspec, uspec, set_value
+
+
+def batch_task(loss_code, util_code, lam, x, y):
+    """A Task whose one party and whose test split are both the batch (x, y):
+    ``party_grad_np`` over rows 0:len(y) is the gradient of ``-utility_np``."""
+    return _kernels.Task(x, y, np.array([0, len(y)]), x, y, loss_code, util_code, 0.1, lam,
+                         _kernels.mse_stats(x, y))
+
+
+def dataset_task(ds, mspec, uspec):
+    """The prepared Task of a noiseless run on ``ds``."""
+    return prepare(RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 0.0, budget=2),
+                             SemivalueSpec("shapley", ds.n_parties), master_seed=0))

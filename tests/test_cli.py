@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dpvalue import cli
+from dpvalue import cli, data
 from dpvalue.config import ConfigError, load_config
 
 
@@ -382,7 +382,29 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("csv-standardize-string", "valuation",
      {"dataset": {"source": "csv", "path": CSV, "label": "y", "test_rows": 2,
                   "standardize": "false"}}, "dataset.standardize"),
+    ("learning-rate-boolean", "valuation", {"model.learning_rate": True}, "model.learning_rate"),
+    ("sigma-numeric-string", "valuation", {"noise.sigma": "1.0"}, "noise.sigma"),
+    ("separation-numeric-string", "valuation", {"dataset.separation": "3.5"},
+     "dataset.separation"),
 ]
+
+
+def test_csv_source_is_read_once_per_run(tmp_path, monkeypatch):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(12)))
+    doc = base_valuation_doc(tmp_path / "out")
+    doc["dataset"] = {"source": "csv", "path": str(csv_path), "label": "y", "test_rows": 2}
+    cfg = write_config(tmp_path, doc)
+    calls = []
+    load_csv = data.load_csv
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(args)
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(data, "load_csv", counting_load_csv)
+    assert cli.main(["run", str(cfg)]) == 0
+    assert len(calls) == 1
 
 
 def test_integral_float_is_an_integer(tmp_path):

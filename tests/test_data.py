@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dpvalue import data, models
+from conftest import dataset_task
+from dpvalue import _kernels, data, models
 
 
 def write_csv(path, text):
@@ -84,11 +87,10 @@ def test_synth_balance_and_determinism():
 def test_synth_wide_separation_is_learnable():
     ds = data.synth_classification(200, 8, 2, seed=3, separation=10.0, n_test=200)
     spec = models.ModelSpec("logistic_l2", 0.5, models.InitSpec("zeros"), l2=0.001)
-    theta = models.train_one_pass(
-        spec, ds.features, ds.labels, ds.party_of, np.arange(ds.n_parties), seed=0
-    )
     uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
-    assert models.utility(uspec, spec, theta) > 0.95
+    task = dataset_task(ds, spec, uspec)
+    theta = models.train_one_pass(spec, task, np.arange(ds.n_parties), seed=0)
+    assert _kernels.utility_np(theta, task) > 0.95
 
 
 def test_synth_argument_validation():
@@ -122,6 +124,13 @@ def test_corrupt_labels_zero_ratio():
     out = data.corrupt_labels(ds, 0.0, seed=9)
     assert not out.corruption_mask.any()
     assert np.array_equal(out.labels, ds.labels)
+
+
+def test_dataset_rejects_an_empty_party():
+    # a party index with no rows would give retraining and the chain an empty batch
+    ds = data.synth_classification(6, 3, 2, seed=1, separation=3.0, n_test=4)
+    with pytest.raises(ValueError, match="non-empty"):
+        replace(ds, party_of=np.array([0, 0, 2, 2, 3, 3]))
 
 
 def test_corrupt_labels_rejects_regression():

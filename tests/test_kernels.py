@@ -4,6 +4,7 @@ layer against the formulas it replaced."""
 import numpy as np
 import pytest
 
+from conftest import batch_task
 from dpvalue import _kernels, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
@@ -23,9 +24,9 @@ def test_same_backend_bit_identical():
     assert np.array_equal(a.marginals, b.marginals)
 
 
-def reference_chain(x, y, ptr, xt, yt, loss_code, util_code, lr, lam, clip, perms, inits,
-                    noise, diag, correlated, p_by_pos, kq):
+def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq):
     """One step at a time with numpy scalars and fresh arrays, no hoisting."""
+    x, y, ptr, loss_code, lr, lam = task.x, task.y, task.ptr, task.loss_code, task.lr, task.lam
     k, n = perms.shape
     d = inits.shape[1]
     out = {name: np.zeros((k, n)) for name in ("marginals", "pcoefs", "v_prev")}
@@ -36,7 +37,7 @@ def reference_chain(x, y, ptr, xt, yt, loss_code, util_code, lr, lam, clip, perm
     roll = out["roll"]
     for t in range(k):
         theta = inits[t].copy()
-        v_prev = _kernels.utility_np(theta, xt, yt, loss_code, util_code, lam)
+        v_prev = _kernels.utility_np(theta, task)
         for pos in range(n):
             j = perms[t, pos]
             g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
@@ -56,7 +57,7 @@ def reference_chain(x, y, ptr, xt, yt, loss_code, util_code, lr, lam, clip, perm
             out["theta_prev"][t, j] = theta
             out["v_prev"][t, j] = v_prev
             theta = theta - lr * rel
-            v_after = _kernels.utility_np(theta, xt, yt, loss_code, util_code, lam)
+            v_after = _kernels.utility_np(theta, task)
             m = v_after - v_prev
             out["marginals"][t, j] = m
             out["pcoefs"][t, j] = p_by_pos[pos]
@@ -85,8 +86,9 @@ def test_chain_matches_reference_loop(mode, loss_code, util_code):
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
     args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated,
             rng.uniform(0.0, 1.0, n), ncfg.burn_in)
-    want = reference_chain(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam, *args)
-    task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam)
+    task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam,
+                         _kernels.mse_stats(xt, yt))
+    want = reference_chain(task, *args)
     got = _kernels.run_chain(task, *args, record_grads=True, record_states=True)
     assert set(got) == set(want)
     for name, value in want.items():
@@ -97,7 +99,8 @@ def test_softplus_utility_stable_at_extremes():
     theta = np.array([1e4])
     xt = np.array([[1.0], [-1.0]])
     yt = np.array([1.0, 0.0])
-    v = _kernels.utility_np(theta, xt, yt, _kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS, 0.0)
+    task = batch_task(_kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS, 0.0, xt, yt)
+    v = _kernels.utility_np(theta, task)
     assert np.isfinite(v)
     assert v == pytest.approx(0.0, abs=1e-12)  # both points classified with certainty
 
@@ -149,9 +152,10 @@ def test_utility_matches_reference(loss_code, util_code, min_abs_score):
     # accuracy compares the 0/1 prediction with the label, so a label 2 never counts
     yt = rng.integers(0, 3 if util_code == ACCURACY else 2, 200).astype(np.float64)
     lam = 0.02 if loss_code == LOGISTIC else 0.0
+    task = batch_task(loss_code, util_code, lam, xt, yt)
     for theta in random_thetas(xt, rng, 25, min_abs_score):
         want = reference_utility(theta, xt, yt, loss_code, util_code, lam)
-        got = _kernels.utility_np(theta, xt, yt, loss_code, util_code, lam)
+        got = _kernels.utility_np(theta, task)
         assert np.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -161,10 +165,11 @@ def test_utility_matches_reference(loss_code, util_code, min_abs_score):
 def test_model_loss_matches_reference(loss_kind, min_abs_score):
     rng = np.random.default_rng(8)
     lam = 0.05 if loss_kind == "logistic_l2" else 0.0
-    spec = models.ModelSpec(loss_kind, 0.1, l2=lam, add_bias=False)
+    loss_code = models.LOSS_CODES[loss_kind]
     x = rng.standard_normal((30, 4))
     y = rng.integers(0, 2, 30).astype(np.float64)
+    task = batch_task(loss_code, NEG_LOSS, lam, x, y)
     for theta in random_thetas(x, rng, 25, min_abs_score):
-        want = reference_loss(spec.loss_code, lam, theta, x, y)
-        got = models.loss(spec, theta, x, y)
+        want = reference_loss(loss_code, lam, theta, x, y)
+        got = -_kernels.utility_np(theta, task)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)

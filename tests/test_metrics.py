@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpvalue import _kernels, data, dp, metrics, models
-from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
+from dpvalue.valuation import RunConfig, SemivalueSpec, prepare, run_valuation
 
 
 # -- AUC ---------------------------------------------------------------------
@@ -69,10 +69,10 @@ def make_removal_setup():
     ncfg = dp.NoiseConfig(1.0, 0.0, budget=150)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 30), master_seed=7)
     res = run_valuation(cfg)
+    task = prepare(cfg)
 
     def trainer(keep, seed):
-        theta = models.train_one_pass(mspec, ds.features, ds.labels, ds.party_of, keep, seed)
-        return models.utility(uspec, mspec, theta)
+        return _kernels.utility_np(models.train_one_pass(mspec, task, keep, seed), task)
 
     return ds, res.psi, trainer
 
@@ -99,8 +99,6 @@ def test_removal_validation():
         metrics.removal_curve(psi, 30, trainer, "highest-first", [0.3, 0.1])
     with pytest.raises(ValueError):
         metrics.removal_curve(psi, 30, trainer, "sideways", [0.0])
-    with pytest.raises(ValueError):
-        metrics.removal_curve(psi, 30, trainer, "random", [0.0], random_seeds=2)
 
 
 # -- gradient similarity -------------------------------------------------------
@@ -320,10 +318,9 @@ def test_utility_rows_match_chain_utility(loss, util):
     assert scenario.task.xt.shape == (64, 7)
     rng = np.random.default_rng(4)
     block = scenario.theta_prev[-1, 0] + rng.standard_normal((500, 7))
-    rows = metrics._utility_rows(block, scenario)
+    rows = metrics._utility_rows(block, scenario.task)
     for i, theta in enumerate(block):
-        want = _kernels.utility_np(theta, scenario.task.xt, scenario.task.yt, mspec.loss_code,
-                                   uspec.util_code, lam)
+        want = _kernels.utility_np(theta, scenario.task)
         assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -368,7 +365,7 @@ def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
         np.subtract(base, thetas, out=thetas)
         psi = np.zeros(trials)
         for t in range(kq, k):
-            vt = metrics._utility_rows(thetas[:, t, :], scenario)
+            vt = metrics._utility_rows(thetas[:, t, :], scenario.task)
             psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
         draws[j] = psi / (k - kq)
     return float(draws.var(axis=1, ddof=1).mean()), draws
@@ -481,12 +478,12 @@ def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
     score = metrics._utility_rows
     calls, threads_seen = [], []
 
-    def failing_rows(thetas, sc):
+    def failing_rows(thetas, task):
         calls.append(1)
         threads_seen.append(threading.active_count())
         if len(calls) == 3:
             raise RuntimeError("scoring failed")
-        return score(thetas, sc)
+        return score(thetas, task)
 
     monkeypatch.setattr(metrics, "_utility_rows", failing_rows)
     before = threading.active_count()

@@ -394,6 +394,8 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     util_code = cfg.utility.util_code
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
+    task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, lr, lam,
+                         _kernels.mse_stats(xt, yt))
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
@@ -427,10 +429,10 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
         for _ in range(per_round_permutations):
             perm = perm_rng.permutation(n)
             th = theta.copy()
-            v_prev = _kernels.utility_np(th, xt, yt, loss_code, util_code, lam)
+            v_prev = _kernels.utility_np(th, task)
             for j in perm:
                 th = th - lr * released[j]
-                v_after = _kernels.utility_np(th, xt, yt, loss_code, util_code, lam)
+                v_after = _kernels.utility_np(th, task)
                 nu[t, j] += v_after - v_prev
                 v_prev = v_after
         nu[t] /= per_round_permutations
