@@ -76,6 +76,17 @@ def utility_np(thetas, task):
 
 
 def party_grad_np(theta, x, y, a, b, loss_code, lam):
+    """Gradient over the party's rows ``a:b`` (``m = b - a`` rows): MSE
+    ``(2/m) X^T (X theta - y)``, logistic ``X^T (sigmoid(X theta) - y) / m
+    + 2*lam*theta``. A one-row party takes its score and sigmoid as numpy
+    float64 scalars, bitwise equal to the block formula: the score is the same
+    dot product, dividing by 1 and the one-term sum are exact, and ``np.exp``
+    on a numpy scalar runs the array loop (``math.exp`` differs)."""
+    if b - a == 1:
+        s = x[a] @ theta
+        if loss_code == LOSS_MSE:
+            return 2.0 * (x[a] * (s - y[a]))
+        return x[a] * (1.0 / (1.0 + np.exp(-s)) - y[a]) + 2.0 * lam * theta
     xb = x[a:b]
     yb = y[a:b]
     s = xb @ theta

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import data, metrics, models, valuation
@@ -97,6 +98,14 @@ class DatasetSection:
     partition_mode: str = "per-sample"
     n_parties: int = 400
     party_size: int | None = None
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Every label the source yields: the synth classes, or the csv's
+        training and test labels."""
+        if self.loaded is None:
+            return np.arange(self.synth["n_classes"], dtype=np.float64)
+        return np.concatenate([self.loaded.labels, self.loaded.test_labels])
 
 
 @dataclass
@@ -325,6 +334,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     dataset = _parse_dataset(_section(doc, "dataset"))
     model = _parse_model(_section(doc, "model"))
+    with _field("model.loss"):
+        models.check_labels(model, dataset.labels)
     noise = _parse_noise(_section(doc, "noise"), noise)
     if kind in ("valuation", "removal", "variance-probe"):  # one chain at budget k
         with _field("k"):

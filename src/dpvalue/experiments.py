@@ -14,7 +14,6 @@ from .valuation import (
     RunConfig,
     exact_semivalue,
     permutation_expectation,
-    prepare,
     run_federated,
     run_valuation,
 )
@@ -109,7 +108,7 @@ def run_removal_experiment(cfg: ExperimentConfig):
     ds = build_dataset(cfg, cfg.seed)
     run = build_run(cfg, ds, cfg.seed)
     res = run_valuation(run)
-    task = prepare(run)
+    task = res.task
 
     def trainer(keep: np.ndarray, seed: int) -> float:
         return _kernels.utility_np(models.train_one_pass(run.model, task, keep, seed), task)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism
-from .valuation import RunConfig, prepare, run_valuation
+from .valuation import RunConfig, run_valuation
 
 
 REMOVAL_RANDOM_SEEDS = 5  # removal orders a ``random`` curve averages over
@@ -248,7 +248,7 @@ def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
         g_hat=res.gradients["g_hat"],
         v_prev=res.states["v_prev"],
         pcoefs=res.pcoefs,
-        task=prepare(cfg),
+        task=res.task,
     )
 
 

@@ -62,6 +62,15 @@ class ModelSpec:
         return LOSS_CODES[self.loss_kind]
 
 
+def check_labels(spec: ModelSpec, labels: np.ndarray) -> None:
+    """Labels a model of ``spec`` trains or is scored on: the binary
+    cross-entropy of ``logistic_l2`` needs labels in {0, 1}."""
+    if spec.loss_kind == "logistic_l2":
+        other = np.setdiff1d(labels, (0.0, 1.0))
+        if other.size:
+            raise ValueError(f"logistic_l2 needs labels in {{0, 1}}, got {other.tolist()}")
+
+
 def utility_kind(kind: str) -> str:
     if kind not in UTILITY_CODES:
         raise ValueError(f"unknown utility kind {kind!r}")

@@ -30,7 +30,7 @@ from scipy.special import betaln, gammaln, logsumexp
 from . import _kernels
 from .data import PartitionedDataset
 from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, release
-from .models import ModelSpec, UtilitySpec, design_matrix, init_params
+from .models import ModelSpec, UtilitySpec, check_labels, design_matrix, init_params
 
 MAX_PARTIES_WEIGHTS = 10_000
 
@@ -120,6 +120,8 @@ class RunConfig:
 
     def __post_init__(self):
         seed_value(self.master_seed)
+        check_labels(self.model, self.dataset.labels)
+        check_labels(self.model, self.utility.test_labels)
         if self.semivalue.n != self.dataset.n_parties:
             raise ValueError("semivalue party count must match the dataset partition")
 
@@ -134,6 +136,7 @@ class ValuationResult:
     mean_adjusted_var: np.ndarray  # NaN where |mu| underflows the guard
     permutations_used: int
     burn_in_dropped: int
+    task: _kernels.Task  # the prepared input the chain ran on
     gradients: dict = field(default_factory=dict)  # g_hat/g_tilde/g_star when recorded
     states: dict = field(default_factory=dict)  # theta_prev/v_prev when recorded
 
@@ -236,6 +239,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
         mean_adjusted_var=mav,
         permutations_used=k,
         burn_in_dropped=kq,
+        task=task,
         gradients={key: out[key] for key in ("g_hat", "g_tilde", "g_star") if key in out},
         states={key: out[key] for key in ("theta_prev", "v_prev") if key in out},
     )

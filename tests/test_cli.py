@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dpvalue import cli, data
+from dpvalue import _kernels, cli, data
 from dpvalue.config import ConfigError, load_config
 
 
@@ -386,6 +386,9 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("sigma-numeric-string", "valuation", {"noise.sigma": "1.0"}, "noise.sigma"),
     ("separation-numeric-string", "valuation", {"dataset.separation": "3.5"},
      "dataset.separation"),
+    ("logistic-three-classes", "valuation", {"dataset.n_classes": 3}, "model.loss"),
+    ("logistic-csv-three-labels", "valuation",  # column b holds 0, 1 and 2
+     {"dataset": {"source": "csv", "path": CSV, "label": "b", "test_rows": 2}}, "model.loss"),
 ]
 
 
@@ -415,6 +418,20 @@ def test_integral_float_is_an_integer(tmp_path):
     cfg = load_config(write_config(tmp_path, doc))
     assert (cfg.seed, cfg.noise.budget, cfg.dataset.n_parties) == (3, 12, 4)
     assert all(type(v) is int for v in (cfg.seed, cfg.noise.budget, cfg.dataset.n_parties))
+
+
+@pytest.mark.parametrize("kind", ["removal", "variance-probe"])
+def test_each_chain_prepares_one_task(tmp_path, monkeypatch, kind):
+    # the retrainer and the frozen probe scenarios reuse the Task their chain ran on
+    counts = {"Task": 0, "run_chain": 0}
+    for name in counts:
+        def counting(*args, _fn=getattr(_kernels, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(_kernels, name, counting)
+    cfg = write_config(tmp_path, kind_doc(tmp_path / "out", kind))
+    assert cli.main(["run", str(cfg)]) == 0
+    assert counts["Task"] == counts["run_chain"] > 0
 
 
 @pytest.mark.parametrize("kind", ["valuation", "noisy-label", "removal", "similarity",

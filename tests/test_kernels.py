@@ -173,3 +173,46 @@ def test_model_loss_matches_reference(loss_kind, min_abs_score):
         want = reference_loss(loss_code, lam, theta, x, y)
         got = -_kernels.utility_np(theta, task)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# -- party gradient against the block formula ----------------------------------
+
+
+def block_party_grad(theta, x, y, a, b, loss_code, lam):
+    """The gradient over rows a:b as one block, whatever the party size."""
+    xb, yb = x[a:b], y[a:b]
+    s = xb @ theta
+    if loss_code == MSE:
+        return (2.0 / (b - a)) * (xb.T @ (s - yb))
+    sig = 1.0 / (1.0 + np.exp(-s))
+    return (xb.T @ (sig - yb)) / (b - a) + 2.0 * lam * theta
+
+
+@pytest.mark.parametrize("loss_code", [MSE, LOGISTIC])
+def test_one_row_party_grad_matches_block_formula(loss_code):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((400, 11))
+    y = rng.integers(0, 2, 400).astype(np.float64)
+    lam = 0.01 if loss_code == LOGISTIC else 0.0
+    with np.errstate(over="ignore"):  # exp(-s) overflows to inf for s < -709
+        for _ in range(3000):
+            a = int(rng.integers(0, 400))
+            theta = rng.standard_normal(11)
+            # scores from 1e-3 to 800, so the sigmoid runs from 1/2 into saturation
+            theta *= 10.0 ** rng.uniform(-3.0, np.log10(800.0)) / abs(x[a] @ theta)
+            want = block_party_grad(theta, x, y, a, a + 1, loss_code, lam)
+            got = _kernels.party_grad_np(theta, x, y, a, a + 1, loss_code, lam)
+            assert np.array_equal(got, want), (a, x[a] @ theta)
+
+
+@pytest.mark.parametrize("loss_code", [MSE, LOGISTIC])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_party_grad_of_nan_theta_is_nan(loss_code, rows):
+    # a diverged model must stay non-finite so the chain's utility check fires
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((5, 4))
+    y = rng.integers(0, 2, 5).astype(np.float64)
+    theta = np.array([0.5, np.nan, -1.0, 2.0])
+    g = _kernels.party_grad_np(theta, x, y, 1, 1 + rows, loss_code, 0.01)
+    assert g.shape == (4,)
+    assert np.isnan(g).all()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpvalue import _kernels, data, dp, metrics, models
-from dpvalue.valuation import RunConfig, SemivalueSpec, prepare, run_valuation
+from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
 
 # -- AUC ---------------------------------------------------------------------
@@ -69,7 +69,7 @@ def make_removal_setup():
     ncfg = dp.NoiseConfig(1.0, 0.0, budget=150)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 30), master_seed=7)
     res = run_valuation(cfg)
-    task = prepare(cfg)
+    task = res.task
 
     def trainer(keep, seed):
         return _kernels.utility_np(models.train_one_pass(mspec, task, keep, seed), task)

@@ -319,6 +319,15 @@ def test_run_config_validation(small_task):
         RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties), master_seed=-1)
     with pytest.raises(ValueError, match="party count"):
         RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 3), master_seed=0)
+    # a logistic model trains and is scored on 0/1 labels only; MSE takes any
+    multi = data.synth_classification(40, 6, 3, seed=11, separation=4.0, n_test=60)
+    multi_test = models.UtilitySpec(uspec.kind, multi.test_features, multi.test_labels)
+    with pytest.raises(ValueError, match=r"labels in \{0, 1\}, got \[2.0\]"):
+        RunConfig(multi, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+    with pytest.raises(ValueError, match=r"labels in \{0, 1\}, got \[2.0\]"):
+        RunConfig(ds, mspec, multi_test, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+    mse = models.ModelSpec("mse_linear", 0.05)
+    RunConfig(multi, mse, multi_test, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
 
 
 # -- federated --------------------------------------------------------------
