@@ -44,7 +44,7 @@ def log_loss(s, y):
 def accuracy(s, y, loss_code):
     """Share of test points whose thresholded score equals the label."""
     thr = 0.5 if loss_code == LOSS_MSE else 0.0
-    return np.count_nonzero((s >= thr) == y, axis=-1) / y.shape[0]
+    return np.add.reduce((s >= thr) == y, axis=-1) / y.shape[0]
 
 
 def mse_stats(x, y):
@@ -71,7 +71,7 @@ def utility_np(thetas, task):
     s = thetas @ task.xt.T
     if task.util_code == UTIL_ACCURACY:
         return accuracy(s, task.yt, task.loss_code)
-    return (-log_loss(s, task.yt).sum(axis=-1) / task.yt.shape[0]
+    return (-np.add.reduce(log_loss(s, task.yt), axis=-1) / task.yt.shape[0]
             - task.lam * np.vecdot(thetas, thetas))
 
 

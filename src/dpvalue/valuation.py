@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
 
 from . import _kernels
 from .data import PartitionedDataset
@@ -56,29 +55,32 @@ class SemivalueSpec:
 def semivalue_weights(spec: SemivalueSpec) -> tuple[np.ndarray, np.ndarray]:
     """Return (w, p) indexed by coalition size r = 1..n.
 
-    Binomials and Beta functions are evaluated in log space; the beta-family
-    weights are normalized so the constraint sum_r binom(n-1,r-1) w(r) = n
-    holds exactly.
+    The binomials are exact Python integers, so the Shapley and Banzhaf
+    weights are correctly rounded ratios of integers. The beta family is
+    evaluated in log space and normalized so the constraint
+    sum_r binom(n-1,r-1) w(r) = n holds exactly.
     """
     n = spec.n
-    r = np.arange(1, n + 1)
-    log_binom = gammaln(n) - gammaln(r) - gammaln(n - r + 1)  # log C(n-1, r-1)
-    if spec.kind == "shapley":
-        log_w = -log_binom
-    elif spec.kind == "banzhaf":
-        log_w = np.full(n, math.log(n) - (n - 1) * math.log(2.0))
-    elif spec.kind == "beta":
-        log_b = betaln(r + spec.beta - 1.0, n - r + spec.alpha)
-        log_w = math.log(n) + log_b - logsumexp(log_binom + log_b)
-    else:  # loo
+    if spec.kind == "loo":
         w = np.zeros(n)
         w[n - 1] = float(n)
-        p = np.zeros(n)
-        p[n - 1] = float(n)
-        return w, p
-    w = np.exp(log_w)
-    p = np.exp(log_w + log_binom)
-    return w, p
+        return w, w.copy()
+    binom, c = [], 1  # C(n-1, r-1) for r = 1..n
+    for i in range(n):
+        binom.append(c)
+        c = c * (n - 1 - i) // (i + 1)
+    if spec.kind == "shapley":
+        return np.array([1 / c for c in binom]), np.ones(n)
+    if spec.kind == "banzhaf":
+        subsets = 2 ** (n - 1)  # coalitions of the other n - 1 parties
+        return np.full(n, n / subsets), np.array([n * c / subsets for c in binom])
+    r = np.arange(1, n + 1)
+    log_binom = np.array([math.log(c) for c in binom])
+    log_b = np.array([math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)  # log B(a, b)
+                      for a, b in zip(r + spec.beta - 1.0, n - r + spec.alpha)])
+    t = log_binom + log_b
+    log_w = math.log(n) + log_b - t.max() - math.log(np.exp(t - t.max()).sum())
+    return np.exp(log_w), np.exp(log_w + log_binom)
 
 
 def estimable(noise: NoiseConfig) -> NoiseConfig:

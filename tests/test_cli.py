@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -267,6 +269,27 @@ REPO = Path(__file__).resolve().parents[1]
 def test_validate_shipped_configs():
     for path in sorted(REPO.glob("configs/*.yaml")):
         assert cli.main(["validate", str(path)]) == 0, path.name
+
+
+# Imports dpvalue and its CLI in a fresh interpreter, runs the oracle check
+# (Shapley, Banzhaf and Beta weights) and prints every scipy module loaded.
+NO_SCIPY_CODE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import dpvalue
+import dpvalue.cli
+assert dpvalue.cli.main(["run", sys.argv[2], "--output", sys.argv[3]]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_run_loads_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE, str(REPO / "src"),
+                           str(REPO / "configs" / "oracle_check.yaml"), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "out" / "result.json").read_text())["pass"] is True
 
 
 def test_validate_benchmark_configs(tmp_path):

@@ -175,6 +175,30 @@ def test_model_loss_matches_reference(loss_kind, min_abs_score):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def wrapper_utility(thetas, task):
+    """``utility_np``'s accuracy and logistic branches as written with numpy's
+    ``count_nonzero`` and ``ndarray.sum`` wrappers."""
+    s = thetas @ task.xt.T
+    if task.util_code == ACCURACY:
+        thr = 0.5 if task.loss_code == MSE else 0.0
+        return np.count_nonzero((s >= thr) == task.yt, axis=-1) / task.yt.shape[0]
+    return (-_kernels.log_loss(s, task.yt).sum(axis=-1) / task.yt.shape[0]
+            - task.lam * np.vecdot(thetas, thetas))
+
+
+@pytest.mark.parametrize("shape", [(11,), (7, 11)])
+@pytest.mark.parametrize("loss_code,util_code",
+                         [(MSE, ACCURACY), (LOGISTIC, ACCURACY), (LOGISTIC, NEG_LOSS)])
+def test_utility_reductions_bitwise_equal_wrappers(loss_code, util_code, shape):
+    rng = np.random.default_rng(23)
+    xt = rng.standard_normal((200, 11))
+    yt = rng.integers(0, 2, 200).astype(np.float64)
+    task = batch_task(loss_code, util_code, 0.02, xt, yt)
+    for _ in range(50):
+        thetas = rng.standard_normal(shape)
+        assert np.array_equal(_kernels.utility_np(thetas, task), wrapper_utility(thetas, task))
+
+
 # -- party gradient against the block formula ----------------------------------
 
 

@@ -1,15 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import yaml
+from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
 from conftest import orthogonal_chain_task
 from dpvalue import _kernels, cli, data, dp, experiments, models
 from dpvalue.config import load_config
 from dpvalue.valuation import (
+    MAX_PARTIES_WEIGHTS,
     RunConfig,
     SemivalueSpec,
     estimation_stats,
@@ -67,6 +70,43 @@ def test_weight_constraint(spec):
         w, _ = semivalue_weights(s)
         total = sum(math.comb(n - 1, r - 1) * w[r - 1] for r in range(1, n + 1))
         assert abs(total - n) < 1e-9 * n
+
+
+@pytest.mark.parametrize("n", [2, 60, 400])
+def test_shapley_weights_are_exact_reciprocal_binomials(n):
+    w, _ = semivalue_weights(SemivalueSpec("shapley", n))
+    binom = [math.comb(n - 1, r - 1) for r in range(1, n + 1)]
+    assert w.tolist() == [float(Fraction(1, c)) for c in binom]
+    log_binom = np.array([math.log(c) for c in binom])
+    assert np.all(np.abs(-np.log(w) - log_binom) <= 2 * np.spacing(np.maximum(log_binom, 1.0)))
+
+
+def test_banzhaf_p_matches_exact_rationals():
+    n = 400
+    _, p = semivalue_weights(SemivalueSpec("banzhaf", n))
+    want = np.array([float(Fraction(n * math.comb(n - 1, r - 1), 2 ** (n - 1)))
+                     for r in range(1, n + 1)])
+    assert np.max(np.abs(p - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha,beta", [(4.0, 1.0), (16.0, 1.0), (2.5, 3.5)])
+def test_beta_weights_match_log_gamma_reference(alpha, beta):
+    for n in (2, 13, 60):
+        r = np.arange(1, n + 1)
+        log_binom = gammaln(n) - gammaln(r) - gammaln(n - r + 1)
+        log_b = betaln(r + beta - 1.0, n - r + alpha)
+        log_w = math.log(n) + log_b - logsumexp(log_binom + log_b)
+        w, p = semivalue_weights(SemivalueSpec("beta", n, alpha, beta))
+        assert np.max(np.abs(w / np.exp(log_w) - 1.0)) <= 1e-12
+        assert np.max(np.abs(p / np.exp(log_w + log_binom) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["shapley", "banzhaf", "beta"])
+def test_weights_at_party_cap(kind):
+    n = MAX_PARTIES_WEIGHTS
+    w, p = semivalue_weights(SemivalueSpec(kind, n, 4.0, 1.0))
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(p))
+    assert np.sum(p) == pytest.approx(n, rel=1e-12)  # sum_r C(n-1, r-1) w(r) = n
 
 
 def test_weight_validation():
