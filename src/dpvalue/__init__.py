@@ -2,7 +2,7 @@
 
 from .data import CsvSchema, PartitionedDataset, corrupt_labels, load_csv, partition, synth_classification
 from .dp import NoiseConfig, calibrate_sigma
-from .models import InitSpec, ModelSpec, UtilitySpec, init_params
+from .models import InitSpec, ModelSpec, init_params
 from .valuation import (
     RunConfig,
     SemivalueSpec,
@@ -26,7 +26,6 @@ __all__ = [
     "calibrate_sigma",
     "InitSpec",
     "ModelSpec",
-    "UtilitySpec",
     "init_params",
     "RunConfig",
     "SemivalueSpec",

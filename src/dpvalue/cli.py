@@ -19,8 +19,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import yaml
 
-from .config import ConfigError, echo_config, load_config
+from .config import ConfigError, echo_config, load_config, parse_config
 from .experiments import RUNNERS
 
 
@@ -130,15 +131,18 @@ def cmd_plot(args) -> int:
         if doc.get("kind") != "noisy-label":
             print("result is not a noisy-label experiment", file=sys.stderr)
             return 2
+        try:  # each run's q is its mechanism's, as the parser set it from the echoed config
+            cfg = parse_config(yaml.safe_load((outdir / "config.echo").read_text(encoding="utf-8")))
+        except (OSError, ConfigError) as exc:
+            print(f"cannot read the run's config.echo: {exc}", file=sys.stderr)
+            return 2
         series: dict[str, list[tuple[float, float]]] = {}
-        for mode, values in doc["auc"].items():
-            if mode.startswith("corr_y(q="):
-                q = float(mode[len("corr_y(q=") : -1])
-                series.setdefault("corr_y", []).append((q, float(np.mean(values))))
-            elif mode == "corr_x":
-                series.setdefault("corr_y", []).append((0.0, float(np.mean(values))))
+        for label, noise in dict(cfg.noisy_label).items():
+            auc = float(np.mean(doc["auc"][label]))
+            if noise.mode in ("corr_x", "corr_y"):  # corr_x is corr_y at q = 0
+                series.setdefault("corr_y", []).append((noise.q or 0.0, auc))
             else:
-                series.setdefault(mode, []).append((0.0, float(np.mean(values))))
+                series.setdefault(label, []).append((0.0, auc))
         for mode, rows in series.items():
             _dat(outdir / f"auc_q_{mode}.dat", sorted(rows))
     else:

@@ -94,7 +94,6 @@ class DatasetSection:
     task: str = "classification"
     rows: int = 400  # training rows the source yields, before any partition
     corrupt_ratio: float = 0.0
-    corrupt_seed_offset: int = 1000
     partition_mode: str = "per-sample"
     n_parties: int = 400
     party_size: int | None = None
@@ -331,6 +330,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     with _field("k"):
         noise = NoiseConfig(1.0, 0.0, _integer(doc.get("k", 100)))
     output_dir = doc.get("output_dir", f"out/{kind}")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir", f"must be a non-empty string, got {output_dir!r}")
 
     dataset = _parse_dataset(_section(doc, "dataset"))
     model = _parse_model(_section(doc, "model"))

@@ -64,7 +64,6 @@ class PartitionedDataset:
 class CsvSchema:
     label: str
     task: str = "classification"
-    features: tuple[str, ...] | None = None  # default: all non-label columns
     standardize: bool = False
     test_rows: int = 0  # tail rows held out as the test split
 
@@ -87,7 +86,8 @@ def _number(cell: str, row: int, column: str) -> float:
 
 
 def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
-    """Load a header-bearing CSV deterministically (file row order kept).
+    """Load a header-bearing CSV deterministically (file row order kept); every
+    column but the label is a feature.
 
     With ``standardize`` the training feature columns are shifted/scaled to
     zero mean and unit variance and the same transform is applied to the test
@@ -101,10 +101,7 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
         rows = list(reader)
     if schema.label not in header:
         raise ValueError(f"label column {schema.label!r} not in header {header}")
-    feat_names = list(schema.features) if schema.features else [c for c in header if c != schema.label]
-    missing = [c for c in feat_names if c not in header]
-    if missing:
-        raise ValueError(f"feature columns not in header: {missing}")
+    feat_names = [c for c in header if c != schema.label]
     col_of = {c: header.index(c) for c in header}
 
     n = len(rows)

@@ -21,6 +21,8 @@ from .valuation import (
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
+CORRUPT_SEED_OFFSET = 1000  # keeps a trial's corruption draws apart from its synth draws
+
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDataset:
     d = cfg.dataset
@@ -29,7 +31,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDatas
     else:
         ds = data_mod.synth_classification(seed=seed, **d.synth)
     if d.corrupt_ratio > 0:
-        ds = data_mod.corrupt_labels(ds, d.corrupt_ratio, seed + d.corrupt_seed_offset)
+        ds = data_mod.corrupt_labels(ds, d.corrupt_ratio, seed + CORRUPT_SEED_OFFSET)
     if d.partition_mode != "per-sample":
         ds = data_mod.partition(ds, d.n_parties, d.partition_mode, size=d.party_size)
     return ds
@@ -40,7 +42,7 @@ def build_run(cfg: ExperimentConfig, ds, seed: int, noise: NoiseConfig | None = 
     return RunConfig(
         dataset=ds,
         model=cfg.model,
-        utility=models.UtilitySpec(cfg.utility, ds.test_features, ds.test_labels),
+        utility=cfg.utility,
         noise=noise or cfg.noise,
         semivalue=cfg.semivalue,
         master_seed=seed,
@@ -120,15 +122,11 @@ def run_removal_experiment(cfg: ExperimentConfig):
         curve = metrics.removal_curve(res.psi, ds.n_parties, trainer, order, cfg.removal.fractions)
         curves[order] = curve
         for i, f in enumerate(curve.fractions):
-            se = curve.stderr[i] if curve.stderr else ""
-            rows.append([order, _fmt(f), _fmt(curve.scores[i]), _fmt(se) if se != "" else ""])
-        if curve.per_seed is not None:
-            for seed, row in enumerate(curve.per_seed):
-                for f, score in zip(curve.fractions, row):
-                    tidy.append([order, _fmt(f), str(seed), _fmt(score)])
-        else:
-            for f, score in zip(curve.fractions, curve.scores):
-                tidy.append([order, _fmt(f), "0", _fmt(score)])
+            se = _fmt(curve.stderr[i]) if curve.stderr else ""
+            rows.append([order, _fmt(f), _fmt(curve.scores[i]), se])
+        for seed, row in enumerate(curve.per_seed):
+            for f, score in zip(curve.fractions, row):
+                tidy.append([order, _fmt(f), str(seed), _fmt(score)])
     doc = {
         "kind": "removal",
         "curves": {

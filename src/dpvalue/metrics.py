@@ -38,8 +38,8 @@ class RemovalCurve:
     fractions: tuple[float, ...]
     scores: tuple[float, ...]
     order: str
+    per_seed: tuple[tuple[float, ...], ...]  # scores per removal seed; just seed 0 if ordered
     stderr: tuple[float, ...] | None = None
-    per_seed: tuple[tuple[float, ...], ...] | None = None  # random order only
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,12 @@ def removal_curve(
         dev = arr - mean
         seeds = REMOVAL_RANDOM_SEEDS
         stderr = np.sqrt((dev * dev).sum(axis=0) / (seeds - 1)) / np.sqrt(seeds)
-        return RemovalCurve(
-            fractions, tuple(mean), order, tuple(stderr),
-            per_seed=tuple(tuple(row) for row in rows),
-        )
+        return RemovalCurve(fractions, tuple(mean), order, tuple(tuple(row) for row in rows),
+                            tuple(stderr))
 
     ranked = np.argsort(-psi if order == "highest-first" else psi, kind="stable")
-    return RemovalCurve(fractions, tuple(curve_for(ranked, 0)), order)
+    scores = tuple(curve_for(ranked, 0))
+    return RemovalCurve(fractions, scores, order, (scores,))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

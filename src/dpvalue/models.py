@@ -1,4 +1,4 @@
-"""Model and utility specifications, parameter init and one-pass retraining.
+"""Model specification, utility kinds, parameter init and one-pass retraining.
 
 Two loss kinds are supported, both with closed-form gradients
 (``_kernels.party_grad_np``) and scored by ``_kernels.utility_np``:
@@ -10,8 +10,9 @@ Two loss kinds are supported, both with closed-form gradients
   ``V(theta) = (1/l) * sum_i [y_i log s_i + (1-y_i) log(1-s_i)] - lam*|theta|^2``
   with ``s_i = sigmoid(theta.x_i)``.
 
-Bias terms are handled by appending a constant-1 feature so the parameter
-vector stays flat and clipping acts on the full gradient.
+A utility is named by its kind and scored on the run's own dataset's test
+split. Bias terms are handled by appending a constant-1 feature so the
+parameter vector stays flat and clipping acts on the full gradient.
 """
 
 from __future__ import annotations
@@ -85,23 +86,6 @@ def check_test_split(features: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError("test features/labels length mismatch")
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
-    """Utility kind plus the held-out test split it is scored on."""
-
-    kind: str
-    test_features: np.ndarray
-    test_labels: np.ndarray
-
-    def __post_init__(self):
-        utility_kind(self.kind)
-        check_test_split(self.test_features, self.test_labels)
-
-    @property
-    def util_code(self) -> int:
-        return UTILITY_CODES[self.kind]
-
-
 def design_matrix(features: np.ndarray, spec: ModelSpec) -> np.ndarray:
     """C-contiguous float64 rows, with a constant-1 column appended when the
     model has a bias."""
@@ -133,8 +117,12 @@ def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.nda
     order = np.asarray(include_parties)[rng.permutation(len(include_parties))]
     theta = init_params(spec, task.x.shape[1], seed=seed)
     ptr = task.ptr
-    for party in order:
-        g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
-                                   task.loss_code, task.lam)
-        theta = theta - spec.learning_rate * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for party in order:
+            g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
+                                       task.loss_code, task.lam)
+            theta = theta - spec.learning_rate * g
+    if not np.isfinite(theta).all():  # NaN is absorbing: one check per retraining
+        raise RuntimeError(f"retraining on {len(order)} parties (seed {seed}) diverged: its "
+                           f"unclipped steps at learning rate {spec.learning_rate} overflowed")
     return theta

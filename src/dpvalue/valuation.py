@@ -29,7 +29,8 @@ import numpy as np
 from . import _kernels
 from .data import PartitionedDataset
 from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, release
-from .models import ModelSpec, UtilitySpec, check_labels, design_matrix, init_params
+from .models import (UTILITY_CODES, ModelSpec, check_labels, check_test_split, design_matrix,
+                     init_params, utility_kind)
 
 MAX_PARTIES_WEIGHTS = 10_000
 
@@ -108,11 +109,12 @@ def enumerable_parties(n: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run; its budget k (permutations, or federated rounds) is ``noise.budget``."""
+    """One run; its budget k (permutations, or federated rounds) is ``noise.budget``.
+    The utility is scored on the dataset's own held-out test split."""
 
     dataset: PartitionedDataset
     model: ModelSpec
-    utility: UtilitySpec
+    utility: str  # neg_test_loss | test_accuracy
     noise: NoiseConfig
     semivalue: SemivalueSpec
     master_seed: int
@@ -122,8 +124,10 @@ class RunConfig:
 
     def __post_init__(self):
         seed_value(self.master_seed)
+        utility_kind(self.utility)
+        check_test_split(self.dataset.test_features, self.dataset.test_labels)
         check_labels(self.model, self.dataset.labels)
-        check_labels(self.model, self.utility.test_labels)
+        check_labels(self.model, self.dataset.test_labels)
         if self.semivalue.n != self.dataset.n_parties:
             raise ValueError("semivalue party count must match the dataset partition")
 
@@ -184,11 +188,11 @@ def prepare(cfg: RunConfig) -> _kernels.Task:
     training design matrix with its CSR offsets, the test design matrix and
     its mean-squared-error statistics."""
     x, y, ptr = cfg.dataset.sorted_by_party()
-    xt = design_matrix(cfg.utility.test_features, cfg.model)
-    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
+    xt = design_matrix(cfg.dataset.test_features, cfg.model)
+    yt = np.ascontiguousarray(cfg.dataset.test_labels, dtype=np.float64)
     return _kernels.Task(
         x=design_matrix(x, cfg.model), y=y, ptr=ptr, xt=xt, yt=yt,
-        loss_code=cfg.model.loss_code, util_code=cfg.utility.util_code,
+        loss_code=cfg.model.loss_code, util_code=UTILITY_CODES[cfg.utility],
         lr=cfg.model.learning_rate, lam=cfg.model.l2, mse=_kernels.mse_stats(xt, yt),
     )
 
@@ -325,7 +329,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     """
     if cfg.noise.mode not in ("fl_schedule", "corr_x"):
         raise ValueError("federated attribution needs fl_schedule or corr_x noise")
-    federated_utility(cfg.utility.kind)
+    federated_utility(cfg.utility)
     federated_permutations(per_round_permutations)
     rounds = cfg.noise.budget
     burn = burn_in_count(rounds, q)

@@ -10,7 +10,7 @@ def small_task():
     """Well-separated 2-class blobs with per-sample parties."""
     ds = data.synth_classification(40, 6, 2, seed=11, separation=4.0, n_test=60)
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    uspec = "neg_test_loss"
     return ds, mspec, uspec
 
 
@@ -27,7 +27,7 @@ def orthogonal_chain_task(n: int, lr: float, seed: int = 0):
         x, y, np.arange(n, dtype=np.int64), xt, yt, task="regression"
     )
     mspec = models.ModelSpec("mse_linear", lr, models.InitSpec("zeros"), add_bias=False)
-    uspec = models.UtilitySpec("neg_test_loss", xt, yt)
+    uspec = "neg_test_loss"
 
     def set_value(subset, clip=1.0):
         theta = np.zeros(n)

@@ -61,7 +61,7 @@ def probe_results():
     ds = data.synth_classification(60, 6, 2, seed=5, separation=3.0, n_test=64)
     ds = data.partition(ds, 6, "equal-chunks")
     mspec = models.ModelSpec("mse_linear", 0.05, models.InitSpec("zeros"))
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    uspec = "neg_test_loss"
     sigma = dp.calibrate_sigma(1.0, EPS_DELTA)
     base = RunConfig(
         ds, mspec, uspec,
@@ -161,7 +161,7 @@ def test_criterion_06_mean_adjusted_variance_ordering():
                                                separation=5.0, n_test=200)
                 ds = data.partition(ds, 20, "equal-chunks")
                 mspec = models.ModelSpec("logistic_l2", 0.005, models.InitSpec("zeros"), l2=0.01)
-                uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+                uspec = "neg_test_loss"
                 cfg = RunConfig(
                     ds, mspec, uspec, dp.NoiseConfig(1.0, sigma, budget=k, mode=mode),
                     SemivalueSpec("shapley", 20), master_seed=seed,
@@ -199,7 +199,7 @@ def test_criterion_07_noisy_label_auc_ordering():
         ds = data.corrupt_labels(ds, 0.3, seed=900 + seed)
         assert ds.corruption_mask.sum() == 120  # floor(0.3 * 400)
         mspec = models.ModelSpec("logistic_l2", 0.01, models.InitSpec("zeros"), l2=0.01)
-        uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+        uspec = "neg_test_loss"
         for label, mode, s, q in (
             ("no_dp", "iid", 0.0, None),
             ("iid", "iid", sigma, None),
@@ -236,7 +236,7 @@ def test_criterion_08_similarity_signs():
         for seed in range(5):
             ds = data.synth_classification(40, 8, 2, seed=100 + seed, separation=3.0, n_test=60)
             mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
-            uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+            uspec = "neg_test_loss"
             cfg = RunConfig(
                 ds, mspec, uspec, dp.NoiseConfig(1.0, sigma, budget=k, mode="corr_x"),
                 SemivalueSpec("shapley", 40), master_seed=seed,
@@ -270,7 +270,7 @@ def test_criterion_09_bookkeeping_and_weights():
     # corr_y retains exactly k - k*q marginals for every party
     ds = data.synth_classification(12, 4, 2, seed=1, separation=3.0, n_test=16)
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    uspec = "neg_test_loss"
     cfg = RunConfig(
         ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y", q=0.5),
         SemivalueSpec("shapley", 12), master_seed=2,

@@ -118,6 +118,21 @@ def test_runtime_error_writes_record(tmp_path):
     assert "non-finite utility" in record["message"]
 
 
+def test_retraining_divergence_writes_record(tmp_path):
+    # the chain clips its steps and the removal retrainer does not, so only
+    # the retraining diverges; it fails the run without numpy warnings
+    doc = kind_doc(tmp_path / "out", "removal")
+    doc["model"] = {"loss": "mse_linear", "learning_rate": 1e100, "l2": 0}
+    doc["utility"] = "test_accuracy"
+    doc["noise"] = {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg)]) == 1
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "RuntimeError"
+    assert "retraining on 24 parties" in record["message"]
+
+
 def test_tidy_sample_exports(tmp_path):
     out = tmp_path / "out"
     doc = {
@@ -175,14 +190,16 @@ def test_plot_auc_q(tmp_path):
         "model": {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01},
         "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
         "semivalue": {"kind": "shapley"},
-        "noisy_label": {"modes": ["no_dp", "iid"], "q_grid": [0.0, 0.5]},
+        "noisy_label": {"modes": ["no_dp", "iid", "corr_y"], "q": 0.25, "q_grid": [0.0, 0.5]},
     }
     cfg = write_config(tmp_path, doc)
     assert cli.main(["run", str(cfg)]) == 0
     assert cli.main(["plot", str(out), "auc-q"]) == 0
-    corr = (out / "auc_q_corr_y.dat").read_text().strip().splitlines()
-    assert len(corr) == 2  # q = 0 (the square matrix) and q = 0.5
-    assert corr[0].split()[0] == "0"
+    corr = [line.split() for line in (out / "auc_q_corr_y.dat").read_text().splitlines()]
+    # q = 0 is the square corr_x matrix alone; the plain corr_y run sits at its own q
+    assert [q for q, _ in corr] == ["0", "0.25", "0.5"]
+    aucs = json.loads((out / "result.json").read_text())["auc"]
+    assert float(corr[1][1]) == pytest.approx(aucs["corr_y"][0], rel=1e-9)
 
 
 def test_plot_variance_probe(tmp_path):
@@ -409,6 +426,9 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("sigma-numeric-string", "valuation", {"noise.sigma": "1.0"}, "noise.sigma"),
     ("separation-numeric-string", "valuation", {"dataset.separation": "3.5"},
      "dataset.separation"),
+    ("output-dir-list", "valuation", {"output_dir": ["a", "b"]}, "output_dir"),
+    ("output-dir-integer", "valuation", {"output_dir": 5}, "output_dir"),
+    ("output-dir-empty", "valuation", {"output_dir": ""}, "output_dir"),
     ("logistic-three-classes", "valuation", {"dataset.n_classes": 3}, "model.loss"),
     ("logistic-csv-three-labels", "valuation",  # column b holds 0, 1 and 2
      {"dataset": {"source": "csv", "path": CSV, "label": "b", "test_rows": 2}}, "model.loss"),

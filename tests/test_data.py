@@ -87,7 +87,7 @@ def test_synth_balance_and_determinism():
 def test_synth_wide_separation_is_learnable():
     ds = data.synth_classification(200, 8, 2, seed=3, separation=10.0, n_test=200)
     spec = models.ModelSpec("logistic_l2", 0.5, models.InitSpec("zeros"), l2=0.001)
-    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    uspec = "test_accuracy"
     task = dataset_task(ds, spec, uspec)
     theta = models.train_one_pass(spec, task, np.arange(ds.n_parties), seed=0)
     assert _kernels.utility_np(theta, task) > 0.95

@@ -47,7 +47,7 @@ def engine_noise(sigma, k, clip=1.0):
     """The privacy noise the engine added in one recorded run: g_tilde - g_hat."""
     ds = data.synth_classification(40, 5, 2, seed=3, separation=3.0, n_test=20)
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    uspec = "neg_test_loss"
     ncfg = dp.NoiseConfig(clip, sigma, budget=k)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties),
                     master_seed=4, record_gradients=True)

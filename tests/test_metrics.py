@@ -65,7 +65,7 @@ def make_removal_setup():
     ds = data.synth_classification(120, 8, 2, seed=42, separation=4.0, n_test=150)
     ds = data.partition(ds, 30, "equal-chunks")
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    uspec = "test_accuracy"
     ncfg = dp.NoiseConfig(1.0, 0.0, budget=150)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 30), master_seed=7)
     res = run_valuation(cfg)
@@ -84,6 +84,9 @@ def test_removal_fraction_zero_mode_independent():
     rnd = metrics.removal_curve(psi, 30, trainer, "random", [0.0, 0.2])
     assert hi.scores[0] == lo.scores[0] == rnd.scores[0]
     assert rnd.stderr is not None and rnd.stderr[0] == 0.0
+    # a ranked order is one seed-0 row, a random one a row per removal seed
+    assert hi.per_seed == (hi.scores,) and lo.per_seed == (lo.scores,)
+    assert len(rnd.per_seed) == metrics.REMOVAL_RANDOM_SEEDS
 
 
 def test_removal_highest_first_hurts_most():
@@ -299,7 +302,7 @@ def probe_base(n_parties=6, sigma=1.0):
     ds = data.synth_classification(60, 6, 2, seed=5, separation=3.0, n_test=64)
     ds = data.partition(ds, n_parties, "equal-chunks")
     mspec = models.ModelSpec("mse_linear", 0.05, models.InitSpec("zeros"))
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    uspec = "neg_test_loss"
     ncfg = dp.NoiseConfig(1.0, sigma, budget=20, mode="iid")
     return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", n_parties),
                      master_seed=9)
@@ -313,8 +316,7 @@ def test_utility_rows_match_chain_utility(loss, util):
     cfg = probe_base()
     lam = 0.01 if loss == "logistic_l2" else 0.0
     mspec = models.ModelSpec(loss, 0.05, models.InitSpec("zeros"), l2=lam)
-    uspec = models.UtilitySpec(util, cfg.utility.test_features, cfg.utility.test_labels)
-    scenario = metrics.freeze_scenario(replace(cfg, model=mspec, utility=uspec))
+    scenario = metrics.freeze_scenario(replace(cfg, model=mspec, utility=util))
     assert scenario.task.xt.shape == (64, 7)
     rng = np.random.default_rng(4)
     block = scenario.theta_prev[-1, 0] + rng.standard_normal((500, 7))

@@ -124,11 +124,20 @@ def test_train_one_pass_matches_scan_loop(loss_kind):
     ds = replace(ds, party_of=party_of)
     lam = 0.01 if loss_kind == "logistic_l2" else 0.0
     spec = models.ModelSpec(loss_kind, 0.05, models.InitSpec("gaussian", 0.1), l2=lam)
-    task = dataset_task(ds, spec, models.UtilitySpec("neg_test_loss", ds.test_features,
-                                                     ds.test_labels))
+    task = dataset_task(ds, spec, "neg_test_loss")
     for seed, keep in enumerate([np.arange(12), np.array([0, 3, 4, 7, 11]), np.array([5])]):
         want = scan_train_one_pass(spec, ds.features, ds.labels, ds.party_of, keep, seed)
         assert np.array_equal(models.train_one_pass(spec, task, keep, seed), want)
+
+
+def test_train_one_pass_reports_divergence():
+    # unclipped steps at a huge learning rate overflow: the retrainer raises
+    # once, naming the retraining, instead of returning a NaN model with warnings
+    ds = data.synth_classification(12, 4, 2, seed=0, separation=4.0, n_test=10)
+    spec = models.ModelSpec("mse_linear", 1e100)
+    task = dataset_task(ds, spec, "test_accuracy")
+    with pytest.raises(RuntimeError, match="retraining on 12 parties"):
+        models.train_one_pass(spec, task, np.arange(12), seed=0)
 
 
 def test_init_params():

@@ -50,7 +50,7 @@ def test_run_chain_keeps_the_recorded_arguments():
 def test_traced_chain_records_spans_and_restores_bindings(spans):
     ds = data.synth_classification(6, 3, 2, seed=1, separation=3.0, n_test=10)
     mspec = models.ModelSpec("logistic_l2", 0.1, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    uspec = "neg_test_loss"
     cfg = RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=4, mode="corr_x"),
                     SemivalueSpec("shapley", 6), master_seed=0)
     before = _kernels.run_chain

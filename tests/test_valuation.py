@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_no_noise_determinism_and_mode_equivalence():
         task="regression",
     )
     mspec = models.ModelSpec("mse_linear", 0.1, add_bias=False)
-    uspec = models.UtilitySpec("neg_test_loss", xt, yt)
+    uspec = "neg_test_loss"
 
     res_iid = run_valuation(run_cfg(zero_ds, mspec, uspec, 12, seed=5, mode="iid"))
     res_iid2 = run_valuation(run_cfg(zero_ds, mspec, uspec, 12, seed=5, mode="iid"))
@@ -256,7 +257,7 @@ def test_no_noise_determinism_and_mode_equivalence():
     # prefix-mean release must diverge from the iid one even at sigma = 0
     gen = data.synth_classification(12, 4, 2, seed=8, separation=2.0, n_test=20)
     m2 = models.ModelSpec("logistic_l2", 0.3, l2=0.01)
-    u2 = models.UtilitySpec("neg_test_loss", gen.test_features, gen.test_labels)
+    u2 = "neg_test_loss"
     a = run_valuation(run_cfg(gen, m2, u2, 12, seed=5, mode="iid"))
     b = run_valuation(run_cfg(gen, m2, u2, 12, seed=5, mode="corr_x"))
     assert not np.allclose(a.marginals, b.marginals)
@@ -361,13 +362,19 @@ def test_run_config_validation(small_task):
         RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 3), master_seed=0)
     # a logistic model trains and is scored on 0/1 labels only; MSE takes any
     multi = data.synth_classification(40, 6, 3, seed=11, separation=4.0, n_test=60)
-    multi_test = models.UtilitySpec(uspec.kind, multi.test_features, multi.test_labels)
+    multi_test = replace(ds, test_labels=multi.test_labels)
     with pytest.raises(ValueError, match=r"labels in \{0, 1\}, got \[2.0\]"):
         RunConfig(multi, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
     with pytest.raises(ValueError, match=r"labels in \{0, 1\}, got \[2.0\]"):
-        RunConfig(ds, mspec, multi_test, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+        RunConfig(multi_test, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
     mse = models.ModelSpec("mse_linear", 0.05)
-    RunConfig(multi, mse, multi_test, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+    RunConfig(multi, mse, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+    # the utility is a kind, scored on the dataset's own non-empty test split
+    with pytest.raises(ValueError, match="unknown utility kind"):
+        RunConfig(ds, mspec, "test_loss", ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+    no_test = replace(ds, test_features=ds.test_features[:0], test_labels=ds.test_labels[:0])
+    with pytest.raises(ValueError, match="non-empty test set"):
+        RunConfig(no_test, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
 
 
 # -- federated --------------------------------------------------------------
@@ -389,7 +396,7 @@ def _two_party_task(flip_second=True):
 def test_federated_orders_corrupted_party_last():
     ds = _two_party_task()
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    uspec = "test_accuracy"
     cfg = run_cfg(ds, mspec, uspec, 10, seed=3, mode="fl_schedule")
     psi = run_federated(cfg, per_round_permutations=50, q=0.2)
     assert psi[0] > psi[1]
@@ -398,7 +405,7 @@ def test_federated_orders_corrupted_party_last():
 def test_federated_single_round_no_burn_in():
     ds = _two_party_task(flip_second=False)
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    uspec = "test_accuracy"
     cfg = run_cfg(ds, mspec, uspec, 1, seed=3, mode="fl_schedule")
     psi = run_federated(cfg, per_round_permutations=30, q=0.0)
     assert psi.shape == (2,)
@@ -408,13 +415,13 @@ def test_federated_single_round_no_burn_in():
 def test_federated_validation():
     ds = _two_party_task()
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
-    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    uspec = "test_accuracy"
     acc_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="fl_schedule")
     with pytest.raises(ValueError, match="integer"):
         run_federated(acc_cfg, per_round_permutations=10, q=0.15)
     with pytest.raises(ValueError, match="permutation"):
         run_federated(acc_cfg, per_round_permutations=0, q=0.2)
-    loss_uspec = models.UtilitySpec("neg_test_loss", ds.test_features, ds.test_labels)
+    loss_uspec = "neg_test_loss"
     bad_cfg = run_cfg(ds, mspec, loss_uspec, 10, seed=0, mode="fl_schedule")
     with pytest.raises(ValueError, match="accuracy"):
         run_federated(bad_cfg, per_round_permutations=10, q=0.2)
@@ -436,11 +443,11 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     n = ds.n_parties
     x, y, ptr = ds.sorted_by_party()
     x = models.design_matrix(x, cfg.model)
-    xt = models.design_matrix(cfg.utility.test_features, cfg.model)
-    yt = np.ascontiguousarray(cfg.utility.test_labels, dtype=np.float64)
+    xt = models.design_matrix(ds.test_features, cfg.model)
+    yt = np.ascontiguousarray(ds.test_labels, dtype=np.float64)
     d = x.shape[1]
     loss_code = cfg.model.loss_code
-    util_code = cfg.utility.util_code
+    util_code = models.UTILITY_CODES[cfg.utility]
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
     task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, lr, lam,
@@ -496,7 +503,7 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
     ds = data.partition(data.synth_classification(48, 5, 2, seed=4, separation=2.0, n_test=40),
                         6, "equal-chunks")
     mspec = models.ModelSpec("logistic_l2", 0.3, models.InitSpec("gaussian", 0.2), l2=0.01)
-    uspec = models.UtilitySpec("test_accuracy", ds.test_features, ds.test_labels)
+    uspec = "test_accuracy"
     ncfg = dp.NoiseConfig(clip, sigma, budget=5, mode=mode)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 6), master_seed=8)
     want = reference_federated(cfg, 5, 12, q=0.2)
