@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import ConfigError, echo_config, load_config, parse_config
+from .config import ConfigError, echo_config, load_config, noisy_label_runs
 from .experiments import RUNNERS
 
 
@@ -132,12 +132,13 @@ def cmd_plot(args) -> int:
             print("result is not a noisy-label experiment", file=sys.stderr)
             return 2
         try:  # each run's q is its mechanism's, as the parser set it from the echoed config
-            cfg = parse_config(yaml.safe_load((outdir / "config.echo").read_text(encoding="utf-8")))
+            runs = noisy_label_runs(
+                yaml.safe_load((outdir / "config.echo").read_text(encoding="utf-8")))
         except (OSError, ConfigError) as exc:
             print(f"cannot read the run's config.echo: {exc}", file=sys.stderr)
             return 2
         series: dict[str, list[tuple[float, float]]] = {}
-        for label, noise in dict(cfg.noisy_label).items():
+        for label, noise in dict(runs).items():
             auc = float(np.mean(doc["auc"][label]))
             if noise.mode in ("corr_x", "corr_y"):  # corr_x is corr_y at q = 0
                 series.setdefault("corr_y", []).append((noise.q or 0.0, auc))

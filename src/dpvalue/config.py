@@ -91,9 +91,8 @@ def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None)
 class DatasetSection:
     synth: dict | None = None  # the shape arguments of synth_classification
     loaded: data.PartitionedDataset | None = None  # csv, read once here
-    task: str = "classification"
-    rows: int = 400  # training rows the source yields, before any partition
     corrupt_ratio: float = 0.0
+    corrupted: int = 0  # labels that corrupt_ratio flips
     partition_mode: str = "per-sample"
     n_parties: int = 400
     party_size: int | None = None
@@ -146,14 +145,11 @@ class ExperimentConfig:
     utility: str
     semivalue: SemivalueSpec  # over the dataset's parties
     trials: int
-    # the block of the experiment's own kind; the others stay None
-    probe: ProbeSection | None = None
-    removal: RemovalSection | None = None
-    similarity: tuple[NoiseConfig, ...] | None = None  # corr_x at each of ``ks``
-    federated: FederatedSection | None = None
-    noisy_label: tuple[tuple[str, NoiseConfig], ...] | None = None  # (label, mechanism) runs
-    oracle: OracleSection | None = None
-    raw: dict | None = None
+    # the kind's parsed block (None for valuation); similarity's is the corr_x
+    # mechanism at each of its ``ks``, noisy-label's the (label, mechanism) runs
+    plan: (ProbeSection | RemovalSection | FederatedSection | OracleSection
+           | tuple[NoiseConfig, ...] | tuple[tuple[str, NoiseConfig], ...] | None)
+    raw: dict
 
 
 def _parse_dataset(section: dict) -> DatasetSection:
@@ -168,7 +164,7 @@ def _parse_dataset(section: dict) -> DatasetSection:
                 cast = _number if key == "separation" else _integer
                 ds.synth[key] = cast(section.get(key, default))
                 data.check_synth(**ds.synth)
-        ds.rows = ds.synth["n_samples"]
+        task, rows = "classification", ds.synth["n_samples"]
     else:
         path = str(_require(section, "path", "dataset"))
         with _field("dataset.label"):
@@ -179,22 +175,22 @@ def _parse_dataset(section: dict) -> DatasetSection:
             ds.loaded = loaded = data.load_csv(path, schema)
         with _field("dataset.test_rows"):
             models.check_test_split(loaded.test_features, loaded.test_labels)
-        ds.task, ds.rows = loaded.task, loaded.n_train
+        task, rows = loaded.task, loaded.n_train
     with _field("dataset.corrupt_ratio"):
         ds.corrupt_ratio = _number(section.get("corrupt_ratio", 0.0))
-        data.corruption_count(ds.rows, ds.corrupt_ratio, ds.task)
+        ds.corrupted = data.corruption_count(rows, ds.corrupt_ratio, task)
     part = _section(section, "partition", "dataset")
     with _field("dataset.partition.mode"):
         ds.partition_mode = data.partition_mode(part.get("mode", "per-sample"))
-    ds.n_parties = ds.rows  # per-sample: every row is a party
+    ds.n_parties = rows  # per-sample: every row is a party
     if ds.partition_mode != "per-sample":
         with _field("dataset.partition.n_parties"):
             ds.n_parties = _integer(_require(part, "n_parties", "dataset.partition"))
-            data.party_layout(ds.rows, ds.n_parties, "equal-chunks")
+            data.party_layout(rows, ds.n_parties, "equal-chunks")
     if ds.partition_mode == "by-size":
         with _field("dataset.partition.size"):
             ds.party_size = _integer(_require(part, "size", "dataset.partition"))
-            data.party_layout(ds.rows, ds.n_parties, "by-size", ds.party_size)
+            data.party_layout(rows, ds.n_parties, "by-size", ds.party_size)
     return ds
 
 
@@ -211,9 +207,12 @@ def _parse_model(section: dict) -> models.ModelSpec:
     return spec
 
 
-def _parse_noise(section: dict, noise: NoiseConfig) -> NoiseConfig:
-    """The mechanism at the budget of ``noise``: sigma given directly or
-    calibrated from epsilon/delta, then the mode and its burn-in share."""
+def _parse_noise(doc: dict) -> NoiseConfig:
+    """The mechanism at budget ``k``: sigma given directly or calibrated from
+    epsilon/delta, then the mode and its burn-in share."""
+    with _field("k"):
+        noise = NoiseConfig(1.0, 0.0, _integer(doc.get("k", 100)))
+    section = _section(doc, "noise")
     for key, attr in (("clip_norm", None), ("sigma_g_sq", None), ("sigma", "noise_multiplier")):
         noise = _set(noise, "noise", section, key, _number, attr)
     mode = section.get("mode", "iid")
@@ -285,12 +284,19 @@ def _parse_federated(section: dict, noise: NoiseConfig, utility: str) -> Federat
     return FederatedSection(noise, perms, q)
 
 
-def _parse_noisy_label(section: dict, noise: NoiseConfig, dataset: DatasetSection):
-    """The runs of one seed: each mode at the burn-in share q (``noise.q`` by
-    default), then the q_grid ablation, where q = 0 is the square corr_x matrix."""
-    with _field("dataset.corrupt_ratio"):
-        if data.corruption_count(dataset.rows, dataset.corrupt_ratio, dataset.task) == 0:
-            raise ValueError("noisy-label detection needs at least one corrupted label")
+def _root(doc) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError("", "config root must be a mapping")
+    return doc
+
+
+def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
+    """The (label, mechanism) runs of one noisy-label seed, parsed from the
+    config's ``k``, ``noise`` and ``noisy_label`` sections alone, so no dataset
+    is read: each mode at the burn-in share q (``noise.q`` by default), then
+    the q_grid ablation, where q = 0 is the square corr_x matrix."""
+    noise = _parse_noise(_root(doc))
+    section = _section(doc, "noisy_label")
     k = noise.budget
     with _field("noisy_label.q"):
         q = noise.q if section.get("q") is None else _number(section["q"])
@@ -320,24 +326,24 @@ def _parse_oracle(section: dict) -> OracleSection:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("", "config root must be a mapping")
+    doc = _root(doc)
     kind = _require(doc, "experiment", "")
     if not isinstance(kind, str) or kind not in RUNNERS:
         raise ConfigError("experiment", f"unknown kind {kind!r}")
     with _field("seed"):
         seed = valuation.seed_value(_integer(doc.get("seed", 0)))
-    with _field("k"):
-        noise = NoiseConfig(1.0, 0.0, _integer(doc.get("k", 100)))
     output_dir = doc.get("output_dir", f"out/{kind}")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", f"must be a non-empty string, got {output_dir!r}")
 
     dataset = _parse_dataset(_section(doc, "dataset"))
+    if kind == "noisy-label" and dataset.corrupted == 0:
+        raise ConfigError("dataset.corrupt_ratio",
+                          "noisy-label detection needs at least one corrupted label")
     model = _parse_model(_section(doc, "model"))
     with _field("model.loss"):
         models.check_labels(model, dataset.labels)
-    noise = _parse_noise(_section(doc, "noise"), noise)
+    noise = _parse_noise(doc)
     if kind in ("valuation", "removal", "variance-probe"):  # one chain at budget k
         with _field("k"):
             valuation.estimable(noise)
@@ -357,19 +363,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError("trials", "must be >= 1")
 
-    blocks = {}
+    plan = None
     if kind == "variance-probe":
-        blocks["probe"] = _parse_probe(_section(doc, "probe"), noise)
+        plan = _parse_probe(_section(doc, "probe"), noise)
     elif kind == "removal":
-        blocks["removal"] = _parse_removal(_section(doc, "removal"))
+        plan = _parse_removal(_section(doc, "removal"))
     elif kind == "similarity":
-        blocks["similarity"] = _parse_similarity(_section(doc, "similarity"), noise)
+        plan = _parse_similarity(_section(doc, "similarity"), noise)
     elif kind == "federated":
-        blocks["federated"] = _parse_federated(_section(doc, "federated"), noise, utility)
+        plan = _parse_federated(_section(doc, "federated"), noise, utility)
     elif kind == "noisy-label":
-        blocks["noisy_label"] = _parse_noisy_label(_section(doc, "noisy_label"), noise, dataset)
+        plan = noisy_label_runs(doc)
     elif kind == "oracle-check":
-        blocks["oracle"] = _parse_oracle(_section(doc, "oracle"))
+        plan = _parse_oracle(_section(doc, "oracle"))
     return ExperimentConfig(
         kind=kind,
         seed=seed,
@@ -380,8 +386,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         utility=utility,
         semivalue=semivalue,
         trials=trials,
+        plan=plan,
         raw=doc,
-        **blocks,
     )
 
 

@@ -82,7 +82,7 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
         seed = cfg.seed + seed_idx
         ds = build_dataset(cfg, seed)
         mask = _party_mask(ds)
-        for label, noise in cfg.noisy_label:
+        for label, noise in cfg.plan:
             res = run_valuation(build_run(cfg, ds, seed, noise))
             auc = metrics.auc_roc(-res.psi, mask)
             aucs.setdefault(label, []).append(auc)
@@ -118,8 +118,8 @@ def run_removal_experiment(cfg: ExperimentConfig):
     rows = [["order", "fraction", "score", "stderr"]]
     tidy = [["order", "fraction", "seed", "score"]]
     curves = {}
-    for order in cfg.removal.orders:
-        curve = metrics.removal_curve(res.psi, ds.n_parties, trainer, order, cfg.removal.fractions)
+    for order in cfg.plan.orders:
+        curve = metrics.removal_curve(res.psi, ds.n_parties, trainer, order, cfg.plan.fractions)
         curves[order] = curve
         for i, f in enumerate(curve.fractions):
             se = _fmt(curve.stderr[i]) if curve.stderr else ""
@@ -142,7 +142,7 @@ def run_removal_experiment(cfg: ExperimentConfig):
 
 
 def run_variance_probe_experiment(cfg: ExperimentConfig):
-    ks, trials, modes, q = cfg.probe.ks, cfg.probe.noise_trials, cfg.probe.modes, cfg.probe.q
+    ks, trials, modes, q = cfg.plan.ks, cfg.plan.noise_trials, cfg.plan.modes, cfg.plan.q
     ds = build_dataset(cfg, cfg.seed)
     base = build_run(cfg, ds, cfg.seed)
     rows = [["mode", "k", "variance", "slope"]]
@@ -165,7 +165,7 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
 def run_similarity_experiment(cfg: ExperimentConfig):
     rows = [["k", "seed", "delta_cos", "delta_l2"]]
     out = {}
-    for noise in cfg.similarity:
+    for noise in cfg.plan:
         k = noise.budget
         per_seed = []
         for seed_idx in range(cfg.trials):
@@ -184,7 +184,7 @@ def run_similarity_experiment(cfg: ExperimentConfig):
 
 
 def run_federated_experiment(cfg: ExperimentConfig):
-    fed = cfg.federated
+    fed = cfg.plan
     ds = build_dataset(cfg, cfg.seed)
     run = build_run(cfg, ds, cfg.seed, fed.noise)
     psi = run_federated(run, fed.permutations, q=fed.q)
@@ -193,7 +193,7 @@ def run_federated_experiment(cfg: ExperimentConfig):
 
 
 def run_oracle_check_experiment(cfg: ExperimentConfig):
-    n, tol = cfg.oracle.n, cfg.oracle.tolerance
+    n, tol = cfg.plan.n, cfg.plan.tolerance
     rng = np.random.default_rng(cfg.seed)
     table = {tuple(sorted(s)): float(rng.standard_normal()) for s in _powerset(n)}
 
@@ -202,7 +202,7 @@ def run_oracle_check_experiment(cfg: ExperimentConfig):
 
     rows = [["kind", "max_abs_diff", "pass"]]
     worst = 0.0
-    for spec in cfg.oracle.semivalues:
+    for spec in cfg.plan.semivalues:
         diff = float(np.max(np.abs(exact_semivalue(v, spec) - permutation_expectation(v, spec))))
         worst = max(worst, diff)
         rows.append([spec.kind, format(diff, ".3e"), str(diff < tol)])

@@ -33,6 +33,7 @@ from .models import (UTILITY_CODES, ModelSpec, check_labels, check_test_split, d
                      init_params, utility_kind)
 
 MAX_PARTIES_WEIGHTS = 10_000
+MU_GUARD = 1e-15  # |mu| below which the mean-adjusted variance is NaN
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,6 @@ class RunConfig:
     master_seed: int
     record_gradients: bool = False
     record_states: bool = False
-    exact_permutations: bool = False  # enumerate all n! permutations instead
 
     def __post_init__(self):
         seed_value(self.master_seed)
@@ -139,7 +139,7 @@ class ValuationResult:
     pcoefs: np.ndarray  # (k, n) position coefficients
     mu: np.ndarray
     s_sq: np.ndarray
-    mean_adjusted_var: np.ndarray  # NaN where |mu| underflows the guard
+    mean_adjusted_var: np.ndarray  # NaN where |mu| < MU_GUARD
     permutations_used: int
     burn_in_dropped: int
     task: _kernels.Task  # the prepared input the chain ran on
@@ -151,13 +151,13 @@ class ValuationResult:
         return len(self.psi)
 
 
-def estimation_stats(marginals: np.ndarray, guard: float = 1e-15):
+def estimation_stats(marginals: np.ndarray):
     """Per-party mean, variance-of-the-mean, and mean-adjusted variance.
 
     ``marginals`` holds the retained raw utility deltas, one row per
     iteration. mu_j = mean_t m_jt and s_j^2 = sum_t (m_jt - mu_j)^2 / (k(k-1))
     so s^2 estimates the variance of the estimator, not of a single draw.
-    mean_adjusted is s^2 / |mu| with NaN where |mu| < guard.
+    mean_adjusted is s^2 / |mu| with NaN where |mu| < MU_GUARD.
     """
     m = np.asarray(marginals, dtype=np.float64)
     k = m.shape[0]
@@ -166,12 +166,8 @@ def estimation_stats(marginals: np.ndarray, guard: float = 1e-15):
     mu = m.mean(axis=0)
     s_sq = np.sum((m - mu) ** 2, axis=0) / (k * (k - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mav = np.where(np.abs(mu) < guard, np.nan, s_sq / np.abs(mu))
+        mav = np.where(np.abs(mu) < MU_GUARD, np.nan, s_sq / np.abs(mu))
     return mu, s_sq, mav
-
-
-def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
 
 def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
@@ -213,12 +209,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     perm_ss, init_ss, noise_ss = ss.spawn(3)
 
     k = cfg.noise.budget
-    if cfg.exact_permutations:
-        perms = _all_permutations(enumerable_parties(n))
-        if k != len(perms):
-            raise ValueError(f"exact mode needs k = n! = {len(perms)}")
-    else:
-        perms = sample_permutations(n, k, perm_ss)
+    perms = sample_permutations(n, k, perm_ss)
     inits = init_params(cfg.model, (k, d), init_ss)
 
     std = cfg.noise.per_release_std

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dpvalue import _kernels, cli, data
+from dpvalue import _kernels, cli, config, data
 from dpvalue.config import ConfigError, load_config
+from dpvalue.dp import NoiseConfig
 
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
@@ -202,6 +203,33 @@ def test_plot_auc_q(tmp_path):
     assert float(corr[1][1]) == pytest.approx(aucs["corr_y"][0], rel=1e-9)
 
 
+def test_plot_auc_q_from_another_directory(tmp_path, monkeypatch):
+    # plot takes the runs' q from config.echo without reading the dataset, so
+    # a csv path relative to the run's directory is never opened
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    (run_dir / "d.csv").write_text(
+        "a,b,y\n" + "".join(f"{i % 7},{i % 5 - 2},{i % 2}\n" for i in range(36)))
+    doc = kind_doc("out", "noisy-label")
+    doc["dataset"] = {"source": "csv", "path": "d.csv", "label": "y", "test_rows": 6,
+                      "corrupt_ratio": 0.3}
+    doc["noisy_label"]["q_grid"] = [0.0, 0.25]
+    write_config(run_dir, doc)
+    monkeypatch.delenv("DPVALUE_OUTPUT_ROOT", raising=False)
+    monkeypatch.chdir(run_dir)
+    assert cli.main(["run", "cfg.yaml"]) == 0
+    assert cli.main(["plot", "out", "auc-q"]) == 0
+    out = run_dir / "out"
+    dats = {path.name: path.read_text() for path in out.glob("*.dat")}
+    assert sorted(dats) == ["auc_q_corr_y.dat", "auc_q_iid.dat", "auc_q_no_dp.dat"]
+    for path in out.glob("*.dat"):
+        path.unlink()
+    monkeypatch.chdir(elsewhere)
+    assert cli.main(["plot", str(out), "auc-q"]) == 0
+    assert {path.name: path.read_text() for path in out.glob("*.dat")} == dats
+
+
 def test_plot_variance_probe(tmp_path):
     out = tmp_path / "out"
     doc = {
@@ -286,6 +314,27 @@ REPO = Path(__file__).resolve().parents[1]
 def test_validate_shipped_configs():
     for path in sorted(REPO.glob("configs/*.yaml")):
         assert cli.main(["validate", str(path)]) == 0, path.name
+
+
+PLAN_TYPES = {"valuation": type(None), "variance-probe": config.ProbeSection,
+              "removal": config.RemovalSection, "federated": config.FederatedSection,
+              "oracle-check": config.OracleSection, "similarity": tuple, "noisy-label": tuple}
+
+
+@pytest.mark.parametrize("path", [*sorted(REPO.glob("configs/*.yaml")), "valuation"],
+                         ids=lambda path: getattr(path, "stem", path))
+def test_plan_is_the_kinds_own_block(tmp_path, path):
+    if path == "valuation":
+        path = write_config(tmp_path, base_valuation_doc(tmp_path / "out"))
+    cfg = load_config(path)
+    assert type(cfg.plan) is PLAN_TYPES[cfg.kind]
+    if cfg.kind == "similarity":  # the corr_x mechanism at each budget
+        assert cfg.plan and all(isinstance(noise, NoiseConfig) and noise.mode == "corr_x"
+                                for noise in cfg.plan)
+    if cfg.kind == "noisy-label":  # the (label, mechanism) runs, as plot reads them
+        assert cfg.plan and all(isinstance(label, str) and isinstance(noise, NoiseConfig)
+                                for label, noise in cfg.plan)
+        assert config.noisy_label_runs(cfg.raw) == cfg.plan
 
 
 # Imports dpvalue and its CLI in a fresh interpreter, runs the oracle check

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -10,7 +11,7 @@ from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
 from conftest import orthogonal_chain_task
-from dpvalue import _kernels, cli, data, dp, experiments, models
+from dpvalue import _kernels, cli, data, dp, experiments, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
     MAX_PARTIES_WEIGHTS,
@@ -173,12 +174,19 @@ def _subsets(n):
 
 
 @pytest.mark.parametrize("kind", ["shapley", "banzhaf", "beta"])
-def test_engine_exact_mode_matches_oracle(kind):
+def test_engine_exact_mode_matches_oracle(kind, monkeypatch):
     n = 5
     ds, mspec, uspec, set_value = orthogonal_chain_task(n, lr=0.07, seed=0)
     spec = SemivalueSpec(kind, n, 4.0, 1.0)
     k = math.factorial(n)
-    cfg = run_cfg(ds, mspec, uspec, k, seed=1, semi=spec, exact_permutations=True)
+    every = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+    def all_permutations(n_parties, budget, seed_seq):  # the n! permutations, once each
+        assert (n_parties, budget) == (n, k)
+        return every
+
+    monkeypatch.setattr(valuation, "sample_permutations", all_permutations)
+    cfg = run_cfg(ds, mspec, uspec, k, seed=1, semi=spec)
     res = run_valuation(cfg)
     phi = exact_semivalue(set_value, spec)
     assert np.max(np.abs(res.psi - phi)) < 1e-10
