@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import clip_in_place, release
+from .dp import clip_in_place, fold, history, release
 
 LOSS_MSE = 0
 LOSS_LOGISTIC = 1
@@ -172,6 +172,8 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
             if retained:
                 cnt = t - kq + 1.0
                 psi_keep = (cnt - 1.0) / cnt
+            tilde = g_tilde[t] if record_grads else np.empty((n, d)) if correlated else None
+            hist = history(roll, dg, t + 1) if correlated else None
             theta = inits[t].copy()
             v_prev = utility_np(theta, task)
             if not math.isfinite(v_prev):
@@ -182,9 +184,9 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
                 if record_grads:
                     g_hat[t, j] = g
                 g += noise_t[j]
-                if record_grads:
-                    g_tilde[t, j] = g
-                rel = release(g, roll[j], dg, t + 1) if correlated else g
+                if tilde is not None:
+                    tilde[j] = g
+                rel = g if hist is None else release(g, hist[j], dg)
                 if record_grads:
                     g_star[t, j] = rel
                 if record_states:
@@ -199,5 +201,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
                 if retained:
                     psi[j] = psi_keep * psi[j] + coefs[pos] * m / cnt
                 v_prev = v_after
+            if correlated:
+                fold(roll, tilde, t + 1)
     out["psi"] = np.array(psi)
     return out

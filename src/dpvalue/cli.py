@@ -134,7 +134,7 @@ def cmd_plot(args) -> int:
         try:  # each run's q is its mechanism's, as the parser set it from the echoed config
             runs = noisy_label_runs(
                 yaml.safe_load((outdir / "config.echo").read_text(encoding="utf-8")))
-        except (OSError, ConfigError) as exc:
+        except (OSError, ConfigError, yaml.YAMLError) as exc:
             print(f"cannot read the run's config.echo: {exc}", file=sys.stderr)
             return 2
         series: dict[str, list[tuple[float, float]]] = {}

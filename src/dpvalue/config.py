@@ -45,12 +45,12 @@ def _section(doc: dict, key: str, path: str = "") -> dict:
 
 @contextmanager
 def _field(path: str):
-    """Report a failed cast, engine check or file read as a ConfigError on ``path``."""
+    """Report a failed cast, engine check, read or YAML parse as a ConfigError on ``path``."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OSError, yaml.YAMLError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
@@ -395,7 +395,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError("", f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _field(""):
         doc = yaml.safe_load(fh)
     return parse_config(doc)
 

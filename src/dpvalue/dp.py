@@ -13,7 +13,10 @@ k x k matrix
 so the release at iteration t is ``(1 - X_tt) * rolling_mean + X_tt *
 current``, and every row is a convex combination of the perturbed gradients
 seen so far (a special case of the matrix-factorization mechanisms of
-Denisov et al., 2022). Supported diagonals:
+Denisov et al., 2022). Chain and federated steps take it in three parts:
+``history`` scales all parties' rolling means once per iteration, ``release``
+adds X_tt times a gradient, and ``fold`` folds the iteration's (n, d) block
+into the means, bitwise equal to party by party. Supported diagonals:
 
 * prefix mean ``X_tt = 1/t`` (the large-budget limiting matrix),
 * the gradient-variance-aware diagonal
@@ -125,15 +128,17 @@ def clip_in_place(g: np.ndarray, clip_norm: float) -> np.ndarray:
     return g
 
 
-def release(g_tilde: np.ndarray, roll: np.ndarray, dg: float, t: int) -> np.ndarray:
-    """Release the perturbed gradient ``g_tilde`` of iteration t (1-based)
-    through the combiner with diagonal weight ``dg``, and fold ``g_tilde``
-    into the rolling mean ``roll`` in place.
+def history(roll: np.ndarray, dg: float, t: int) -> np.ndarray | None:
+    """All parties' history term ``(1 - X_tt) * roll`` at iteration t; None at t=1."""
+    return None if t == 1 else (1.0 - dg) * roll
 
-    ``g_tilde`` and ``roll`` are one (d,) row or an (n, d) block of parties.
-    At t=1 there is no history and ``g_tilde`` itself is released.
-    """
-    rel = g_tilde if t == 1 else (1.0 - dg) * roll + dg * g_tilde
+
+def release(g_tilde: np.ndarray, hist: np.ndarray | None, dg: float) -> np.ndarray:
+    """``hist + X_tt * g_tilde`` for a row or block and its ``history``; at t=1, ``g_tilde``."""
+    return g_tilde if hist is None else hist + dg * g_tilde
+
+
+def fold(roll: np.ndarray, g_tilde: np.ndarray, t: int) -> None:
+    """Fold iteration t's perturbed gradients into ``roll`` after its releases."""
     roll *= (t - 1.0) / t
     roll += g_tilde / t
-    return rel

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .data import PartitionedDataset
-from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, release
+from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, fold, history, release
 from .models import (UTILITY_CODES, ModelSpec, check_labels, check_test_split, design_matrix,
                      init_params, utility_kind)
 
@@ -341,13 +341,14 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     nu = np.zeros((rounds, n))
 
     for t in range(rounds):
-        released = np.empty((n, d))
+        perturbed = np.empty((n, d))
         for j in range(n):
             g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
-            released[j] = clip_in_place(g, cfg.noise.clip_norm)
+            perturbed[j] = clip_in_place(g, cfg.noise.clip_norm)
         if std > 0.0:
-            released += std * noise_rng.standard_normal((n, d))
-        released = release(released, roll, diag[t], t + 1)
+            perturbed += std * noise_rng.standard_normal((n, d))
+        released = release(perturbed, history(roll, diag[t], t + 1), diag[t])
+        fold(roll, perturbed, t + 1)
         for _ in range(per_round_permutations):
             perm = perm_rng.permutation(n)
             th = theta.copy()

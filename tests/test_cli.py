@@ -230,6 +230,14 @@ def test_plot_auc_q_from_another_directory(tmp_path, monkeypatch):
     assert {path.name: path.read_text() for path in out.glob("*.dat")} == dats
 
 
+def test_plot_auc_q_malformed_config_echo(tmp_path, capsys):
+    (tmp_path / "result.json").write_text(json.dumps({"kind": "noisy-label"}), encoding="utf-8")
+    (tmp_path / "config.echo").write_text("a: [1,\n", encoding="utf-8")
+    assert cli.main(["plot", str(tmp_path), "auc-q"]) == 2
+    assert "cannot read the run's config.echo" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.dat"))
+
+
 def test_plot_variance_probe(tmp_path):
     out = tmp_path / "out"
     doc = {
@@ -403,6 +411,7 @@ def set_path(doc, dotted, value):
 
 
 CSV = "csv-placeholder"  # replaced by a small csv file written per case
+YAML_TEXT = "yaml-text"  # a patch that replaces the config file's whole text
 
 BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("federated-q-fractional-burn-in", "federated", {"federated.q": 0.15}, "federated.q"),
@@ -481,6 +490,7 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("logistic-three-classes", "valuation", {"dataset.n_classes": 3}, "model.loss"),
     ("logistic-csv-three-labels", "valuation",  # column b holds 0, 1 and 2
      {"dataset": {"source": "csv", "path": CSV, "label": "b", "test_rows": 2}}, "model.loss"),
+    ("malformed-yaml", "valuation", {YAML_TEXT: "a: [1,\n"}, ""),
 ]
 
 
@@ -500,6 +510,14 @@ def test_csv_source_is_read_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "load_csv", counting_load_csv)
     assert cli.main(["run", str(cfg)]) == 0
     assert len(calls) == 1
+
+
+def test_malformed_yaml_is_a_config_error(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("a: [1,\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="while parsing") as err:
+        load_config(path)
+    assert err.value.field_path == ""
 
 
 def test_integral_float_is_an_integer(tmp_path):
@@ -546,6 +564,8 @@ def test_bad_config_is_a_config_error(tmp_path, capsys, kind, patch, field):
             value = dict(value, path=str(csv_path))
         set_path(doc, dotted, value)
     cfg = write_config(tmp_path, doc)
+    if YAML_TEXT in patch:
+        cfg.write_text(patch[YAML_TEXT], encoding="utf-8")
     assert cli.main(["validate", str(cfg)]) == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["field"] == field

@@ -223,14 +223,19 @@ def test_fl_schedule_endpoints():
 def release_all(gs, diag):
     """Release the rows of ``gs`` (t along axis 0) one iteration at a time."""
     roll = np.zeros(gs.shape[1:])
-    return np.array([dp.release(gs[t], roll, diag[t], t + 1) for t in range(len(gs))])
+    released = []
+    for t in range(len(gs)):
+        released.append(dp.release(gs[t], dp.history(roll, diag[t], t + 1), diag[t]))
+        dp.fold(roll, gs[t], t + 1)
+    return np.array(released)
 
 
 def test_release_first_iteration_passthrough():
     roll = np.zeros(3)
     g = np.array([1.0, -2.0, 0.5])
-    released = dp.release(g, roll, 0.3, 1)
-    assert np.array_equal(released, g)
+    assert dp.history(roll, 0.3, 1) is None  # no history before the first iteration
+    assert dp.release(g, None, 0.3) is g
+    dp.fold(roll, g, 1)
     assert np.array_equal(roll, g)  # the rolling mean absorbed g in place
 
 
@@ -277,7 +282,8 @@ def test_release_prefix_mean_unrolls(k, d, seed):
 @given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
        DIAGONALS)
 def test_release_block_equals_rows(k, n, d, seed, kw):
-    # one (n, d) release per iteration is bitwise n single-row releases
+    # one (n, d) history, release and fold per iteration is bitwise n single-row
+    # ones: the chain's once-per-iteration fold equals folding party by party
     gs = np.random.default_rng(seed).standard_normal((k, n, d))
     diag = dp.diag_schedule(dp.NoiseConfig(1.0, 2.0, budget=k, **kw))
     block = release_all(gs, diag)

@@ -68,19 +68,20 @@ def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos,
     return out
 
 
-@pytest.mark.parametrize("loss_code,util_code", [(_kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS),
-                                                 (_kernels.LOSS_MSE, _kernels.UTIL_ACCURACY)])
-@pytest.mark.parametrize("mode", ["iid", "corr_x", "corr_y"])
-def test_chain_matches_reference_loop(mode, loss_code, util_code):
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_chain(mechanism, loss_code, util_code, n=7, d=4, k=12):
+    """A random Task and the run_chain arguments of one mechanism on it."""
     rng = np.random.default_rng(11)
-    n, d, k = 7, 4, 12
     ptr = np.concatenate([[0], np.cumsum(rng.integers(1, 5, n))]).astype(np.int64)
     x = rng.standard_normal((ptr[-1], d))
     y = rng.integers(0, 2, ptr[-1]).astype(np.float64)
     xt = rng.standard_normal((30, d))
     yt = rng.integers(0, 2, 30).astype(np.float64)
     lam = 0.02 if loss_code == _kernels.LOSS_LOGISTIC else 0.0
-    ncfg = dp.NoiseConfig(0.8, 1.5, budget=k, mode=mode, q=0.25 if mode == "corr_y" else None)
+    ncfg = dp.NoiseConfig(0.8, 1.5, budget=k, **mechanism)
     perms = np.array([rng.permutation(n) for _ in range(k)])
     inits = 0.1 * rng.standard_normal((k, d))
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
@@ -88,11 +89,50 @@ def test_chain_matches_reference_loop(mode, loss_code, util_code):
             rng.uniform(0.0, 1.0, n), ncfg.burn_in)
     task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam,
                          _kernels.mse_stats(xt, yt))
+    return task, args
+
+
+MECHANISMS = {  # corr_x_aware and fl_schedule have diagonals that are not prefix means
+    "iid": {"mode": "iid"},
+    "corr_x": {"mode": "corr_x"},
+    "corr_y": {"mode": "corr_y", "q": 0.25},
+    "corr_x_aware": {"mode": "corr_x", "sigma_g_sq": 0.7},
+    "fl_schedule": {"mode": "fl_schedule"},
+}
+
+
+@pytest.mark.parametrize("loss_code,util_code", [(_kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS),
+                                                 (_kernels.LOSS_MSE, _kernels.UTIL_ACCURACY)])
+@pytest.mark.parametrize("mode", list(MECHANISMS))
+def test_chain_matches_reference_loop(mode, loss_code, util_code):
+    task, args = random_chain(MECHANISMS[mode], loss_code, util_code)
     want = reference_chain(task, *args)
     got = _kernels.run_chain(task, *args, record_grads=True, record_states=True)
     assert set(got) == set(want)
     for name, value in want.items():
-        assert np.array_equal(got[name], value), name
+        assert same_bits(got[name], value), name
+    # unrecorded, a correlated chain keeps its perturbed gradients in its own buffer
+    bare = _kernels.run_chain(task, *args)
+    assert set(bare) == {"marginals", "pcoefs", "psi", "roll"}
+    for name in ("marginals", "psi", "roll"):
+        assert same_bits(bare[name], want[name]), name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["corr_x", "corr_y"])
+def test_correlated_chain_divergence_names_iteration_and_party(mode):
+    # a blow-up mid-iteration, inside corr_y's burn-in, overflows the squared
+    # test loss; the chain reports it as ChainDiverged alone, without numpy warnings
+    mechanism = {"mode": mode, "q": 0.5} if mode == "corr_y" else {"mode": mode}
+    task, args = random_chain(mechanism, _kernels.LOSS_MSE, _kernels.UTIL_NEG_LOSS, k=8)
+    perms, noise, kq = args[1], args[3], args[7]
+    t, pos = 2, 3
+    assert mode == "corr_x" or t < kq  # the blow-up lies inside corr_y's burn-in
+    j = int(perms[t, pos])
+    noise[t, j] = 1e300
+    with pytest.raises(_kernels.ChainDiverged) as err:
+        _kernels.run_chain(task, *args)
+    assert (err.value.iteration, err.value.party) == (t + 1, j)
 
 
 def test_softplus_utility_stable_at_extremes():

@@ -85,6 +85,17 @@ TRACED_CONFIGS = {  # tiny configs of the kinds whose hot layers the workloads c
         "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"},
         "removal": {"fractions": [0.0, 0.25, 0.5], "orders": ["highest-first", "random"]},
     },
+    "valuation": {
+        "k": 12, "dataset": SMALL, "model": LOGISTIC,
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "corr_y", "q": 0.5},
+    },
+    "noisy-label": {  # per-sample parties, as in the workload
+        "k": 10, "trials": 2, "model": LOGISTIC,
+        "dataset": {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4,
+                    "separation": 3.0, "corrupt_ratio": 0.25},
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
+        "noisy_label": {"modes": ["no_dp", "iid", "corr_y"], "q": 0.5},
+    },
 }
 
 
