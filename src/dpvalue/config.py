@@ -22,9 +22,11 @@ from .valuation import SemivalueSpec
 
 
 class ConfigError(ValueError):
+    """A config that fails at ``field_path`` ("" for the file or its root)."""
+
     def __init__(self, field_path: str, message: str):
         self.field_path = field_path
-        super().__init__(f"{field_path}: {message}")
+        super().__init__(f"{field_path}: {message}" if field_path else message)
 
 
 def _require(mapping: dict, key: str, path: str):

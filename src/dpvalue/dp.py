@@ -96,7 +96,9 @@ def mechanism(base: NoiseConfig, mode: str, k: int, q: float | None = None) -> N
 
 
 def calibrate_sigma(epsilon: float, delta: float) -> float:
-    """Analytic Gaussian-mechanism multiplier sqrt(2*ln(1.25/delta))/eps."""
+    """The classical Gaussian mechanism's multiplier sqrt(2*ln(1.25/delta))/eps
+    (Dwork & Roth, Thm A.1, proven for eps < 1), not the analytic Gaussian
+    calibration; ROADMAP item 6 plans the latter."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not (0.0 < delta < 1.0):

@@ -147,6 +147,7 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
     base = build_run(cfg, ds, cfg.seed)
     rows = [["mode", "k", "variance", "slope"]]
     tidy = [["mode", "k", "trial", "party", "psi"]]
+    trial_ids = [str(trial) for trial in range(trials)]
     out = {}
     probes = metrics.variance_scaling_probe(modes, ks, base, trials, seed=cfg.seed, q=q)
     for mode in modes:
@@ -156,9 +157,10 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
             rows.append([mode, str(k), _fmt(v), ""])
         rows.append([mode, "slope", _fmt(probe.slope), ""])
         for k, draws in probe.samples.items():
-            for party in range(draws.shape[0]):
-                for trial in range(draws.shape[1]):
-                    tidy.append([mode, str(k), str(trial), str(party), _fmt(draws[party, trial])])
+            for party, row in enumerate(draws.tolist()):  # Python floats format like _fmt
+                k_id, party_id = str(k), str(party)
+                tidy.extend([mode, k_id, trial, party_id, format(psi, ".6g")]
+                            for trial, psi in zip(trial_ids, row))
     return {"kind": "variance-probe", "probes": out}, rows, {"probe_samples.csv": tidy}
 
 

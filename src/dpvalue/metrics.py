@@ -12,16 +12,20 @@ closed-form variance identities for noisy squared norms, the N/P/Q moment sums
 of the implicit correlated noise, and the Monte Carlo probe for how the
 conditional estimator variance scales with the budget k. The probe draws
 each budget's noise once and replays every mode (iid, corr_x, corr_y) from
-that draw. The draw uses a second core: one draw thread fills two reused
-blocks in turn from the probe's single random stream while the caller scores
-them, so each mode's results are bitwise those of a single-threaded replay of
-that mode alone.
+that draw, building the parameter slabs a chunk of iterations at a time. The
+draw uses a second core: one draw thread fills two reused blocks in turn from
+the probe's single random stream, the budget's first block while its
+noiseless chains run and each later one while the caller scores the last, so
+each mode's results are bitwise those of a single-threaded replay of that
+mode alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -303,19 +307,46 @@ def conditional_variance(
     whose weights are its diagonal 1/t; corr_y additionally drops the first
     k*q iterations from the estimator. All share the scenario's budget and
     the per-release noise scale, so one standard normal (trials, k, d) block
-    per party feeds every mechanism: per iteration t its slab z_t is scaled
-    once, the iid parameters are ``base_iid[t] - lr*std*z_t`` and the
-    correlated ones ``base_corr[t] - lr*(std * prefix sum of z)/t``, shared
-    by corr_x and corr_y.
+    per party feeds every mechanism. The block is read in its own layout, a
+    chunk of iterations at a time, into two reused (trials, chunk, d) slab
+    buffers: the chunk's z_t are scaled by std once, the iid parameters are
+    ``base_iid[t] - lr*std*z_t`` and the correlated ones ``base_corr[t] -
+    lr*(std * prefix sum of z)/t``, shared by corr_x and corr_y, with the
+    prefix sum carried from chunk to chunk. Each (trials, d) slab is scored
+    once per mechanism, and a chunk's utilities are folded into psi in the
+    order of t.
 
-    One worker thread owns the noise generator and draws party j+1's block
-    while this thread turns party j's into parameters and scores them. Two
+    One worker thread owns the noise generator. It draws party 1's block
+    while the scenario is frozen (the probe freezes it here; a given scenario
+    takes no time) and party j+1's while this thread scores party j's. Two
     blocks are reused in turn, and the draws run in party order on one
     stream, so every result is bitwise that of a single-threaded replay of
     each mechanism alone. Leaving the pool joins the worker on every exit
     path, and ``result()`` re-raises an error from it here.
     """
-    k, n, d = scenario.theta_prev.shape
+    if isinstance(scenario, _Pending):
+        return _replay(scenario.freeze, scenario.shape, noises, trials, seed)
+    return _replay(lambda: scenario, scenario.theta_prev.shape, noises, trials, seed)
+
+
+class _Pending(NamedTuple):
+    """The probe's scenario before it is frozen: ``freeze()`` runs the
+    noiseless chains and ``shape`` is the (k, n, d) of what it returns. The
+    probe passes it to ``conditional_variance``, so a profile of the probe
+    still finds the replay's own time under that one name."""
+
+    freeze: Callable[[], FrozenScenario]
+    shape: tuple[int, int, int]
+
+
+_CHUNK = 16  # iterations whose parameter slabs are built together
+
+
+def _replay(freeze, shape, noises, trials: int, seed: int) -> list[tuple[float, np.ndarray]]:
+    """``conditional_variance`` on the scenario ``freeze()`` returns, whose
+    (k, n, d) ``shape`` is known before it runs, so the first noise block is
+    drawn while it does. The mechanisms are checked before either starts."""
+    k, n, d = shape
     noises = tuple(noises)
     if not noises:
         raise ValueError("need at least one mechanism to replay")
@@ -329,43 +360,72 @@ def conditional_variance(
         raise ValueError("mechanisms replayed from one draw need one per_release_std, got "
                          f"{sorted({noise.per_release_std for noise in noises})}")
     if std == 0.0:
+        freeze()
         return [(0.0, np.zeros((n, trials))) for _ in noises]
 
-    task = scenario.task
-    lr = task.lr
     kqs = [noise.burn_in for noise in noises]
     iid = any(not noise.correlated for noise in noises)
     corr = [noise for noise in noises if noise.correlated]
-    inv_t = diag_schedule(corr[0]) if corr else None  # the prefix-mean diagonal 1/t
+    if corr:  # the prefix-mean diagonal 1/t per coordinate: a chunk's (c, d) run is contiguous
+        inv_t = np.repeat(diag_schedule(corr[0])[:, None], d, axis=1)
     rng = np.random.default_rng(seed)  # used by the draw thread only
     draws = [np.empty((n, trials)) for _ in noises]
     blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
+    c = min(_CHUNK, k)
+    # a chunk's (trials, c, d) parameter slabs: std*z becomes the prefix-mean ones in place
+    slabs_corr, slabs_iid = np.empty((trials, c, d)), np.empty((trials, c, d))
+    acc = np.empty((trials, d))  # std times the prefix sum of z up to the chunk's last t
+    utils = [np.empty((c, trials)) for _ in noises]  # a chunk's utilities per mechanism
+    psis = [np.empty(trials) for _ in noises]
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(rng.standard_normal, out=blocks[0])
+        scenario = freeze()
+        if scenario.theta_prev.shape != (k, n, d):
+            raise ValueError(f"frozen scenario has shape {scenario.theta_prev.shape}, "
+                             f"expected {(k, n, d)}")
+        task = scenario.task
+        lr = task.lr
         for j in range(n):
             theta_prev, g_hat = scenario.theta_prev[:, j, :], scenario.g_hat[:, j, :]
             pcoefs, v_prev = scenario.pcoefs[:, j], scenario.v_prev[:, j]
             if iid:
                 base_iid = theta_prev - lr * g_hat
             if corr:
-                base_corr = theta_prev - lr * (np.cumsum(g_hat, axis=0) * inv_t[:, None])
-                acc = np.zeros((trials, d))  # std times the prefix sum of z
+                base_corr = theta_prev - lr * (np.cumsum(g_hat, axis=0) * inv_t)
             z = pending.result()
             if j + 1 < n:  # the other block, which party j-1 is done with
                 pending = pool.submit(rng.standard_normal, out=blocks[(j + 1) % 2])
-            psis = [np.zeros(trials) for _ in noises]
-            for t in range(k):
-                # (trials, d) parameter slabs: theta[i] = base[t] - lr * (combined noise)[i]
-                zs = z[:, t, :] * std
+            for psi in psis:
+                psi.fill(0.0)
+            for t0 in range(0, k, c):
+                t1 = min(t0 + c, k)
+                zs = slabs_corr[:, :t1 - t0]
+                np.multiply(z[:, t0:t1], std, out=zs)
                 if iid:
-                    theta_iid = base_iid[t] - zs * lr
+                    theta_iid = slabs_iid[:, :t1 - t0]
+                    np.multiply(zs, lr, out=theta_iid)
+                    np.subtract(base_iid[t0:t1], theta_iid, out=theta_iid)
                 if corr:
-                    acc += zs
-                    theta_corr = base_corr[t] - (acc * inv_t[t]) * lr
-                for psi, noise, kq in zip(psis, noises, kqs):
-                    if t >= kq:
-                        vt = _utility_rows(theta_corr if noise.correlated else theta_iid, task)
-                        psi += pcoefs[t] * (vt - v_prev[t])
+                    if t0:
+                        zs[:, 0] += acc
+                    np.cumsum(zs, axis=1, out=zs)
+                    acc[...] = zs[:, -1]
+                    zs *= inv_t[t0:t1]
+                    zs *= lr
+                    theta_corr = np.subtract(base_corr[t0:t1], zs, out=zs)
+                for w, psi, noise, kq in zip(utils, psis, noises, kqs):
+                    lo = max(kq, t0)
+                    if lo >= t1:
+                        continue
+                    thetas = theta_corr if noise.correlated else theta_iid
+                    vt = w[:t1 - lo]
+                    for i, t in enumerate(range(lo, t1)):
+                        vt[i] = _utility_rows(thetas[:, t - t0], task)
+                    # psi += pcoefs[t] * (v_t - v_prev[t]) in the order of t
+                    vt -= v_prev[lo:t1, None]
+                    vt *= pcoefs[lo:t1, None]
+                    vt[0] += psi
+                    np.add.reduce(vt, axis=0, out=psi)
             for out, psi, kq in zip(draws, psis, kqs):
                 out[j] = psi / (k - kq)
     return [(float(out.var(axis=1, ddof=1).mean()), out) for out in draws]
@@ -395,12 +455,19 @@ def variance_scaling_probe(
               for k in ks]
     variances: dict[str, list[float]] = {mode: [] for mode in modes}
     samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in modes}
+    n = base_cfg.dataset.n_parties
+    d = base_cfg.dataset.features.shape[1] + int(base_cfg.model.add_bias)
     for i, (k, at_k) in enumerate(zip(ks, noises)):
         frozen = replace(base_cfg, noise=base_cfg.noise.with_budget(k))
-        # one freeze per (mode, k), as the benchmark's traced call counts expect; all are equal
-        for _ in modes:
-            scenario = freeze_scenario(frozen)
-        replays = conditional_variance(scenario, at_k, trials, seed=seed * 7919 + i)
+
+        def freeze(frozen=frozen):
+            # one freeze per (mode, k), as the benchmark's traced call counts expect; all are equal
+            for _ in modes:
+                scenario = freeze_scenario(frozen)
+            return scenario
+
+        replays = conditional_variance(_Pending(freeze, (k, n, d)), at_k, trials,
+                                       seed=seed * 7919 + i)
         for mode, (var, draws) in zip(modes, replays):
             variances[mode].append(var)
             samples[mode][k] = draws

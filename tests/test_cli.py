@@ -520,6 +520,23 @@ def test_malformed_yaml_is_a_config_error(tmp_path):
     assert err.value.field_path == ""
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a: [1,\n", "while parsing a flow node\nexpected the node content, but found "
+                 "'<stream end>'\n  in \"{path}\", line 2, column 1"),
+    (None, "config file not found: {path}"),
+    ("- 1\n- 2\n", "config root must be a mapping"),
+], ids=["malformed-yaml", "missing-file", "non-mapping-root"])
+def test_file_level_config_error_message(tmp_path, capsys, text, message):
+    # an error with no field path is the bare message, with no ": " in front
+    path = tmp_path / "cfg.yaml"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == ""
+    assert record["message"] == message.format(path=path)
+
+
 def test_integral_float_is_an_integer(tmp_path):
     # YAML writes 12.0 for a computed budget; it is the integer 12, not a cast of 12.9
     doc = base_valuation_doc(tmp_path / "out")

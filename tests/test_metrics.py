@@ -393,6 +393,25 @@ def test_probe_matches_single_threaded_replay(mode, q):
     assert var == want_var
 
 
+@pytest.mark.parametrize("k,q", [(10, 0.5), (40, 0.25), (48, 0.5), (32, 0.5)],
+                         ids=["k-under-chunk", "k-not-a-multiple", "kq-inside-chunk",
+                              "kq-on-chunk-boundary"])
+def test_probe_chunked_replay_matches_single_threaded_replay(k, q):
+    # budgets placed against the replay's chunk of 16 iterations: shorter than
+    # one chunk, not a multiple of it, and corr_y's burn-in k*q ending inside
+    # a later chunk (24) or on a chunk's edge (16)
+    assert metrics._CHUNK == 16
+    cfg = probe_base()
+    cfg = replace(cfg, noise=cfg.noise.with_budget(k))
+    scenario = metrics.freeze_scenario(cfg)
+    modes = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", q)]
+    replays = metrics.conditional_variance(
+        scenario, [probe_noise(cfg, mode, mode_q) for mode, mode_q in modes], trials=103, seed=5)
+    for (mode, mode_q), (var, draws) in zip(modes, replays):
+        want_var, want = reference_replay(scenario, mode, cfg.noise, 103, seed=5, q=mode_q)
+        assert np.array_equal(draws, want) and var == want_var, mode
+
+
 def test_probe_replays_every_mode_from_one_draw():
     # one call with all three mechanisms equals three single-mode replays bitwise
     cfg = probe_base()
@@ -522,6 +541,23 @@ def test_probe_draw_error_reaches_the_caller(monkeypatch):
     assert len(draw_threads) == 1 and threading.get_ident() not in draw_threads
 
 
+def test_probe_freeze_error_joins_the_draw_thread(monkeypatch):
+    # the probe draws a budget's first block while it freezes the scenario
+    cfg = probe_base()
+    threads_seen = []
+
+    def failing_freeze(cfg):
+        threads_seen.append(threading.active_count())
+        raise RuntimeError("freeze failed")
+
+    monkeypatch.setattr(metrics, "freeze_scenario", failing_freeze)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="freeze failed"):
+        metrics.variance_scaling_probe(["iid", "corr_x"], [10, 20, 40], cfg, trials=100)
+    assert threads_seen == [before + 1]  # the draw thread was running
+    assert threading.active_count() == before
+
+
 def test_probe_validation():
     cfg = probe_base()
     with pytest.raises(ValueError, match="three"):
@@ -554,8 +590,8 @@ def test_probe_validation():
 
 @pytest.mark.parametrize("mode,q", [("corr_x", 0.0), ("corr_y", 0.5)])
 def test_probe_rejects_variance_aware_combiner(mode, q, monkeypatch):
-    # the replay knows only the prefix-mean weights 1/t, so a variance-aware
-    # diagonal is refused before any chain runs instead of probed as another mechanism
+    # the replay knows only the prefix-mean weights 1/t, so a variance-aware diagonal
+    # is refused before any chain or draw runs instead of probed as another mechanism
     cfg = probe_base()
     aware = replace(cfg, noise=replace(cfg.noise, sigma_g_sq=0.5))
     scenario = metrics.freeze_scenario(cfg)
@@ -563,7 +599,11 @@ def test_probe_rejects_variance_aware_combiner(mode, q, monkeypatch):
     def no_chain(cfg):
         raise AssertionError("a chain ran before the probe checked its mechanism")
 
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a draw thread started before the probe checked its mechanism")
+
     monkeypatch.setattr(metrics, "freeze_scenario", no_chain)
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
     with pytest.raises(ValueError, match="prefix-mean"):
         metrics.variance_scaling_probe(["iid", mode], [10, 20, 40], aware, trials=100, q=q)
     with pytest.raises(ValueError, match="prefix-mean"):
