@@ -80,6 +80,14 @@ def _boolean(value) -> bool:
     return value
 
 
+def _list(value) -> list | tuple:
+    """A list field: a YAML sequence, never a scalar, which would be read
+    character by character or not at all."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list, got {value!r}")
+    return value
+
+
 def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None):
     """``obj`` with ``attr`` (``key`` by default) set from ``section[key]`` if
     given; ``replace`` re-runs the dataclass's checks, reported at ``path.key``."""
@@ -239,11 +247,11 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
     and mode it will run."""
     p = ProbeSection()
     with _field("probe.ks"):
-        p.ks = metrics.probe_budgets(_integer(k) for k in section.get("ks", p.ks))
+        p.ks = metrics.probe_budgets(_integer(k) for k in _list(section.get("ks", p.ks)))
     with _field("probe.noise_trials"):
         p.noise_trials = metrics.probe_trials(_integer(section.get("noise_trials", p.noise_trials)))
     with _field("probe.modes"):
-        p.modes = tuple(metrics.probe_mode(m) for m in section.get("modes", p.modes))
+        p.modes = tuple(metrics.probe_mode(m) for m in _list(section.get("modes", p.modes)))
     with _field("probe.q"):
         p.q = _number(section.get("q", p.q))
     for k in p.ks:
@@ -251,26 +259,24 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
             valuation.estimable(noise.with_budget(k))
         for mode in p.modes:
             with _field("probe.q"):
-                probe_noise = mechanism(noise, mode, k, p.q)
-            with _field("noise.sigma_g_sq"):
-                metrics.prefix_mean_only(probe_noise)
+                mechanism(noise, mode, k, p.q)
     return p
 
 
 def _parse_removal(section: dict) -> RemovalSection:
     with _field("removal.fractions"):
         fractions = metrics.removal_fractions(
-            _number(f) for f in section.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4)))
+            _number(f) for f in _list(section.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4))))
     with _field("removal.orders"):
         orders = tuple(metrics.removal_order(o)
-                       for o in section.get("orders", ("highest-first", "random")))
+                       for o in _list(section.get("orders", ("highest-first", "random"))))
     return RemovalSection(fractions, orders)
 
 
 def _parse_similarity(section: dict, noise: NoiseConfig) -> tuple[NoiseConfig, ...]:
     with _field("similarity.ks"):
         return tuple(valuation.estimable(mechanism(noise, "corr_x", _integer(k)))
-                     for k in section.get("ks", (100, 200)))
+                     for k in _list(section.get("ks", (100, 200))))
 
 
 def _parse_federated(section: dict, noise: NoiseConfig, utility: str) -> FederatedSection:
@@ -303,12 +309,14 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     with _field("noisy_label.q"):
         q = noise.q if section.get("q") is None else _number(section["q"])
         burn_in_count(k, q or 0.0)  # an unset q fails below, at the corr_y run
+    with _field("noisy_label.modes"):
+        modes = _list(section.get("modes", ("no_dp", "iid", "corr_y")))
     runs = []
-    for mode in section.get("modes", ("no_dp", "iid", "corr_y")):
+    for mode in modes:
         with _field("noisy_label.q" if mode == "corr_y" else "noisy_label.modes"):
             runs.append((mode, valuation.estimable(mechanism(noise, mode, k, q))))
     with _field("noisy_label.q_grid"):
-        for qq in section.get("q_grid", ()) or ():
+        for qq in _list(section.get("q_grid") or ()):
             qq = _number(qq)
             burn_in_count(k, qq)
             label, mode = (f"corr_y(q={qq})", "corr_y") if qq > 0 else ("corr_x", "corr_x")
@@ -321,7 +329,7 @@ def _parse_oracle(section: dict) -> OracleSection:
         n = valuation.enumerable_parties(_integer(section.get("n", 4)))
     with _field("oracle.kinds"):
         specs = tuple(SemivalueSpec(kind, n, 4.0, 1.0)
-                      for kind in section.get("kinds", ("shapley", "banzhaf")))
+                      for kind in _list(section.get("kinds", ("shapley", "banzhaf"))))
     with _field("oracle.tolerance"):
         tolerance = _number(section.get("tolerance", 1e-10))
     return OracleSection(n, specs, tolerance)

@@ -16,7 +16,13 @@ seen so far (a special case of the matrix-factorization mechanisms of
 Denisov et al., 2022). Chain and federated steps take it in three parts:
 ``history`` scales all parties' rolling means once per iteration, ``release``
 adds X_tt times a gradient, and ``fold`` folds the iteration's (n, d) block
-into the means, bitwise equal to party by party. Supported diagonals:
+into the means, bitwise equal to party by party. The same matrix on prefix
+sums ``S_t = g_1 + ... + g_t`` is
+
+    release_t = c_t * S_t + e_t * g_t,  c_t = (1 - X_tt)/(t - 1),  e_t = X_tt - c_t
+
+(c_1 = 1, e_1 = 0), which ``prefix_weights`` returns for replays that build
+many releases at once from one cumulative sum. Supported diagonals:
 
 * prefix mean ``X_tt = 1/t`` (the large-budget limiting matrix),
 * the gradient-variance-aware diagonal
@@ -119,6 +125,17 @@ def diag_schedule(cfg: NoiseConfig) -> np.ndarray:
         return 1.0 / t
     kcs = k * (cfg.clip_norm * cfg.noise_multiplier) ** 2
     return (kcs + t * cfg.sigma_g_sq) / (t * (kcs + cfg.sigma_g_sq))
+
+
+def prefix_weights(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The combiner of diagonal ``diag`` on prefix sums: the weights (c, e)
+    with ``release_t = c_t * S_t + e_t * g_t`` for ``S_t = g_1 + ... + g_t``.
+    c_1 = 1 and e_1 = 0 whatever X_11, as ``release`` passes g_1 through."""
+    c = np.ones_like(diag)
+    c[1:] = (1.0 - diag[1:]) / np.arange(1, len(diag))
+    e = diag - c
+    e[0] = 0.0
+    return c, e
 
 
 def clip_in_place(g: np.ndarray, clip_norm: float) -> np.ndarray:

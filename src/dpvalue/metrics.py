@@ -12,12 +12,13 @@ closed-form variance identities for noisy squared norms, the N/P/Q moment sums
 of the implicit correlated noise, and the Monte Carlo probe for how the
 conditional estimator variance scales with the budget k. The probe draws
 each budget's noise once and replays every mode (iid, corr_x, corr_y) from
-that draw, building the parameter slabs a chunk of iterations at a time. The
-draw uses a second core: one draw thread fills two reused blocks in turn from
-the probe's single random stream, the budget's first block while its
-noiseless chains run and each later one while the caller scores the last, so
-each mode's results are bitwise those of a single-threaded replay of that
-mode alone.
+that draw, building the parameter slabs a chunk of iterations at a time; the
+correlated modes take any combiner diagonal through ``dp``'s prefix-sum
+weights. The draw uses a second core: one draw thread fills two reused
+blocks in turn from the probe's single random stream, the budget's first
+block while its noiseless chains run and each later one while the caller
+scores the last, so each mode's results are bitwise those of a
+single-threaded replay of that mode alone.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism
+from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism, prefix_weights
 from .valuation import RunConfig, run_valuation
 
 
@@ -281,18 +282,6 @@ def probe_mode(mode: str) -> str:
     return mode
 
 
-def prefix_mean_only(noise: NoiseConfig) -> NoiseConfig:
-    """The replay knows only the prefix-mean combiner, so a correlated mode
-    with the variance-aware diagonal is rejected rather than probed as a
-    different mechanism."""
-    if noise.correlated and noise.sigma_g_sq:
-        raise ValueError(
-            "the probe replays only the prefix-mean combiner; "
-            f"{noise.mode} needs sigma_g_sq unset or 0, got {noise.sigma_g_sq}"
-        )
-    return noise
-
-
 def conditional_variance(
     scenario: FrozenScenario,
     noises,
@@ -303,18 +292,20 @@ def conditional_variance(
     and the (n_parties, trials) estimator draws it is taken over: one
     ``(var, draws)`` per mechanism of ``noises``, all replayed from one draw.
 
-    Each mechanism is iid, or corr_x/corr_y with the prefix-mean combiner,
-    whose weights are its diagonal 1/t; corr_y additionally drops the first
-    k*q iterations from the estimator. All share the scenario's budget and
-    the per-release noise scale, so one standard normal (trials, k, d) block
-    per party feeds every mechanism. The block is read in its own layout, a
-    chunk of iterations at a time, into two reused (trials, chunk, d) slab
-    buffers: the chunk's z_t are scaled by std once, the iid parameters are
+    Each mechanism is iid, or corr_x/corr_y with any combiner diagonal (the
+    prefix mean or the variance-aware one); corr_y additionally drops the
+    first k*q iterations from the estimator. All share the scenario's budget
+    and the per-release noise scale, and the correlated ones share one
+    diagonal, so one standard normal (trials, k, d) block per party feeds
+    every mechanism. The block is read in its own layout, a chunk of
+    iterations at a time, into reused (trials, chunk, d) slab buffers: the
+    chunk's z_t are scaled by std once, the iid parameters are
     ``base_iid[t] - lr*std*z_t`` and the correlated ones ``base_corr[t] -
-    lr*(std * prefix sum of z)/t``, shared by corr_x and corr_y, with the
-    prefix sum carried from chunk to chunk. Each (trials, d) slab is scored
-    once per mechanism, and a chunk's utilities are folded into psi in the
-    order of t.
+    lr*(c_t * std * prefix sum of z + e_t * std*z_t)`` with ``dp``'s
+    prefix-sum weights (c, e) of the diagonal, shared by corr_x and corr_y,
+    with the prefix sum carried from chunk to chunk. Each (trials, d) slab is
+    scored once per mechanism, and a chunk's utilities are folded into psi in
+    the order of t.
 
     One worker thread owns the noise generator. It draws party 1's block
     while the scenario is frozen (the probe freezes it here; a given scenario
@@ -352,28 +343,33 @@ def _replay(freeze, shape, noises, trials: int, seed: int) -> list[tuple[float, 
         raise ValueError("need at least one mechanism to replay")
     for noise in noises:
         probe_mode(noise.mode)
-        prefix_mean_only(noise)
         if noise.budget != k:
             raise ValueError(f"noise budget {noise.budget} must equal the scenario's k={k}")
     std = noises[0].per_release_std
     if any(noise.per_release_std != std for noise in noises):
         raise ValueError("mechanisms replayed from one draw need one per_release_std, got "
                          f"{sorted({noise.per_release_std for noise in noises})}")
+    corr = [noise for noise in noises if noise.correlated]
+    diag = diag_schedule(corr[0]) if corr else None
+    for noise in corr[1:]:
+        if not np.array_equal(diag_schedule(noise), diag):
+            raise ValueError("correlated mechanisms replayed from one draw need one diagonal, got "
+                             f"{corr[0].mode} (sigma_g_sq={corr[0].sigma_g_sq}) and "
+                             f"{noise.mode} (sigma_g_sq={noise.sigma_g_sq})")
     if std == 0.0:
         freeze()
         return [(0.0, np.zeros((n, trials))) for _ in noises]
 
     kqs = [noise.burn_in for noise in noises]
     iid = any(not noise.correlated for noise in noises)
-    corr = [noise for noise in noises if noise.correlated]
-    if corr:  # the prefix-mean diagonal 1/t per coordinate: a chunk's (c, d) run is contiguous
-        inv_t = np.repeat(diag_schedule(corr[0])[:, None], d, axis=1)
     rng = np.random.default_rng(seed)  # used by the draw thread only
     draws = [np.empty((n, trials)) for _ in noises]
     blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
     c = min(_CHUNK, k)
-    # a chunk's (trials, c, d) parameter slabs: std*z becomes the prefix-mean ones in place
+    # a chunk's (trials, c, d) parameter slabs: std*z becomes the correlated ones in place,
+    # with the current-gradient terms std*z*e*lr beside them
     slabs_corr, slabs_iid = np.empty((trials, c, d)), np.empty((trials, c, d))
+    slabs_e = np.empty((trials, c, d))
     acc = np.empty((trials, d))  # std times the prefix sum of z up to the chunk's last t
     utils = [np.empty((c, trials)) for _ in noises]  # a chunk's utilities per mechanism
     psis = [np.empty(trials) for _ in noises]
@@ -385,13 +381,16 @@ def _replay(freeze, shape, noises, trials: int, seed: int) -> list[tuple[float, 
                              f"expected {(k, n, d)}")
         task = scenario.task
         lr = task.lr
+        if corr:  # dp's prefix-sum weights per coordinate: a chunk's (c, d) run is contiguous
+            c_w, e_w = (np.repeat(w[:, None], d, axis=1) for w in prefix_weights(diag))
+            c_lr, e_lr = c_w * lr, e_w * lr
         for j in range(n):
             theta_prev, g_hat = scenario.theta_prev[:, j, :], scenario.g_hat[:, j, :]
             pcoefs, v_prev = scenario.pcoefs[:, j], scenario.v_prev[:, j]
             if iid:
                 base_iid = theta_prev - lr * g_hat
             if corr:
-                base_corr = theta_prev - lr * (np.cumsum(g_hat, axis=0) * inv_t)
+                base_corr = theta_prev - lr * (np.cumsum(g_hat, axis=0) * c_w + g_hat * e_w)
             z = pending.result()
             if j + 1 < n:  # the other block, which party j-1 is done with
                 pending = pool.submit(rng.standard_normal, out=blocks[(j + 1) % 2])
@@ -406,12 +405,16 @@ def _replay(freeze, shape, noises, trials: int, seed: int) -> list[tuple[float, 
                     np.multiply(zs, lr, out=theta_iid)
                     np.subtract(base_iid[t0:t1], theta_iid, out=theta_iid)
                 if corr:
+                    ez = np.multiply(zs, e_lr[t0:t1], out=slabs_e[:, :t1 - t0])
                     if t0:
                         zs[:, 0] += acc
-                    np.cumsum(zs, axis=1, out=zs)
+                    # the prefix sum as slab adds: np.cumsum's adds in its order, but
+                    # over whole (trials, d) slabs rather than short strided runs
+                    for i in range(1, t1 - t0):
+                        np.add(zs[:, i], zs[:, i - 1], out=zs[:, i])
                     acc[...] = zs[:, -1]
-                    zs *= inv_t[t0:t1]
-                    zs *= lr
+                    zs *= c_lr[t0:t1]
+                    zs += ez
                     theta_corr = np.subtract(base_corr[t0:t1], zs, out=zs)
                 for w, psi, noise, kq in zip(utils, psis, noises, kqs):
                     lo = max(kq, t0)
@@ -451,8 +454,7 @@ def variance_scaling_probe(
     ks = probe_budgets(ks)
     probe_trials(trials)
     modes = tuple(dict.fromkeys(probe_mode(mode) for mode in modes))
-    noises = [[prefix_mean_only(mechanism(base_cfg.noise, mode, k, q)) for mode in modes]
-              for k in ks]
+    noises = [[mechanism(base_cfg.noise, mode, k, q) for mode in modes] for k in ks]
     variances: dict[str, list[float]] = {mode: [] for mode in modes}
     samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in modes}
     n = base_cfg.dataset.n_parties

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -291,8 +292,6 @@ def probe_doc(outdir, **probe):
     ({"modes": ["iid", "fl_schedule"]}, {}, "probe.modes"),
     ({"modes": ["corr_y"], "ks": [10, 20, 25], "q": 0.3}, {}, "probe.q"),  # k*q = 7.5 at k=25
     ({"modes": ["corr_y"], "q": 1.0}, {}, "probe.q"),
-    ({"modes": ["iid", "corr_x"]}, {"sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
-    ({"modes": ["corr_y"]}, {"sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
 ])
 def test_validate_rejects_bad_probe(tmp_path, capsys, probe, noise, field):
     doc = probe_doc(tmp_path / "out", **probe)
@@ -309,11 +308,27 @@ def test_validate_rejects_bad_probe(tmp_path, capsys, probe, noise, field):
     ({}, {}),
     ({"modes": ["iid", "corr_x", "corr_y"]}, {"sigma_g_sq": 0.0}),
     ({"modes": ["iid"]}, {"sigma_g_sq": 0.5}),  # iid replays no combiner
+    ({"modes": ["iid", "corr_x"]}, {"sigma_g_sq": 0.5}),  # the variance-aware diagonal
+    ({"modes": ["corr_y"]}, {"sigma_g_sq": 0.5}),
 ])
 def test_validate_accepts_good_probe(tmp_path, probe, noise):
     doc = probe_doc(tmp_path / "out", **probe)
     doc["noise"].update(noise)
     assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 0
+
+
+def test_variance_aware_probe_runs(tmp_path):
+    # the probe replays the variance-aware combiner the chain runs
+    out = tmp_path / "out"
+    doc = probe_doc(out, modes=["iid", "corr_x", "corr_y"])
+    doc["noise"]["sigma_g_sq"] = 0.5
+    assert cli.main(["run", str(write_config(tmp_path, doc))]) == 0
+    probes = json.loads((out / "result.json").read_text())["probes"]
+    assert sorted(probes) == ["corr_x", "corr_y", "iid"]
+    for probe in probes.values():
+        assert probe["ks"] == [10, 20, 40]
+        assert all(math.isfinite(v) and v > 0.0 for v in probe["variances"])
+        assert math.isfinite(probe["slope"])
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -492,6 +507,29 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      {"dataset": {"source": "csv", "path": CSV, "label": "b", "test_rows": 2}}, "model.loss"),
     ("malformed-yaml", "valuation", {YAML_TEXT: "a: [1,\n"}, ""),
 ]
+
+
+LIST_FIELDS = [  # (kind, field, a scalar where the field takes a list)
+    ("variance-probe", "probe.ks", 10),
+    ("variance-probe", "probe.modes", "corr_x"),
+    ("removal", "removal.fractions", 0.1),
+    ("removal", "removal.orders", "random"),
+    ("similarity", "similarity.ks", 20),
+    ("noisy-label", "noisy_label.modes", "iid"),
+    ("noisy-label", "noisy_label.q_grid", 0.5),
+    ("oracle-check", "oracle.kinds", "shapley"),
+]
+
+
+@pytest.mark.parametrize("kind,field,value", LIST_FIELDS, ids=[case[1] for case in LIST_FIELDS])
+def test_scalar_list_field_is_a_config_error(tmp_path, capsys, kind, field, value):
+    # a scalar is not read character by character ("got 'c'") or iterated ("'int' object")
+    doc = kind_doc(tmp_path / "out", kind)
+    set_path(doc, field, value)
+    assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+    assert record["message"] == f"{field}: must be a list, got {value!r}"
 
 
 def test_csv_source_is_read_once_per_run(tmp_path, monkeypatch):

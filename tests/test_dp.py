@@ -267,6 +267,9 @@ def test_release_row_weights_sum_to_one(k, sigma, kw):
     for t in range(1, k):  # with uniform off-diagonals (1 - X_tt) / (t - 1)
         assert np.allclose(rows[t, :t], (1.0 - diag[t]) / t, rtol=1e-12, atol=1e-15)
         assert rows[t, t] == pytest.approx(diag[t], rel=1e-12, abs=1e-15)
+    # the prefix-sum weights state the same rows: c_t up to the diagonal, plus e_t on it
+    c, e = dp.prefix_weights(diag)
+    assert np.allclose(np.tril(np.tile(c[:, None], k)) + np.diag(e), rows, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

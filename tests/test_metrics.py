@@ -344,26 +344,34 @@ def test_probe_zero_sigma_zero_variance(monkeypatch):
 
 
 def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
-    """The single-threaded noise replay, one fresh block per party."""
+    """The single-threaded noise replay, one fresh block per party. The
+    correlated modes release ``c_t * S_t + e_t * g_t`` with dp's prefix-sum
+    weights of their diagonal, in the replay's order of operations."""
     k, n, d = scenario.theta_prev.shape
     std = np.sqrt(noise_cfg.budget) * noise_cfg.clip_norm * noise_cfg.noise_multiplier
     kq = int(round(k * q)) if mode == "corr_y" else 0
+    lr = scenario.task.lr
+    if mode != "iid":
+        c, e = (w[:, None] for w in
+                dp.prefix_weights(dp.diag_schedule(dp.mechanism(noise_cfg, mode, k, q))))
     rng = np.random.default_rng(seed)
-    inv_t = 1.0 / np.arange(1, k + 1)
     draws = np.empty((n, trials))
     for j in range(n):
+        g_hat = scenario.g_hat[:, j, :]
         if mode == "iid":
-            base = scenario.theta_prev[:, j, :] - scenario.task.lr * scenario.g_hat[:, j, :]
+            base = scenario.theta_prev[:, j, :] - lr * g_hat
         else:
-            prefix = np.cumsum(scenario.g_hat[:, j, :], axis=0) * inv_t[:, None]
-            base = scenario.theta_prev[:, j, :] - scenario.task.lr * prefix
-        # thetas[i, t] = base[t] - lr * z[i, t], built in place over the draw
+            base = scenario.theta_prev[:, j, :] - lr * (np.cumsum(g_hat, axis=0) * c + g_hat * e)
+        # thetas[i, t] = base[t] - lr * (released noise)[i, t], built in place over the draw
         thetas = rng.standard_normal((trials, k, d))
         thetas *= std
-        if mode != "iid":
+        if mode == "iid":
+            thetas *= lr
+        else:
+            current = thetas * (e * lr)
             np.cumsum(thetas, axis=1, out=thetas)
-            thetas *= inv_t[None, :, None]
-        thetas *= scenario.task.lr
+            thetas *= c * lr
+            thetas += current
         np.subtract(base, thetas, out=thetas)
         psi = np.zeros(trials)
         for t in range(kq, k):
@@ -371,6 +379,31 @@ def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
             psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
         draws[j] = psi / (k - kq)
     return float(draws.var(axis=1, ddof=1).mean()), draws
+
+
+def explicit_matrix_replay(scenario, noise, trials, seed):
+    """The replay through the combiner's explicit k x k matrix X, with
+    X_tl = (1 - X_tt)/(t - 1) below the diagonal: theta_t = theta_prev_t -
+    lr * (X @ (g_hat + std*z))_t, scored one t at a time."""
+    k, n, d = scenario.theta_prev.shape
+    diag = dp.diag_schedule(noise)
+    x = np.zeros((k, k))
+    for t in range(1, k + 1):
+        x[t - 1, :t - 1] = (1.0 - diag[t - 1]) / max(t - 1, 1)
+        x[t - 1, t - 1] = diag[t - 1]
+    rng = np.random.default_rng(seed)
+    draws = np.empty((n, trials))
+    for j in range(n):
+        z = rng.standard_normal((trials, k, d))
+        g_tilde = scenario.g_hat[:, j, :] + noise.per_release_std * z
+        released = np.einsum("tl,ild->itd", x, g_tilde)
+        thetas = scenario.theta_prev[:, j, :] - scenario.task.lr * released
+        psi = np.zeros(trials)
+        for t in range(noise.burn_in, k):
+            vt = _kernels.utility_np(thetas[:, t, :], scenario.task)
+            psi += scenario.pcoefs[t, j] * (vt - scenario.v_prev[t, j])
+        draws[j] = psi / (k - noise.burn_in)
+    return draws
 
 
 PROBE_MODES = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", 0.5)]
@@ -582,6 +615,12 @@ def test_probe_validation():
     louder = replace(probe_noise(cfg, "corr_x"), noise_multiplier=2.0)
     with pytest.raises(ValueError, match="per_release_std"):
         metrics.conditional_variance(scenario, [cfg.noise, louder], trials=200, seed=0)
+    # ... and the correlated ones share one combiner diagonal
+    aware = replace(probe_noise(cfg, "corr_y", 0.5), sigma_g_sq=0.5)
+    with pytest.raises(ValueError, match=r"one diagonal, got corr_x \(sigma_g_sq=None\) "
+                                         r"and corr_y \(sigma_g_sq=0\.5\)"):
+        metrics.conditional_variance(scenario, [cfg.noise, probe_noise(cfg, "corr_x"), aware],
+                                     trials=200, seed=0)
     with pytest.raises(ValueError, match="mechanism"):
         metrics.conditional_variance(scenario, [], trials=200, seed=0)
     with pytest.raises(ValueError, match="integer"):
@@ -589,29 +628,22 @@ def test_probe_validation():
 
 
 @pytest.mark.parametrize("mode,q", [("corr_x", 0.0), ("corr_y", 0.5)])
-def test_probe_rejects_variance_aware_combiner(mode, q, monkeypatch):
-    # the replay knows only the prefix-mean weights 1/t, so a variance-aware diagonal
-    # is refused before any chain or draw runs instead of probed as another mechanism
+def test_probe_replays_variance_aware_combiner(mode, q):
+    # the replay takes any diagonal through dp's prefix-sum weights: its draws
+    # match releases built from the explicit combiner matrix, for the
+    # variance-aware diagonal and for the prefix mean it reduces to at 0
     cfg = probe_base()
-    aware = replace(cfg, noise=replace(cfg.noise, sigma_g_sq=0.5))
+    cfg = replace(cfg, noise=cfg.noise.with_budget(40))
     scenario = metrics.freeze_scenario(cfg)
-
-    def no_chain(cfg):
-        raise AssertionError("a chain ran before the probe checked its mechanism")
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a draw thread started before the probe checked its mechanism")
-
-    monkeypatch.setattr(metrics, "freeze_scenario", no_chain)
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
-    with pytest.raises(ValueError, match="prefix-mean"):
-        metrics.variance_scaling_probe(["iid", mode], [10, 20, 40], aware, trials=100, q=q)
-    with pytest.raises(ValueError, match="prefix-mean"):
-        metrics.conditional_variance(scenario, [aware.noise, probe_noise(aware, mode, q)],
-                                     trials=100, seed=0)
-    # iid replays no combiner, and sigma_g_sq = 0 is the prefix mean itself
-    for noise in (aware.noise, replace(probe_noise(cfg, mode, q), sigma_g_sq=0.0)):
-        assert metrics.prefix_mean_only(noise) is noise
+    for sigma_g_sq in (0.5, 0.0):
+        noise = replace(probe_noise(cfg, mode, q), sigma_g_sq=sigma_g_sq)
+        [(var, draws)] = metrics.conditional_variance(scenario, [noise], trials=101, seed=3)
+        want = explicit_matrix_replay(scenario, noise, trials=101, seed=3)
+        # relative to the largest draw: a psi near 0 is a sum of cancelling terms
+        assert np.abs(draws - want).max() <= 1e-12 * np.abs(want).max(), sigma_g_sq
+        assert var == pytest.approx(want.var(axis=1, ddof=1).mean(), rel=1e-12, abs=0.0)
+        want_var, bitwise = reference_replay(scenario, mode, noise, 101, seed=3, q=q)
+        assert np.array_equal(draws, bitwise) and var == want_var, sigma_g_sq
 
 
 def test_probe_iid_matches_direct_simulation():
