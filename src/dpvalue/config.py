@@ -80,11 +80,14 @@ def _boolean(value) -> bool:
     return value
 
 
-def _list(value) -> list | tuple:
+def _list(value, empty: bool = False) -> list | tuple:
     """A list field: a YAML sequence, never a scalar, which would be read
-    character by character or not at all."""
+    character by character or not at all, and not empty unless ``empty``,
+    since an empty one runs nothing."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"must be a list, got {value!r}")
+    if not (value or empty):
+        raise ValueError("must not be empty")
     return value
 
 
@@ -254,6 +257,8 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
         p.modes = tuple(metrics.probe_mode(m) for m in _list(section.get("modes", p.modes)))
     with _field("probe.q"):
         p.q = _number(section.get("q", p.q))
+    with _field("noise.sigma"):
+        metrics.probe_sigma(noise.noise_multiplier)
     for k in p.ks:
         with _field("probe.ks"):  # the noiseless chain frozen at k
             valuation.estimable(noise.with_budget(k))
@@ -310,17 +315,19 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
         q = noise.q if section.get("q") is None else _number(section["q"])
         burn_in_count(k, q or 0.0)  # an unset q fails below, at the corr_y run
     with _field("noisy_label.modes"):
-        modes = _list(section.get("modes", ("no_dp", "iid", "corr_y")))
+        modes = _list(section.get("modes", ("no_dp", "iid", "corr_y")), empty=True)
     runs = []
     for mode in modes:
         with _field("noisy_label.q" if mode == "corr_y" else "noisy_label.modes"):
             runs.append((mode, valuation.estimable(mechanism(noise, mode, k, q))))
     with _field("noisy_label.q_grid"):
-        for qq in _list(section.get("q_grid") or ()):
+        for qq in _list(section.get("q_grid") or (), empty=True):
             qq = _number(qq)
             burn_in_count(k, qq)
             label, mode = (f"corr_y(q={qq})", "corr_y") if qq > 0 else ("corr_x", "corr_x")
             runs.append((label, valuation.estimable(mechanism(noise, mode, k, qq))))
+    if not runs:
+        raise ConfigError("noisy_label.modes", "must not be empty without a q_grid")
     return tuple(runs)
 
 

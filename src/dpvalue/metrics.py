@@ -10,23 +10,23 @@ with cos(a, b) = |a.b| / (|a||b|) and the means taken in one vectorised pass
 over every (t, j) record whose three gradients have non-zero norms, the
 closed-form variance identities for noisy squared norms, the N/P/Q moment sums
 of the implicit correlated noise, and the Monte Carlo probe for how the
-conditional estimator variance scales with the budget k. The probe draws
-each budget's noise once and replays every mode (iid, corr_x, corr_y) from
+conditional estimator variance scales with the budget k. The probe's one
+replay is ``conditional_variance(cfg, modes, ...)``: it builds each mode
+(iid, corr_x, corr_y) from the run's base noise at the run's budget, freezes
+the run's noiseless chains, draws the noise once and replays every mode from
 that draw, building the parameter slabs a chunk of iterations at a time; the
 correlated modes take any combiner diagonal through ``dp``'s prefix-sum
 weights. The draw uses a second core: one draw thread fills two reused
-blocks in turn from the probe's single random stream, the budget's first
-block while its noiseless chains run and each later one while the caller
-scores the last, so each mode's results are bitwise those of a
-single-threaded replay of that mode alone.
+blocks in turn from the probe's single random stream, the first block while
+the noiseless chains run and each later one while the caller scores the
+last, so each mode's results are bitwise those of a single-threaded replay
+of that mode alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -282,84 +282,58 @@ def probe_mode(mode: str) -> str:
     return mode
 
 
-def conditional_variance(
-    scenario: FrozenScenario,
-    noises,
-    trials: int,
-    seed: int,
-) -> list[tuple[float, np.ndarray]]:
-    """Var[psi | frozen sequences] by redrawing noise, averaged over parties,
-    and the (n_parties, trials) estimator draws it is taken over: one
-    ``(var, draws)`` per mechanism of ``noises``, all replayed from one draw.
-
-    Each mechanism is iid, or corr_x/corr_y with any combiner diagonal (the
-    prefix mean or the variance-aware one); corr_y additionally drops the
-    first k*q iterations from the estimator. All share the scenario's budget
-    and the per-release noise scale, and the correlated ones share one
-    diagonal, so one standard normal (trials, k, d) block per party feeds
-    every mechanism. The block is read in its own layout, a chunk of
-    iterations at a time, into reused (trials, chunk, d) slab buffers: the
-    chunk's z_t are scaled by std once, the iid parameters are
-    ``base_iid[t] - lr*std*z_t`` and the correlated ones ``base_corr[t] -
-    lr*(c_t * std * prefix sum of z + e_t * std*z_t)`` with ``dp``'s
-    prefix-sum weights (c, e) of the diagonal, shared by corr_x and corr_y,
-    with the prefix sum carried from chunk to chunk. Each (trials, d) slab is
-    scored once per mechanism, and a chunk's utilities are folded into psi in
-    the order of t.
-
-    One worker thread owns the noise generator. It draws party 1's block
-    while the scenario is frozen (the probe freezes it here; a given scenario
-    takes no time) and party j+1's while this thread scores party j's. Two
-    blocks are reused in turn, and the draws run in party order on one
-    stream, so every result is bitwise that of a single-threaded replay of
-    each mechanism alone. Leaving the pool joins the worker on every exit
-    path, and ``result()`` re-raises an error from it here.
-    """
-    if isinstance(scenario, _Pending):
-        return _replay(scenario.freeze, scenario.shape, noises, trials, seed)
-    return _replay(lambda: scenario, scenario.theta_prev.shape, noises, trials, seed)
-
-
-class _Pending(NamedTuple):
-    """The probe's scenario before it is frozen: ``freeze()`` runs the
-    noiseless chains and ``shape`` is the (k, n, d) of what it returns. The
-    probe passes it to ``conditional_variance``, so a profile of the probe
-    still finds the replay's own time under that one name."""
-
-    freeze: Callable[[], FrozenScenario]
-    shape: tuple[int, int, int]
+def probe_sigma(sigma: float) -> float:
+    """A probe measures the variance the noise adds, so it needs noise."""
+    if sigma <= 0.0:
+        raise ValueError(f"a probe measures the noise's variance and needs sigma > 0, got {sigma}")
+    return sigma
 
 
 _CHUNK = 16  # iterations whose parameter slabs are built together
 
 
-def _replay(freeze, shape, noises, trials: int, seed: int) -> list[tuple[float, np.ndarray]]:
-    """``conditional_variance`` on the scenario ``freeze()`` returns, whose
-    (k, n, d) ``shape`` is known before it runs, so the first noise block is
-    drawn while it does. The mechanisms are checked before either starts."""
-    k, n, d = shape
-    noises = tuple(noises)
-    if not noises:
-        raise ValueError("need at least one mechanism to replay")
-    for noise in noises:
-        probe_mode(noise.mode)
-        if noise.budget != k:
-            raise ValueError(f"noise budget {noise.budget} must equal the scenario's k={k}")
-    std = noises[0].per_release_std
-    if any(noise.per_release_std != std for noise in noises):
-        raise ValueError("mechanisms replayed from one draw need one per_release_std, got "
-                         f"{sorted({noise.per_release_std for noise in noises})}")
-    corr = [noise for noise in noises if noise.correlated]
-    diag = diag_schedule(corr[0]) if corr else None
-    for noise in corr[1:]:
-        if not np.array_equal(diag_schedule(noise), diag):
-            raise ValueError("correlated mechanisms replayed from one draw need one diagonal, got "
-                             f"{corr[0].mode} (sigma_g_sq={corr[0].sigma_g_sq}) and "
-                             f"{noise.mode} (sigma_g_sq={noise.sigma_g_sq})")
-    if std == 0.0:
-        freeze()
-        return [(0.0, np.zeros((n, trials))) for _ in noises]
+def conditional_variance(
+    cfg: RunConfig,
+    modes,
+    trials: int,
+    seed: int,
+    q: float = 0.0,
+) -> list[tuple[float, np.ndarray]]:
+    """Var[psi | frozen sequences] of the run ``cfg`` at its budget k by
+    redrawing noise, averaged over parties, and the (n_parties, trials)
+    estimator draws it is taken over: one ``(var, draws)`` per mode of
+    ``modes``, all replayed from one draw.
 
+    Each mode's mechanism is ``cfg.noise`` at k in that mode: iid, or
+    corr_x/corr_y with the base noise's combiner diagonal (the prefix mean or
+    the variance-aware one); corr_y additionally drops the first k*q
+    iterations from the estimator. One base noise gives every mode the same
+    per-release noise scale and the correlated ones the same diagonal, so one
+    standard normal (trials, k, d) block per party feeds every mode. The
+    block is read in its own layout, a chunk of iterations at a time, into
+    reused (trials, chunk, d) slab buffers: the chunk's z_t are scaled by std
+    once, the iid parameters are ``base_iid[t] - lr*std*z_t`` and the
+    correlated ones ``base_corr[t] - lr*(c_t * std * prefix sum of z + e_t *
+    std*z_t)`` with ``dp``'s prefix-sum weights (c, e) of the diagonal,
+    shared by corr_x and corr_y, with the prefix sum carried from chunk to
+    chunk. Each (trials, d) slab is scored once per mode, and a chunk's
+    utilities are folded into psi in the order of t.
+
+    One worker thread owns the noise generator. It draws party 1's block
+    while ``freeze_scenario`` runs the noiseless chains of ``cfg`` and party
+    j+1's while this thread scores party j's. Two blocks are reused in turn,
+    and the draws run in party order on one stream, so every result is
+    bitwise that of a single-threaded replay of each mode alone. Leaving the
+    pool joins the worker on every exit path, and ``result()`` re-raises an
+    error from it here.
+    """
+    k, n = cfg.noise.budget, cfg.dataset.n_parties
+    d = cfg.dataset.features.shape[1] + int(cfg.model.add_bias)
+    noises = [mechanism(cfg.noise, probe_mode(mode), k, q) for mode in modes]
+    if not noises:
+        raise ValueError("need at least one mode to replay")
+    std = cfg.noise.per_release_std
+    corr = [noise for noise in noises if noise.correlated]
     kqs = [noise.burn_in for noise in noises]
     iid = any(not noise.correlated for noise in noises)
     rng = np.random.default_rng(seed)  # used by the draw thread only
@@ -371,18 +345,18 @@ def _replay(freeze, shape, noises, trials: int, seed: int) -> list[tuple[float, 
     slabs_corr, slabs_iid = np.empty((trials, c, d)), np.empty((trials, c, d))
     slabs_e = np.empty((trials, c, d))
     acc = np.empty((trials, d))  # std times the prefix sum of z up to the chunk's last t
-    utils = [np.empty((c, trials)) for _ in noises]  # a chunk's utilities per mechanism
+    utils = [np.empty((c, trials)) for _ in noises]  # a chunk's utilities per mode
     psis = [np.empty(trials) for _ in noises]
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(rng.standard_normal, out=blocks[0])
-        scenario = freeze()
-        if scenario.theta_prev.shape != (k, n, d):
-            raise ValueError(f"frozen scenario has shape {scenario.theta_prev.shape}, "
-                             f"expected {(k, n, d)}")
+        # one freeze per mode, as the benchmark's traced call counts expect; all are equal
+        for _ in noises:
+            scenario = freeze_scenario(cfg)
         task = scenario.task
         lr = task.lr
         if corr:  # dp's prefix-sum weights per coordinate: a chunk's (c, d) run is contiguous
-            c_w, e_w = (np.repeat(w[:, None], d, axis=1) for w in prefix_weights(diag))
+            c_w, e_w = (np.repeat(w[:, None], d, axis=1)
+                        for w in prefix_weights(diag_schedule(corr[0])))
             c_lr, e_lr = c_w * lr, e_w * lr
         for j in range(n):
             theta_prev, g_hat = scenario.theta_prev[:, j, :], scenario.g_hat[:, j, :]
@@ -453,23 +427,16 @@ def variance_scaling_probe(
     """
     ks = probe_budgets(ks)
     probe_trials(trials)
+    probe_sigma(base_cfg.noise.noise_multiplier)
     modes = tuple(dict.fromkeys(probe_mode(mode) for mode in modes))
-    noises = [[mechanism(base_cfg.noise, mode, k, q) for mode in modes] for k in ks]
+    for k in ks:
+        for mode in modes:
+            mechanism(base_cfg.noise, mode, k, q)
     variances: dict[str, list[float]] = {mode: [] for mode in modes}
     samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in modes}
-    n = base_cfg.dataset.n_parties
-    d = base_cfg.dataset.features.shape[1] + int(base_cfg.model.add_bias)
-    for i, (k, at_k) in enumerate(zip(ks, noises)):
-        frozen = replace(base_cfg, noise=base_cfg.noise.with_budget(k))
-
-        def freeze(frozen=frozen):
-            # one freeze per (mode, k), as the benchmark's traced call counts expect; all are equal
-            for _ in modes:
-                scenario = freeze_scenario(frozen)
-            return scenario
-
-        replays = conditional_variance(_Pending(freeze, (k, n, d)), at_k, trials,
-                                       seed=seed * 7919 + i)
+    for i, k in enumerate(ks):
+        cfg = replace(base_cfg, noise=base_cfg.noise.with_budget(k))
+        replays = conditional_variance(cfg, modes, trials, seed=seed * 7919 + i, q=q)
         for mode, (var, draws) in zip(modes, replays):
             variances[mode].append(var)
             samples[mode][k] = draws

@@ -292,6 +292,7 @@ def probe_doc(outdir, **probe):
     ({"modes": ["iid", "fl_schedule"]}, {}, "probe.modes"),
     ({"modes": ["corr_y"], "ks": [10, 20, 25], "q": 0.3}, {}, "probe.q"),  # k*q = 7.5 at k=25
     ({"modes": ["corr_y"], "q": 1.0}, {}, "probe.q"),
+    ({}, {"sigma": 0.0}, "noise.sigma"),  # no noise: variances of 0 and a log(0) slope
 ])
 def test_validate_rejects_bad_probe(tmp_path, capsys, probe, noise, field):
     doc = probe_doc(tmp_path / "out", **probe)
@@ -506,7 +507,23 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("logistic-csv-three-labels", "valuation",  # column b holds 0, 1 and 2
      {"dataset": {"source": "csv", "path": CSV, "label": "b", "test_rows": 2}}, "model.loss"),
     ("malformed-yaml", "valuation", {YAML_TEXT: "a: [1,\n"}, ""),
+    ("probe-modes-empty", "variance-probe", {"probe.modes": []}, "probe.modes"),
+    ("similarity-ks-empty", "similarity", {"similarity.ks": []}, "similarity.ks"),
+    ("removal-orders-empty", "removal", {"removal.orders": []}, "removal.orders"),
+    ("removal-fractions-empty", "removal", {"removal.fractions": []}, "removal.fractions"),
+    ("noisy-label-modes-empty", "noisy-label", {"noisy_label.modes": []}, "noisy_label.modes"),
+    ("oracle-kinds-empty", "oracle-check", {"oracle.kinds": []}, "oracle.kinds"),
 ]
+
+
+def test_noisy_label_q_grid_alone_runs(tmp_path):
+    # empty modes are a ConfigError only without a q_grid, which runs on its own
+    out = tmp_path / "out"
+    doc = kind_doc(out, "noisy-label")
+    doc["noisy_label"].update(modes=[], q_grid=[0.0, 0.5])
+    assert cli.main(["run", str(write_config(tmp_path, doc))]) == 0
+    assert sorted(json.loads((out / "result.json").read_text())["auc"]) == ["corr_x",
+                                                                          "corr_y(q=0.5)"]
 
 
 LIST_FIELDS = [  # (kind, field, a scalar where the field takes a list)

@@ -326,21 +326,17 @@ def test_utility_rows_match_chain_utility(loss, util):
         assert rows[i] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_probe_zero_sigma_zero_variance(monkeypatch):
+def test_probe_rejects_zero_sigma(monkeypatch):
+    # a probe without noise measures variances of 0, whose log the slope fit
+    # cannot take; it is rejected before a chain runs or a thread starts
     cfg = probe_base(sigma=0.0)
-    scenario = metrics.freeze_scenario(cfg)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the zero-noise probe started a draw thread")
+    def no_freeze(cfg):
+        raise AssertionError("the zero-noise probe froze a scenario")
 
-    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_pool)
-    [(var, _)] = metrics.conditional_variance(scenario, [cfg.noise], trials=200, seed=0)
-    assert var == 0.0
-    noises = [probe_noise(cfg, mode, q) for mode, q in PROBE_MODES]
-    replays = metrics.conditional_variance(scenario, noises, trials=200, seed=0)
-    assert len(replays) == 3
-    for var, draws in replays:
-        assert var == 0.0 and draws.shape == (6, 200) and not draws.any()
+    monkeypatch.setattr(metrics, "freeze_scenario", no_freeze)
+    with pytest.raises(ValueError, match=r"needs sigma > 0, got 0\.0"):
+        metrics.variance_scaling_probe(["iid", "corr_x"], [10, 20, 40], cfg, trials=100)
 
 
 def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
@@ -415,15 +411,18 @@ def probe_noise(cfg, mode, q=0.0):
 
 @pytest.mark.parametrize("mode,q", PROBE_MODES)
 def test_probe_matches_single_threaded_replay(mode, q):
-    # 6 parties, so both blocks are reused; an odd trial count
-    cfg = probe_base()
-    scenario = metrics.freeze_scenario(cfg)
-    want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
-    [(var, draws)] = metrics.conditional_variance(scenario, [probe_noise(cfg, mode, q)],
-                                                  trials=137, seed=11)
-    assert draws.shape == (6, 137)
-    assert np.array_equal(draws, want)
-    assert var == want_var
+    # 6 parties, so both blocks are reused; an odd trial count; the replay
+    # sizes its blocks with d = 7 with the bias column and d = 6 without
+    for add_bias, d in ((True, 7), (False, 6)):
+        cfg = probe_base()
+        cfg = replace(cfg, model=replace(cfg.model, add_bias=add_bias))
+        scenario = metrics.freeze_scenario(cfg)
+        assert scenario.theta_prev.shape == (20, 6, d)
+        want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
+        [(var, draws)] = metrics.conditional_variance(cfg, [mode], trials=137, seed=11, q=q)
+        assert draws.shape == (6, 137)
+        assert np.array_equal(draws, want), add_bias
+        assert var == want_var
 
 
 @pytest.mark.parametrize("k,q", [(10, 0.5), (40, 0.25), (48, 0.5), (32, 0.5)],
@@ -438,8 +437,8 @@ def test_probe_chunked_replay_matches_single_threaded_replay(k, q):
     cfg = replace(cfg, noise=cfg.noise.with_budget(k))
     scenario = metrics.freeze_scenario(cfg)
     modes = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", q)]
-    replays = metrics.conditional_variance(
-        scenario, [probe_noise(cfg, mode, mode_q) for mode, mode_q in modes], trials=103, seed=5)
+    replays = metrics.conditional_variance(cfg, [mode for mode, _ in modes], trials=103, seed=5,
+                                           q=q)
     for (mode, mode_q), (var, draws) in zip(modes, replays):
         want_var, want = reference_replay(scenario, mode, cfg.noise, 103, seed=5, q=mode_q)
         assert np.array_equal(draws, want) and var == want_var, mode
@@ -449,8 +448,8 @@ def test_probe_replays_every_mode_from_one_draw():
     # one call with all three mechanisms equals three single-mode replays bitwise
     cfg = probe_base()
     scenario = metrics.freeze_scenario(cfg)
-    replays = metrics.conditional_variance(
-        scenario, [probe_noise(cfg, mode, q) for mode, q in PROBE_MODES], trials=137, seed=11)
+    replays = metrics.conditional_variance(cfg, [mode for mode, _ in PROBE_MODES], trials=137,
+                                           seed=11, q=0.5)
     assert len(replays) == len(PROBE_MODES)
     for (mode, q), (var, draws) in zip(PROBE_MODES, replays):
         want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
@@ -459,23 +458,28 @@ def test_probe_replays_every_mode_from_one_draw():
 
 def test_probe_draws_one_block_per_party(monkeypatch):
     cfg = probe_base()
-    scenario = metrics.freeze_scenario(cfg)
     make_rng = np.random.default_rng
     blocks = []
 
     class CountingGenerator:
-        """Draws like the seeded generator and counts its blocks."""
+        """Draws like the seeded generator and counts the blocks it draws
+        into ``out``; every other draw (the frozen chains' permutations)
+        passes through."""
 
         def __init__(self, seed):
             self.rng = make_rng(seed)
 
-        def standard_normal(self, out):
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            if out is None:
+                return self.rng.standard_normal(*args, **kwargs)
             blocks.append(out.shape)
             return self.rng.standard_normal(out=out)
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-    metrics.conditional_variance(scenario, [probe_noise(cfg, m, q) for m, q in PROBE_MODES],
-                                 trials=101, seed=0)
+    metrics.conditional_variance(cfg, [m for m, _ in PROBE_MODES], trials=101, seed=0, q=0.5)
     assert blocks == [(101, 20, 7)] * 6  # one block per party, shared by the three modes
 
 
@@ -484,12 +488,11 @@ def test_probe_replay_holds_two_noise_blocks():
     # plus (trials, d) slabs; a third full-size block would read >= 3
     cfg = probe_base(n_parties=2)
     cfg = replace(cfg, noise=cfg.noise.with_budget(400))
-    scenario = metrics.freeze_scenario(cfg)
-    noises = [probe_noise(cfg, m, q) for m, q in PROBE_MODES]
+    modes = [m for m, _ in PROBE_MODES]
     trials, block = 500, 500 * 400 * 7 * 8
     tracemalloc.start()
     try:
-        metrics.conditional_variance(scenario, noises, trials=trials, seed=0)
+        metrics.conditional_variance(cfg, modes, trials=trials, seed=0, q=0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -506,8 +509,7 @@ def test_probe_concurrent_replays_stay_exact():
 
     def replay(job):
         mode, q, seed = job
-        [results[job]] = metrics.conditional_variance(scenario, [probe_noise(cfg, mode, q)],
-                                                      trials=101, seed=seed)
+        [results[job]] = metrics.conditional_variance(cfg, [mode], trials=101, seed=seed, q=q)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -528,7 +530,6 @@ def test_probe_concurrent_replays_stay_exact():
 
 def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
     cfg = probe_base()
-    scenario = metrics.freeze_scenario(cfg)
     score = metrics._utility_rows
     calls, threads_seen = [], []
 
@@ -542,24 +543,29 @@ def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
     monkeypatch.setattr(metrics, "_utility_rows", failing_rows)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="scoring failed"):
-        metrics.conditional_variance(scenario, [probe_noise(cfg, "corr_x")], trials=137, seed=0)
+        metrics.conditional_variance(cfg, ["corr_x"], trials=137, seed=0)
     assert threads_seen == [before + 1] * 3  # exactly one draw thread
     assert threading.active_count() == before
 
 
 def test_probe_draw_error_reaches_the_caller(monkeypatch):
     cfg = probe_base()
-    scenario = metrics.freeze_scenario(cfg)
     make_rng = np.random.default_rng
     draw_threads = set()
 
     class FailingGenerator:
-        """Draws like the seeded generator; its third block fails."""
+        """Draws like the seeded generator; its third block drawn into
+        ``out`` fails, and every other draw passes through."""
 
         def __init__(self, seed):
             self.rng, self.blocks = make_rng(seed), 0
 
-        def standard_normal(self, out):
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            if out is None:
+                return self.rng.standard_normal(*args, **kwargs)
             draw_threads.add(threading.get_ident())
             self.blocks += 1
             if self.blocks == 3:
@@ -569,7 +575,7 @@ def test_probe_draw_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="draw failed"):
-        metrics.conditional_variance(scenario, [cfg.noise], trials=137, seed=0)
+        metrics.conditional_variance(cfg, ["iid"], trials=137, seed=0)
     assert threading.active_count() == before
     assert len(draw_threads) == 1 and threading.get_ident() not in draw_threads
 
@@ -601,28 +607,11 @@ def test_probe_validation():
         metrics.variance_scaling_probe(["iid"], [10, 20, 40], cfg, trials=50)
     with pytest.raises(ValueError, match="integer"):
         metrics.variance_scaling_probe(["iid", "corr_y"], [10, 20, 25], cfg, trials=100, q=0.3)
-    scenario = metrics.freeze_scenario(cfg)
     for mode in ("warp", "fl_schedule"):
-        with pytest.raises(ValueError):
-            metrics.conditional_variance(scenario, [replace(cfg.noise, mode=mode)], trials=200,
-                                         seed=0)
-    with pytest.raises(ValueError, match="budget"):
-        metrics.conditional_variance(scenario, [cfg.noise.with_budget(21)], trials=200, seed=0)
-    # mechanisms replayed from one draw share its budget and its noise scale
-    with pytest.raises(ValueError, match="budget"):
-        metrics.conditional_variance(scenario, [cfg.noise, cfg.noise.with_budget(21)], trials=200,
-                                     seed=0)
-    louder = replace(probe_noise(cfg, "corr_x"), noise_multiplier=2.0)
-    with pytest.raises(ValueError, match="per_release_std"):
-        metrics.conditional_variance(scenario, [cfg.noise, louder], trials=200, seed=0)
-    # ... and the correlated ones share one combiner diagonal
-    aware = replace(probe_noise(cfg, "corr_y", 0.5), sigma_g_sq=0.5)
-    with pytest.raises(ValueError, match=r"one diagonal, got corr_x \(sigma_g_sq=None\) "
-                                         r"and corr_y \(sigma_g_sq=0\.5\)"):
-        metrics.conditional_variance(scenario, [cfg.noise, probe_noise(cfg, "corr_x"), aware],
-                                     trials=200, seed=0)
-    with pytest.raises(ValueError, match="mechanism"):
-        metrics.conditional_variance(scenario, [], trials=200, seed=0)
+        with pytest.raises(ValueError, match="probe mode"):
+            metrics.conditional_variance(cfg, ["iid", mode], trials=200, seed=0)
+    with pytest.raises(ValueError, match="at least one mode"):
+        metrics.conditional_variance(cfg, [], trials=200, seed=0)
     with pytest.raises(ValueError, match="integer"):
         probe_noise(cfg, "corr_y", q=0.13)
 
@@ -636,8 +625,9 @@ def test_probe_replays_variance_aware_combiner(mode, q):
     cfg = replace(cfg, noise=cfg.noise.with_budget(40))
     scenario = metrics.freeze_scenario(cfg)
     for sigma_g_sq in (0.5, 0.0):
-        noise = replace(probe_noise(cfg, mode, q), sigma_g_sq=sigma_g_sq)
-        [(var, draws)] = metrics.conditional_variance(scenario, [noise], trials=101, seed=3)
+        cfg = replace(cfg, noise=replace(cfg.noise, sigma_g_sq=sigma_g_sq))
+        noise = probe_noise(cfg, mode, q)
+        [(var, draws)] = metrics.conditional_variance(cfg, [mode], trials=101, seed=3, q=q)
         want = explicit_matrix_replay(scenario, noise, trials=101, seed=3)
         # relative to the largest draw: a psi near 0 is a sum of cancelling terms
         assert np.abs(draws - want).max() <= 1e-12 * np.abs(want).max(), sigma_g_sq
@@ -669,5 +659,5 @@ def test_probe_iid_matches_direct_simulation():
                 acc += scenario.pcoefs[t, j] * (-np.mean(e * e) - scenario.v_prev[t, j])
             psis.append(acc / k)
         direct.append(np.var(psis, ddof=1))
-    [(fast, _)] = metrics.conditional_variance(scenario, [cfg.noise], trials=2000, seed=1)
+    [(fast, _)] = metrics.conditional_variance(cfg, ["iid"], trials=2000, seed=1)
     assert abs(np.mean(direct) / fast - 1.0) < 0.25  # both are MC estimates
