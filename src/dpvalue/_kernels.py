@@ -54,20 +54,19 @@ def mse_stats(x, y):
     return x.T @ x / l, 2.0 * (x.T @ y) / l, float(y @ y) / l
 
 
-def mse_quadratic(thetas, stats):
-    """Mean squared error of a parameter vector, or of each row of a
-    (trials, d) block, from ``mse_stats``: O(d^2) per row instead of O(l*d)."""
-    a, b, c = stats
-    p = thetas @ a
-    p -= b
-    return np.einsum("...i,...i->...", p, thetas) + c
-
-
 def utility_np(thetas, task):
     """Test-set utility of a (d,) parameter vector, or of each row of a
-    (trials, d) block, on the ``Task``'s test split."""
+    (trials, d) block in any memory layout, on the ``Task``'s test split; one
+    formula per utility. The MSE neg-loss is ``-(theta.A.theta - b.theta +
+    c)`` on ``mse_stats``, with theta.A as ``(A.T @ thetas.T).T``: laid out as
+    a transposed (d, trials) array whatever the block's layout, so each row's
+    bits do not depend on it."""
     if task.util_code == UTIL_NEG_LOSS and task.loss_code == LOSS_MSE:
-        return -mse_quadratic(thetas, task.mse)
+        a, b, c = task.mse
+        p = (a.T @ thetas.T).T
+        p -= b
+        p *= thetas
+        return -c - np.add.reduce(p, axis=-1)
     s = thetas @ task.xt.T
     if task.util_code == UTIL_ACCURACY:
         return accuracy(s, task.yt, task.loss_code)

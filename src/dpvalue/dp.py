@@ -3,9 +3,14 @@ the correlated-noise combiner.
 
 Every released gradient carries noise of per-coordinate variance
 ``k * (C*sigma)^2`` so that the whole budget of ``k`` releases meets one
-(eps, delta) guarantee. The combiner re-weights already-perturbed gradients
-(post-processing, so the guarantee is untouched). It is the lower-triangular
-k x k matrix
+(eps, delta) guarantee. The accounting: neighbouring inputs add or remove
+one party's data, which moves each of that party's clipped gradients by at
+most C, so one release of std ``sqrt(k)*C*sigma`` is
+``1/(sigma*sqrt(k))``-GDP and the party's k adaptive releases compose to
+mu-GDP with ``mu = 1/sigma`` (Dong, Roth & Su, 2019); ``calibrate_sigma``
+picks sigma so that this meets (eps, delta). The combiner re-weights
+already-perturbed gradients (post-processing, so the guarantee is
+untouched). It is the lower-triangular k x k matrix
 
     X_tl = X_tt               for l = t,
     X_tl = (1 - X_tt)/(t - 1)  for l < t,
@@ -101,15 +106,42 @@ def mechanism(base: NoiseConfig, mode: str, k: int, q: float | None = None) -> N
     return replace(base, budget=k, mode=mode, q=q if mode == "corr_y" else None)
 
 
+def _gdp_delta(epsilon: float, mu: float) -> float:
+    """delta(eps) of mu-GDP: Phi(-eps/mu + mu/2) - e^eps * Phi(-eps/mu - mu/2).
+    The second term is taken in log space, and as 0 where its erfc underflows,
+    which can only raise the delta returned."""
+    first = 0.5 * math.erfc((epsilon / mu - mu / 2.0) / math.sqrt(2.0))
+    tail = math.erfc((epsilon / mu + mu / 2.0) / math.sqrt(2.0))
+    return first - (0.5 * math.exp(epsilon + math.log(tail)) if tail > 0.0 else 0.0)
+
+
 def calibrate_sigma(epsilon: float, delta: float) -> float:
-    """The classical Gaussian mechanism's multiplier sqrt(2*ln(1.25/delta))/eps
-    (Dwork & Roth, Thm A.1, proven for eps < 1), not the analytic Gaussian
-    calibration; ROADMAP item 6 plans the latter."""
+    """The noise multiplier that meets (eps, delta) under this module's
+    accounting: the larger of the classical sqrt(2*ln(1.25/delta))/eps
+    (Dwork & Roth, Thm A.1, proven for eps < 1) and the exact multiplier of
+    mu-GDP with mu = 1/sigma (Balle & Wang 2018; Dong, Roth & Su 2019), found
+    by bisection on ``_gdp_delta``. Below a crossover eps (about 7.5 to 9 for
+    delta from 1e-3 to 1e-7) the classical value is the larger and is
+    returned as is; above it the classical value gives less privacy than
+    asked."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
-    return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+    # a relative margin well above the rounding of delta(eps) near the solution
+    # (about 1e-14) keeps the result on the private side
+    target = delta * (1.0 - 1e-12)
+    lo = math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+    if _gdp_delta(epsilon, 1.0 / lo) <= target:
+        return lo
+    hi = 2.0 * lo
+    while _gdp_delta(epsilon, 1.0 / hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while True:  # hi always meets the target
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if _gdp_delta(epsilon, 1.0 / mid) <= target else (mid, hi)
 
 
 def diag_schedule(cfg: NoiseConfig) -> np.ndarray:

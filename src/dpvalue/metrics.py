@@ -14,13 +14,13 @@ conditional estimator variance scales with the budget k. The probe's one
 replay is ``conditional_variance(cfg, modes, ...)``: it builds each mode
 (iid, corr_x, corr_y) from the run's base noise at the run's budget, freezes
 the run's noiseless chains, draws the noise once and replays every mode from
-that draw, building the parameter slabs a chunk of iterations at a time; the
-correlated modes take any combiner diagonal through ``dp``'s prefix-sum
-weights. The draw uses a second core: one draw thread fills two reused
-blocks in turn from the probe's single random stream, the first block while
-the noiseless chains run and each later one while the caller scores the
-last, so each mode's results are bitwise those of a single-threaded replay
-of that mode alone.
+that draw, building the parameter slabs a chunk of iterations at a time in
+(chunk, d, trials) buffers with trials innermost; the correlated modes take
+any combiner diagonal through ``dp``'s prefix-sum weights. The draw uses a
+second core: one draw thread fills two reused blocks in turn from the
+probe's single random stream, the first block while the noiseless chains run
+and each later one while the caller scores the last, so each mode's results
+are bitwise those of a single-threaded replay of that mode alone.
 """
 
 from __future__ import annotations
@@ -309,14 +309,14 @@ def conditional_variance(
     the variance-aware one); corr_y additionally drops the first k*q
     iterations from the estimator. One base noise gives every mode the same
     per-release noise scale and the correlated ones the same diagonal, so one
-    standard normal (trials, k, d) block per party feeds every mode. The
-    block is read in its own layout, a chunk of iterations at a time, into
-    reused (trials, chunk, d) slab buffers: the chunk's z_t are scaled by std
-    once, the iid parameters are ``base_iid[t] - lr*std*z_t`` and the
-    correlated ones ``base_corr[t] - lr*(c_t * std * prefix sum of z + e_t *
-    std*z_t)`` with ``dp``'s prefix-sum weights (c, e) of the diagonal,
-    shared by corr_x and corr_y, with the prefix sum carried from chunk to
-    chunk. Each (trials, d) slab is scored once per mode, and a chunk's
+    standard normal (trials, k, d) block per party feeds every mode. A chunk
+    of iterations is gathered from it at a time, scaled by std, into reused
+    (chunk, d, trials) slab buffers with trials innermost: the iid parameters
+    are ``base_iid[t] - lr*std*z_t`` and the correlated ones ``base_corr[t] -
+    lr*(c_t * std * prefix sum of z + e_t * std*z_t)`` with ``dp``'s
+    prefix-sum weights (c, e) of the diagonal, shared by corr_x and corr_y,
+    with the prefix sum carried from chunk to chunk. Each (d, trials) slab is
+    scored once per mode as the (trials, d) view ``slab.T``, and a chunk's
     utilities are folded into psi in the order of t.
 
     One worker thread owns the noise generator. It draws party 1's block
@@ -340,11 +340,10 @@ def conditional_variance(
     draws = [np.empty((n, trials)) for _ in noises]
     blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
     c = min(_CHUNK, k)
-    # a chunk's (trials, c, d) parameter slabs: std*z becomes the correlated ones in place,
-    # with the current-gradient terms std*z*e*lr beside them
-    slabs_corr, slabs_iid = np.empty((trials, c, d)), np.empty((trials, c, d))
-    slabs_e = np.empty((trials, c, d))
-    acc = np.empty((trials, d))  # std times the prefix sum of z up to the chunk's last t
+    # a chunk's (c, d, trials) parameter slabs, trials innermost: std*z becomes the correlated
+    # ones in place, with the current-gradient terms std*z*e*lr beside them
+    slabs_corr, slabs_iid, slabs_e = (np.empty((c, d, trials)) for _ in range(3))
+    acc = np.empty((d, trials))  # std times the prefix sum of z up to the chunk's last t
     utils = [np.empty((c, trials)) for _ in noises]  # a chunk's utilities per mode
     psis = [np.empty(trials) for _ in noises]
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -354,10 +353,9 @@ def conditional_variance(
             scenario = freeze_scenario(cfg)
         task = scenario.task
         lr = task.lr
-        if corr:  # dp's prefix-sum weights per coordinate: a chunk's (c, d) run is contiguous
-            c_w, e_w = (np.repeat(w[:, None], d, axis=1)
-                        for w in prefix_weights(diag_schedule(corr[0])))
-            c_lr, e_lr = c_w * lr, e_w * lr
+        if corr:  # dp's prefix-sum weights, broadcast along coordinates and trials
+            c_w, e_w = (w[:, None] for w in prefix_weights(diag_schedule(corr[0])))
+            c_lr, e_lr = c_w[:, :, None] * lr, e_w[:, :, None] * lr
         for j in range(n):
             theta_prev, g_hat = scenario.theta_prev[:, j, :], scenario.g_hat[:, j, :]
             pcoefs, v_prev = scenario.pcoefs[:, j], scenario.v_prev[:, j]
@@ -372,24 +370,25 @@ def conditional_variance(
                 psi.fill(0.0)
             for t0 in range(0, k, c):
                 t1 = min(t0 + c, k)
-                zs = slabs_corr[:, :t1 - t0]
-                np.multiply(z[:, t0:t1], std, out=zs)
+                # gather the chunk from the (trials, k, d) block once, scaled by std
+                zs = slabs_corr[:t1 - t0]
+                np.multiply(z[:, t0:t1].transpose(1, 2, 0), std, out=zs)
                 if iid:
-                    theta_iid = slabs_iid[:, :t1 - t0]
+                    theta_iid = slabs_iid[:t1 - t0]
                     np.multiply(zs, lr, out=theta_iid)
-                    np.subtract(base_iid[t0:t1], theta_iid, out=theta_iid)
+                    np.subtract(base_iid[t0:t1, :, None], theta_iid, out=theta_iid)
                 if corr:
-                    ez = np.multiply(zs, e_lr[t0:t1], out=slabs_e[:, :t1 - t0])
+                    ez = np.multiply(zs, e_lr[t0:t1], out=slabs_e[:t1 - t0])
                     if t0:
-                        zs[:, 0] += acc
-                    # the prefix sum as slab adds: np.cumsum's adds in its order, but
-                    # over whole (trials, d) slabs rather than short strided runs
+                        zs[0] += acc
+                    # the prefix sum as adds of whole contiguous (d, trials) slabs:
+                    # np.cumsum's adds in its order
                     for i in range(1, t1 - t0):
-                        np.add(zs[:, i], zs[:, i - 1], out=zs[:, i])
-                    acc[...] = zs[:, -1]
+                        np.add(zs[i], zs[i - 1], out=zs[i])
+                    acc[...] = zs[-1]
                     zs *= c_lr[t0:t1]
                     zs += ez
-                    theta_corr = np.subtract(base_corr[t0:t1], zs, out=zs)
+                    theta_corr = np.subtract(base_corr[t0:t1, :, None], zs, out=zs)
                 for w, psi, noise, kq in zip(utils, psis, noises, kqs):
                     lo = max(kq, t0)
                     if lo >= t1:
@@ -397,7 +396,7 @@ def conditional_variance(
                     thetas = theta_corr if noise.correlated else theta_iid
                     vt = w[:t1 - lo]
                     for i, t in enumerate(range(lo, t1)):
-                        vt[i] = _utility_rows(thetas[:, t - t0], task)
+                        vt[i] = _utility_rows(thetas[t - t0].T, task)
                     # psi += pcoefs[t] * (v_t - v_prev[t]) in the order of t
                     vt -= v_prev[lo:t1, None]
                     vt *= pcoefs[lo:t1, None]

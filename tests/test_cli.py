@@ -60,6 +60,16 @@ def test_config_error_on_fractional_kq(tmp_path):
         load_config(cfg)
 
 
+def test_config_epsilon_20_gets_the_exact_sigma(tmp_path):
+    # above the crossover the classical sqrt(2 ln(1.25/delta))/eps = 0.2422
+    # delivers delta(20) = 1.5e-3; the config gets the mu-GDP multiplier
+    doc = base_valuation_doc(tmp_path / "out")
+    doc["noise"] = {"clip_norm": 1.0, "epsilon": 20.0, "delta": 1e-5, "mode": "iid"}
+    sigma = load_config(write_config(tmp_path, doc)).noise.noise_multiplier
+    assert round(sigma, 4) == 0.2900
+    assert sigma > math.sqrt(2.0 * math.log(1.25e5)) / 20.0
+
+
 def test_run_writes_artifacts_and_manifest(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, base_valuation_doc(out))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from dpvalue import data, dp, metrics, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
@@ -93,6 +94,37 @@ def test_calibrate_sigma_scaling_and_limits():
         dp.calibrate_sigma(0.0, 1e-5)
     with pytest.raises(ValueError):
         dp.calibrate_sigma(1.0, 1.0)
+
+
+def gdp_delta(epsilon, mu):
+    """delta(eps) of mu-GDP, evaluated with scipy's normal cdf and logcdf."""
+    return (norm.cdf(-epsilon / mu + mu / 2)
+            - np.exp(epsilon + norm.logcdf(-epsilon / mu - mu / 2)))
+
+
+def test_calibrate_sigma_meets_delta_under_gdp():
+    # k releases of std sqrt(k)*C*sigma at sensitivity C are mu-GDP with
+    # mu = 1/sigma; the multiplier must deliver delta(eps) <= delta
+    for eps in np.geomspace(0.1, 50.0, 25):
+        for delta in np.geomspace(1e-9, 1e-2, 8):
+            sigma = dp.calibrate_sigma(float(eps), float(delta))
+            classical = math.sqrt(2.0 * math.log(1.25 / delta)) / eps
+            assert sigma >= classical
+            assert gdp_delta(eps, 1.0 / sigma) <= delta, (eps, delta)
+
+
+def test_calibrate_sigma_exceeds_classical_at_large_epsilon():
+    # the classical multiplier delivers delta(20) = 1.5e-3 for a 1e-5 budget
+    classical = math.sqrt(2.0 * math.log(1.25e5)) / 20.0
+    assert gdp_delta(20.0, 1.0 / classical) == pytest.approx(1.5e-3, rel=0.02)
+    sigma = dp.calibrate_sigma(20.0, 1e-5)
+    assert round(classical, 4) == 0.2422
+    assert round(sigma, 4) == 0.2900
+    assert gdp_delta(20.0, 1.0 / sigma) == pytest.approx(1e-5, rel=1e-6)
+    # where the classical multiplier suffices it is returned bitwise, as the
+    # shipped configs' (eps, delta) pairs expect
+    for eps in (1.0, 4.0, 6.0):
+        assert dp.calibrate_sigma(eps, 5e-5) == math.sqrt(2.0 * math.log(1.25 / 5e-5)) / eps
 
 
 def test_noise_config_validation():

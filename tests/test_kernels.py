@@ -239,6 +239,27 @@ def test_utility_reductions_bitwise_equal_wrappers(loss_code, util_code, shape):
         assert np.array_equal(_kernels.utility_np(thetas, task), wrapper_utility(thetas, task))
 
 
+@pytest.mark.parametrize("d", [1, 7, 12, 16, 33])
+def test_mse_utility_rows_bitwise_equal_across_layouts(d):
+    # the probe's replay scores the transpose of a (d, trials) buffer, and its
+    # reference a strided slab of a (trials, k, d) block: a row must score the
+    # same bits in either, and in a C-ordered block
+    rng = np.random.default_rng(d)
+    xt = rng.standard_normal((64, d))
+    yt = rng.standard_normal(64)
+    task = batch_task(MSE, NEG_LOSS, 0.0, xt, yt)
+    for trials in (1, 2, *rng.integers(3, 300, 22)):
+        rows = rng.standard_normal((trials, d))
+        by_coordinate = np.empty((d, trials))
+        by_coordinate[...] = rows.T
+        chunk = np.empty((trials, 3, d))
+        chunk[:, 1] = rows
+        got = [_kernels.utility_np(block, task) for block in (rows, by_coordinate.T, chunk[:, 1])]
+        assert np.array_equal(got[1], got[0]) and np.array_equal(got[2], got[0]), trials
+        want = [reference_utility(theta, xt, yt, MSE, NEG_LOSS, 0.0) for theta in rows]
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # -- party gradient against the block formula ----------------------------------
 
 

@@ -298,8 +298,8 @@ def test_npq_bound_from_minimum():
 # -- conditional-variance probe ---------------------------------------------------
 
 
-def probe_base(n_parties=6, sigma=1.0):
-    ds = data.synth_classification(60, 6, 2, seed=5, separation=3.0, n_test=64)
+def probe_base(n_parties=6, sigma=1.0, features=6):
+    ds = data.synth_classification(60, features, 2, seed=5, separation=3.0, n_test=64)
     ds = data.partition(ds, n_parties, "equal-chunks")
     mspec = models.ModelSpec("mse_linear", 0.05, models.InitSpec("zeros"))
     uspec = "neg_test_loss"
@@ -634,6 +634,22 @@ def test_probe_replays_variance_aware_combiner(mode, q):
         assert var == pytest.approx(want.var(axis=1, ddof=1).mean(), rel=1e-12, abs=0.0)
         want_var, bitwise = reference_replay(scenario, mode, noise, 101, seed=3, q=q)
         assert np.array_equal(draws, bitwise) and var == want_var, sigma_g_sq
+
+
+@pytest.mark.parametrize("mode,q", PROBE_MODES)
+def test_probe_wide_replay_matches_references(mode, q):
+    # d = 13 (12 features and the bias): numpy sums a contiguous run of 8 or
+    # more in pairwise blocks, which the other probe tests' d of 6 and 7 never
+    # reach, so only a wide probe shows a sum whose order follows the layout
+    cfg = probe_base(features=12)
+    scenario = metrics.freeze_scenario(cfg)
+    assert scenario.theta_prev.shape == (20, 6, 13)
+    [(var, draws)] = metrics.conditional_variance(cfg, [mode], trials=101, seed=7, q=q)
+    want_var, want = reference_replay(scenario, mode, cfg.noise, 101, seed=7, q=q)
+    assert np.array_equal(draws, want) and var == want_var
+    if mode != "iid":
+        explicit = explicit_matrix_replay(scenario, probe_noise(cfg, mode, q), trials=101, seed=7)
+        assert np.abs(draws - explicit).max() <= 1e-12 * np.abs(explicit).max()
 
 
 def test_probe_iid_matches_direct_simulation():
