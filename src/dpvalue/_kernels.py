@@ -15,11 +15,6 @@ import numpy as np
 
 from .dp import clip_in_place, fold, history, release
 
-LOSS_MSE = 0
-LOSS_LOGISTIC = 1
-UTIL_NEG_LOSS = 0
-UTIL_ACCURACY = 1
-
 # One formula per loss, scored by ``utility_np`` for the chain, federated
 # attribution, retraining and the variance probe's noise replay. Scores ``s``
 # may be a vector or a (trials, l) block; reductions run over the last axis.
@@ -41,9 +36,9 @@ def log_loss(s, y):
     return out
 
 
-def accuracy(s, y, loss_code):
+def accuracy(s, y, loss):
     """Share of test points whose thresholded score equals the label."""
-    thr = 0.5 if loss_code == LOSS_MSE else 0.0
+    thr = 0.5 if loss == "mse_linear" else 0.0
     return np.add.reduce((s >= thr) == y, axis=-1) / y.shape[0]
 
 
@@ -61,20 +56,20 @@ def utility_np(thetas, task):
     c)`` on ``mse_stats``, with theta.A as ``(A.T @ thetas.T).T``: laid out as
     a transposed (d, trials) array whatever the block's layout, so each row's
     bits do not depend on it."""
-    if task.util_code == UTIL_NEG_LOSS and task.loss_code == LOSS_MSE:
+    if task.utility == "neg_test_loss" and task.loss == "mse_linear":
         a, b, c = task.mse
         p = (a.T @ thetas.T).T
         p -= b
         p *= thetas
         return -c - np.add.reduce(p, axis=-1)
     s = thetas @ task.xt.T
-    if task.util_code == UTIL_ACCURACY:
-        return accuracy(s, task.yt, task.loss_code)
+    if task.utility == "test_accuracy":
+        return accuracy(s, task.yt, task.loss)
     return (-np.add.reduce(log_loss(s, task.yt), axis=-1) / task.yt.shape[0]
             - task.lam * np.vecdot(thetas, thetas))
 
 
-def party_grad_np(theta, x, y, a, b, loss_code, lam):
+def party_grad_np(theta, x, y, a, b, loss, lam):
     """Gradient over the party's rows ``a:b`` (``m = b - a`` rows): MSE
     ``(2/m) X^T (X theta - y)``, logistic ``X^T (sigmoid(X theta) - y) / m
     + 2*lam*theta``. A one-row party takes its score and sigmoid as numpy
@@ -83,13 +78,13 @@ def party_grad_np(theta, x, y, a, b, loss_code, lam):
     on a numpy scalar runs the array loop (``math.exp`` differs)."""
     if b - a == 1:
         s = x[a] @ theta
-        if loss_code == LOSS_MSE:
+        if loss == "mse_linear":
             return 2.0 * (x[a] * (s - y[a]))
         return x[a] * (1.0 / (1.0 + np.exp(-s)) - y[a]) + 2.0 * lam * theta
     xb = x[a:b]
     yb = y[a:b]
     s = xb @ theta
-    if loss_code == LOSS_MSE:
+    if loss == "mse_linear":
         return (2.0 / (b - a)) * (xb.T @ (s - yb))
     sig = 1.0 / (1.0 + np.exp(-s))
     return (xb.T @ (sig - yb)) / (b - a) + 2.0 * lam * theta
@@ -115,7 +110,8 @@ class Task:
     ``x``/``y`` are the training design matrix and labels sorted by party,
     party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
     the utility is scored on and ``mse`` its ``mse_stats``. ``x`` and ``xt``
-    are C-contiguous float64.
+    are C-contiguous float64. ``loss`` and ``utility`` are the config's kind
+    names (``models.LOSS_KINDS``, ``models.UTILITY_KINDS``).
     """
 
     x: np.ndarray
@@ -123,8 +119,8 @@ class Task:
     ptr: np.ndarray
     xt: np.ndarray
     yt: np.ndarray
-    loss_code: int
-    util_code: int
+    loss: str
+    utility: str
     lr: float
     lam: float
     mse: tuple
@@ -141,7 +137,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
     """
     k, n = perms.shape
     d = inits.shape[1]
-    x, y, loss_code, lr, lam = task.x, task.y, task.loss_code, task.lr, task.lam
+    x, y, loss, lr, lam = task.x, task.y, task.loss, task.lr, task.lam
     marginals = np.zeros((k, n))
     pcoefs = np.zeros((k, n))
     psi = [0.0] * n
@@ -178,7 +174,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
             if not math.isfinite(v_prev):
                 raise ChainDiverged(t + 1, -1)
             for pos, j in enumerate(orders[t]):
-                g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+                g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam)
                 clip_in_place(g, clip)
                 if record_grads:
                     g_hat[t, j] = g

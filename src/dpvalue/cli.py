@@ -65,12 +65,12 @@ def cmd_run(args) -> int:
         return 2
     outdir = _output_dir(args.output or cfg.output_dir)
     try:
+        outdir.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
         runner = RUNNERS[cfg.kind]
         doc, rows, extras = runner(cfg)
     except Exception as exc:  # noqa: BLE001 - error record is the contract
         _write_error(outdir, exc)
         return 1
-    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "result.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -104,7 +104,11 @@ def cmd_plot(args) -> int:
     if not result_path.exists():
         print(f"no result.json under {args.result_dir}", file=sys.stderr)
         return 2
-    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(result_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        print(f"cannot read result.json: {exc}", file=sys.stderr)
+        return 2
     outdir = Path(args.result_dir)
     kind = args.kind
     if kind == "variance-probe":

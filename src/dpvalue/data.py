@@ -87,7 +87,8 @@ def _number(cell: str, row: int, column: str) -> float:
 
 def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
     """Load a header-bearing CSV deterministically (file row order kept); every
-    column but the label is a feature.
+    column but the label is a feature. Column names are unique and every row
+    has one cell per column, a blank line included.
 
     With ``standardize`` the training feature columns are shifted/scaled to
     zero mean and unit variance and the same transform is applied to the test
@@ -101,13 +102,18 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
         rows = list(reader)
     if schema.label not in header:
         raise ValueError(f"label column {schema.label!r} not in header {header}")
+    col_of = {c: i for i, c in enumerate(header)}
+    if len(col_of) < len(header):
+        name = next(c for i, c in enumerate(header) if col_of[c] != i)
+        raise ValueError(f"repeated column {name!r} in header {header}")
     feat_names = [c for c in header if c != schema.label]
-    col_of = {c: header.index(c) for c in header}
 
     n = len(rows)
     values = np.empty((n, len(feat_names)))
     raw_labels = []
     for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"row {r} has {len(row)} cells, the header {len(header)} columns")
         for c, name in enumerate(feat_names):
             values[r, c] = _number(row[col_of[name]], r, name)
         raw_labels.append(row[col_of[schema.label]])

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import LOSS_LOGISTIC, LOSS_MSE, UTIL_ACCURACY, UTIL_NEG_LOSS
 
-LOSS_CODES = {"mse_linear": LOSS_MSE, "logistic_l2": LOSS_LOGISTIC}
-UTILITY_CODES = {"neg_test_loss": UTIL_NEG_LOSS, "test_accuracy": UTIL_ACCURACY}
+LOSS_KINDS = ("mse_linear", "logistic_l2")
+UTILITY_KINDS = ("neg_test_loss", "test_accuracy")
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class ModelSpec:
     add_bias: bool = True
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_CODES:
+        if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
@@ -57,10 +56,6 @@ class ModelSpec:
             raise ValueError("logistic_l2 requires a positive l2 penalty")
         if self.loss_kind == "mse_linear" and self.l2 != 0:
             raise ValueError("l2 penalty only applies to logistic_l2")
-
-    @property
-    def loss_code(self) -> int:
-        return LOSS_CODES[self.loss_kind]
 
 
 def check_labels(spec: ModelSpec, labels: np.ndarray) -> None:
@@ -73,7 +68,7 @@ def check_labels(spec: ModelSpec, labels: np.ndarray) -> None:
 
 
 def utility_kind(kind: str) -> str:
-    if kind not in UTILITY_CODES:
+    if kind not in UTILITY_KINDS:
         raise ValueError(f"unknown utility kind {kind!r}")
     return kind
 
@@ -120,7 +115,7 @@ def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         for party in order:
             g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
-                                       task.loss_code, task.lam)
+                                       task.loss, task.lam)
             theta = theta - spec.learning_rate * g
     if not np.isfinite(theta).all():  # NaN is absorbing: one check per retraining
         raise RuntimeError(f"retraining on {len(order)} parties (seed {seed}) diverged: its "

@@ -29,8 +29,8 @@ import numpy as np
 from . import _kernels
 from .data import PartitionedDataset
 from .dp import NoiseConfig, burn_in_count, clip_in_place, diag_schedule, fold, history, release
-from .models import (UTILITY_CODES, ModelSpec, check_labels, check_test_split, design_matrix,
-                     init_params, utility_kind)
+from .models import (ModelSpec, check_labels, check_test_split, design_matrix, init_params,
+                     utility_kind)
 
 MAX_PARTIES_WEIGHTS = 10_000
 MU_GUARD = 1e-15  # |mu| below which the mean-adjusted variance is NaN
@@ -188,7 +188,7 @@ def prepare(cfg: RunConfig) -> _kernels.Task:
     yt = np.ascontiguousarray(cfg.dataset.test_labels, dtype=np.float64)
     return _kernels.Task(
         x=design_matrix(x, cfg.model), y=y, ptr=ptr, xt=xt, yt=yt,
-        loss_code=cfg.model.loss_code, util_code=UTILITY_CODES[cfg.utility],
+        loss=cfg.model.loss_kind, utility=cfg.utility,
         lr=cfg.model.learning_rate, lam=cfg.model.l2, mse=_kernels.mse_stats(xt, yt),
     )
 
@@ -221,9 +221,8 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     _, p = semivalue_weights(cfg.semivalue)
     kq = cfg.noise.burn_in
     out = _kernels.run_chain(task, cfg.noise.clip_norm, perms, inits, noise,
-                             diag_schedule(cfg.noise), cfg.noise.correlated,
-                             np.ascontiguousarray(p), kq, cfg.record_gradients,
-                             cfg.record_states)
+                             diag_schedule(cfg.noise), cfg.noise.correlated, p, kq,
+                             cfg.record_gradients, cfg.record_states)
 
     retained = out["marginals"][kq:]
     mu, s_sq, mav = estimation_stats(retained)
@@ -326,7 +325,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     burn = burn_in_count(rounds, q)
 
     task = prepare(cfg)
-    x, y, ptr, loss_code, lr, lam = task.x, task.y, task.ptr, task.loss_code, task.lr, task.lam
+    x, y, ptr, lr, lam = task.x, task.y, task.ptr, task.lr, task.lam
     n, d = cfg.dataset.n_parties, x.shape[1]
 
     ss = np.random.SeedSequence(cfg.master_seed)
@@ -343,7 +342,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     for t in range(rounds):
         perturbed = np.empty((n, d))
         for j in range(n):
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], task.loss, lam)
             perturbed[j] = clip_in_place(g, cfg.noise.clip_norm)
         if std > 0.0:
             perturbed += std * noise_rng.standard_normal((n, d))

@@ -42,10 +42,10 @@ def orthogonal_chain_task(n: int, lr: float, seed: int = 0):
     return ds, mspec, uspec, set_value
 
 
-def batch_task(loss_code, util_code, lam, x, y):
+def batch_task(loss, utility, lam, x, y):
     """A Task whose one party and whose test split are both the batch (x, y):
     ``party_grad_np`` over rows 0:len(y) is the gradient of ``-utility_np``."""
-    return _kernels.Task(x, y, np.array([0, len(y)]), x, y, loss_code, util_code, 0.1, lam,
+    return _kernels.Task(x, y, np.array([0, len(y)]), x, y, loss, utility, 0.1, lam,
                          _kernels.mse_stats(x, y))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from dpvalue import _kernels, cli, config, data
+from dpvalue import _kernels, cli, config, data, experiments
 from dpvalue.config import ConfigError, load_config
 from dpvalue.dp import NoiseConfig
 
@@ -249,6 +249,29 @@ def test_plot_auc_q_malformed_config_echo(tmp_path, capsys):
     assert not list(tmp_path.glob("*.dat"))
 
 
+@pytest.mark.parametrize("text", ["{", "", "\xff"])
+def test_plot_unreadable_result_json(tmp_path, capsys, text):
+    (tmp_path / "result.json").write_bytes(text.encode("latin-1"))
+    assert cli.main(["plot", str(tmp_path), "variance-probe"]) == 2
+    assert "cannot read result.json" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.dat"))
+
+
+def test_run_output_onto_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, base_valuation_doc(tmp_path / "out"))
+    target = tmp_path / "taken"
+    target.write_text("not a directory", encoding="utf-8")
+
+    def runner(cfg):
+        raise AssertionError("the runner ran before the output directory was made")
+
+    monkeypatch.setitem(experiments.RUNNERS, "valuation", runner)
+    assert cli.main(["run", str(cfg), "--output", str(target)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "FileExistsError"
+    assert target.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_plot_variance_probe(tmp_path):
     out = tmp_path / "out"
     doc = {
@@ -437,6 +460,7 @@ def set_path(doc, dotted, value):
 
 
 CSV = "csv-placeholder"  # replaced by a small csv file written per case
+SHORT_ROW_CSV = "short-row-csv-placeholder"  # the same file with its row 3 one cell short
 YAML_TEXT = "yaml-text"  # a patch that replaces the config file's whole text
 
 BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
@@ -516,6 +540,9 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("logistic-three-classes", "valuation", {"dataset.n_classes": 3}, "model.loss"),
     ("logistic-csv-three-labels", "valuation",  # column b holds 0, 1 and 2
      {"dataset": {"source": "csv", "path": CSV, "label": "b", "test_rows": 2}}, "model.loss"),
+    ("csv-short-row", "valuation",
+     {"dataset": {"source": "csv", "path": SHORT_ROW_CSV, "label": "y", "test_rows": 2}},
+     "dataset.path"),
     ("malformed-yaml", "valuation", {YAML_TEXT: "a: [1,\n"}, ""),
     ("probe-modes-empty", "variance-probe", {"probe.modes": []}, "probe.modes"),
     ("similarity-ks-empty", "similarity", {"similarity.ks": []}, "similarity.ks"),
@@ -638,12 +665,14 @@ def test_kind_doc_runs(tmp_path, kind):
 @pytest.mark.parametrize("kind,patch,field", [case[1:] for case in BAD_CONFIGS],
                          ids=[case[0] for case in BAD_CONFIGS])
 def test_bad_config_is_a_config_error(tmp_path, capsys, kind, patch, field):
-    csv_path = tmp_path / "data.csv"
-    csv_path.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(12)))
+    text = "a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(12))
+    csv_paths = {CSV: tmp_path / "data.csv", SHORT_ROW_CSV: tmp_path / "short.csv"}
+    csv_paths[CSV].write_text(text)
+    csv_paths[SHORT_ROW_CSV].write_text(text.replace("\n3,0,1\n", "\n3,0\n"))
     doc = kind_doc(tmp_path / "out", kind)
     for dotted, value in patch.items():
-        if isinstance(value, dict) and value.get("path") == CSV:
-            value = dict(value, path=str(csv_path))
+        if isinstance(value, dict) and value.get("path") in csv_paths:
+            value = dict(value, path=str(csv_paths[value["path"]]))
         set_path(doc, dotted, value)
     cfg = write_config(tmp_path, doc)
     if YAML_TEXT in patch:

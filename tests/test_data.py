@@ -41,6 +41,26 @@ def test_load_csv_non_finite_regression_label(tmp_path):
         data.load_csv(p, data.CsvSchema(label="y", task="regression"))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a,b,label\n1,2,0\n3,4\n5,6,1\n", r"row 1 has 2 cells, the header 3 columns"),
+    ("a,b,label\n1,2,0\n3,4,1,9\n5,6,1\n", r"row 1 has 4 cells, the header 3 columns"),
+    ("a,b,label\n1,2,0\n3,4,1\n5,6,1\n\n", r"row 3 has 0 cells, the header 3 columns"),
+    ("a,b,label\n1,2,0\n\n3,4,1\n", r"row 1 has 0 cells, the header 3 columns"),
+], ids=["short", "long", "trailing-blank", "blank"])
+def test_load_csv_rejects_row_of_wrong_width(tmp_path, text, message):
+    p = write_csv(tmp_path / "d.csv", text)
+    with pytest.raises(ValueError, match=message):
+        data.load_csv(p, data.CsvSchema(label="label"))
+
+
+@pytest.mark.parametrize("header", ["x,x,y", "x,y,x", "x,y,y"])
+def test_load_csv_rejects_repeated_column(tmp_path, header):
+    repeated = "y" if header.count("y") > 1 else "x"
+    p = write_csv(tmp_path / "d.csv", header + "\n1,5,0\n2,6,1\n3,7,0\n")
+    with pytest.raises(ValueError, match=rf"repeated column '{repeated}'"):
+        data.load_csv(p, data.CsvSchema(label="y"))
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         data.load_csv(tmp_path / "nope.csv", data.CsvSchema(label="label"))

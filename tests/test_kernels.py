@@ -8,6 +8,16 @@ from conftest import batch_task
 from dpvalue import _kernels, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
+MSE, LOGISTIC = "mse_linear", "logistic_l2"
+NEG_LOSS, ACCURACY = "neg_test_loss", "test_accuracy"
+
+
+def kind_id(kind):
+    """A test id: a loss or utility by its position in ``models.LOSS_KINDS``
+    or ``models.UTILITY_KINDS``."""
+    kinds = models.LOSS_KINDS if kind in models.LOSS_KINDS else models.UTILITY_KINDS
+    return str(kinds.index(kind))
+
 
 def make_cfg():
     ds = data.synth_classification(18, 5, 2, seed=2, separation=3.0, n_test=25)
@@ -17,7 +27,7 @@ def make_cfg():
     return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), master_seed=6)
 
 
-def test_same_backend_bit_identical():
+def test_same_seed_bit_identical():
     a = run_valuation(make_cfg())
     b = run_valuation(make_cfg())
     assert np.array_equal(a.psi, b.psi)
@@ -26,7 +36,7 @@ def test_same_backend_bit_identical():
 
 def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq):
     """One step at a time with numpy scalars and fresh arrays, no hoisting."""
-    x, y, ptr, loss_code, lr, lam = task.x, task.y, task.ptr, task.loss_code, task.lr, task.lam
+    x, y, ptr, loss, lr, lam = task.x, task.y, task.ptr, task.loss, task.lr, task.lam
     k, n = perms.shape
     d = inits.shape[1]
     out = {name: np.zeros((k, n)) for name in ("marginals", "pcoefs", "v_prev")}
@@ -40,7 +50,7 @@ def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos,
         v_prev = _kernels.utility_np(theta, task)
         for pos in range(n):
             j = perms[t, pos]
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam)
             nrm = np.linalg.norm(g)
             if nrm > clip:
                 g = g * (clip / nrm)
@@ -72,7 +82,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def random_chain(mechanism, loss_code, util_code, n=7, d=4, k=12):
+def random_chain(mechanism, loss, utility, n=7, d=4, k=12):
     """A random Task and the run_chain arguments of one mechanism on it."""
     rng = np.random.default_rng(11)
     ptr = np.concatenate([[0], np.cumsum(rng.integers(1, 5, n))]).astype(np.int64)
@@ -80,14 +90,14 @@ def random_chain(mechanism, loss_code, util_code, n=7, d=4, k=12):
     y = rng.integers(0, 2, ptr[-1]).astype(np.float64)
     xt = rng.standard_normal((30, d))
     yt = rng.integers(0, 2, 30).astype(np.float64)
-    lam = 0.02 if loss_code == _kernels.LOSS_LOGISTIC else 0.0
+    lam = 0.02 if loss == LOGISTIC else 0.0
     ncfg = dp.NoiseConfig(0.8, 1.5, budget=k, **mechanism)
     perms = np.array([rng.permutation(n) for _ in range(k)])
     inits = 0.1 * rng.standard_normal((k, d))
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
     args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated,
             rng.uniform(0.0, 1.0, n), ncfg.burn_in)
-    task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, 0.1, lam,
+    task = _kernels.Task(x, y, ptr, xt, yt, loss, utility, 0.1, lam,
                          _kernels.mse_stats(xt, yt))
     return task, args
 
@@ -101,11 +111,10 @@ MECHANISMS = {  # corr_x_aware and fl_schedule have diagonals that are not prefi
 }
 
 
-@pytest.mark.parametrize("loss_code,util_code", [(_kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS),
-                                                 (_kernels.LOSS_MSE, _kernels.UTIL_ACCURACY)])
+@pytest.mark.parametrize("loss,utility", [(LOGISTIC, NEG_LOSS), (MSE, ACCURACY)], ids=kind_id)
 @pytest.mark.parametrize("mode", list(MECHANISMS))
-def test_chain_matches_reference_loop(mode, loss_code, util_code):
-    task, args = random_chain(MECHANISMS[mode], loss_code, util_code)
+def test_chain_matches_reference_loop(mode, loss, utility):
+    task, args = random_chain(MECHANISMS[mode], loss, utility)
     want = reference_chain(task, *args)
     got = _kernels.run_chain(task, *args, record_grads=True, record_states=True)
     assert set(got) == set(want)
@@ -124,7 +133,7 @@ def test_correlated_chain_divergence_names_iteration_and_party(mode):
     # a blow-up mid-iteration, inside corr_y's burn-in, overflows the squared
     # test loss; the chain reports it as ChainDiverged alone, without numpy warnings
     mechanism = {"mode": mode, "q": 0.5} if mode == "corr_y" else {"mode": mode}
-    task, args = random_chain(mechanism, _kernels.LOSS_MSE, _kernels.UTIL_NEG_LOSS, k=8)
+    task, args = random_chain(mechanism, MSE, NEG_LOSS, k=8)
     perms, noise, kq = args[1], args[3], args[7]
     t, pos = 2, 3
     assert mode == "corr_x" or t < kq  # the blow-up lies inside corr_y's burn-in
@@ -139,7 +148,7 @@ def test_softplus_utility_stable_at_extremes():
     theta = np.array([1e4])
     xt = np.array([[1.0], [-1.0]])
     yt = np.array([1.0, 0.0])
-    task = batch_task(_kernels.LOSS_LOGISTIC, _kernels.UTIL_NEG_LOSS, 0.0, xt, yt)
+    task = batch_task(LOGISTIC, NEG_LOSS, 0.0, xt, yt)
     v = _kernels.utility_np(theta, task)
     assert np.isfinite(v)
     assert v == pytest.approx(0.0, abs=1e-12)  # both points classified with certainty
@@ -147,27 +156,24 @@ def test_softplus_utility_stable_at_extremes():
 
 # -- utility layer against the formulas it replaced --------------------------
 
-MSE, LOGISTIC = _kernels.LOSS_MSE, _kernels.LOSS_LOGISTIC
-NEG_LOSS, ACCURACY = _kernels.UTIL_NEG_LOSS, _kernels.UTIL_ACCURACY
 
-
-def reference_utility(theta, xt, yt, loss_code, util_code, lam):
+def reference_utility(theta, xt, yt, loss, utility, lam):
     """Two logaddexp terms per test point and a direct mean squared error."""
     s = xt @ theta
-    if util_code == ACCURACY:
-        thr = 0.5 if loss_code == MSE else 0.0
+    if utility == ACCURACY:
+        thr = 0.5 if loss == MSE else 0.0
         pred = (s >= thr).astype(np.float64)
         return float(np.mean(pred == yt))
-    if loss_code == MSE:
+    if loss == MSE:
         e = s - yt
         return float(-np.mean(e * e))
     ll = -yt * np.logaddexp(0.0, -s) - (1.0 - yt) * np.logaddexp(0.0, s)
     return float(np.mean(ll) - lam * float(theta @ theta))
 
 
-def reference_loss(loss_code, lam, theta, x, y):
+def reference_loss(loss, lam, theta, x, y):
     s = x @ theta
-    if loss_code == MSE:
+    if loss == MSE:
         e = s - y
         return float(np.mean(e * e))
     ce = y * np.logaddexp(0.0, -s) + (1.0 - y) * np.logaddexp(0.0, s)
@@ -184,33 +190,32 @@ def random_thetas(xt, rng, count, min_abs_score):
 
 
 @pytest.mark.parametrize("min_abs_score", [0.0, 800.0])
-@pytest.mark.parametrize("util_code", [NEG_LOSS, ACCURACY])
-@pytest.mark.parametrize("loss_code", [MSE, LOGISTIC])
-def test_utility_matches_reference(loss_code, util_code, min_abs_score):
+@pytest.mark.parametrize("utility", [NEG_LOSS, ACCURACY], ids=kind_id)
+@pytest.mark.parametrize("loss", [MSE, LOGISTIC], ids=kind_id)
+def test_utility_matches_reference(loss, utility, min_abs_score):
     rng = np.random.default_rng(5)
     xt = rng.standard_normal((200, 11))
     # accuracy compares the 0/1 prediction with the label, so a label 2 never counts
-    yt = rng.integers(0, 3 if util_code == ACCURACY else 2, 200).astype(np.float64)
-    lam = 0.02 if loss_code == LOGISTIC else 0.0
-    task = batch_task(loss_code, util_code, lam, xt, yt)
+    yt = rng.integers(0, 3 if utility == ACCURACY else 2, 200).astype(np.float64)
+    lam = 0.02 if loss == LOGISTIC else 0.0
+    task = batch_task(loss, utility, lam, xt, yt)
     for theta in random_thetas(xt, rng, 25, min_abs_score):
-        want = reference_utility(theta, xt, yt, loss_code, util_code, lam)
+        want = reference_utility(theta, xt, yt, loss, utility, lam)
         got = _kernels.utility_np(theta, task)
         assert np.isfinite(got)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("min_abs_score", [0.0, 800.0])
-@pytest.mark.parametrize("loss_kind", ["mse_linear", "logistic_l2"])
-def test_model_loss_matches_reference(loss_kind, min_abs_score):
+@pytest.mark.parametrize("loss", [MSE, LOGISTIC])
+def test_model_loss_matches_reference(loss, min_abs_score):
     rng = np.random.default_rng(8)
-    lam = 0.05 if loss_kind == "logistic_l2" else 0.0
-    loss_code = models.LOSS_CODES[loss_kind]
+    lam = 0.05 if loss == LOGISTIC else 0.0
     x = rng.standard_normal((30, 4))
     y = rng.integers(0, 2, 30).astype(np.float64)
-    task = batch_task(loss_code, NEG_LOSS, lam, x, y)
+    task = batch_task(loss, NEG_LOSS, lam, x, y)
     for theta in random_thetas(x, rng, 25, min_abs_score):
-        want = reference_loss(loss_code, lam, theta, x, y)
+        want = reference_loss(loss, lam, theta, x, y)
         got = -_kernels.utility_np(theta, task)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -219,21 +224,21 @@ def wrapper_utility(thetas, task):
     """``utility_np``'s accuracy and logistic branches as written with numpy's
     ``count_nonzero`` and ``ndarray.sum`` wrappers."""
     s = thetas @ task.xt.T
-    if task.util_code == ACCURACY:
-        thr = 0.5 if task.loss_code == MSE else 0.0
+    if task.utility == ACCURACY:
+        thr = 0.5 if task.loss == MSE else 0.0
         return np.count_nonzero((s >= thr) == task.yt, axis=-1) / task.yt.shape[0]
     return (-_kernels.log_loss(s, task.yt).sum(axis=-1) / task.yt.shape[0]
             - task.lam * np.vecdot(thetas, thetas))
 
 
 @pytest.mark.parametrize("shape", [(11,), (7, 11)])
-@pytest.mark.parametrize("loss_code,util_code",
-                         [(MSE, ACCURACY), (LOGISTIC, ACCURACY), (LOGISTIC, NEG_LOSS)])
-def test_utility_reductions_bitwise_equal_wrappers(loss_code, util_code, shape):
+@pytest.mark.parametrize("loss,utility",
+                         [(MSE, ACCURACY), (LOGISTIC, ACCURACY), (LOGISTIC, NEG_LOSS)], ids=kind_id)
+def test_utility_reductions_bitwise_equal_wrappers(loss, utility, shape):
     rng = np.random.default_rng(23)
     xt = rng.standard_normal((200, 11))
     yt = rng.integers(0, 2, 200).astype(np.float64)
-    task = batch_task(loss_code, util_code, 0.02, xt, yt)
+    task = batch_task(loss, utility, 0.02, xt, yt)
     for _ in range(50):
         thetas = rng.standard_normal(shape)
         assert np.array_equal(_kernels.utility_np(thetas, task), wrapper_utility(thetas, task))
@@ -263,41 +268,41 @@ def test_mse_utility_rows_bitwise_equal_across_layouts(d):
 # -- party gradient against the block formula ----------------------------------
 
 
-def block_party_grad(theta, x, y, a, b, loss_code, lam):
+def block_party_grad(theta, x, y, a, b, loss, lam):
     """The gradient over rows a:b as one block, whatever the party size."""
     xb, yb = x[a:b], y[a:b]
     s = xb @ theta
-    if loss_code == MSE:
+    if loss == MSE:
         return (2.0 / (b - a)) * (xb.T @ (s - yb))
     sig = 1.0 / (1.0 + np.exp(-s))
     return (xb.T @ (sig - yb)) / (b - a) + 2.0 * lam * theta
 
 
-@pytest.mark.parametrize("loss_code", [MSE, LOGISTIC])
-def test_one_row_party_grad_matches_block_formula(loss_code):
+@pytest.mark.parametrize("loss", [MSE, LOGISTIC], ids=kind_id)
+def test_one_row_party_grad_matches_block_formula(loss):
     rng = np.random.default_rng(17)
     x = rng.standard_normal((400, 11))
     y = rng.integers(0, 2, 400).astype(np.float64)
-    lam = 0.01 if loss_code == LOGISTIC else 0.0
+    lam = 0.01 if loss == LOGISTIC else 0.0
     with np.errstate(over="ignore"):  # exp(-s) overflows to inf for s < -709
         for _ in range(3000):
             a = int(rng.integers(0, 400))
             theta = rng.standard_normal(11)
             # scores from 1e-3 to 800, so the sigmoid runs from 1/2 into saturation
             theta *= 10.0 ** rng.uniform(-3.0, np.log10(800.0)) / abs(x[a] @ theta)
-            want = block_party_grad(theta, x, y, a, a + 1, loss_code, lam)
-            got = _kernels.party_grad_np(theta, x, y, a, a + 1, loss_code, lam)
+            want = block_party_grad(theta, x, y, a, a + 1, loss, lam)
+            got = _kernels.party_grad_np(theta, x, y, a, a + 1, loss, lam)
             assert np.array_equal(got, want), (a, x[a] @ theta)
 
 
-@pytest.mark.parametrize("loss_code", [MSE, LOGISTIC])
+@pytest.mark.parametrize("loss", [MSE, LOGISTIC], ids=kind_id)
 @pytest.mark.parametrize("rows", [1, 3])
-def test_party_grad_of_nan_theta_is_nan(loss_code, rows):
+def test_party_grad_of_nan_theta_is_nan(loss, rows):
     # a diverged model must stay non-finite so the chain's utility check fires
     rng = np.random.default_rng(2)
     x = rng.standard_normal((5, 4))
     y = rng.integers(0, 2, 5).astype(np.float64)
     theta = np.array([0.5, np.nan, -1.0, 2.0])
-    g = _kernels.party_grad_np(theta, x, y, 1, 1 + rows, loss_code, 0.01)
+    g = _kernels.party_grad_np(theta, x, y, 1, 1 + rows, loss, 0.01)
     assert g.shape == (4,)
     assert np.isnan(g).all()

@@ -7,17 +7,17 @@ from conftest import batch_task, dataset_task
 from dpvalue import _kernels, data, models
 
 
-MSE, LOGISTIC = _kernels.LOSS_MSE, _kernels.LOSS_LOGISTIC
-NEG_LOSS, ACCURACY = _kernels.UTIL_NEG_LOSS, _kernels.UTIL_ACCURACY
+MSE, LOGISTIC = "mse_linear", "logistic_l2"
+NEG_LOSS, ACCURACY = "neg_test_loss", "test_accuracy"
 
 
-def batch_grad(loss_code, lam, theta, x, y):
-    return _kernels.party_grad_np(theta, x, y, 0, len(y), loss_code, lam)
+def batch_grad(loss, lam, theta, x, y):
+    return _kernels.party_grad_np(theta, x, y, 0, len(y), loss, lam)
 
 
-def finite_diff_grad(loss_code, lam, theta, x, y, step=1e-5):
+def finite_diff_grad(loss, lam, theta, x, y, step=1e-5):
     """Central differences of the batch loss ``-utility_np``."""
-    task = batch_task(loss_code, NEG_LOSS, lam, x, y)
+    task = batch_task(loss, NEG_LOSS, lam, x, y)
     g = np.zeros_like(theta)
     for i in range(len(theta)):
         up = theta.copy()
@@ -40,22 +40,21 @@ def test_logistic_grad_at_origin():
     assert np.allclose(g, -x[0] / 2.0, atol=1e-10)
 
 
-@pytest.mark.parametrize("loss_kind", ["mse_linear", "logistic_l2"])
-def test_grad_matches_finite_differences(loss_kind):
+@pytest.mark.parametrize("loss", [MSE, LOGISTIC])
+def test_grad_matches_finite_differences(loss):
     rng = np.random.default_rng(17)
-    loss_code = models.LOSS_CODES[loss_kind]
-    lam = 0.05 if loss_kind == "logistic_l2" else 0.0
+    lam = 0.05 if loss == LOGISTIC else 0.0
     for _ in range(20):
         d = rng.integers(2, 6)
         b = rng.integers(1, 8)
         x = rng.standard_normal((b, d))
-        if loss_kind == "logistic_l2":
+        if loss == LOGISTIC:
             y = rng.integers(0, 2, b).astype(np.float64)
         else:
             y = rng.standard_normal(b)
         theta = rng.standard_normal(d)
-        g = batch_grad(loss_code, lam, theta, x, y)
-        fd = finite_diff_grad(loss_code, lam, theta, x, y)
+        g = batch_grad(loss, lam, theta, x, y)
+        fd = finite_diff_grad(loss, lam, theta, x, y)
         assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
 
 
@@ -108,7 +107,7 @@ def scan_train_one_pass(spec, features, labels, party_of, include_parties, seed)
     theta = models.init_params(spec, x.shape[1], seed=seed)
     for party in order:
         idx = np.nonzero(party_of == party)[0]
-        g = _kernels.party_grad_np(theta, x[idx], labels[idx], 0, idx.size, spec.loss_code,
+        g = _kernels.party_grad_np(theta, x[idx], labels[idx], 0, idx.size, spec.loss_kind,
                                    spec.l2)
         theta = theta - spec.learning_rate * g
     return theta

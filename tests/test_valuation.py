@@ -454,11 +454,10 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     xt = models.design_matrix(ds.test_features, cfg.model)
     yt = np.ascontiguousarray(ds.test_labels, dtype=np.float64)
     d = x.shape[1]
-    loss_code = cfg.model.loss_code
-    util_code = models.UTILITY_CODES[cfg.utility]
+    loss = cfg.model.loss_kind
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
-    task = _kernels.Task(x, y, ptr, xt, yt, loss_code, util_code, lr, lam,
+    task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam,
                          _kernels.mse_stats(xt, yt))
 
     ss = np.random.SeedSequence(cfg.master_seed)
@@ -479,7 +478,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     for t in range(rounds):
         released = np.empty((n, d))
         for j in range(n):
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss_code, lam)
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam)
             nrm = math.sqrt(float(g @ g))
             if nrm > cfg.noise.clip_norm:
                 g *= cfg.noise.clip_norm / nrm
