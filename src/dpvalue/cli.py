@@ -2,10 +2,9 @@
 
 Subcommands: ``run <config>`` executes an experiment and writes result.json,
 summary.csv, config.echo and a MANIFEST of sha256 digests; ``validate
-<config>`` only parses and checks the config; ``plot <result-dir> <kind>``
-turns a result.json into two-column .dat files for external plotting. The
-environment variable DPVALUE_OUTPUT_ROOT reroots relative output
-directories.
+<config>`` only parses and checks the config; ``plot <result-dir>`` writes the
+.dat files of the result's kind for external plotting. The environment
+variable DPVALUE_OUTPUT_ROOT reroots relative output directories.
 """
 
 from __future__ import annotations
@@ -93,66 +92,62 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _dat(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(" ".join(format(float(v), ".10g") for v in row) + "\n")
+def _dat(rows) -> str:
+    return "".join(" ".join(format(float(v), ".10g") for v in row) + "\n" for row in rows)
+
+
+def _var_dats(doc: dict, outdir: Path) -> dict:
+    return {f"var_{mode}.dat": zip(probe["ks"], probe["variances"])
+            for mode, probe in doc["probes"].items()}
+
+
+def _removal_dats(doc: dict, outdir: Path) -> dict:
+    dats = {}
+    for order, curve in doc["curves"].items():
+        rows = zip(curve["fractions"], curve["scores"])
+        if curve.get("stderr"):  # a random order's band, score -/+ its standard error
+            rows = [(f, s, s - e, s + e) for (f, s), e in zip(rows, curve["stderr"])]
+        dats[f"removal_{order.replace('-', '_')}.dat"] = rows
+    return dats
+
+
+def _auc_q_dats(doc: dict, outdir: Path) -> dict:
+    # each run's q is its mechanism's, as the parser set it from the echoed config
+    runs = noisy_label_runs(yaml.safe_load((outdir / "config.echo").read_text(encoding="utf-8")))
+    series: dict[str, list[tuple[float, float]]] = {}
+    for label, noise in dict(runs).items():
+        auc = float(np.mean(doc["auc"][label]))
+        if noise.mode in ("corr_x", "corr_y"):  # corr_x is corr_y at q = 0
+            series.setdefault("corr_y", []).append((noise.q or 0.0, auc))
+        else:
+            series.setdefault(label, []).append((0.0, auc))
+    return {f"auc_q_{mode}.dat": sorted(rows) for mode, rows in series.items()}
+
+
+PLOTS = {"variance-probe": _var_dats, "removal": _removal_dats, "noisy-label": _auc_q_dats}
 
 
 def cmd_plot(args) -> int:
-    result_path = Path(args.result_dir) / "result.json"
-    if not result_path.exists():
-        print(f"no result.json under {args.result_dir}", file=sys.stderr)
-        return 2
+    outdir = Path(args.result_dir)
     try:
-        doc = json.loads(result_path.read_text(encoding="utf-8"))
+        doc = json.loads((outdir / "result.json").read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         print(f"cannot read result.json: {exc}", file=sys.stderr)
         return 2
-    outdir = Path(args.result_dir)
-    kind = args.kind
-    if kind == "variance-probe":
-        if doc.get("kind") != "variance-probe":
-            print("result is not a variance probe", file=sys.stderr)
-            return 2
-        for mode, probe in doc["probes"].items():
-            _dat(outdir / f"var_{mode}.dat", zip(probe["ks"], probe["variances"]))
-    elif kind == "removal":
-        if doc.get("kind") != "removal":
-            print("result is not a removal experiment", file=sys.stderr)
-            return 2
-        for order, curve in doc["curves"].items():
-            name = order.replace("-", "_")
-            if curve.get("stderr"):
-                rows = [
-                    (f, s, s - e, s + e)
-                    for f, s, e in zip(curve["fractions"], curve["scores"], curve["stderr"])
-                ]
-            else:
-                rows = list(zip(curve["fractions"], curve["scores"]))
-            _dat(outdir / f"removal_{name}.dat", rows)
-    elif kind == "auc-q":
-        if doc.get("kind") != "noisy-label":
-            print("result is not a noisy-label experiment", file=sys.stderr)
-            return 2
-        try:  # each run's q is its mechanism's, as the parser set it from the echoed config
-            runs = noisy_label_runs(
-                yaml.safe_load((outdir / "config.echo").read_text(encoding="utf-8")))
-        except (OSError, ConfigError, yaml.YAMLError) as exc:
-            print(f"cannot read the run's config.echo: {exc}", file=sys.stderr)
-            return 2
-        series: dict[str, list[tuple[float, float]]] = {}
-        for label, noise in dict(runs).items():
-            auc = float(np.mean(doc["auc"][label]))
-            if noise.mode in ("corr_x", "corr_y"):  # corr_x is corr_y at q = 0
-                series.setdefault("corr_y", []).append((noise.q or 0.0, auc))
-            else:
-                series.setdefault(label, []).append((0.0, auc))
-        for mode, rows in series.items():
-            _dat(outdir / f"auc_q_{mode}.dat", sorted(rows))
-    else:
-        print(f"unknown plot kind {kind!r}", file=sys.stderr)
+    kind = str(doc.get("kind")) if isinstance(doc, dict) else type(doc).__name__
+    if kind not in PLOTS:
+        print(f"no plot for a {kind} result", file=sys.stderr)
         return 2
+    try:  # every file's text is built before any file is written
+        texts = {name: _dat(rows) for name, rows in PLOTS[kind](doc, outdir).items()}
+    except (OSError, ConfigError, yaml.YAMLError) as exc:  # the one file a plot reads
+        print(f"cannot read the run's config.echo: {exc}", file=sys.stderr)
+        return 2
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        print(f"malformed {kind} result: {exc!r}", file=sys.stderr)
+        return 2
+    for name, text in texts.items():
+        (outdir / name).write_text(text, encoding="utf-8")
     print(f"wrote plot data under {outdir}")
     return 0
 
@@ -169,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
     p_plot = sub.add_parser("plot", help="emit plot-ready .dat files")
     p_plot.add_argument("result_dir")
-    p_plot.add_argument("kind", choices=["variance-probe", "removal", "auc-q"])
     p_plot.set_defaults(func=cmd_plot)
     return parser
 

@@ -25,6 +25,7 @@ are bitwise those of a single-threaded replay of that mode alone.
 
 from __future__ import annotations
 
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -109,8 +110,6 @@ def removal_curve(
         scores = []
         for f in fractions:
             drop = int(f * n_parties)
-            if drop >= n_parties:
-                raise ValueError("removal would empty the training set")
             keep = np.setdiff1d(all_parties, removal_order[:drop], assume_unique=True)
             # fraction 0 is the full-data baseline and must not depend on the
             # removal order or its seed
@@ -338,7 +337,10 @@ def conditional_variance(
     iid = any(not noise.correlated for noise in noises)
     rng = np.random.default_rng(seed)  # used by the draw thread only
     draws = [np.empty((n, trials)) for _ in noises]
-    blocks = (np.empty((trials, k, d)), np.empty((trials, k, d)))
+    # each block in its own mapping, unmapped when freed: a heap block stays resident while
+    # a later chunk sits above it, such as the state the exiting draw thread frees late
+    blocks = [np.frombuffer(mmap.mmap(-1, 8 * trials * k * d)).reshape(trials, k, d)
+              for _ in range(2)]
     c = min(_CHUNK, k)
     # a chunk's (c, d, trials) parameter slabs, trials innermost: std*z becomes the correlated
     # ones in place, with the current-gradient terms std*z*e*lr beside them

@@ -206,7 +206,7 @@ def test_plot_auc_q(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert cli.main(["run", str(cfg)]) == 0
-    assert cli.main(["plot", str(out), "auc-q"]) == 0
+    assert cli.main(["plot", str(out)]) == 0
     corr = [line.split() for line in (out / "auc_q_corr_y.dat").read_text().splitlines()]
     # q = 0 is the square corr_x matrix alone; the plain corr_y run sits at its own q
     assert [q for q, _ in corr] == ["0", "0.25", "0.5"]
@@ -230,21 +230,21 @@ def test_plot_auc_q_from_another_directory(tmp_path, monkeypatch):
     monkeypatch.delenv("DPVALUE_OUTPUT_ROOT", raising=False)
     monkeypatch.chdir(run_dir)
     assert cli.main(["run", "cfg.yaml"]) == 0
-    assert cli.main(["plot", "out", "auc-q"]) == 0
+    assert cli.main(["plot", "out"]) == 0
     out = run_dir / "out"
     dats = {path.name: path.read_text() for path in out.glob("*.dat")}
     assert sorted(dats) == ["auc_q_corr_y.dat", "auc_q_iid.dat", "auc_q_no_dp.dat"]
     for path in out.glob("*.dat"):
         path.unlink()
     monkeypatch.chdir(elsewhere)
-    assert cli.main(["plot", str(out), "auc-q"]) == 0
+    assert cli.main(["plot", str(out)]) == 0
     assert {path.name: path.read_text() for path in out.glob("*.dat")} == dats
 
 
 def test_plot_auc_q_malformed_config_echo(tmp_path, capsys):
     (tmp_path / "result.json").write_text(json.dumps({"kind": "noisy-label"}), encoding="utf-8")
     (tmp_path / "config.echo").write_text("a: [1,\n", encoding="utf-8")
-    assert cli.main(["plot", str(tmp_path), "auc-q"]) == 2
+    assert cli.main(["plot", str(tmp_path)]) == 2
     assert "cannot read the run's config.echo" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.dat"))
 
@@ -252,7 +252,7 @@ def test_plot_auc_q_malformed_config_echo(tmp_path, capsys):
 @pytest.mark.parametrize("text", ["{", "", "\xff"])
 def test_plot_unreadable_result_json(tmp_path, capsys, text):
     (tmp_path / "result.json").write_bytes(text.encode("latin-1"))
-    assert cli.main(["plot", str(tmp_path), "variance-probe"]) == 2
+    assert cli.main(["plot", str(tmp_path)]) == 2
     assert "cannot read result.json" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.dat"))
 
@@ -287,11 +287,60 @@ def test_plot_variance_probe(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert cli.main(["run", str(cfg)]) == 0
-    assert cli.main(["plot", str(out), "variance-probe"]) == 0
+    assert cli.main(["plot", str(out)]) == 0
     dat = (out / "var_iid.dat").read_text().strip().splitlines()
     assert len(dat) == 3
     assert len(dat[0].split()) == 2
-    assert (out / "var_corrx.dat").exists() or (out / "var_corr_x.dat").exists()
+    assert sorted(path.name for path in out.glob("*.dat")) == ["var_corr_x.dat", "var_iid.dat"]
+
+
+def test_plot_removal(tmp_path):
+    out = tmp_path / "out"
+    doc = kind_doc(out, "removal")
+    doc["removal"]["orders"] = ["highest-first", "random"]
+    assert cli.main(["run", str(write_config(tmp_path, doc))]) == 0
+    assert cli.main(["plot", str(out)]) == 0
+    assert sorted(path.name for path in out.glob("*.dat")) == [
+        "removal_highest_first.dat", "removal_random.dat"]
+    curves = json.loads((out / "result.json").read_text())["curves"]
+
+    def rows(name):
+        text = (out / f"removal_{name}.dat").read_text()
+        return [[float(v) for v in line.split()] for line in text.splitlines()]
+
+    ordered = curves["highest-first"]
+    assert rows("highest_first") == [
+        pytest.approx([f, s], rel=1e-9) for f, s in zip(ordered["fractions"], ordered["scores"])]
+    rand = curves["random"]
+    assert rows("random") == [  # the score and its -/+ standard-error band
+        pytest.approx([f, s, s - e, s + e], rel=1e-9, abs=1e-12)
+        for f, s, e in zip(rand["fractions"], rand["scores"], rand["stderr"])]
+    assert any(e > 0 for e in rand["stderr"])
+
+
+PROBE_WITH_A_BAD_MODE = {"kind": "variance-probe", "probes": {
+    "iid": {"ks": [5, 10], "variances": [1.0, 2.0]},
+    "corr_x": {"ks": [5, 10], "variances": "x"},
+}}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1], "no plot for a list result"),
+    ({"kind": "removal"}, "malformed removal result: KeyError('curves')"),
+    (PROBE_WITH_A_BAD_MODE, "malformed variance-probe result: ValueError"),
+    ({"kind": "valuation", "psi": [0.5, 0.25]}, "no plot for a valuation result"),
+    (None, "cannot read result.json"),  # no result.json at all
+], ids=["not-a-mapping", "removal-without-curves", "probe-bad-variances", "valuation",
+        "missing"])
+def test_plot_rejects_a_result_it_cannot_plot(tmp_path, capsys, doc, message):
+    if doc is not None:
+        (tmp_path / "result.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["plot", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+    assert not list(tmp_path.glob("*.dat"))
 
 
 def test_config_echo_roundtrip(tmp_path):

@@ -483,20 +483,29 @@ def test_probe_draws_one_block_per_party(monkeypatch):
     assert blocks == [(101, 20, 7)] * 6  # one block per party, shared by the three modes
 
 
-def test_probe_replay_holds_two_noise_blocks():
-    # the peak of a three-mode replay is its two reused (trials, k, d) blocks
-    # plus (trials, d) slabs; a third full-size block would read >= 3
+def test_probe_replay_holds_two_noise_blocks(monkeypatch):
+    # a three-mode replay holds its two reused (trials, k, d) blocks, each in its
+    # own mapping, plus (trials, d) slabs on the heap; a third full-size block
+    # would be a third mapping or a heap peak of >= 1 block
     cfg = probe_base(n_parties=2)
     cfg = replace(cfg, noise=cfg.noise.with_budget(400))
     modes = [m for m, _ in PROBE_MODES]
     trials, block = 500, 500 * 400 * 7 * 8
+    mapped, real_mmap = [], metrics.mmap.mmap
+
+    def counting_mmap(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.mmap, "mmap", counting_mmap)
     tracemalloc.start()
     try:
         metrics.conditional_variance(cfg, modes, trials=trials, seed=0, q=0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.25 * block, peak / block
+    assert mapped == [block, block]
+    assert peak < 0.25 * block, peak / block
 
 
 def test_probe_concurrent_replays_stay_exact():

@@ -342,6 +342,21 @@ def test_estimation_stats_monte_carlo():
     assert mav[0] == pytest.approx(s_sq[0] / abs(mu[0]))
 
 
+def test_s_sq_estimates_var_psi_under_iid_noise():
+    # iid iterations are independent, so the within-run spread s_sq estimates
+    # the across-seed Var[psi]; at R = 200 seeds the ratio's relative SE is
+    # about 10 %, and [0.7, 1.3] is about 3 SE
+    seeds = 200
+    ds = data.partition(
+        data.synth_classification(24, 4, 2, seed=0, separation=3.0, n_test=24), 4, "equal-chunks")
+    mspec = models.ModelSpec("mse_linear", 0.05)
+    runs = [run_valuation(run_cfg(ds, mspec, "neg_test_loss", 40, seed, sigma=1.0))
+            for seed in range(seeds)]
+    psi = np.array([res.psi for res in runs])
+    ratio = np.mean([res.s_sq for res in runs], axis=0) / psi.var(axis=0, ddof=1)
+    assert np.all((ratio > 0.7) & (ratio < 1.3)), ratio
+
+
 def test_estimation_stats_needs_two():
     with pytest.raises(ValueError):
         estimation_stats(np.ones((1, 3)))
