@@ -37,9 +37,12 @@ def log_loss(s, y):
 
 
 def accuracy(s, y, loss):
-    """Share of test points whose thresholded score equals the label."""
+    """Share of test points whose thresholded score equals the label; NaN for
+    a row whose scores are not all finite, which thresholding would hide from
+    the chain's divergence check. A vector of scores gives a scalar."""
     thr = 0.5 if loss == "mse_linear" else 0.0
-    return np.add.reduce((s >= thr) == y, axis=-1) / y.shape[0]
+    acc = np.add.reduce((s >= thr) == y, axis=-1) / y.shape[0]
+    return np.where(np.isfinite(s).all(axis=-1), acc, np.nan)[()]
 
 
 def mse_stats(x, y):
@@ -91,7 +94,8 @@ def party_grad_np(theta, x, y, a, b, loss, lam):
 
 
 class ChainDiverged(RuntimeError):
-    """Non-finite utility during a run; names the iteration and party."""
+    """Non-finite utility during a run; names the iteration (a federated
+    round) and party."""
 
     def __init__(self, iteration: int, party: int):
         self.iteration = iteration

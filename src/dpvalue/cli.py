@@ -140,7 +140,8 @@ def cmd_plot(args) -> int:
         return 2
     try:  # every file's text is built before any file is written
         texts = {name: _dat(rows) for name, rows in PLOTS[kind](doc, outdir).items()}
-    except (OSError, ConfigError, yaml.YAMLError) as exc:  # the one file a plot reads
+    except (OSError, UnicodeDecodeError, ConfigError, yaml.YAMLError) as exc:
+        # the one file a plot reads; its decode error is a ValueError, so it is caught first
         print(f"cannot read the run's config.echo: {exc}", file=sys.stderr)
         return 2
     except (LookupError, TypeError, ValueError, AttributeError) as exc:

@@ -56,7 +56,8 @@ def _fmt(x: float) -> str:
 
 def run_valuation_experiment(cfg: ExperimentConfig):
     ds = build_dataset(cfg, cfg.seed)
-    res = run_valuation(build_run(cfg, ds, cfg.seed))
+    run = build_run(cfg, ds, cfg.seed)
+    res = run_valuation(run)
     rows = [["party", "psi", "mu", "s_sq", "mean_adjusted"]]
     for j in range(res.n_parties):
         mav = res.mean_adjusted_var[j]
@@ -69,8 +70,8 @@ def run_valuation_experiment(cfg: ExperimentConfig):
         "psi": [format(v, ".17g") for v in res.psi],
         "mu": [format(v, ".17g") for v in res.mu],
         "s_sq": [format(v, ".17g") for v in res.s_sq],
-        "permutations_used": res.permutations_used,
-        "burn_in_dropped": res.burn_in_dropped,
+        "permutations_used": run.noise.budget,
+        "burn_in_dropped": run.noise.burn_in,
     }
     return doc, rows, {}
 
@@ -175,9 +176,7 @@ def run_similarity_experiment(cfg: ExperimentConfig):
             ds = build_dataset(cfg, seed)
             run = build_run(cfg, ds, seed, noise, record_gradients=True)
             res = run_valuation(run)
-            rep = metrics.grad_similarity(
-                res.gradients["g_hat"], res.gradients["g_tilde"], res.gradients["g_star"]
-            )
+            rep = metrics.grad_similarity(res.g_hat, res.g_tilde, res.g_star)
             per_seed.append((rep.delta_cos, rep.delta_l2))
             rows.append([str(k), str(seed), _fmt(rep.delta_cos), _fmt(rep.delta_l2)])
         arr = np.array(per_seed)

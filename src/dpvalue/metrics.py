@@ -13,14 +13,16 @@ of the implicit correlated noise, and the Monte Carlo probe for how the
 conditional estimator variance scales with the budget k. The probe's one
 replay is ``conditional_variance(cfg, modes, ...)``: it builds each mode
 (iid, corr_x, corr_y) from the run's base noise at the run's budget, freezes
-the run's noiseless chains, draws the noise once and replays every mode from
-that draw, building the parameter slabs a chunk of iterations at a time in
-(chunk, d, trials) buffers with trials innermost; the correlated modes take
-any combiner diagonal through ``dp``'s prefix-sum weights. The draw uses a
-second core: one draw thread fills two reused blocks in turn from the
-probe's single random stream, the first block while the noiseless chains run
-and each later one while the caller scores the last, so each mode's results
-are bitwise those of a single-threaded replay of that mode alone.
+the run's noiseless chains (``freeze_scenario`` returns the noiseless run's
+``ValuationResult``, its gradients and states recorded), draws the noise
+once and replays every mode from that draw, building the parameter slabs a
+chunk of iterations at a time in (chunk, d, trials) buffers with trials
+innermost; the correlated modes take any combiner diagonal through ``dp``'s
+prefix-sum weights. The draw uses a second core: one draw thread fills two
+reused blocks in turn from the probe's single random stream, the first block
+while the noiseless chains run and each later one while the caller scores
+the last, so each mode's results are bitwise those of a single-threaded
+replay of that mode alone.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism, prefix_weights
-from .valuation import RunConfig, run_valuation
+from .valuation import RunConfig, ValuationResult, run_valuation
 
 
 REMOVAL_RANDOM_SEEDS = 5  # removal orders a ``random`` curve averages over
@@ -214,22 +216,6 @@ def npq_closed_form(
 
 
 @dataclass(frozen=True)
-class FrozenScenario:
-    """One party-by-iteration record of a noiseless run, used as conditioning.
-
-    Replaying these thetas with fresh noise realizes Var[psi | theta^p
-    sequence]: the permutations, initializations and clipped gradients are
-    fixed and only the privacy noise is redrawn.
-    """
-
-    theta_prev: np.ndarray  # (k, n, d)
-    g_hat: np.ndarray  # (k, n, d)
-    v_prev: np.ndarray  # (k, n)
-    pcoefs: np.ndarray  # (k, n)
-    task: _kernels.Task  # the run's test split, codes, learning rate and l2
-
-
-@dataclass(frozen=True)
 class ProbeResult:
     ks: tuple[int, ...]
     variances: tuple[float, ...]
@@ -237,22 +223,19 @@ class ProbeResult:
     samples: dict[int, np.ndarray]  # per-budget (n_parties, trials) estimator draws
 
 
-def freeze_scenario(cfg: RunConfig) -> FrozenScenario:
-    """Run the chain without noise, recording the conditioning sequences."""
+def freeze_scenario(cfg: RunConfig) -> ValuationResult:
+    """The noiseless run of ``cfg``'s chain, with its gradients and states
+    recorded: its ``ValuationResult`` is the conditioning. Replaying its
+    thetas with fresh noise realizes Var[psi | theta^p sequence]: the
+    permutations, initializations and clipped gradients ``g_hat`` are fixed
+    and only the privacy noise is redrawn."""
     silent = replace(
         cfg,
         noise=replace(cfg.noise, noise_multiplier=0.0),
         record_gradients=True,
         record_states=True,
     )
-    res = run_valuation(silent)
-    return FrozenScenario(
-        theta_prev=res.states["theta_prev"],
-        g_hat=res.gradients["g_hat"],
-        v_prev=res.states["v_prev"],
-        pcoefs=res.pcoefs,
-        task=res.task,
-    )
+    return run_valuation(silent)
 
 
 _utility_rows = _kernels.utility_np  # the probe's (trials, d) blocks, traced as their own layer

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,17 +134,23 @@ class RunConfig:
 
 @dataclass
 class ValuationResult:
+    """One run of the chain. Its budget and burn-in are its ``RunConfig``'s
+    ``noise.budget`` and ``noise.burn_in``; the recorded arrays, named as the
+    chain names them, are None unless ``record_gradients`` or
+    ``record_states`` asked for them."""
+
     psi: np.ndarray
     marginals: np.ndarray  # (k, n) raw utility deltas m_j(pi^t)
     pcoefs: np.ndarray  # (k, n) position coefficients
     mu: np.ndarray
     s_sq: np.ndarray
     mean_adjusted_var: np.ndarray  # NaN where |mu| < MU_GUARD
-    permutations_used: int
-    burn_in_dropped: int
     task: _kernels.Task  # the prepared input the chain ran on
-    gradients: dict = field(default_factory=dict)  # g_hat/g_tilde/g_star when recorded
-    states: dict = field(default_factory=dict)  # theta_prev/v_prev when recorded
+    g_hat: np.ndarray | None = None  # (k, n, d) clipped gradients, with record_gradients
+    g_tilde: np.ndarray | None = None  # (k, n, d) perturbed gradients, with record_gradients
+    g_star: np.ndarray | None = None  # (k, n, d) released gradients, with record_gradients
+    theta_prev: np.ndarray | None = None  # (k, n, d) model before each step, with record_states
+    v_prev: np.ndarray | None = None  # (k, n) its utility, with record_states
 
     @property
     def n_parties(self) -> int:
@@ -237,11 +243,8 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
         mu=mu,
         s_sq=s_sq,
         mean_adjusted_var=mav,
-        permutations_used=k,
-        burn_in_dropped=kq,
         task=task,
-        gradients={key: out[key] for key in ("g_hat", "g_tilde", "g_star") if key in out},
-        states={key: out[key] for key in ("theta_prev", "v_prev") if key in out},
+        **{key: out.get(key) for key in ("g_hat", "g_tilde", "g_star", "theta_prev", "v_prev")},
     )
 
 
@@ -319,7 +322,8 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     Shapley nu_j is estimated over ``per_round_permutations`` permutations of
     those released gradients, the global model takes the average released
     step, and the final value averages nu_j over the rounds after the burn-in
-    share q.
+    share q. A non-finite utility raises ``ChainDiverged`` naming the round and
+    the party, or party -1 for a permutation's starting model.
     """
     if cfg.noise.mode not in ("fl_schedule", "corr_x"):
         raise ValueError("federated attribution needs fl_schedule or corr_x noise")
@@ -356,9 +360,13 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
             perm = perm_rng.permutation(n)
             th = theta.copy()
             v_prev = _kernels.utility_np(th, task)
+            if not math.isfinite(v_prev):
+                raise _kernels.ChainDiverged(t + 1, -1)
             for j in perm:
                 th = th - lr * released[j]
                 v_after = _kernels.utility_np(th, task)
+                if not math.isfinite(v_after):
+                    raise _kernels.ChainDiverged(t + 1, int(j))
                 nu[t, j] += v_after - v_prev
                 v_prev = v_after
         nu[t] /= per_round_permutations

@@ -243,9 +243,7 @@ def test_criterion_08_similarity_signs():
                 record_gradients=True,
             )
             res = run_valuation(cfg)
-            rep = metrics.grad_similarity(
-                res.gradients["g_hat"], res.gradients["g_tilde"], res.gradients["g_star"]
-            )
+            rep = metrics.grad_similarity(res.g_hat, res.g_tilde, res.g_star)
             dcs.append(rep.delta_cos)
             dls.append(rep.delta_l2)
         means[k] = (float(np.mean(dcs)), float(np.mean(dls)))
@@ -276,8 +274,8 @@ def test_criterion_09_bookkeeping_and_weights():
         SemivalueSpec("shapley", 12), master_seed=2,
     )
     res = run_valuation(cfg)
-    retained = res.marginals[res.burn_in_dropped :]
-    assert res.burn_in_dropped == 5
+    retained = res.marginals[cfg.noise.burn_in :]
+    assert cfg.noise.burn_in == 5
     assert retained.shape == (5, 12)
     offline = np.mean(res.pcoefs[5:] * retained, axis=0)
     assert np.max(np.abs(res.psi - offline)) < 1e-12

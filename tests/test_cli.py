@@ -249,6 +249,15 @@ def test_plot_auc_q_malformed_config_echo(tmp_path, capsys):
     assert not list(tmp_path.glob("*.dat"))
 
 
+def test_plot_auc_q_config_echo_not_utf8(tmp_path, capsys):
+    (tmp_path / "result.json").write_text(
+        json.dumps({"kind": "noisy-label", "auc": {"iid": [0.5]}}), encoding="utf-8")
+    (tmp_path / "config.echo").write_bytes(b"k: \xff\n")
+    assert cli.main(["plot", str(tmp_path)]) == 2
+    assert "cannot read the run's config.echo" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.dat"))
+
+
 @pytest.mark.parametrize("text", ["{", "", "\xff"])
 def test_plot_unreadable_result_json(tmp_path, capsys, text):
     (tmp_path / "result.json").write_bytes(text.encode("latin-1"))

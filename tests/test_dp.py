@@ -53,7 +53,7 @@ def engine_noise(sigma, k, clip=1.0):
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties),
                     master_seed=4, record_gradients=True)
     res = run_valuation(cfg)
-    return res.gradients["g_tilde"] - res.gradients["g_hat"]
+    return res.g_tilde - res.g_hat
 
 
 def test_sample_noise_zero_sigma():

@@ -1,6 +1,8 @@
 """Kernel checks: the chain against a plain reference loop, and the utility
 layer against the formulas it replaced."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,29 @@ def test_correlated_chain_divergence_names_iteration_and_party(mode):
     with pytest.raises(_kernels.ChainDiverged) as err:
         _kernels.run_chain(task, *args)
     assert (err.value.iteration, err.value.party) == (t + 1, j)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_accuracy_chain_divergence_names_iteration_and_party():
+    # a step of lr * 1e300 overflows the model, whose scores are no longer all
+    # finite; thresholded, they would still give a finite accuracy
+    task, args = random_chain({"mode": "iid"}, LOGISTIC, ACCURACY, k=8)
+    task = replace(task, lr=1e10)
+    perms, noise = args[1], args[3]
+    t, pos = 2, 3
+    j = int(perms[t, pos])
+    noise[t, j] = 1e300
+    with pytest.raises(_kernels.ChainDiverged) as err:
+        _kernels.run_chain(task, *args)
+    assert (err.value.iteration, err.value.party) == (t + 1, j)
+
+
+def test_accuracy_of_non_finite_scores_is_nan():
+    y = np.array([1.0, 0.0, 1.0])
+    s = np.array([[0.5, -1.0, 2.0], [np.inf, -1.0, 2.0], [0.5, np.nan, 2.0]])
+    got = _kernels.accuracy(s, y, LOGISTIC)
+    assert got[0] == 1.0 and np.isnan(got[1:]).all()
+    assert type(_kernels.accuracy(s[0], y, LOGISTIC)) is np.float64
 
 
 def test_softplus_utility_stable_at_extremes():

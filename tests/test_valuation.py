@@ -205,8 +205,8 @@ def test_corr_y_burn_in_bookkeeping(small_task):
     ds, mspec, uspec = small_task
     cfg = run_cfg(ds, mspec, uspec, 10, seed=4, mode="corr_y", sigma=1.0, q=0.5)
     res = run_valuation(cfg)
-    assert res.burn_in_dropped == 5
-    retained = res.marginals[res.burn_in_dropped :]
+    assert cfg.noise.burn_in == 5
+    retained = res.marginals[cfg.noise.burn_in :]
     assert retained.shape[0] == 5
     # psi is exactly the weighted mean of the retained marginals
     offline = np.mean(res.pcoefs[5:] * retained, axis=0)
@@ -226,18 +226,34 @@ def test_corr_x_release_is_prefix_mean(small_task):
     cfg = run_cfg(ds, mspec, uspec, 25, seed=13, mode="corr_x", sigma=1.5,
                   record_gradients=True)
     res = run_valuation(cfg)
-    g_tilde = res.gradients["g_tilde"]
-    g_star = res.gradients["g_star"]
-    prefix = np.cumsum(g_tilde, axis=0) / np.arange(1, 26)[:, None, None]
-    assert np.max(np.abs(g_star - prefix)) < 1e-10
+    prefix = np.cumsum(res.g_tilde, axis=0) / np.arange(1, 26)[:, None, None]
+    assert np.max(np.abs(res.g_star - prefix)) < 1e-10
 
 
 def test_iid_release_untouched(small_task):
     ds, mspec, uspec = small_task
     cfg = run_cfg(ds, mspec, uspec, 5, seed=3, mode="iid", sigma=1.0, record_gradients=True)
     res = run_valuation(cfg)
-    assert np.array_equal(res.gradients["g_star"], res.gradients["g_tilde"])
-    assert res.burn_in_dropped == 0
+    assert np.array_equal(res.g_star, res.g_tilde)
+    # nothing is dropped: psi weighs every iteration's marginals
+    assert np.max(np.abs(res.psi - np.mean(res.pcoefs * res.marginals, axis=0))) < 1e-12
+
+
+def test_recorded_arrays_only_when_asked(small_task):
+    ds, mspec, uspec = small_task
+    k, n, d = 6, ds.n_parties, ds.features.shape[1] + int(mspec.add_bias)
+    grads, states = ("g_hat", "g_tilde", "g_star"), ("theta_prev", "v_prev")
+    for record_gradients, record_states in itertools.product((False, True), repeat=2):
+        cfg = run_cfg(ds, mspec, uspec, k, seed=3, sigma=1.0,
+                      record_gradients=record_gradients, record_states=record_states)
+        res = run_valuation(cfg)
+        for names, recorded in ((grads, record_gradients), (states, record_states)):
+            for name in names:
+                value = getattr(res, name)
+                if not recorded:
+                    assert value is None, name
+                else:
+                    assert value.shape == ((k, n) if name == "v_prev" else (k, n, d)), name
 
 
 def test_no_noise_determinism_and_mode_equivalence():
@@ -369,8 +385,11 @@ def test_run_needs_two_retained_iterations(small_task):
         cfg = run_cfg(ds, mspec, uspec, k, seed=0, mode=mode, q=q)
         with pytest.raises(ValueError, match="2 iterations"):
             run_valuation(cfg)
-    res = run_valuation(run_cfg(ds, mspec, uspec, 10, seed=0, mode="corr_y", q=0.8))
-    assert res.burn_in_dropped == 8 and np.all(np.isfinite(res.s_sq))
+    cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="corr_y", q=0.8)
+    res = run_valuation(cfg)
+    assert cfg.noise.burn_in == 8 and np.all(np.isfinite(res.s_sq))
+    # the statistics are those of the two retained iterations
+    assert np.array_equal(res.s_sq, estimation_stats(res.marginals[8:])[1])
 
 
 # -- config validation ------------------------------------------------------
@@ -451,6 +470,18 @@ def test_federated_validation():
     iid_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="iid", sigma=1.0)
     with pytest.raises(ValueError, match="fl_schedule"):
         run_federated(iid_cfg, per_round_permutations=10, q=0.2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_federated_divergence_names_round_and_party():
+    # at lr 1e308 the global model overflows; its accuracy is NaN, not a
+    # thresholded share, so the round and party are reported
+    ds = _two_party_task()
+    mspec = models.ModelSpec("logistic_l2", 1e308, models.InitSpec("zeros"), l2=0.01)
+    cfg = run_cfg(ds, mspec, "test_accuracy", 5, seed=3, mode="fl_schedule")
+    with pytest.raises(_kernels.ChainDiverged) as err:
+        run_federated(cfg, per_round_permutations=4, q=0.2)
+    assert (err.value.iteration, err.value.party) == (1, 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
