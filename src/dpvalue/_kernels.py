@@ -52,15 +52,40 @@ def mse_stats(x, y):
     return x.T @ x / l, 2.0 * (x.T @ y) / l, float(y @ y) / l
 
 
+def grad_stats(x, y, ptr, loss):
+    """Per party of the CSR offsets ``ptr``, the statistics ``(G, h)`` of its
+    MSE gradient: with its rows' ``mse_stats`` ``(A, b, c)``, the gradient of
+    ``theta.A.theta - b.theta + c`` is ``G theta - h`` with ``G = 2A`` and
+    ``h = b``, the row formula ``(2/m) X^T (X theta - y)`` to rounding. Only
+    an ``mse_linear`` party with more rows m than the d columns of ``x`` gets
+    them, so its d*d + d statistics never outnumber its m*d entries of ``x``,
+    nor their flops the row formula's; any other party is None and keeps the
+    row formula."""
+    d = x.shape[1]
+    stats = []
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        if loss != "mse_linear" or hi - lo <= d:
+            stats.append(None)
+            continue
+        a, b, _ = mse_stats(x[lo:hi], y[lo:hi])
+        stats.append((2.0 * a, b))
+    return tuple(stats)
+
+
 def utility_np(thetas, task):
     """Test-set utility of a (d,) parameter vector, or of each row of a
     (trials, d) block in any memory layout, on the ``Task``'s test split; one
     formula per utility. The MSE neg-loss is ``-(theta.A.theta - b.theta +
-    c)`` on ``mse_stats``, with theta.A as ``(A.T @ thetas.T).T``: laid out as
-    a transposed (d, trials) array whatever the block's layout, so each row's
-    bits do not depend on it."""
+    c)`` on ``mse_stats``: ``-c - theta.(A theta - b)`` for a vector, and for
+    a block with theta.A as ``(A.T @ thetas.T).T``, laid out as a transposed
+    (d, trials) array whatever the block's layout, so each row's bits do not
+    depend on it. A vector's score equals its row's in a block to rounding."""
     if task.utility == "neg_test_loss" and task.loss == "mse_linear":
         a, b, c = task.mse
+        if thetas.ndim == 1:
+            p = a @ thetas
+            p -= b
+            return -c - thetas @ p
         p = (a.T @ thetas.T).T
         p -= b
         p *= thetas
@@ -72,13 +97,20 @@ def utility_np(thetas, task):
             - task.lam * np.vecdot(thetas, thetas))
 
 
-def party_grad_np(theta, x, y, a, b, loss, lam):
+def party_grad_np(theta, x, y, a, b, loss, lam, stats):
     """Gradient over the party's rows ``a:b`` (``m = b - a`` rows): MSE
     ``(2/m) X^T (X theta - y)``, logistic ``X^T (sigmoid(X theta) - y) / m
-    + 2*lam*theta``. A one-row party takes its score and sigmoid as numpy
+    + 2*lam*theta``. ``stats`` is the party's entry of ``grad_stats``: where
+    it is ``(G, h)`` the MSE gradient is ``G theta - h``, two numpy calls
+    instead of four, equal to the row formula to rounding; where it is None
+    the rows are used. A one-row party takes its score and sigmoid as numpy
     float64 scalars, bitwise equal to the block formula: the score is the same
     dot product, dividing by 1 and the one-term sum are exact, and ``np.exp``
     on a numpy scalar runs the array loop (``math.exp`` differs)."""
+    if stats is not None:
+        g = stats[0] @ theta
+        g -= stats[1]
+        return g
     if b - a == 1:
         s = x[a] @ theta
         if loss == "mse_linear":
@@ -113,9 +145,12 @@ class Task:
 
     ``x``/``y`` are the training design matrix and labels sorted by party,
     party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
-    the utility is scored on and ``mse`` its ``mse_stats``. ``x`` and ``xt``
-    are C-contiguous float64. ``loss`` and ``utility`` are the config's kind
-    names (``models.LOSS_KINDS``, ``models.UTILITY_KINDS``).
+    the utility is scored on and ``mse`` its ``mse_stats``. ``grad_stats``
+    holds each party's MSE gradient statistics ``(G, h)``, or None where the
+    party keeps the row formula (see ``grad_stats``); all of them together
+    take at most ``x``'s memory. ``x`` and ``xt`` are C-contiguous float64.
+    ``loss`` and ``utility`` are the config's kind names
+    (``models.LOSS_KINDS``, ``models.UTILITY_KINDS``).
     """
 
     x: np.ndarray
@@ -128,6 +163,7 @@ class Task:
     lr: float
     lam: float
     mse: tuple
+    grad_stats: tuple
 
 
 def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
@@ -142,6 +178,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
     k, n = perms.shape
     d = inits.shape[1]
     x, y, loss, lr, lam = task.x, task.y, task.loss, task.lr, task.lam
+    stats = task.grad_stats
     marginals = np.zeros((k, n))
     pcoefs = np.zeros((k, n))
     psi = [0.0] * n
@@ -178,7 +215,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
             if not math.isfinite(v_prev):
                 raise ChainDiverged(t + 1, -1)
             for pos, j in enumerate(orders[t]):
-                g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam)
+                g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam, stats[j])
                 clip_in_place(g, clip)
                 if record_grads:
                     g_hat[t, j] = g

@@ -10,7 +10,6 @@ variable DPVALUE_OUTPUT_ROOT reroots relative output directories.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -66,16 +65,15 @@ def cmd_run(args) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
         runner = RUNNERS[cfg.kind]
-        doc, rows, extras = runner(cfg)
+        doc, tables = runner(cfg)
     except Exception as exc:  # noqa: BLE001 - error record is the contract
         _write_error(outdir, exc)
         return 1
     with open(outdir / "result.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for name, table in {"summary.csv": rows, **extras}.items():
-        with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(table)
+    for name, text in tables.items():
+        (outdir / name).write_text(text, encoding="utf-8", newline="")
     (outdir / "config.echo").write_text(echo_config(cfg), encoding="utf-8")
     _write_manifest(outdir)
     print(f"wrote {outdir}")

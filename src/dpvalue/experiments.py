@@ -1,8 +1,11 @@
 """Experiment drivers behind the CLI: each kind builds its datasets, runs the
-engine, and returns a result document plus summary rows for the CSV."""
+engine, and returns a result document plus its tables, each the text of one
+CSV file by name (``summary.csv`` and any per-sample table)."""
 
 from __future__ import annotations
 
+import csv
+import io
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,6 +57,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _csv(rows) -> str:
+    """A table's text as ``csv.writer`` writes its rows, one line each."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _sample_lines(mode: str, k: int, draws) -> str:
+    """probe_samples.csv's lines ``mode,k,trial,party,psi`` of one mode and
+    budget, for each party's row of trials in ``draws``: one join of
+    f-strings per party, the bytes ``csv.writer`` writes for the same fields,
+    none of which needs quoting. Python floats format like ``_fmt``."""
+    head = f"{mode},{k},"
+    return "".join(["".join([f"{head}{trial},{party},{psi:.6g}\n"
+                             for trial, psi in enumerate(row)])
+                    for party, row in enumerate(draws.tolist())])
+
+
 def run_valuation_experiment(cfg: ExperimentConfig):
     ds = build_dataset(cfg, cfg.seed)
     run = build_run(cfg, ds, cfg.seed)
@@ -73,7 +94,7 @@ def run_valuation_experiment(cfg: ExperimentConfig):
         "permutations_used": run.noise.budget,
         "burn_in_dropped": run.noise.burn_in,
     }
-    return doc, rows, {}
+    return doc, {"summary.csv": _csv(rows)}
 
 
 def run_noisy_label_experiment(cfg: ExperimentConfig):
@@ -99,7 +120,7 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
         "auc": {m: [float(v) for v in vals] for m, vals in aucs.items()},
         "summary": {m: {k2: float(v2) for k2, v2 in s.items()} for m, s in summary.items()},
     }
-    return doc, rows, {}
+    return doc, {"summary.csv": _csv(rows)}
 
 
 def _party_mask(ds: data_mod.PartitionedDataset) -> np.ndarray:
@@ -139,7 +160,7 @@ def run_removal_experiment(cfg: ExperimentConfig):
             for order, c in curves.items()
         },
     }
-    return doc, rows, {"removal_samples.csv": tidy}
+    return doc, {"summary.csv": _csv(rows), "removal_samples.csv": _csv(tidy)}
 
 
 def run_variance_probe_experiment(cfg: ExperimentConfig):
@@ -147,8 +168,7 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
     ds = build_dataset(cfg, cfg.seed)
     base = build_run(cfg, ds, cfg.seed)
     rows = [["mode", "k", "variance", "slope"]]
-    tidy = [["mode", "k", "trial", "party", "psi"]]
-    trial_ids = [str(trial) for trial in range(trials)]
+    samples = ["mode,k,trial,party,psi\n"]
     out = {}
     probes = metrics.variance_scaling_probe(modes, ks, base, trials, seed=cfg.seed, q=q)
     for mode in modes:
@@ -157,12 +177,9 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
         for k, v in zip(probe.ks, probe.variances):
             rows.append([mode, str(k), _fmt(v), ""])
         rows.append([mode, "slope", _fmt(probe.slope), ""])
-        for k, draws in probe.samples.items():
-            for party, row in enumerate(draws.tolist()):  # Python floats format like _fmt
-                k_id, party_id = str(k), str(party)
-                tidy.extend([mode, k_id, trial, party_id, format(psi, ".6g")]
-                            for trial, psi in zip(trial_ids, row))
-    return {"kind": "variance-probe", "probes": out}, rows, {"probe_samples.csv": tidy}
+        samples.extend(_sample_lines(mode, k, draws) for k, draws in probe.samples.items())
+    return ({"kind": "variance-probe", "probes": out},
+            {"summary.csv": _csv(rows), "probe_samples.csv": "".join(samples)})
 
 
 def run_similarity_experiment(cfg: ExperimentConfig):
@@ -181,7 +198,7 @@ def run_similarity_experiment(cfg: ExperimentConfig):
             rows.append([str(k), str(seed), _fmt(rep.delta_cos), _fmt(rep.delta_l2)])
         arr = np.array(per_seed)
         out[str(k)] = {"delta_cos": arr[:, 0].tolist(), "delta_l2": arr[:, 1].tolist()}
-    return {"kind": "similarity", "results": out}, rows, {}
+    return {"kind": "similarity", "results": out}, {"summary.csv": _csv(rows)}
 
 
 def run_federated_experiment(cfg: ExperimentConfig):
@@ -190,7 +207,8 @@ def run_federated_experiment(cfg: ExperimentConfig):
     run = build_run(cfg, ds, cfg.seed, fed.noise)
     psi = run_federated(run, fed.permutations, q=fed.q)
     rows = [["party", "psi"]] + [[str(j), _fmt(v)] for j, v in enumerate(psi)]
-    return {"kind": "federated", "psi": [format(v, ".17g") for v in psi]}, rows, {}
+    return ({"kind": "federated", "psi": [format(v, ".17g") for v in psi]},
+            {"summary.csv": _csv(rows)})
 
 
 def run_oracle_check_experiment(cfg: ExperimentConfig):
@@ -211,7 +229,7 @@ def run_oracle_check_experiment(cfg: ExperimentConfig):
     doc = {"kind": "oracle-check", "max_abs_diff": worst, "pass": bool(ok)}
     if not ok:
         raise RuntimeError(f"oracle check failed: max |diff| = {worst:.3e} >= {tol}")
-    return doc, rows, {}
+    return doc, {"summary.csv": _csv(rows)}
 
 
 def _powerset(n: int):

@@ -115,7 +115,7 @@ def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         for party in order:
             g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
-                                       task.loss, task.lam)
+                                       task.loss, task.lam, task.grad_stats[party])
             theta = theta - spec.learning_rate * g
     if not np.isfinite(theta).all():  # NaN is absorbing: one check per retraining
         raise RuntimeError(f"retraining on {len(order)} parties (seed {seed}) diverged: its "

@@ -191,15 +191,18 @@ def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.
 
 def prepare(cfg: RunConfig) -> _kernels.Task:
     """The chain's input arrays for one run, built once: the party-sorted
-    training design matrix with its CSR offsets, the test design matrix and
-    its mean-squared-error statistics."""
-    x, y, ptr = cfg.dataset.sorted_by_party()
+    training design matrix with its CSR offsets and the parties' gradient
+    statistics, and the test design matrix with its mean-squared-error
+    statistics."""
+    features, y, ptr = cfg.dataset.sorted_by_party()
+    x = design_matrix(features, cfg.model)
     xt = design_matrix(cfg.dataset.test_features, cfg.model)
     yt = np.ascontiguousarray(cfg.dataset.test_labels, dtype=np.float64)
+    loss = cfg.model.loss_kind
     return _kernels.Task(
-        x=design_matrix(x, cfg.model), y=y, ptr=ptr, xt=xt, yt=yt,
-        loss=cfg.model.loss_kind, utility=cfg.utility,
+        x=x, y=y, ptr=ptr, xt=xt, yt=yt, loss=loss, utility=cfg.utility,
         lr=cfg.model.learning_rate, lam=cfg.model.l2, mse=_kernels.mse_stats(xt, yt),
+        grad_stats=_kernels.grad_stats(x, y, ptr.tolist(), loss),
     )
 
 
@@ -350,7 +353,8 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     for t in range(rounds):
         perturbed = np.empty((n, d))
         for j in range(n):
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], task.loss, lam)
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], task.loss, lam,
+                                       task.grad_stats[j])
             perturbed[j] = clip_in_place(g, cfg.noise.clip_norm)
         if std > 0.0:
             perturbed += std * noise_rng.standard_normal((n, d))

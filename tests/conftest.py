@@ -45,8 +45,9 @@ def orthogonal_chain_task(n: int, lr: float, seed: int = 0):
 def batch_task(loss, utility, lam, x, y):
     """A Task whose one party and whose test split are both the batch (x, y):
     ``party_grad_np`` over rows 0:len(y) is the gradient of ``-utility_np``."""
-    return _kernels.Task(x, y, np.array([0, len(y)]), x, y, loss, utility, 0.1, lam,
-                         _kernels.mse_stats(x, y))
+    ptr = np.array([0, len(y)])
+    return _kernels.Task(x, y, ptr, x, y, loss, utility, 0.1, lam, _kernels.mse_stats(x, y),
+                         _kernels.grad_stats(x, y, ptr, loss))
 
 
 def dataset_task(ds, mspec, uspec):

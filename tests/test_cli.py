@@ -1,11 +1,14 @@
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -187,6 +190,18 @@ def test_probe_samples_export(tmp_path):
     tidy = (out / "probe_samples.csv").read_text().strip().splitlines()
     assert tidy[0] == "mode,k,trial,party,psi"
     assert len(tidy) == 1 + 3 * 100 * 3  # ks x trials x parties
+
+
+def test_probe_sample_lines_match_csv_writer():
+    # the one-pass text of probe_samples.csv is the bytes csv.writer writes
+    # for the same fields: signs, tiny and huge exponents, integer values, -0
+    draws = np.array([[-1.25, 1e-300, 1e300, 3.0, -0.0],
+                      [2.0, -7.5e-12, 123456789.0, -1e300, 0.1]])
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        ["corr_y", "800", str(trial), str(party), format(psi, ".6g")]
+        for party, row in enumerate(draws.tolist()) for trial, psi in enumerate(row))
+    assert experiments._sample_lines("corr_y", 800, draws) == buf.getvalue()
 
 
 def test_plot_auc_q(tmp_path):

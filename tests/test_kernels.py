@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import batch_task
+from conftest import batch_task, dataset_task
 from dpvalue import _kernels, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
@@ -52,7 +52,8 @@ def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos,
         v_prev = _kernels.utility_np(theta, task)
         for pos in range(n):
             j = perms[t, pos]
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam)
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam,
+                                       task.grad_stats[j])
             nrm = np.linalg.norm(g)
             if nrm > clip:
                 g = g * (clip / nrm)
@@ -100,7 +101,7 @@ def random_chain(mechanism, loss, utility, n=7, d=4, k=12):
     args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated,
             rng.uniform(0.0, 1.0, n), ncfg.burn_in)
     task = _kernels.Task(x, y, ptr, xt, yt, loss, utility, 0.1, lam,
-                         _kernels.mse_stats(xt, yt))
+                         _kernels.mse_stats(xt, yt), _kernels.grad_stats(x, y, ptr, loss))
     return task, args
 
 
@@ -316,7 +317,7 @@ def test_one_row_party_grad_matches_block_formula(loss):
             # scores from 1e-3 to 800, so the sigmoid runs from 1/2 into saturation
             theta *= 10.0 ** rng.uniform(-3.0, np.log10(800.0)) / abs(x[a] @ theta)
             want = block_party_grad(theta, x, y, a, a + 1, loss, lam)
-            got = _kernels.party_grad_np(theta, x, y, a, a + 1, loss, lam)
+            got = _kernels.party_grad_np(theta, x, y, a, a + 1, loss, lam, None)
             assert np.array_equal(got, want), (a, x[a] @ theta)
 
 
@@ -328,6 +329,96 @@ def test_party_grad_of_nan_theta_is_nan(loss, rows):
     x = rng.standard_normal((5, 4))
     y = rng.integers(0, 2, 5).astype(np.float64)
     theta = np.array([0.5, np.nan, -1.0, 2.0])
-    g = _kernels.party_grad_np(theta, x, y, 1, 1 + rows, loss, 0.01)
+    g = _kernels.party_grad_np(theta, x, y, 1, 1 + rows, loss, 0.01, None)
     assert g.shape == (4,)
     assert np.isnan(g).all()
+
+
+# -- the MSE gradient on its sufficient statistics -------------------------------
+
+
+def mse_party_rows(rows, d, seed):
+    """``rows`` rows of d - 1 features and the bias column, with labels."""
+    rng = np.random.default_rng(seed)
+    x = np.hstack([rng.standard_normal((rows, d - 1)), np.ones((rows, 1))])
+    return x, rng.standard_normal(rows)
+
+
+@pytest.mark.parametrize("d", [2, 7, 12])
+def test_stats_gradient_matches_row_formula(d):
+    # a party of d rows keeps the row formula; d + 1 and 3d rows take G theta - h
+    rng = np.random.default_rng(d)
+    for rows in (d, d + 1, 3 * d):
+        x, y = mse_party_rows(rows, d, seed=rows)
+        stats = _kernels.grad_stats(x, y, [0, rows], MSE)[0]
+        assert (stats is None) == (rows == d)
+        if stats is None:
+            continue
+        for _ in range(50):
+            theta = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            want = block_party_grad(theta, x, y, 0, rows, MSE, 0.0)
+            got = _kernels.party_grad_np(theta, x, y, 0, rows, MSE, 0.0, stats)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        nan_theta = np.full(d, np.nan)
+        assert np.isnan(_kernels.party_grad_np(nan_theta, x, y, 0, rows, MSE, 0.0, stats)).all()
+
+
+@pytest.mark.parametrize("d", [2, 7, 12])
+def test_stats_gradient_near_the_party_optimum(d):
+    # at the party's least-squares fit G theta and h cancel: the error of the
+    # difference is bounded by the size of its terms, not of the gradient
+    for rows in (d + 1, 3 * d):
+        x, y = mse_party_rows(rows, d, seed=100 + rows)
+        g_mat, h = _kernels.grad_stats(x, y, [0, rows], MSE)[0]
+        theta = np.linalg.lstsq(x, y, rcond=None)[0]
+        want = block_party_grad(theta, x, y, 0, rows, MSE, 0.0)
+        got = _kernels.party_grad_np(theta, x, y, 0, rows, MSE, 0.0, (g_mat, h))
+        bound = 1e-12 * (np.linalg.norm(g_mat, 2) * np.linalg.norm(theta) + np.linalg.norm(h))
+        assert np.abs(got - want).max() <= bound
+        assert np.abs(want).max() < 1e-3 * np.linalg.norm(h)  # the terms do cancel
+
+
+def test_stats_only_for_mse_parties_with_more_rows_than_columns():
+    d = 5
+    ptr = np.cumsum([0, 1, 4, 5, 6, 15, 2]).tolist()  # parties of 1, 4, 5, 6, 15, 2 rows
+    x, y = mse_party_rows(ptr[-1], d, seed=3)
+    assert _kernels.grad_stats(x, y, ptr, LOGISTIC) == (None,) * 6
+    stats = _kernels.grad_stats(x, y, ptr, MSE)
+    assert [s is not None for s in stats] == [False, False, False, True, True, False]
+    assert all(g.shape == (d, d) and h.shape == (d,) for g, h in filter(None, stats))
+    # through the run's preparation: every logistic party keeps the row formula
+    ds = data.synth_classification(40, 4, 2, seed=1, separation=3.0, n_test=20)
+    ds = data.partition(ds, 4, "equal-chunks")
+    for loss, lam in ((LOGISTIC, 0.01), (MSE, 0.0)):
+        mspec = models.ModelSpec(loss, 0.05, l2=lam)
+        task = dataset_task(ds, mspec, NEG_LOSS)
+        assert len(task.grad_stats) == 4
+        assert all((s is None) == (loss == LOGISTIC) for s in task.grad_stats)
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_stats_bytes_at_most_the_design_matrix(d):
+    # more rows than columns: d*d + d statistics never outnumber m*d entries,
+    # with equality at m = d + 1
+    rng = np.random.default_rng(d)
+    for sizes in ([d + 1] * 4, rng.integers(1, 4 * d + 2, 12).tolist()):
+        ptr = np.cumsum([0] + sizes).tolist()
+        x, y = mse_party_rows(ptr[-1], d, seed=d)
+        task = _kernels.Task(x, y, np.array(ptr), x, y, MSE, NEG_LOSS, 0.1, 0.0,
+                             _kernels.mse_stats(x, y), _kernels.grad_stats(x, y, ptr, MSE))
+        held = sum(g.nbytes + h.nbytes for g, h in filter(None, task.grad_stats))
+        assert held <= task.x.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 7, 12, 33])
+def test_mse_vector_utility_matches_block_row(d):
+    rng = np.random.default_rng(d)
+    xt = rng.standard_normal((64, d))
+    yt = rng.standard_normal(64)
+    task = batch_task(MSE, NEG_LOSS, 0.0, xt, yt)
+    block = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-3, 2, (40, 1))
+    rows = _kernels.utility_np(block, task)
+    for theta, want in zip(block, rows):
+        got = _kernels.utility_np(theta, task)
+        assert type(got) is np.float64
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

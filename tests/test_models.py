@@ -12,7 +12,7 @@ NEG_LOSS, ACCURACY = "neg_test_loss", "test_accuracy"
 
 
 def batch_grad(loss, lam, theta, x, y):
-    return _kernels.party_grad_np(theta, x, y, 0, len(y), loss, lam)
+    return _kernels.party_grad_np(theta, x, y, 0, len(y), loss, lam, None)
 
 
 def finite_diff_grad(loss, lam, theta, x, y, step=1e-5):
@@ -107,8 +107,9 @@ def scan_train_one_pass(spec, features, labels, party_of, include_parties, seed)
     theta = models.init_params(spec, x.shape[1], seed=seed)
     for party in order:
         idx = np.nonzero(party_of == party)[0]
-        g = _kernels.party_grad_np(theta, x[idx], labels[idx], 0, idx.size, spec.loss_kind,
-                                   spec.l2)
+        xb, yb = x[idx], labels[idx]
+        stats = _kernels.grad_stats(xb, yb, [0, idx.size], spec.loss_kind)[0]
+        g = _kernels.party_grad_np(theta, xb, yb, 0, idx.size, spec.loss_kind, spec.l2, stats)
         theta = theta - spec.learning_rate * g
     return theta
 

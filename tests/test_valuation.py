@@ -504,7 +504,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
     task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam,
-                         _kernels.mse_stats(xt, yt))
+                         _kernels.mse_stats(xt, yt), (None,) * n)
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
@@ -524,7 +524,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     for t in range(rounds):
         released = np.empty((n, d))
         for j in range(n):
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam)
+            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam, None)
             nrm = math.sqrt(float(g @ g))
             if nrm > cfg.noise.clip_norm:
                 g *= cfg.noise.clip_norm / nrm
@@ -563,3 +563,25 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
     got = run_federated(cfg, 12, q=0.2)
     assert np.array_equal(got, want)
     assert want.any()
+
+
+@pytest.mark.parametrize("mode", ["fl_schedule", "corr_x"])
+def test_mse_stats_gradient_in_every_caller(mode):
+    # 8-row parties of d = 6 with the bias column take their gradient from
+    # (G, h) in federated attribution and retraining alike; both match the row
+    # formula, that of the reference loop and of a Task without the statistics
+    ds = data.partition(data.synth_classification(48, 5, 2, seed=4, separation=2.0, n_test=40),
+                        6, "equal-chunks")
+    mspec = models.ModelSpec("mse_linear", 0.05, models.InitSpec("gaussian", 0.2))
+    ncfg = dp.NoiseConfig(1.0, 0.8, budget=5, mode=mode)
+    cfg = RunConfig(ds, mspec, "test_accuracy", ncfg, SemivalueSpec("shapley", 6), master_seed=8)
+    task = valuation.prepare(cfg)
+    assert all(stats is not None for stats in task.grad_stats)
+    want = reference_federated(cfg, 5, 12, q=0.2)
+    assert want.any()
+    assert np.allclose(run_federated(cfg, 12, q=0.2), want, rtol=1e-12, atol=1e-12)
+    rows_only = replace(task, grad_stats=(None,) * 6)
+    for seed, keep in enumerate([np.arange(6), np.array([1, 4, 5])]):
+        want = models.train_one_pass(mspec, rows_only, keep, seed)
+        got = models.train_one_pass(mspec, task, keep, seed)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
