@@ -166,24 +166,22 @@ class Task:
     grad_stats: tuple
 
 
-def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
+def run_chain(task, clip, perms, inits, noise, diag, correlated,
               record_grads=False, record_states=False):
-    """Run the full valuation chain on a ``Task``; returns a dict of per-run arrays.
+    """Walk the valuation chain on a ``Task``; returns a dict of per-run arrays.
 
     ``marginals[t, j]`` is the raw utility delta of party ``j`` at iteration
-    ``t`` and ``pcoefs[t, j]`` the position coefficient it was observed with;
-    ``psi`` is the streaming estimate (burn-in already applied when
-    ``kq > 0``). Divergence raises ``ChainDiverged`` without numpy warnings.
+    ``t``; the recorded arrays are added when asked for. The estimator over
+    the marginals is ``valuation.run_valuation``'s. Divergence raises
+    ``ChainDiverged`` without numpy warnings.
     """
     k, n = perms.shape
     d = inits.shape[1]
     x, y, loss, lr, lam = task.x, task.y, task.loss, task.lr, task.lam
     stats = task.grad_stats
     marginals = np.zeros((k, n))
-    pcoefs = np.zeros((k, n))
-    psi = [0.0] * n
     roll = np.zeros((n, d))
-    out = {"marginals": marginals, "pcoefs": pcoefs, "roll": roll}
+    out = {"marginals": marginals}
     if record_grads:
         g_hat = out["g_hat"] = np.zeros((k, n, d))
         g_tilde = out["g_tilde"] = np.zeros((k, n, d))
@@ -196,25 +194,19 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
     # costs more than the arithmetic they feed.
     orders = perms.tolist()
     ptr = task.ptr.tolist()
-    coefs = p_by_pos.tolist()
     diags = diag.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k):
             noise_t = noise[t]
             marg_t = marginals[t]
-            pcoefs[t, perms[t]] = p_by_pos
             dg = diags[t]
-            retained = t >= kq
-            if retained:
-                cnt = t - kq + 1.0
-                psi_keep = (cnt - 1.0) / cnt
             tilde = g_tilde[t] if record_grads else np.empty((n, d)) if correlated else None
             hist = history(roll, dg, t + 1) if correlated else None
             theta = inits[t].copy()
             v_prev = utility_np(theta, task)
             if not math.isfinite(v_prev):
                 raise ChainDiverged(t + 1, -1)
-            for pos, j in enumerate(orders[t]):
+            for j in orders[t]:
                 g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam, stats[j])
                 clip_in_place(g, clip)
                 if record_grads:
@@ -232,12 +224,8 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq=0,
                 v_after = utility_np(theta, task)
                 if not math.isfinite(v_after):
                     raise ChainDiverged(t + 1, j)
-                m = v_after - v_prev
-                marg_t[j] = m
-                if retained:
-                    psi[j] = psi_keep * psi[j] + coefs[pos] * m / cnt
+                marg_t[j] = v_after - v_prev
                 v_prev = v_after
             if correlated:
                 fold(roll, tilde, t + 1)
-    out["psi"] = np.array(psi)
     return out

@@ -1,10 +1,10 @@
 """Config-driven experiment runner.
 
 Subcommands: ``run <config>`` executes an experiment and writes result.json,
-summary.csv, config.echo and a MANIFEST of sha256 digests; ``validate
-<config>`` only parses and checks the config; ``plot <result-dir>`` writes the
-.dat files of the result's kind for external plotting. The environment
-variable DPVALUE_OUTPUT_ROOT reroots relative output directories.
+summary.csv, config.echo and a MANIFEST of the digests of the files it wrote;
+``validate <config>`` only parses and checks the config; ``plot <result-dir>``
+writes the .dat files of the result's kind for external plotting. The
+environment variable DPVALUE_OUTPUT_ROOT reroots relative output directories.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ def _write_error(outdir: Path | None, exc: Exception) -> None:
     if outdir is not None:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "MANIFEST").unlink(missing_ok=True)  # it vouches for an earlier run
             with open(outdir / "error.json", "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2)
         except OSError:
@@ -45,13 +46,15 @@ def _write_error(outdir: Path | None, exc: Exception) -> None:
     print(json.dumps(record), file=sys.stderr)
 
 
-def _write_manifest(outdir: Path) -> None:
+def _write_run(outdir: Path, files: dict[str, str]) -> None:
+    """Write a run's files by name and a MANIFEST of their sha256 digests,
+    sorted by name; an ``error.json`` of an earlier run goes."""
     lines = []
-    for path in sorted(outdir.iterdir()):
-        if path.name == "MANIFEST" or not path.is_file():
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {path.name}")
+    for name, text in sorted(files.items()):
+        data = text.encode("utf-8")
+        (outdir / name).write_bytes(data)
+        lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
+    (outdir / "error.json").unlink(missing_ok=True)
     (outdir / "MANIFEST").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -69,13 +72,8 @@ def cmd_run(args) -> int:
     except Exception as exc:  # noqa: BLE001 - error record is the contract
         _write_error(outdir, exc)
         return 1
-    with open(outdir / "result.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, text in tables.items():
-        (outdir / name).write_text(text, encoding="utf-8", newline="")
-    (outdir / "config.echo").write_text(echo_config(cfg), encoding="utf-8")
-    _write_manifest(outdir)
+    _write_run(outdir, {"result.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                        "config.echo": echo_config(cfg), **tables})
     print(f"wrote {outdir}")
     return 0
 

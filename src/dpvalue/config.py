@@ -261,7 +261,7 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
         metrics.probe_sigma(noise.noise_multiplier)
     for k in p.ks:
         with _field("probe.ks"):  # the noiseless chain frozen at k
-            valuation.estimable(noise.with_budget(k))
+            valuation.estimable(replace(noise, budget=k))
         for mode in p.modes:
             with _field("probe.q"):
                 mechanism(noise, mode, k, p.q)
@@ -307,7 +307,8 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     """The (label, mechanism) runs of one noisy-label seed, parsed from the
     config's ``k``, ``noise`` and ``noisy_label`` sections alone, so no dataset
     is read: each mode at the burn-in share q (``noise.q`` by default), then
-    the q_grid ablation, where q = 0 is the square corr_x matrix."""
+    the q_grid ablation, where q = 0 is the square corr_x matrix. Each label
+    runs once: a repeat would count as a second, independent draw."""
     noise = _parse_noise(_root(doc))
     section = _section(doc, "noisy_label")
     k = noise.budget
@@ -317,7 +318,9 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     with _field("noisy_label.modes"):
         modes = _list(section.get("modes", ("no_dp", "iid", "corr_y")), empty=True)
     runs = []
-    for mode in modes:
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:
+            raise ConfigError("noisy_label.modes", f"repeats the mode {mode!r}")
         with _field("noisy_label.q" if mode == "corr_y" else "noisy_label.modes"):
             runs.append((mode, valuation.estimable(mechanism(noise, mode, k, q))))
     with _field("noisy_label.q_grid"):
@@ -325,6 +328,8 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
             qq = _number(qq)
             burn_in_count(k, qq)
             label, mode = (f"corr_y(q={qq})", "corr_y") if qq > 0 else ("corr_x", "corr_x")
+            if label in dict(runs):
+                raise ValueError(f"repeats the run {label!r}")
             runs.append((label, valuation.estimable(mechanism(noise, mode, k, qq))))
     if not runs:
         raise ConfigError("noisy_label.modes", "must not be empty without a q_grid")

@@ -62,7 +62,7 @@ class NoiseConfig:
     budget: int
     mode: str = "iid"
     q: float | None = None
-    sigma_g_sq: float | None = None
+    sigma_g_sq: float = 0.0  # 0 selects the prefix-mean diagonal
 
     def __post_init__(self):
         if self.clip_norm <= 0:
@@ -78,7 +78,7 @@ class NoiseConfig:
                 raise ValueError(f"corr_y needs q with k*q a positive integer, got q={self.q}")
         elif self.q is not None:
             raise ValueError("q only applies to corr_y")
-        if self.sigma_g_sq is not None and self.sigma_g_sq < 0:
+        if self.sigma_g_sq < 0:
             raise ValueError("sigma_g_sq must be >= 0")
 
     @property
@@ -93,9 +93,6 @@ class NoiseConfig:
     @property
     def per_release_std(self) -> float:
         return math.sqrt(self.budget) * self.clip_norm * self.noise_multiplier
-
-    def with_budget(self, k: int) -> "NoiseConfig":
-        return replace(self, budget=k)
 
 
 def mechanism(base: NoiseConfig, mode: str, k: int, q: float | None = None) -> NoiseConfig:

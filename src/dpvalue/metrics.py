@@ -419,7 +419,7 @@ def variance_scaling_probe(
     variances: dict[str, list[float]] = {mode: [] for mode in modes}
     samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in modes}
     for i, k in enumerate(ks):
-        cfg = replace(base_cfg, noise=base_cfg.noise.with_budget(k))
+        cfg = replace(base_cfg, noise=replace(base_cfg.noise, budget=k))
         replays = conditional_variance(cfg, modes, trials, seed=seed * 7919 + i, q=q)
         for mode, (var, draws) in zip(modes, replays):
             variances[mode].append(var)

@@ -8,14 +8,16 @@ sizes with sum_r binom(n-1, r-1) * w(r) = n:
 and estimated by averaging position-weighted marginal contributions over
 uniformly sampled permutations:
 
-    psi_j = (1/k) sum_t p(r_jt) [V(after j) - V(before j)],
+    psi_j = (1/(k-kq)) sum_{t>=kq} p(r_jt) [V(after j) - V(before j)],
     p(r) = binom(n-1, r-1) * w(r),
 
 the unique position coefficient making the permutation estimator unbiased
-for phi (it degenerates to p = 1 for the Shapley weights). The engine runs
-the gradient-descent chain: per permutation the model is re-initialized and
-each party in order contributes one clipped, noise-perturbed gradient step,
-optionally passed through the correlated-noise combiner before the update.
+for phi (it degenerates to p = 1 for the Shapley weights), after a burn-in of
+kq iterations (0 except under corr_y). The kernel runs the gradient-descent
+chain: per permutation the model is re-initialized and each party in order
+contributes one clipped, noise-perturbed gradient step, optionally passed
+through the correlated-noise combiner, and its utility delta is recorded;
+``run_valuation`` computes psi from the deltas.
 """
 
 from __future__ import annotations
@@ -207,13 +209,14 @@ def prepare(cfg: RunConfig) -> _kernels.Task:
 
 
 def run_valuation(cfg: RunConfig) -> ValuationResult:
-    """Execute the full chain for one configuration.
+    """Execute the full chain for one configuration and compute its estimate.
 
     Per iteration: sample a uniform permutation, re-initialize the model with
     a seed derived from (master seed, iteration), then walk the permutation
-    applying one privatized gradient step per party, recording the utility
-    delta with the position coefficient of the configured semivalue. corr_y
-    drops the first k*q iterations from psi and from the summary statistics.
+    applying one privatized gradient step per party (``_kernels.run_chain``).
+    psi weighs each utility delta with the position coefficient of the
+    configured semivalue (``pcoefs``); corr_y drops the first k*q iterations
+    from psi and from the summary statistics.
     """
     estimable(cfg.noise)
     task = prepare(cfg)
@@ -231,18 +234,19 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     else:
         noise = std * np.random.default_rng(noise_ss).standard_normal((k, n, d))
 
-    _, p = semivalue_weights(cfg.semivalue)
-    kq = cfg.noise.burn_in
     out = _kernels.run_chain(task, cfg.noise.clip_norm, perms, inits, noise,
-                             diag_schedule(cfg.noise), cfg.noise.correlated, p, kq,
+                             diag_schedule(cfg.noise), cfg.noise.correlated,
                              cfg.record_gradients, cfg.record_states)
 
-    retained = out["marginals"][kq:]
-    mu, s_sq, mav = estimation_stats(retained)
+    _, p = semivalue_weights(cfg.semivalue)
+    pcoefs = p[np.argsort(perms, axis=1)]  # pcoefs[t, perms[t, pos]] = p[pos]
+    marginals = out["marginals"]
+    kq = cfg.noise.burn_in
+    mu, s_sq, mav = estimation_stats(marginals[kq:])
     return ValuationResult(
-        psi=out["psi"],
-        marginals=out["marginals"],
-        pcoefs=out["pcoefs"],
+        psi=np.mean(pcoefs[kq:] * marginals[kq:], axis=0),
+        marginals=marginals,
+        pcoefs=pcoefs,
         mu=mu,
         s_sq=s_sq,
         mean_adjusted_var=mav,

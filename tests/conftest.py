@@ -4,6 +4,14 @@ import pytest
 from dpvalue import _kernels, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, prepare
 
+MECHANISMS = {  # corr_x_aware and fl_schedule have diagonals that are not prefix means
+    "iid": {"mode": "iid"},
+    "corr_x": {"mode": "corr_x"},
+    "corr_y": {"mode": "corr_y", "q": 0.25},
+    "corr_x_aware": {"mode": "corr_x", "sigma_g_sq": 0.7},
+    "fl_schedule": {"mode": "fl_schedule"},
+}
+
 
 @pytest.fixture
 def small_task():

@@ -85,6 +85,26 @@ def test_run_writes_artifacts_and_manifest(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+def test_manifest_lists_only_the_runs_own_files(tmp_path):
+    # a rerun into one directory: the MANIFEST vouches for this run's files
+    # alone, a success drops a failed run's error.json and a failure drops
+    # a successful run's MANIFEST
+    out = tmp_path / "out"
+    doc = base_valuation_doc(out)
+    good = write_config(tmp_path, doc, "good.yaml")
+    doc["model"]["learning_rate"] = 1.0e308
+    bad = write_config(tmp_path, doc, "bad.yaml")
+    assert cli.main(["run", str(bad)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    (out / "probe_samples.csv").write_text("stale\n")  # another kind's table
+    assert cli.main(["run", str(good)]) == 0
+    assert not (out / "error.json").exists()
+    listed = [line.split("  ")[1] for line in (out / "MANIFEST").read_text().splitlines()]
+    assert listed == ["config.echo", "result.json", "summary.csv"]
+    assert cli.main(["run", str(bad)]) == 1
+    assert (out / "error.json").exists() and not (out / "MANIFEST").exists()
+
+
 def test_rerun_byte_identical(tmp_path):
     doc = base_valuation_doc(tmp_path / "a")
     cfg = write_config(tmp_path, doc)
@@ -563,6 +583,13 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      "noisy_label.modes"),
     ("noisy-label-q-grid-fractional-burn-in", "noisy-label", {"noisy_label.q_grid": [0.33]},
      "noisy_label.q_grid"),
+    ("noisy-label-modes-repeated", "noisy-label", {"noisy_label.modes": ["iid", "no_dp", "iid"]},
+     "noisy_label.modes"),
+    ("noisy-label-q-grid-repeated", "noisy-label",
+     {"noisy_label.modes": ["iid", "corr_x"], "noisy_label.q_grid": [0.5, 0.5]},
+     "noisy_label.q_grid"),
+    ("noisy-label-q-grid-repeats-corr-x", "noisy-label",
+     {"noisy_label.modes": ["iid", "corr_x"], "noisy_label.q_grid": [0.0]}, "noisy_label.q_grid"),
     ("noisy-label-no-corruption", "noisy-label", {"dataset.corrupt_ratio": 0},
      "dataset.corrupt_ratio"),
     ("oracle-unknown-kind", "oracle-check", {"oracle.kinds": ["bogus"]}, "oracle.kinds"),

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import batch_task, dataset_task
+from conftest import MECHANISMS, batch_task, dataset_task
 from dpvalue import _kernels, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
@@ -36,17 +36,15 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.marginals, b.marginals)
 
 
-def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos, kq):
+def reference_chain(task, clip, perms, inits, noise, diag, correlated):
     """One step at a time with numpy scalars and fresh arrays, no hoisting."""
     x, y, ptr, loss, lr, lam = task.x, task.y, task.ptr, task.loss, task.lr, task.lam
     k, n = perms.shape
     d = inits.shape[1]
-    out = {name: np.zeros((k, n)) for name in ("marginals", "pcoefs", "v_prev")}
+    out = {name: np.zeros((k, n)) for name in ("marginals", "v_prev")}
     for name in ("g_hat", "g_tilde", "g_star", "theta_prev"):
         out[name] = np.zeros((k, n, d))
-    out["psi"] = np.zeros(n)
-    out["roll"] = np.zeros((n, d))
-    roll = out["roll"]
+    roll = np.zeros((n, d))
     for t in range(k):
         theta = inits[t].copy()
         v_prev = _kernels.utility_np(theta, task)
@@ -71,12 +69,7 @@ def reference_chain(task, clip, perms, inits, noise, diag, correlated, p_by_pos,
             out["v_prev"][t, j] = v_prev
             theta = theta - lr * rel
             v_after = _kernels.utility_np(theta, task)
-            m = v_after - v_prev
-            out["marginals"][t, j] = m
-            out["pcoefs"][t, j] = p_by_pos[pos]
-            if t >= kq:
-                cnt = t - kq + 1.0
-                out["psi"][j] = (cnt - 1.0) / cnt * out["psi"][j] + p_by_pos[pos] * m / cnt
+            out["marginals"][t, j] = v_after - v_prev
             v_prev = v_after
     return out
 
@@ -98,20 +91,10 @@ def random_chain(mechanism, loss, utility, n=7, d=4, k=12):
     perms = np.array([rng.permutation(n) for _ in range(k)])
     inits = 0.1 * rng.standard_normal((k, d))
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
-    args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated,
-            rng.uniform(0.0, 1.0, n), ncfg.burn_in)
+    args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated)
     task = _kernels.Task(x, y, ptr, xt, yt, loss, utility, 0.1, lam,
                          _kernels.mse_stats(xt, yt), _kernels.grad_stats(x, y, ptr, loss))
     return task, args
-
-
-MECHANISMS = {  # corr_x_aware and fl_schedule have diagonals that are not prefix means
-    "iid": {"mode": "iid"},
-    "corr_x": {"mode": "corr_x"},
-    "corr_y": {"mode": "corr_y", "q": 0.25},
-    "corr_x_aware": {"mode": "corr_x", "sigma_g_sq": 0.7},
-    "fl_schedule": {"mode": "fl_schedule"},
-}
 
 
 @pytest.mark.parametrize("loss,utility", [(LOGISTIC, NEG_LOSS), (MSE, ACCURACY)], ids=kind_id)
@@ -125,9 +108,8 @@ def test_chain_matches_reference_loop(mode, loss, utility):
         assert same_bits(got[name], value), name
     # unrecorded, a correlated chain keeps its perturbed gradients in its own buffer
     bare = _kernels.run_chain(task, *args)
-    assert set(bare) == {"marginals", "pcoefs", "psi", "roll"}
-    for name in ("marginals", "psi", "roll"):
-        assert same_bits(bare[name], want[name]), name
+    assert set(bare) == {"marginals"}
+    assert same_bits(bare["marginals"], want["marginals"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -137,7 +119,8 @@ def test_correlated_chain_divergence_names_iteration_and_party(mode):
     # test loss; the chain reports it as ChainDiverged alone, without numpy warnings
     mechanism = {"mode": mode, "q": 0.5} if mode == "corr_y" else {"mode": mode}
     task, args = random_chain(mechanism, MSE, NEG_LOSS, k=8)
-    perms, noise, kq = args[1], args[3], args[7]
+    perms, noise = args[1], args[3]
+    kq = dp.burn_in_count(8, mechanism.get("q", 0.0))
     t, pos = 2, 3
     assert mode == "corr_x" or t < kq  # the blow-up lies inside corr_y's burn-in
     j = int(perms[t, pos])

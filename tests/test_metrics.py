@@ -434,7 +434,7 @@ def test_probe_chunked_replay_matches_single_threaded_replay(k, q):
     # a later chunk (24) or on a chunk's edge (16)
     assert metrics._CHUNK == 16
     cfg = probe_base()
-    cfg = replace(cfg, noise=cfg.noise.with_budget(k))
+    cfg = replace(cfg, noise=replace(cfg.noise, budget=k))
     scenario = metrics.freeze_scenario(cfg)
     modes = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", q)]
     replays = metrics.conditional_variance(cfg, [mode for mode, _ in modes], trials=103, seed=5,
@@ -488,7 +488,7 @@ def test_probe_replay_holds_two_noise_blocks(monkeypatch):
     # own mapping, plus (trials, d) slabs on the heap; a third full-size block
     # would be a third mapping or a heap peak of >= 1 block
     cfg = probe_base(n_parties=2)
-    cfg = replace(cfg, noise=cfg.noise.with_budget(400))
+    cfg = replace(cfg, noise=replace(cfg.noise, budget=400))
     modes = [m for m, _ in PROBE_MODES]
     trials, block = 500, 500 * 400 * 7 * 8
     mapped, real_mmap = [], metrics.mmap.mmap
@@ -631,7 +631,7 @@ def test_probe_replays_variance_aware_combiner(mode, q):
     # match releases built from the explicit combiner matrix, for the
     # variance-aware diagonal and for the prefix mean it reduces to at 0
     cfg = probe_base()
-    cfg = replace(cfg, noise=cfg.noise.with_budget(40))
+    cfg = replace(cfg, noise=replace(cfg.noise, budget=40))
     scenario = metrics.freeze_scenario(cfg)
     for sigma_g_sq in (0.5, 0.0):
         cfg = replace(cfg, noise=replace(cfg.noise, sigma_g_sq=sigma_g_sq))

@@ -10,7 +10,7 @@ import yaml
 from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
-from conftest import orthogonal_chain_task
+from conftest import MECHANISMS, orthogonal_chain_task
 from dpvalue import _kernels, cli, data, dp, experiments, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
@@ -210,7 +210,7 @@ def test_corr_y_burn_in_bookkeeping(small_task):
     assert retained.shape[0] == 5
     # psi is exactly the weighted mean of the retained marginals
     offline = np.mean(res.pcoefs[5:] * retained, axis=0)
-    assert np.max(np.abs(res.psi - offline)) < 1e-12
+    assert np.array_equal(res.psi, offline)
 
 
 def test_streaming_psi_matches_offline(small_task):
@@ -218,7 +218,46 @@ def test_streaming_psi_matches_offline(small_task):
     cfg = run_cfg(ds, mspec, uspec, 40, seed=9, mode="corr_x", sigma=2.0)
     res = run_valuation(cfg)
     offline = np.mean(res.pcoefs * res.marginals, axis=0)
-    assert np.max(np.abs(res.psi - offline)) < 1e-12
+    assert np.array_equal(res.psi, offline)
+
+
+def streaming_psi(marginals, perms, p, kq):
+    """psi by the running-mean recurrence over t, one party at a time."""
+    k, n = marginals.shape
+    psi = np.zeros(n)
+    for t in range(kq, k):
+        cnt = t - kq + 1.0
+        for pos in range(n):
+            j = perms[t, pos]
+            psi[j] = (cnt - 1.0) / cnt * psi[j] + p[pos] * marginals[t, j] / cnt
+    return psi
+
+
+@pytest.mark.parametrize("loss,utility", [("logistic_l2", "neg_test_loss"),
+                                          ("mse_linear", "test_accuracy")])
+@pytest.mark.parametrize("mode", list(MECHANISMS))
+def test_psi_matches_streaming_recurrence(mode, loss, utility):
+    ds = data.synth_classification(9, 4, 2, seed=5, separation=2.0, n_test=30)
+    mspec = models.ModelSpec(loss, 0.1, models.InitSpec("gaussian", 0.1),
+                             l2=0.02 if loss == "logistic_l2" else 0.0)
+    noise = dp.NoiseConfig(0.8, 1.5, budget=16, **MECHANISMS[mode])
+    spec = SemivalueSpec("beta", 9, 4.0, 1.0)
+    res = run_valuation(RunConfig(ds, mspec, utility, noise, spec, master_seed=7))
+    # the run's own permutations: the first of its master seed's three streams
+    perms = sample_permutations(9, 16, np.random.SeedSequence(7).spawn(3)[0])
+    _, p = semivalue_weights(spec)
+    for t in range(16):
+        assert res.pcoefs[t, perms[t]].tobytes() == p.tobytes(), t
+    want = streaming_psi(res.marginals, perms, p, noise.burn_in)
+    assert np.allclose(res.psi, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode,q", [("iid", None), ("corr_y", 0.5)])
+def test_shapley_psi_is_mu(small_task, mode, q):
+    # p = 1 at every position, so psi is the mean of the retained marginals
+    ds, mspec, uspec = small_task
+    res = run_valuation(run_cfg(ds, mspec, uspec, 12, seed=2, mode=mode, sigma=1.0, q=q))
+    assert np.array_equal(res.psi, res.mu)
 
 
 def test_corr_x_release_is_prefix_mean(small_task):
@@ -236,7 +275,7 @@ def test_iid_release_untouched(small_task):
     res = run_valuation(cfg)
     assert np.array_equal(res.g_star, res.g_tilde)
     # nothing is dropped: psi weighs every iteration's marginals
-    assert np.max(np.abs(res.psi - np.mean(res.pcoefs * res.marginals, axis=0))) < 1e-12
+    assert np.array_equal(res.psi, np.mean(res.pcoefs * res.marginals, axis=0))
 
 
 def test_recorded_arrays_only_when_asked(small_task):
