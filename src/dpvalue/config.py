@@ -83,11 +83,15 @@ def _boolean(value) -> bool:
 def _list(value, empty: bool = False) -> list | tuple:
     """A list field: a YAML sequence, never a scalar, which would be read
     character by character or not at all, and not empty unless ``empty``,
-    since an empty one runs nothing."""
+    since an empty one runs nothing. No entry repeats (``==``, so 10 and
+    10.0 are one entry): a repeat would run again and be written twice."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"must be a list, got {value!r}")
     if not (value or empty):
         raise ValueError("must not be empty")
+    for i, item in enumerate(value):
+        if item in value[:i]:
+            raise ValueError(f"repeats the entry {item!r}")
     return value
 
 
@@ -284,9 +288,12 @@ def _parse_similarity(section: dict, noise: NoiseConfig) -> tuple[NoiseConfig, .
                      for k in _list(section.get("ks", (100, 200))))
 
 
-def _parse_federated(section: dict, noise: NoiseConfig, utility: str) -> FederatedSection:
+def _parse_federated(section: dict, noise: NoiseConfig, utility: str,
+                     semivalue: SemivalueSpec) -> FederatedSection:
     with _field("utility"):
         valuation.federated_utility(utility)
+    with _field("semivalue.kind"):
+        valuation.federated_semivalue(semivalue.kind)
     with _field("federated.rounds"):
         noise = mechanism(noise, "fl_schedule", _integer(section.get("rounds", 10)))
     with _field("federated.permutations"):
@@ -307,8 +314,9 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     """The (label, mechanism) runs of one noisy-label seed, parsed from the
     config's ``k``, ``noise`` and ``noisy_label`` sections alone, so no dataset
     is read: each mode at the burn-in share q (``noise.q`` by default), then
-    the q_grid ablation, where q = 0 is the square corr_x matrix. Each label
-    runs once: a repeat would count as a second, independent draw."""
+    the q_grid ablation, where q = 0 is the square corr_x matrix. Each
+    mechanism runs once, under one label: a repeat would count as a second,
+    independent draw."""
     noise = _parse_noise(_root(doc))
     section = _section(doc, "noisy_label")
     k = noise.budget
@@ -317,30 +325,33 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
         burn_in_count(k, q or 0.0)  # an unset q fails below, at the corr_y run
     with _field("noisy_label.modes"):
         modes = _list(section.get("modes", ("no_dp", "iid", "corr_y")), empty=True)
-    runs = []
-    for i, mode in enumerate(modes):
-        if mode in modes[:i]:
-            raise ConfigError("noisy_label.modes", f"repeats the mode {mode!r}")
+    labels: dict[NoiseConfig, str] = {}  # each mechanism in the plan and its label
+
+    def add(path: str, label: str, run: NoiseConfig):
+        if run in labels:
+            raise ConfigError(path, f"{label!r} repeats the mechanism of the run {labels[run]!r}")
+        labels[run] = label
+
+    for mode in modes:
         with _field("noisy_label.q" if mode == "corr_y" else "noisy_label.modes"):
-            runs.append((mode, valuation.estimable(mechanism(noise, mode, k, q))))
+            run = valuation.estimable(mechanism(noise, mode, k, q))
+        add("noisy_label.modes", mode, run)
     with _field("noisy_label.q_grid"):
         for qq in _list(section.get("q_grid") or (), empty=True):
             qq = _number(qq)
             burn_in_count(k, qq)
             label, mode = (f"corr_y(q={qq})", "corr_y") if qq > 0 else ("corr_x", "corr_x")
-            if label in dict(runs):
-                raise ValueError(f"repeats the run {label!r}")
-            runs.append((label, valuation.estimable(mechanism(noise, mode, k, qq))))
-    if not runs:
+            add("noisy_label.q_grid", label, valuation.estimable(mechanism(noise, mode, k, qq)))
+    if not labels:
         raise ConfigError("noisy_label.modes", "must not be empty without a q_grid")
-    return tuple(runs)
+    return tuple((label, run) for run, label in labels.items())
 
 
 def _parse_oracle(section: dict) -> OracleSection:
     with _field("oracle.n"):
         n = valuation.enumerable_parties(_integer(section.get("n", 4)))
     with _field("oracle.kinds"):
-        specs = tuple(SemivalueSpec(kind, n, 4.0, 1.0)
+        specs = tuple(SemivalueSpec(kind, 4.0, 1.0)
                       for kind in _list(section.get("kinds", ("shapley", "banzhaf"))))
     with _field("oracle.tolerance"):
         tolerance = _number(section.get("tolerance", 1e-10))
@@ -376,7 +387,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     semi = _section(doc, "semivalue")
     with _field("semivalue.kind"):
-        semivalue = SemivalueSpec(semi.get("kind", "shapley"), dataset.n_parties)
+        semivalue = SemivalueSpec(semi.get("kind", "shapley"))
+        valuation.weighable_parties(dataset.n_parties)
     for key in ("alpha", "beta"):
         semivalue = _set(semivalue, "semivalue", semi, key, _number)
 
@@ -393,7 +405,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     elif kind == "similarity":
         plan = _parse_similarity(_section(doc, "similarity"), noise)
     elif kind == "federated":
-        plan = _parse_federated(_section(doc, "federated"), noise, utility)
+        plan = _parse_federated(_section(doc, "federated"), noise, utility, semivalue)
     elif kind == "noisy-label":
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":

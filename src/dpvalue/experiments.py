@@ -141,7 +141,7 @@ def run_removal_experiment(cfg: ExperimentConfig):
     tidy = [["order", "fraction", "seed", "score"]]
     curves = {}
     for order in cfg.plan.orders:
-        curve = metrics.removal_curve(res.psi, ds.n_parties, trainer, order, cfg.plan.fractions)
+        curve = metrics.removal_curve(res.psi, trainer, order, cfg.plan.fractions)
         curves[order] = curve
         for i, f in enumerate(curve.fractions):
             se = _fmt(curve.stderr[i]) if curve.stderr else ""
@@ -222,7 +222,8 @@ def run_oracle_check_experiment(cfg: ExperimentConfig):
     rows = [["kind", "max_abs_diff", "pass"]]
     worst = 0.0
     for spec in cfg.plan.semivalues:
-        diff = float(np.max(np.abs(exact_semivalue(v, spec) - permutation_expectation(v, spec))))
+        diff = float(np.max(np.abs(exact_semivalue(v, spec, n)
+                                   - permutation_expectation(v, spec, n))))
         worst = max(worst, diff)
         rows.append([spec.kind, format(diff, ".3e"), str(diff < tol)])
     ok = worst < tol

@@ -10,19 +10,8 @@ with cos(a, b) = |a.b| / (|a||b|) and the means taken in one vectorised pass
 over every (t, j) record whose three gradients have non-zero norms, the
 closed-form variance identities for noisy squared norms, the N/P/Q moment sums
 of the implicit correlated noise, and the Monte Carlo probe for how the
-conditional estimator variance scales with the budget k. The probe's one
-replay is ``conditional_variance(cfg, modes, ...)``: it builds each mode
-(iid, corr_x, corr_y) from the run's base noise at the run's budget, freezes
-the run's noiseless chains (``freeze_scenario`` returns the noiseless run's
-``ValuationResult``, its gradients and states recorded), draws the noise
-once and replays every mode from that draw, building the parameter slabs a
-chunk of iterations at a time in (chunk, d, trials) buffers with trials
-innermost; the correlated modes take any combiner diagonal through ``dp``'s
-prefix-sum weights. The draw uses a second core: one draw thread fills two
-reused blocks in turn from the probe's single random stream, the first block
-while the noiseless chains run and each later one while the caller scores
-the last, so each mode's results are bitwise those of a single-threaded
-replay of that mode alone.
+conditional estimator variance scales with the budget k, whose one replay,
+``conditional_variance``, is described in its docstring.
 """
 
 from __future__ import annotations
@@ -45,7 +34,6 @@ REMOVAL_RANDOM_SEEDS = 5  # removal orders a ``random`` curve averages over
 class RemovalCurve:
     fractions: tuple[float, ...]
     scores: tuple[float, ...]
-    order: str
     per_seed: tuple[tuple[float, ...], ...]  # scores per removal seed; just seed 0 if ordered
     stderr: tuple[float, ...] | None = None
 
@@ -91,12 +79,11 @@ def removal_order(order: str) -> str:
 
 def removal_curve(
     psi: np.ndarray,
-    n_parties: int,
     trainer,
     order: str,
     fractions,
 ) -> RemovalCurve:
-    """Score the model after dropping a growing share of parties.
+    """Score the model after dropping a growing share of the ``len(psi)`` parties.
 
     ``trainer(included_party_ids, seed) -> score`` retrains from scratch and
     evaluates; it must be deterministic per seed. ``highest-first`` removes
@@ -106,6 +93,7 @@ def removal_curve(
     fractions = removal_fractions(fractions)
     removal_order(order)
 
+    n_parties = len(psi)
     all_parties = np.arange(n_parties)
 
     def curve_for(removal_order: np.ndarray, seed: int) -> list[float]:
@@ -129,12 +117,12 @@ def removal_curve(
         dev = arr - mean
         seeds = REMOVAL_RANDOM_SEEDS
         stderr = np.sqrt((dev * dev).sum(axis=0) / (seeds - 1)) / np.sqrt(seeds)
-        return RemovalCurve(fractions, tuple(mean), order, tuple(tuple(row) for row in rows),
+        return RemovalCurve(fractions, tuple(mean), tuple(tuple(row) for row in rows),
                             tuple(stderr))
 
     ranked = np.argsort(-psi if order == "highest-first" else psi, kind="stable")
     scores = tuple(curve_for(ranked, 0))
-    return RemovalCurve(fractions, scores, order, (scores,))
+    return RemovalCurve(fractions, scores, (scores,))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -40,31 +40,35 @@ MU_GUARD = 1e-15  # |mu| below which the mean-adjusted variance is NaN
 
 @dataclass(frozen=True)
 class SemivalueSpec:
+    """Coalition-size weights w(r), evaluated for n parties by ``semivalue_weights``."""
+
     kind: str  # shapley | banzhaf | beta | loo
-    n: int
     alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("shapley", "banzhaf", "beta", "loo"):
             raise ValueError(f"unknown semivalue kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("party count must be >= 1")
-        if self.n > MAX_PARTIES_WEIGHTS:
-            raise ValueError(f"party count {self.n} exceeds {MAX_PARTIES_WEIGHTS}")
         if self.kind == "beta" and (self.alpha <= 0 or self.beta <= 0):
             raise ValueError("beta semivalue needs alpha, beta > 0")
 
 
-def semivalue_weights(spec: SemivalueSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Return (w, p) indexed by coalition size r = 1..n.
+def weighable_parties(n: int) -> int:
+    """Party counts whose semivalue weights are computed."""
+    if not 1 <= n <= MAX_PARTIES_WEIGHTS:
+        raise ValueError(f"semivalue weights need 1 <= n <= {MAX_PARTIES_WEIGHTS}, got {n}")
+    return n
+
+
+def semivalue_weights(spec: SemivalueSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Return (w, p) for n parties, indexed by coalition size r = 1..n.
 
     The binomials are exact Python integers, so the Shapley and Banzhaf
     weights are correctly rounded ratios of integers. The beta family is
     evaluated in log space and normalized so the constraint
     sum_r binom(n-1,r-1) w(r) = n holds exactly.
     """
-    n = spec.n
+    weighable_parties(n)
     if spec.kind == "loo":
         w = np.zeros(n)
         w[n - 1] = float(n)
@@ -130,8 +134,6 @@ class RunConfig:
         check_test_split(self.dataset.test_features, self.dataset.test_labels)
         check_labels(self.model, self.dataset.labels)
         check_labels(self.model, self.dataset.test_labels)
-        if self.semivalue.n != self.dataset.n_parties:
-            raise ValueError("semivalue party count must match the dataset partition")
 
 
 @dataclass
@@ -219,6 +221,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     from psi and from the summary statistics.
     """
     estimable(cfg.noise)
+    _, p = semivalue_weights(cfg.semivalue, cfg.dataset.n_parties)
     task = prepare(cfg)
     n, d = cfg.dataset.n_parties, task.x.shape[1]
     ss = np.random.SeedSequence(cfg.master_seed)
@@ -238,7 +241,6 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
                              diag_schedule(cfg.noise), cfg.noise.correlated,
                              cfg.record_gradients, cfg.record_states)
 
-    _, p = semivalue_weights(cfg.semivalue)
     pcoefs = p[np.argsort(perms, axis=1)]  # pcoefs[t, perms[t, pos]] = p[pos]
     marginals = out["marginals"]
     kq = cfg.noise.burn_in
@@ -255,15 +257,14 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     )
 
 
-def exact_semivalue(v_oracle, spec: SemivalueSpec) -> np.ndarray:
-    """Brute-force semivalue of a deterministic set function by subset sums.
+def exact_semivalue(v_oracle, spec: SemivalueSpec, n: int) -> np.ndarray:
+    """Brute-force semivalue of a deterministic n-party set function by subset sums.
 
     ``v_oracle`` maps a tuple of sorted party indices to a real utility.
     """
-    n = spec.n
     if n > 12:
         raise ValueError("exact enumeration capped at n <= 12")
-    w, _ = semivalue_weights(spec)
+    w, _ = semivalue_weights(spec, n)
     table = {}
     members = list(range(n))
     for mask in range(1 << n):
@@ -279,14 +280,13 @@ def exact_semivalue(v_oracle, spec: SemivalueSpec) -> np.ndarray:
     return phi
 
 
-def permutation_expectation(v_oracle, spec: SemivalueSpec) -> np.ndarray:
-    """All-permutation expectation of the position-weighted estimator.
+def permutation_expectation(v_oracle, spec: SemivalueSpec, n: int) -> np.ndarray:
+    """All-permutation expectation of the position-weighted estimator, n parties.
 
     Independent cross-check of ``exact_semivalue``: averages p(r) * marginal
     over every permutation instead of summing over subsets.
     """
-    n = enumerable_parties(spec.n)
-    _, p = semivalue_weights(spec)
+    _, p = semivalue_weights(spec, enumerable_parties(n))
     cache = {}
 
     def v(subset) -> float:
@@ -314,6 +314,12 @@ def federated_utility(kind: str) -> str:
     return kind
 
 
+def federated_semivalue(kind: str) -> str:
+    if kind != "shapley":
+        raise ValueError("federated attribution estimates the Shapley value only")
+    return kind
+
+
 def federated_permutations(count: int) -> int:
     if count < 1:
         raise ValueError("need at least one permutation per round")
@@ -335,6 +341,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
     if cfg.noise.mode not in ("fl_schedule", "corr_x"):
         raise ValueError("federated attribution needs fl_schedule or corr_x noise")
     federated_utility(cfg.utility)
+    federated_semivalue(cfg.semivalue.kind)
     federated_permutations(per_round_permutations)
     rounds = cfg.noise.budget
     burn = burn_in_count(rounds, q)

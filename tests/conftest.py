@@ -61,4 +61,4 @@ def batch_task(loss, utility, lam, x, y):
 def dataset_task(ds, mspec, uspec):
     """The prepared Task of a noiseless run on ``ds``."""
     return prepare(RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 0.0, budget=2),
-                             SemivalueSpec("shapley", ds.n_parties), master_seed=0))
+                             SemivalueSpec("shapley"), master_seed=0))

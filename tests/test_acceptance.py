@@ -38,12 +38,13 @@ def test_criterion_01_oracle_unbiasedness():
             table[key] = float(rng.standard_normal())
         v = lambda s: table[tuple(sorted(s))]
         for spec in (
-            SemivalueSpec("shapley", n),
-            SemivalueSpec("banzhaf", n),
-            SemivalueSpec("beta", n, 4.0, 1.0),
-            SemivalueSpec("beta", n, 16.0, 1.0),
+            SemivalueSpec("shapley"),
+            SemivalueSpec("banzhaf"),
+            SemivalueSpec("beta", 4.0, 1.0),
+            SemivalueSpec("beta", 16.0, 1.0),
         ):
-            diff = np.max(np.abs(exact_semivalue(v, spec) - permutation_expectation(v, spec)))
+            diff = np.max(np.abs(exact_semivalue(v, spec, n)
+                                 - permutation_expectation(v, spec, n)))
             worst = max(worst, float(diff))
     elapsed = time.time() - start
     assert worst < 1e-10
@@ -66,7 +67,7 @@ def probe_results():
     base = RunConfig(
         ds, mspec, uspec,
         dp.NoiseConfig(1.0, sigma, budget=PROBE_KS[0], mode="iid"),
-        SemivalueSpec("shapley", 6), master_seed=9,
+        SemivalueSpec("shapley"), master_seed=9,
     )
     start = time.time()
     out = metrics.variance_scaling_probe(("iid", "corr_x", "corr_y"), PROBE_KS, base, trials=500,
@@ -164,7 +165,7 @@ def test_criterion_06_mean_adjusted_variance_ordering():
                 uspec = "neg_test_loss"
                 cfg = RunConfig(
                     ds, mspec, uspec, dp.NoiseConfig(1.0, sigma, budget=k, mode=mode),
-                    SemivalueSpec("shapley", 20), master_seed=seed,
+                    SemivalueSpec("shapley"), master_seed=seed,
                 )
                 res = run_valuation(cfg)
                 ok = ~np.isnan(res.mean_adjusted_var)
@@ -207,7 +208,7 @@ def test_criterion_07_noisy_label_auc_ordering():
         ):
             cfg = RunConfig(
                 ds, mspec, uspec, dp.NoiseConfig(1.0, s, budget=k, mode=mode, q=q),
-                SemivalueSpec("banzhaf", 400), master_seed=seed,
+                SemivalueSpec("banzhaf"), master_seed=seed,
             )
             res = run_valuation(cfg)
             aucs[label].append(metrics.auc_roc(-res.psi, ds.corruption_mask))
@@ -239,7 +240,7 @@ def test_criterion_08_similarity_signs():
             uspec = "neg_test_loss"
             cfg = RunConfig(
                 ds, mspec, uspec, dp.NoiseConfig(1.0, sigma, budget=k, mode="corr_x"),
-                SemivalueSpec("shapley", 40), master_seed=seed,
+                SemivalueSpec("shapley"), master_seed=seed,
                 record_gradients=True,
             )
             res = run_valuation(cfg)
@@ -271,7 +272,7 @@ def test_criterion_09_bookkeeping_and_weights():
     uspec = "neg_test_loss"
     cfg = RunConfig(
         ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=10, mode="corr_y", q=0.5),
-        SemivalueSpec("shapley", 12), master_seed=2,
+        SemivalueSpec("shapley"), master_seed=2,
     )
     res = run_valuation(cfg)
     retained = res.marginals[cfg.noise.burn_in :]
@@ -283,17 +284,17 @@ def test_criterion_09_bookkeeping_and_weights():
     worst = 0.0
     for n in (2, 3, 5, 10, 25, 60):
         for spec in (
-            SemivalueSpec("shapley", n),
-            SemivalueSpec("banzhaf", n),
-            SemivalueSpec("beta", n, 4.0, 1.0),
-            SemivalueSpec("beta", n, 16.0, 1.0),
-            SemivalueSpec("loo", n),
+            SemivalueSpec("shapley"),
+            SemivalueSpec("banzhaf"),
+            SemivalueSpec("beta", 4.0, 1.0),
+            SemivalueSpec("beta", 16.0, 1.0),
+            SemivalueSpec("loo"),
         ):
-            w, _ = semivalue_weights(spec)
+            w, _ = semivalue_weights(spec, n)
             total = sum(math.comb(n - 1, r - 1) * w[r - 1] for r in range(1, n + 1))
             worst = max(worst, abs(total - n) / n)
-        w_beta, _ = semivalue_weights(SemivalueSpec("beta", n, 1.0, 1.0))
-        w_shap, _ = semivalue_weights(SemivalueSpec("shapley", n))
+        w_beta, _ = semivalue_weights(SemivalueSpec("beta", 1.0, 1.0), n)
+        w_shap, _ = semivalue_weights(SemivalueSpec("shapley"), n)
         worst = max(worst, float(np.max(np.abs(w_beta - w_shap))))
     assert worst < 1e-9
     elapsed = time.time() - start

@@ -579,6 +579,8 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      "federated.permutations"),
     ("federated-no-rounds", "federated", {"federated.rounds": 0}, "federated.rounds"),
     ("federated-loss-utility", "federated", {"utility": "neg_test_loss"}, "utility"),
+    ("federated-banzhaf", "federated", {"semivalue.kind": "banzhaf"}, "semivalue.kind"),
+    ("too-many-parties", "valuation", {"dataset.n_samples": 10001}, "semivalue.kind"),
     ("noisy-label-unknown-mode", "noisy-label", {"noisy_label.modes": ["bogus"]},
      "noisy_label.modes"),
     ("noisy-label-q-grid-fractional-burn-in", "noisy-label", {"noisy_label.q_grid": [0.33]},
@@ -590,6 +592,10 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      "noisy_label.q_grid"),
     ("noisy-label-q-grid-repeats-corr-x", "noisy-label",
      {"noisy_label.modes": ["iid", "corr_x"], "noisy_label.q_grid": [0.0]}, "noisy_label.q_grid"),
+    ("noisy-label-q-grid-repeats-corr-y", "noisy-label",
+     {"noisy_label.modes": ["iid", "corr_y"], "noisy_label.q_grid": [0.5]}, "noisy_label.q_grid"),
+    ("noisy-label-iid-without-noise", "noisy-label",  # iid at sigma 0 is no_dp
+     {"noise.sigma": 0.0, "noisy_label.modes": ["no_dp", "iid"]}, "noisy_label.modes"),
     ("noisy-label-no-corruption", "noisy-label", {"dataset.corrupt_ratio": 0},
      "dataset.corrupt_ratio"),
     ("oracle-unknown-kind", "oracle-check", {"oracle.kinds": ["bogus"]}, "oracle.kinds"),
@@ -684,6 +690,30 @@ def test_scalar_list_field_is_a_config_error(tmp_path, capsys, kind, field, valu
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["field"] == field
     assert record["message"] == f"{field}: must be a list, got {value!r}"
+
+
+REPEATED_FIELDS = [  # (kind, field, a list whose last entry repeats an earlier one)
+    ("variance-probe", "probe.ks", [10, 20, 40, 20.0]),  # 20.0 is the integer 20
+    ("variance-probe", "probe.modes", ["iid", "corr_x", "iid"]),
+    ("removal", "removal.fractions", [0.0, 0.2, 0.2]),
+    ("removal", "removal.orders", ["random", "highest-first", "random"]),
+    ("similarity", "similarity.ks", [10, 10]),
+    ("noisy-label", "noisy_label.modes", ["iid", "corr_y", "iid"]),
+    ("noisy-label", "noisy_label.q_grid", [0.5, 0.5]),
+    ("oracle-check", "oracle.kinds", ["shapley", "banzhaf", "shapley"]),
+]
+
+
+@pytest.mark.parametrize("kind,field,value", REPEATED_FIELDS,
+                         ids=[case[1] for case in REPEATED_FIELDS])
+def test_repeated_list_entry_is_a_config_error(tmp_path, capsys, kind, field, value):
+    # a repeat would run again and write its rows twice under one result key
+    doc = kind_doc(tmp_path / "out", kind)
+    set_path(doc, field, value)
+    assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+    assert record["message"] == f"{field}: repeats the entry {value[-1]!r}"
 
 
 def test_csv_source_is_read_once_per_run(tmp_path, monkeypatch):

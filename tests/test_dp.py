@@ -50,7 +50,7 @@ def engine_noise(sigma, k, clip=1.0):
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
     uspec = "neg_test_loss"
     ncfg = dp.NoiseConfig(clip, sigma, budget=k)
-    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties),
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"),
                     master_seed=4, record_gradients=True)
     res = run_valuation(cfg)
     return res.g_tilde - res.g_hat

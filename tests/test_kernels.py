@@ -26,7 +26,7 @@ def make_cfg():
     mspec = models.ModelSpec("logistic_l2", 0.08, models.InitSpec("gaussian", 0.1), l2=0.02)
     uspec = "neg_test_loss"
     ncfg = dp.NoiseConfig(1.0, 2.0, budget=14, mode="corr_x")
-    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf", 18), master_seed=6)
+    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("banzhaf"), master_seed=6)
 
 
 def test_same_seed_bit_identical():

@@ -67,7 +67,7 @@ def make_removal_setup():
     mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
     uspec = "test_accuracy"
     ncfg = dp.NoiseConfig(1.0, 0.0, budget=150)
-    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 30), master_seed=7)
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=7)
     res = run_valuation(cfg)
     task = res.task
 
@@ -79,9 +79,9 @@ def make_removal_setup():
 
 def test_removal_fraction_zero_mode_independent():
     _, psi, trainer = make_removal_setup()
-    hi = metrics.removal_curve(psi, 30, trainer, "highest-first", [0.0, 0.2])
-    lo = metrics.removal_curve(psi, 30, trainer, "lowest-first", [0.0, 0.2])
-    rnd = metrics.removal_curve(psi, 30, trainer, "random", [0.0, 0.2])
+    hi = metrics.removal_curve(psi, trainer, "highest-first", [0.0, 0.2])
+    lo = metrics.removal_curve(psi, trainer, "lowest-first", [0.0, 0.2])
+    rnd = metrics.removal_curve(psi, trainer, "random", [0.0, 0.2])
     assert hi.scores[0] == lo.scores[0] == rnd.scores[0]
     assert rnd.stderr is not None and rnd.stderr[0] == 0.0
     # a ranked order is one seed-0 row, a random one a row per removal seed
@@ -91,17 +91,17 @@ def test_removal_fraction_zero_mode_independent():
 
 def test_removal_highest_first_hurts_most():
     _, psi, trainer = make_removal_setup()
-    hi = metrics.removal_curve(psi, 30, trainer, "highest-first", [0.0, 0.3])
-    rnd = metrics.removal_curve(psi, 30, trainer, "random", [0.0, 0.3])
+    hi = metrics.removal_curve(psi, trainer, "highest-first", [0.0, 0.3])
+    rnd = metrics.removal_curve(psi, trainer, "random", [0.0, 0.3])
     assert hi.scores[1] < rnd.scores[1]
 
 
 def test_removal_validation():
     _, psi, trainer = make_removal_setup()
     with pytest.raises(ValueError):
-        metrics.removal_curve(psi, 30, trainer, "highest-first", [0.3, 0.1])
+        metrics.removal_curve(psi, trainer, "highest-first", [0.3, 0.1])
     with pytest.raises(ValueError):
-        metrics.removal_curve(psi, 30, trainer, "sideways", [0.0])
+        metrics.removal_curve(psi, trainer, "sideways", [0.0])
 
 
 # -- gradient similarity -------------------------------------------------------
@@ -304,8 +304,7 @@ def probe_base(n_parties=6, sigma=1.0, features=6):
     mspec = models.ModelSpec("mse_linear", 0.05, models.InitSpec("zeros"))
     uspec = "neg_test_loss"
     ncfg = dp.NoiseConfig(1.0, sigma, budget=20, mode="iid")
-    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", n_parties),
-                     master_seed=9)
+    return RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=9)
 
 
 @pytest.mark.parametrize("loss,util", [("mse_linear", "neg_test_loss"),

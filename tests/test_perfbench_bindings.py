@@ -52,7 +52,7 @@ def test_traced_chain_records_spans_and_restores_bindings(spans):
     mspec = models.ModelSpec("logistic_l2", 0.1, models.InitSpec("zeros"), l2=0.01)
     uspec = "neg_test_loss"
     cfg = RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=4, mode="corr_x"),
-                    SemivalueSpec("shapley", 6), master_seed=0)
+                    SemivalueSpec("shapley"), master_seed=0)
     before = _kernels.run_chain
     tracer = spans.Tracer()
     with tracer.installed(dpvalue):

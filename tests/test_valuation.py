@@ -27,18 +27,17 @@ from dpvalue.valuation import (
 )
 
 KINDS = [
-    SemivalueSpec("shapley", 5),
-    SemivalueSpec("banzhaf", 5),
-    SemivalueSpec("beta", 5, 4.0, 1.0),
-    SemivalueSpec("beta", 5, 16.0, 1.0),
-    SemivalueSpec("loo", 5),
+    SemivalueSpec("shapley"),
+    SemivalueSpec("banzhaf"),
+    SemivalueSpec("beta", 4.0, 1.0),
+    SemivalueSpec("beta", 16.0, 1.0),
+    SemivalueSpec("loo"),
 ]
 
 
 def run_cfg(ds, mspec, uspec, k, seed, mode="iid", sigma=0.0, q=None, semi=None, **kw):
-    n = ds.n_parties
     ncfg = dp.NoiseConfig(1.0, sigma, budget=k, mode=mode, q=q)
-    semi = semi or SemivalueSpec("shapley", n)
+    semi = semi or SemivalueSpec("shapley")
     return RunConfig(ds, mspec, uspec, ncfg, semi, master_seed=seed, **kw)
 
 
@@ -47,36 +46,35 @@ def run_cfg(ds, mspec, uspec, k, seed, mode="iid", sigma=0.0, q=None, semi=None,
 
 def test_shapley_p_is_one():
     for n in (1, 2, 5, 30):
-        _, p = semivalue_weights(SemivalueSpec("shapley", n))
+        _, p = semivalue_weights(SemivalueSpec("shapley"), n)
         assert np.allclose(p, 1.0, atol=1e-12)
 
 
 def test_banzhaf_n3_hand_values():
-    w, p = semivalue_weights(SemivalueSpec("banzhaf", 3))
+    w, p = semivalue_weights(SemivalueSpec("banzhaf"), 3)
     assert np.allclose(w, [0.75, 0.75, 0.75], atol=1e-12)
     assert np.allclose(p, [0.75, 1.5, 0.75], atol=1e-12)
 
 
 def test_beta11_equals_shapley():
     for n in (2, 6, 13):
-        w1, p1 = semivalue_weights(SemivalueSpec("beta", n, 1.0, 1.0))
-        w2, p2 = semivalue_weights(SemivalueSpec("shapley", n))
+        w1, p1 = semivalue_weights(SemivalueSpec("beta", 1.0, 1.0), n)
+        w2, p2 = semivalue_weights(SemivalueSpec("shapley"), n)
         assert np.max(np.abs(w1 - w2)) < 1e-12
         assert np.max(np.abs(p1 - p2)) < 1e-12
 
 
-@pytest.mark.parametrize("spec", KINDS + [SemivalueSpec("beta", 5, 2.5, 3.5)])
+@pytest.mark.parametrize("spec", KINDS + [SemivalueSpec("beta", 2.5, 3.5)])
 def test_weight_constraint(spec):
     for n in (2, 5, 17, 60):
-        s = SemivalueSpec(spec.kind, n, spec.alpha, spec.beta)
-        w, _ = semivalue_weights(s)
+        w, _ = semivalue_weights(spec, n)
         total = sum(math.comb(n - 1, r - 1) * w[r - 1] for r in range(1, n + 1))
         assert abs(total - n) < 1e-9 * n
 
 
 @pytest.mark.parametrize("n", [2, 60, 400])
 def test_shapley_weights_are_exact_reciprocal_binomials(n):
-    w, _ = semivalue_weights(SemivalueSpec("shapley", n))
+    w, _ = semivalue_weights(SemivalueSpec("shapley"), n)
     binom = [math.comb(n - 1, r - 1) for r in range(1, n + 1)]
     assert w.tolist() == [float(Fraction(1, c)) for c in binom]
     log_binom = np.array([math.log(c) for c in binom])
@@ -85,7 +83,7 @@ def test_shapley_weights_are_exact_reciprocal_binomials(n):
 
 def test_banzhaf_p_matches_exact_rationals():
     n = 400
-    _, p = semivalue_weights(SemivalueSpec("banzhaf", n))
+    _, p = semivalue_weights(SemivalueSpec("banzhaf"), n)
     want = np.array([float(Fraction(n * math.comb(n - 1, r - 1), 2 ** (n - 1)))
                      for r in range(1, n + 1)])
     assert np.max(np.abs(p - want) / want) <= 1e-14
@@ -98,7 +96,7 @@ def test_beta_weights_match_log_gamma_reference(alpha, beta):
         log_binom = gammaln(n) - gammaln(r) - gammaln(n - r + 1)
         log_b = betaln(r + beta - 1.0, n - r + alpha)
         log_w = math.log(n) + log_b - logsumexp(log_binom + log_b)
-        w, p = semivalue_weights(SemivalueSpec("beta", n, alpha, beta))
+        w, p = semivalue_weights(SemivalueSpec("beta", alpha, beta), n)
         assert np.max(np.abs(w / np.exp(log_w) - 1.0)) <= 1e-12
         assert np.max(np.abs(p / np.exp(log_w + log_binom) - 1.0)) <= 1e-12
 
@@ -106,31 +104,43 @@ def test_beta_weights_match_log_gamma_reference(alpha, beta):
 @pytest.mark.parametrize("kind", ["shapley", "banzhaf", "beta"])
 def test_weights_at_party_cap(kind):
     n = MAX_PARTIES_WEIGHTS
-    w, p = semivalue_weights(SemivalueSpec(kind, n, 4.0, 1.0))
+    w, p = semivalue_weights(SemivalueSpec(kind, 4.0, 1.0), n)
     assert np.all(np.isfinite(w)) and np.all(np.isfinite(p))
     assert np.sum(p) == pytest.approx(n, rel=1e-12)  # sum_r C(n-1, r-1) w(r) = n
 
 
 def test_weight_validation():
     with pytest.raises(ValueError):
-        SemivalueSpec("beta", 5, 0.0, 1.0)
+        SemivalueSpec("beta", 0.0, 1.0)
     with pytest.raises(ValueError):
-        SemivalueSpec("shapley", 20_000)
+        semivalue_weights(SemivalueSpec("shapley"), 20_000)
     with pytest.raises(ValueError):
-        SemivalueSpec("nucleolus", 5)
+        SemivalueSpec("nucleolus")
+
+
+def test_party_cap_fails_before_the_chain(monkeypatch):
+    # the weights are computed before the chain, so a run over the cap runs none
+    ds = data.synth_classification(MAX_PARTIES_WEIGHTS + 1, 2, 2, seed=0, separation=3.0,
+                                    n_test=10)
+    mspec = models.ModelSpec("logistic_l2", 0.05, models.InitSpec("zeros"), l2=0.01)
+    calls = []
+    monkeypatch.setattr(_kernels, "run_chain", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"got {MAX_PARTIES_WEIGHTS + 1}"):
+        run_valuation(run_cfg(ds, mspec, "neg_test_loss", 2, seed=0))
+    assert calls == []
 
 
 # -- exact oracle ----------------------------------------------------------
 
 
 def test_exact_symmetric_game():
-    phi = exact_semivalue(lambda s: float(len(s)), SemivalueSpec("shapley", 4))
+    phi = exact_semivalue(lambda s: float(len(s)), SemivalueSpec("shapley"), 4)
     assert np.allclose(phi, 1.0, atol=1e-12)
 
 
 def test_exact_unanimity_game():
     phi = exact_semivalue(
-        lambda s: 1.0 if len(s) == 3 else 0.0, SemivalueSpec("shapley", 3)
+        lambda s: 1.0 if len(s) == 3 else 0.0, SemivalueSpec("shapley"), 3
     )
     assert np.allclose(phi, 1.0 / 3.0, atol=1e-12)
 
@@ -146,9 +156,9 @@ def test_exact_matches_permutation_expectation_random_game():
         return table[key]
 
     for kind in ("shapley", "banzhaf", "beta", "loo"):
-        spec = SemivalueSpec(kind, 3, 4.0, 1.0)
-        phi = exact_semivalue(v, spec)
-        psi = permutation_expectation(v, spec)
+        spec = SemivalueSpec(kind, 4.0, 1.0)
+        phi = exact_semivalue(v, spec, 3)
+        psi = permutation_expectation(v, spec, 3)
         assert np.max(np.abs(phi - psi)) < 1e-12
 
 
@@ -159,7 +169,7 @@ def test_loo_exact_value():
     def v(subset):
         return table[tuple(sorted(subset))]
 
-    phi = exact_semivalue(v, SemivalueSpec("loo", 4))
+    phi = exact_semivalue(v, SemivalueSpec("loo"), 4)
     full = tuple(range(4))
     expected = [v(full) - v(tuple(j for j in full if j != i)) for i in range(4)]
     assert np.allclose(phi, expected, atol=1e-12)
@@ -177,7 +187,7 @@ def _subsets(n):
 def test_engine_exact_mode_matches_oracle(kind, monkeypatch):
     n = 5
     ds, mspec, uspec, set_value = orthogonal_chain_task(n, lr=0.07, seed=0)
-    spec = SemivalueSpec(kind, n, 4.0, 1.0)
+    spec = SemivalueSpec(kind, 4.0, 1.0)
     k = math.factorial(n)
     every = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
 
@@ -188,7 +198,7 @@ def test_engine_exact_mode_matches_oracle(kind, monkeypatch):
     monkeypatch.setattr(valuation, "sample_permutations", all_permutations)
     cfg = run_cfg(ds, mspec, uspec, k, seed=1, semi=spec)
     res = run_valuation(cfg)
-    phi = exact_semivalue(set_value, spec)
+    phi = exact_semivalue(set_value, spec, n)
     assert np.max(np.abs(res.psi - phi)) < 1e-10
 
 
@@ -241,11 +251,11 @@ def test_psi_matches_streaming_recurrence(mode, loss, utility):
     mspec = models.ModelSpec(loss, 0.1, models.InitSpec("gaussian", 0.1),
                              l2=0.02 if loss == "logistic_l2" else 0.0)
     noise = dp.NoiseConfig(0.8, 1.5, budget=16, **MECHANISMS[mode])
-    spec = SemivalueSpec("beta", 9, 4.0, 1.0)
+    spec = SemivalueSpec("beta", 4.0, 1.0)
     res = run_valuation(RunConfig(ds, mspec, utility, noise, spec, master_seed=7))
     # the run's own permutations: the first of its master seed's three streams
     perms = sample_permutations(9, 16, np.random.SeedSequence(7).spawn(3)[0])
-    _, p = semivalue_weights(spec)
+    _, p = semivalue_weights(spec, 9)
     for t in range(16):
         assert res.pcoefs[t, perms[t]].tobytes() == p.tobytes(), t
     want = streaming_psi(res.marginals, perms, p, noise.burn_in)
@@ -438,24 +448,22 @@ def test_run_config_validation(small_task):
     ds, mspec, uspec = small_task
     ncfg = dp.NoiseConfig(1.0, 1.0, budget=10)
     with pytest.raises(ValueError, match="non-negative"):
-        RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", ds.n_parties), master_seed=-1)
-    with pytest.raises(ValueError, match="party count"):
-        RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 3), master_seed=0)
+        RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=-1)
     # a logistic model trains and is scored on 0/1 labels only; MSE takes any
     multi = data.synth_classification(40, 6, 3, seed=11, separation=4.0, n_test=60)
     multi_test = replace(ds, test_labels=multi.test_labels)
     with pytest.raises(ValueError, match=r"labels in \{0, 1\}, got \[2.0\]"):
-        RunConfig(multi, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+        RunConfig(multi, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=0)
     with pytest.raises(ValueError, match=r"labels in \{0, 1\}, got \[2.0\]"):
-        RunConfig(multi_test, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+        RunConfig(multi_test, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=0)
     mse = models.ModelSpec("mse_linear", 0.05)
-    RunConfig(multi, mse, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+    RunConfig(multi, mse, uspec, ncfg, SemivalueSpec("shapley"), master_seed=0)
     # the utility is a kind, scored on the dataset's own non-empty test split
     with pytest.raises(ValueError, match="unknown utility kind"):
-        RunConfig(ds, mspec, "test_loss", ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+        RunConfig(ds, mspec, "test_loss", ncfg, SemivalueSpec("shapley"), master_seed=0)
     no_test = replace(ds, test_features=ds.test_features[:0], test_labels=ds.test_labels[:0])
     with pytest.raises(ValueError, match="non-empty test set"):
-        RunConfig(no_test, mspec, uspec, ncfg, SemivalueSpec("shapley", 40), master_seed=0)
+        RunConfig(no_test, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=0)
 
 
 # -- federated --------------------------------------------------------------
@@ -509,6 +517,9 @@ def test_federated_validation():
     iid_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="iid", sigma=1.0)
     with pytest.raises(ValueError, match="fl_schedule"):
         run_federated(iid_cfg, per_round_permutations=10, q=0.2)
+    banzhaf_cfg = replace(acc_cfg, semivalue=SemivalueSpec("banzhaf"))
+    with pytest.raises(ValueError, match="Shapley value only"):
+        run_federated(banzhaf_cfg, per_round_permutations=10, q=0.2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -597,7 +608,7 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
     mspec = models.ModelSpec("logistic_l2", 0.3, models.InitSpec("gaussian", 0.2), l2=0.01)
     uspec = "test_accuracy"
     ncfg = dp.NoiseConfig(clip, sigma, budget=5, mode=mode)
-    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley", 6), master_seed=8)
+    cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=8)
     want = reference_federated(cfg, 5, 12, q=0.2)
     got = run_federated(cfg, 12, q=0.2)
     assert np.array_equal(got, want)
@@ -613,7 +624,7 @@ def test_mse_stats_gradient_in_every_caller(mode):
                         6, "equal-chunks")
     mspec = models.ModelSpec("mse_linear", 0.05, models.InitSpec("gaussian", 0.2))
     ncfg = dp.NoiseConfig(1.0, 0.8, budget=5, mode=mode)
-    cfg = RunConfig(ds, mspec, "test_accuracy", ncfg, SemivalueSpec("shapley", 6), master_seed=8)
+    cfg = RunConfig(ds, mspec, "test_accuracy", ncfg, SemivalueSpec("shapley"), master_seed=8)
     task = valuation.prepare(cfg)
     assert all(stats is not None for stats in task.grad_stats)
     want = reference_federated(cfg, 5, 12, q=0.2)
