@@ -3,7 +3,8 @@
 Field names and defaults are documented in the README. Parsing is the one
 validation boundary: each value is cast and checked by the engine's own rule
 for it, for every run the experiment will make, and a failure is a
-``ConfigError`` carrying the dotted path of the field (e.g. ``noise.q``).
+``ConfigError`` carrying the dotted path of the field (e.g. ``noise.q``). A
+field that no step of the experiment's parse reads is an error too.
 """
 
 from __future__ import annotations
@@ -35,14 +36,40 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+class _Fields(dict):
+    """A copy of the config mapping at the dotted ``path`` that records the
+    keys the parse reads. ``parse_config`` makes the root one and ``_section``
+    one per section taken from it; all join the ``sections`` list that
+    ``parse_config`` checks for keys no step read."""
+
+    def __init__(self, mapping: dict, path: str, sections: list):
+        super().__init__(mapping)
+        self.path, self.read, self.sections = path, set(), sections
+        sections.append(self)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def _section(doc: dict, key: str, path: str = "") -> dict:
-    """The mapping under ``key`` ({} when absent or null)."""
+    """The mapping under ``key`` ({} when absent or null), recording its reads
+    when ``doc`` records its own."""
     value = doc.get(key)
+    dotted = f"{path}.{key}" if path else key
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key}" if path else key, "must be a mapping")
-    return value
+        raise ConfigError(dotted, "must be a mapping")
+    return _Fields(value, dotted, doc.sections) if isinstance(doc, _Fields) else value
 
 
 @contextmanager
@@ -160,8 +187,8 @@ class ExperimentConfig:
     model: models.ModelSpec
     noise: NoiseConfig  # at budget k
     utility: str
-    semivalue: SemivalueSpec  # over the dataset's parties
-    trials: int
+    semivalue: SemivalueSpec | None  # over the dataset's parties; None for oracle-check
+    trials: int | None  # seeds of noisy-label and similarity; None for the other kinds
     # the kind's parsed block (None for valuation); similarity's is the corr_x
     # mechanism at each of its ``ks``, noisy-label's the (label, mechanism) runs
     plan: (ProbeSection | RemovalSection | FederatedSection | OracleSection
@@ -359,7 +386,9 @@ def _parse_oracle(section: dict) -> OracleSection:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    doc = _root(doc)
+    raw = _root(doc)
+    sections: list[_Fields] = []
+    doc = _Fields(raw, "", sections)
     kind = _require(doc, "experiment", "")
     if not isinstance(kind, str) or kind not in RUNNERS:
         raise ConfigError("experiment", f"unknown kind {kind!r}")
@@ -377,7 +406,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     with _field("model.loss"):
         models.check_labels(model, dataset.labels)
     noise = _parse_noise(doc)
-    if kind in ("valuation", "removal", "variance-probe"):  # one chain at budget k
+    if kind in ("valuation", "removal"):  # the one chain each runs, at budget k
         with _field("k"):
             valuation.estimable(noise)
 
@@ -385,17 +414,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
     with _field("utility"):
         models.utility_kind(utility)
 
-    semi = _section(doc, "semivalue")
-    with _field("semivalue.kind"):
-        semivalue = SemivalueSpec(semi.get("kind", "shapley"))
-        valuation.weighable_parties(dataset.n_parties)
-    for key in ("alpha", "beta"):
-        semivalue = _set(semivalue, "semivalue", semi, key, _number)
+    semivalue = None  # the oracle check takes its kinds from its own block
+    if kind != "oracle-check":
+        semi = _section(doc, "semivalue")
+        with _field("semivalue.kind"):
+            semivalue = SemivalueSpec(semi.get("kind", "shapley"))
+            valuation.weighable_parties(dataset.n_parties)
+        if semivalue.kind == "beta":
+            for key in ("alpha", "beta"):
+                semivalue = _set(semivalue, "semivalue", semi, key, _number)
 
-    with _field("trials"):
-        trials = _integer(doc.get("trials", 5))
-    if trials < 1:
-        raise ConfigError("trials", "must be >= 1")
+    trials = None
+    if kind in ("noisy-label", "similarity"):
+        with _field("trials"):
+            trials = _integer(doc.get("trials", 5))
+        if trials < 1:
+            raise ConfigError("trials", "must be >= 1")
 
     plan = None
     if kind == "variance-probe":
@@ -410,6 +444,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":
         plan = _parse_oracle(_section(doc, "oracle"))
+    for fields in sections:
+        for key in fields:
+            if key not in fields.read:
+                path = f"{fields.path}.{key}" if fields.path else str(key)
+                raise ConfigError(path, f"not read by the {kind} experiment this config defines")
     return ExperimentConfig(
         kind=kind,
         seed=seed,
@@ -421,7 +460,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         semivalue=semivalue,
         trials=trials,
         plan=plan,
-        raw=doc,
+        raw=raw,
     )
 
 
@@ -435,5 +474,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 def echo_config(cfg: ExperimentConfig) -> str:
-    """Re-serialize the parsed config; round-trips losslessly through YAML."""
+    """The config as given, re-serialized with sorted keys; round-trips
+    losslessly through YAML."""
     return yaml.safe_dump(cfg.raw, sort_keys=True)

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import data as data_mod
-from . import _kernels, metrics, models
+from . import metrics
 from .dp import NoiseConfig
 from .valuation import (
     RunConfig,
@@ -132,16 +132,11 @@ def run_removal_experiment(cfg: ExperimentConfig):
     ds = build_dataset(cfg, cfg.seed)
     run = build_run(cfg, ds, cfg.seed)
     res = run_valuation(run)
-    task = res.task
-
-    def trainer(keep: np.ndarray, seed: int) -> float:
-        return _kernels.utility_np(models.train_one_pass(run.model, task, keep, seed), task)
-
     rows = [["order", "fraction", "score", "stderr"]]
     tidy = [["order", "fraction", "seed", "score"]]
     curves = {}
     for order in cfg.plan.orders:
-        curve = metrics.removal_curve(res.psi, trainer, order, cfg.plan.fractions)
+        curve = metrics.removal_curve(res.psi, run.model, res.task, order, cfg.plan.fractions)
         curves[order] = curve
         for i, f in enumerate(curve.fractions):
             se = _fmt(curve.stderr[i]) if curve.stderr else ""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, models
 from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism, prefix_weights
 from .valuation import RunConfig, ValuationResult, run_valuation
 
@@ -79,16 +79,18 @@ def removal_order(order: str) -> str:
 
 def removal_curve(
     psi: np.ndarray,
-    trainer,
+    model: models.ModelSpec,
+    task: _kernels.Task,
     order: str,
     fractions,
 ) -> RemovalCurve:
     """Score the model after dropping a growing share of the ``len(psi)`` parties.
 
-    ``trainer(included_party_ids, seed) -> score`` retrains from scratch and
-    evaluates; it must be deterministic per seed. ``highest-first`` removes
-    the largest psi first; ``random`` averages over ``REMOVAL_RANDOM_SEEDS``
-    removal orders and reports the standard error.
+    Each kept set is retrained from scratch on the prepared ``task`` by
+    ``models.train_one_pass`` from ``model``'s init and scored by
+    ``_kernels.utility_np``. ``highest-first`` removes the largest psi first;
+    ``random`` averages over ``REMOVAL_RANDOM_SEEDS`` removal orders and
+    reports the standard error.
     """
     fractions = removal_fractions(fractions)
     removal_order(order)
@@ -103,7 +105,8 @@ def removal_curve(
             keep = np.setdiff1d(all_parties, removal_order[:drop], assume_unique=True)
             # fraction 0 is the full-data baseline and must not depend on the
             # removal order or its seed
-            scores.append(float(trainer(keep, 0 if drop == 0 else seed)))
+            theta = models.train_one_pass(model, task, keep, 0 if drop == 0 else seed)
+            scores.append(float(_kernels.utility_np(theta, task)))
         return scores
 
     if order == "random":

@@ -105,8 +105,8 @@ def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.nda
     """One pass of party-wise gradient descent, no clipping, no noise.
 
     Parties of the prepared ``task`` are visited once each in a seeded random
-    order, each taking one step on its own rows; used for the removal/addition
-    retraining protocol and the synthetic-data sanity checks.
+    order from ``spec``'s init, each taking one step of size ``task.lr`` on its
+    own rows; used for removal retraining and the synthetic-data sanity checks.
     """
     rng = np.random.default_rng(seed)
     order = np.asarray(include_parties)[rng.permutation(len(include_parties))]
@@ -116,8 +116,8 @@ def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.nda
         for party in order:
             g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
                                        task.loss, task.lam, task.grad_stats[party])
-            theta = theta - spec.learning_rate * g
+            theta = theta - task.lr * g
     if not np.isfinite(theta).all():  # NaN is absorbing: one check per retraining
         raise RuntimeError(f"retraining on {len(order)} parties (seed {seed}) diverged: its "
-                           f"unclipped steps at learning rate {spec.learning_rate} overflowed")
+                           f"unclipped steps at learning rate {task.lr} overflowed")
     return theta

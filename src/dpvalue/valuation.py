@@ -232,10 +232,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     inits = init_params(cfg.model, (k, d), init_ss)
 
     std = cfg.noise.per_release_std
-    if std == 0.0:
-        noise = np.zeros((k, n, d))
-    else:
-        noise = std * np.random.default_rng(noise_ss).standard_normal((k, n, d))
+    noise = std * np.random.default_rng(noise_ss).standard_normal((k, n, d))
 
     out = _kernels.run_chain(task, cfg.noise.clip_norm, perms, inits, noise,
                              diag_schedule(cfg.noise), cfg.noise.correlated,
@@ -367,8 +364,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
             g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], task.loss, lam,
                                        task.grad_stats[j])
             perturbed[j] = clip_in_place(g, cfg.noise.clip_norm)
-        if std > 0.0:
-            perturbed += std * noise_rng.standard_normal((n, d))
+        perturbed += std * noise_rng.standard_normal((n, d))
         released = release(perturbed, history(roll, diag[t], t + 1), diag[t])
         fold(roll, perturbed, t + 1)
         for _ in range(per_round_permutations):

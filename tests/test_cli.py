@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import importlib.util
@@ -656,7 +657,56 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("removal-fractions-empty", "removal", {"removal.fractions": []}, "removal.fractions"),
     ("noisy-label-modes-empty", "noisy-label", {"noisy_label.modes": []}, "noisy_label.modes"),
     ("oracle-kinds-empty", "oracle-check", {"oracle.kinds": []}, "oracle.kinds"),
+    ("unread-dataset-key", "valuation", {"dataset.separaton": 9.0}, "dataset.separaton"),
+    ("unread-model-key", "valuation", {"model.learning_rat": 5.0}, "model.learning_rat"),
+    ("unread-root-key", "valuation", {"trails": 3}, "trails"),
+    ("valuation-probe-block", "valuation", {"probe": {"ks": [10, 20, 40]}}, "probe"),
+    ("delta-beside-sigma", "valuation",
+     {"noise": {"clip_norm": 1.0, "sigma": 1.0, "delta": 1e-5, "mode": "corr_x"}}, "noise.delta"),
+    ("unread-init-key", "valuation", {"model.init": {"kind": "zeros", "scal": 1.0}},
+     "model.init.scal"),
+    ("per-sample-n-parties", "valuation",
+     {"dataset.partition": {"mode": "per-sample", "n_parties": 4}}, "dataset.partition.n_parties"),
+    ("oracle-semivalue", "oracle-check", {"semivalue": {"kind": "beta", "alpha": 16.0}},
+     "semivalue"),
+    ("banzhaf-alpha", "removal", {"semivalue": {"kind": "banzhaf", "alpha": 16.0}},
+     "semivalue.alpha"),
+    ("removal-trials", "removal", {"trials": 9}, "trials"),
 ]
+
+
+def _mapping_paths(doc, path=""):
+    """The dotted path of ``doc`` and of every mapping nested in it."""
+    yield path
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _mapping_paths(value, f"{path}.{key}" if path else key)
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.yaml")), ids=lambda path: path.stem)
+def test_unread_key_in_any_section_is_a_config_error(tmp_path, capsys, path):
+    shipped = yaml.safe_load(path.read_text(encoding="utf-8"))
+    for section in _mapping_paths(shipped):
+        doc = copy.deepcopy(shipped)
+        target = doc
+        for name in section.split(".") if section else ():
+            target = target[name]
+        target["unread_field"] = 1
+        assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 2, section
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        field = f"{section}.unread_field" if section else "unread_field"
+        assert record["field"] == field
+        assert record["message"] == (f"{field}: not read by the {shipped['experiment']} "
+                                     "experiment this config defines")
+
+
+def test_probe_k_is_not_a_chain_budget(tmp_path):
+    # the probe runs its chains at probe.ks only, so a k of 1 is no error
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(probe_doc(out), k=1))
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg)]) == 0
+    assert json.loads((out / "result.json").read_text())["probes"]["iid"]["ks"] == [10, 20, 40]
 
 
 def test_noisy_label_q_grid_alone_runs(tmp_path):

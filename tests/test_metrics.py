@@ -69,19 +69,14 @@ def make_removal_setup():
     ncfg = dp.NoiseConfig(1.0, 0.0, budget=150)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=7)
     res = run_valuation(cfg)
-    task = res.task
-
-    def trainer(keep, seed):
-        return _kernels.utility_np(models.train_one_pass(mspec, task, keep, seed), task)
-
-    return ds, res.psi, trainer
+    return res.psi, mspec, res.task
 
 
 def test_removal_fraction_zero_mode_independent():
-    _, psi, trainer = make_removal_setup()
-    hi = metrics.removal_curve(psi, trainer, "highest-first", [0.0, 0.2])
-    lo = metrics.removal_curve(psi, trainer, "lowest-first", [0.0, 0.2])
-    rnd = metrics.removal_curve(psi, trainer, "random", [0.0, 0.2])
+    psi, mspec, task = make_removal_setup()
+    hi = metrics.removal_curve(psi, mspec, task, "highest-first", [0.0, 0.2])
+    lo = metrics.removal_curve(psi, mspec, task, "lowest-first", [0.0, 0.2])
+    rnd = metrics.removal_curve(psi, mspec, task, "random", [0.0, 0.2])
     assert hi.scores[0] == lo.scores[0] == rnd.scores[0]
     assert rnd.stderr is not None and rnd.stderr[0] == 0.0
     # a ranked order is one seed-0 row, a random one a row per removal seed
@@ -90,18 +85,18 @@ def test_removal_fraction_zero_mode_independent():
 
 
 def test_removal_highest_first_hurts_most():
-    _, psi, trainer = make_removal_setup()
-    hi = metrics.removal_curve(psi, trainer, "highest-first", [0.0, 0.3])
-    rnd = metrics.removal_curve(psi, trainer, "random", [0.0, 0.3])
+    psi, mspec, task = make_removal_setup()
+    hi = metrics.removal_curve(psi, mspec, task, "highest-first", [0.0, 0.3])
+    rnd = metrics.removal_curve(psi, mspec, task, "random", [0.0, 0.3])
     assert hi.scores[1] < rnd.scores[1]
 
 
 def test_removal_validation():
-    _, psi, trainer = make_removal_setup()
+    psi, mspec, task = make_removal_setup()
     with pytest.raises(ValueError):
-        metrics.removal_curve(psi, trainer, "highest-first", [0.3, 0.1])
+        metrics.removal_curve(psi, mspec, task, "highest-first", [0.3, 0.1])
     with pytest.raises(ValueError):
-        metrics.removal_curve(psi, trainer, "sideways", [0.0])
+        metrics.removal_curve(psi, mspec, task, "sideways", [0.0])
 
 
 # -- gradient similarity -------------------------------------------------------

@@ -336,6 +336,26 @@ def test_no_noise_determinism_and_mode_equivalence():
     assert not np.allclose(a.marginals, b.marginals)
 
 
+@pytest.mark.parametrize("mode", ["iid", "corr_x"])
+def test_zero_noise_run_is_the_chain_on_zero_noise(small_task, mode):
+    # at sigma = 0 the run draws its noise like any run and scales it by 0:
+    # every output is bitwise that of the kernel fed a block of zeros
+    ds, mspec, uspec = small_task
+    cfg = run_cfg(ds, mspec, uspec, 8, seed=4, mode=mode, record_gradients=True,
+                  record_states=True)
+    res = run_valuation(cfg)
+    k, n = 8, ds.n_parties
+    perm_ss, init_ss, _ = np.random.SeedSequence(4).spawn(3)
+    perms = sample_permutations(n, k, perm_ss)
+    d = res.task.x.shape[1]
+    out = _kernels.run_chain(valuation.prepare(cfg), 1.0, perms,
+                             models.init_params(mspec, (k, d), init_ss), np.zeros((k, n, d)),
+                             dp.diag_schedule(cfg.noise), cfg.noise.correlated, True, True)
+    for name, want in out.items():
+        assert getattr(res, name).tobytes() == want.tobytes(), name
+    assert res.psi.tobytes() == np.mean(res.pcoefs * out["marginals"], axis=0).tobytes()
+
+
 def test_permutation_sampling_uniform():
     # chi-square over all 24 permutations of n=4 at significance 1e-3,
     # drawn through the engine's own sampler
