@@ -4,6 +4,7 @@ from .data import CsvSchema, PartitionedDataset, corrupt_labels, load_csv, parti
 from .dp import NoiseConfig, calibrate_sigma
 from .models import InitSpec, ModelSpec, init_params
 from .valuation import (
+    Federated,
     RunConfig,
     SemivalueSpec,
     ValuationResult,
@@ -27,6 +28,7 @@ __all__ = [
     "InitSpec",
     "ModelSpec",
     "init_params",
+    "Federated",
     "RunConfig",
     "SemivalueSpec",
     "ValuationResult",

@@ -122,6 +122,11 @@ def _list(value, empty: bool = False) -> list | tuple:
     return value
 
 
+def _entries(cast=lambda entry: entry):
+    """The cast of a list field: ``_list``'s rules, then ``cast`` on each entry."""
+    return lambda value: tuple(cast(entry) for entry in _list(value))
+
+
 def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None):
     """``obj`` with ``attr`` (``key`` by default) set from ``section[key]`` if
     given; ``replace`` re-runs the dataclass's checks, reported at ``path.key``."""
@@ -150,27 +155,6 @@ class DatasetSection:
         return np.concatenate([self.loaded.labels, self.loaded.test_labels])
 
 
-@dataclass
-class ProbeSection:
-    ks: tuple[int, ...] = (50, 100, 200, 400, 800)
-    noise_trials: int = 500
-    modes: tuple[str, ...] = ("iid", "corr_x")
-    q: float = 0.5
-
-
-@dataclass(frozen=True)
-class RemovalSection:
-    fractions: tuple[float, ...]
-    orders: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class FederatedSection:
-    noise: NoiseConfig  # fl_schedule, one release per round
-    permutations: int
-    q: float
-
-
 @dataclass(frozen=True)
 class OracleSection:
     n: int
@@ -183,15 +167,17 @@ class ExperimentConfig:
     kind: str
     seed: int
     output_dir: str
-    dataset: DatasetSection
-    model: models.ModelSpec
-    noise: NoiseConfig  # at budget k
-    utility: str
-    semivalue: SemivalueSpec | None  # over the dataset's parties; None for oracle-check
+    # dataset, model, utility and semivalue are None for oracle-check, which
+    # scores a random game of its own
+    dataset: DatasetSection | None
+    model: models.ModelSpec | None
+    noise: NoiseConfig  # at budget k; federated's fl_schedule at its rounds
+    utility: str | None
+    semivalue: SemivalueSpec | None  # over the dataset's parties
     trials: int | None  # seeds of noisy-label and similarity; None for the other kinds
     # the kind's parsed block (None for valuation); similarity's is the corr_x
     # mechanism at each of its ``ks``, noisy-label's the (label, mechanism) runs
-    plan: (ProbeSection | RemovalSection | FederatedSection | OracleSection
+    plan: (metrics.Probe | metrics.Removal | valuation.Federated | OracleSection
            | tuple[NoiseConfig, ...] | tuple[tuple[str, NoiseConfig], ...] | None)
     raw: dict
 
@@ -251,15 +237,22 @@ def _parse_model(section: dict) -> models.ModelSpec:
     return spec
 
 
-def _parse_noise(doc: dict) -> NoiseConfig:
+_KIND_MODES = {"similarity": "corr_x", "federated": "fl_schedule"}  # kinds that run one mode
+
+
+def _parse_noise(doc: dict, kind: str = "") -> NoiseConfig:
     """The mechanism at budget ``k``: sigma given directly or calibrated from
-    epsilon/delta, then the mode and its burn-in share."""
+    epsilon/delta, then the mode (the one ``kind`` runs, if it runs one) and
+    its burn-in share."""
     with _field("k"):
         noise = NoiseConfig(1.0, 0.0, _integer(doc.get("k", 100)))
     section = _section(doc, "noise")
     for key, attr in (("clip_norm", None), ("sigma_g_sq", None), ("sigma", "noise_multiplier")):
         noise = _set(noise, "noise", section, key, _number, attr)
-    mode = section.get("mode", "iid")
+    runs = _KIND_MODES.get(kind)
+    mode = section.get("mode", runs or "iid")
+    if runs and mode != runs:
+        raise ConfigError("noise.mode", f"the {kind} experiment runs {runs}, got {mode!r}")
     if section.get("sigma") is None:
         if section.get("epsilon") is not None:
             with _field("noise.delta"):
@@ -276,59 +269,44 @@ def _parse_noise(doc: dict) -> NoiseConfig:
         return replace(mechanism(noise, mode, noise.budget, q), q=q)
 
 
-def _parse_probe(section: dict, noise: NoiseConfig) -> ProbeSection:
-    """The probe block, checked by the probe's own rules for every budget
-    and mode it will run."""
-    p = ProbeSection()
-    with _field("probe.ks"):
-        p.ks = metrics.probe_budgets(_integer(k) for k in _list(section.get("ks", p.ks)))
-    with _field("probe.noise_trials"):
-        p.noise_trials = metrics.probe_trials(_integer(section.get("noise_trials", p.noise_trials)))
-    with _field("probe.modes"):
-        p.modes = tuple(metrics.probe_mode(m) for m in _list(section.get("modes", p.modes)))
-    with _field("probe.q"):
-        p.q = _number(section.get("q", p.q))
+def _parse_probe(section: dict, noise: NoiseConfig) -> metrics.Probe:
+    """The probe block, then its noise and every budget and mode it will run."""
+    probe = metrics.Probe()
+    for key, cast, attr in (("ks", _entries(_integer), None), ("noise_trials", _integer, "trials"),
+                            ("modes", _entries(), None), ("q", _number, None)):
+        probe = _set(probe, "probe", section, key, cast, attr)
     with _field("noise.sigma"):
         metrics.probe_sigma(noise.noise_multiplier)
-    for k in p.ks:
+    for k in probe.ks:
         with _field("probe.ks"):  # the noiseless chain frozen at k
             valuation.estimable(replace(noise, budget=k))
-        for mode in p.modes:
+        for mode in probe.modes:
             with _field("probe.q"):
-                mechanism(noise, mode, k, p.q)
-    return p
-
-
-def _parse_removal(section: dict) -> RemovalSection:
-    with _field("removal.fractions"):
-        fractions = metrics.removal_fractions(
-            _number(f) for f in _list(section.get("fractions", (0.0, 0.1, 0.2, 0.3, 0.4))))
-    with _field("removal.orders"):
-        orders = tuple(metrics.removal_order(o)
-                       for o in _list(section.get("orders", ("highest-first", "random"))))
-    return RemovalSection(fractions, orders)
+                mechanism(noise, mode, k, probe.q)
+    return probe
 
 
 def _parse_similarity(section: dict, noise: NoiseConfig) -> tuple[NoiseConfig, ...]:
     with _field("similarity.ks"):
-        return tuple(valuation.estimable(mechanism(noise, "corr_x", _integer(k)))
+        return tuple(valuation.estimable(mechanism(noise, noise.mode, _integer(k)))
                      for k in _list(section.get("ks", (100, 200))))
 
 
-def _parse_federated(section: dict, noise: NoiseConfig, utility: str,
-                     semivalue: SemivalueSpec) -> FederatedSection:
+def _parse_federated(section: dict, noise: NoiseConfig, utility: str, semivalue: SemivalueSpec
+                     ) -> tuple[NoiseConfig, valuation.Federated]:
+    """The mechanism at ``federated.rounds`` and the federated block."""
     with _field("utility"):
         valuation.federated_utility(utility)
     with _field("semivalue.kind"):
         valuation.federated_semivalue(semivalue.kind)
     with _field("federated.rounds"):
-        noise = mechanism(noise, "fl_schedule", _integer(section.get("rounds", 10)))
-    with _field("federated.permutations"):
-        perms = valuation.federated_permutations(_integer(section.get("permutations", 100)))
+        noise = mechanism(noise, noise.mode, _integer(section.get("rounds", 10)))
+    plan = valuation.Federated()
+    for key, cast in (("permutations", _integer), ("q", _number)):
+        plan = _set(plan, "federated", section, key, cast)
     with _field("federated.q"):
-        q = _number(section.get("q", 0.2))
-        burn_in_count(noise.budget, q)
-    return FederatedSection(noise, perms, q)
+        burn_in_count(noise.budget, plan.q)
+    return noise, plan
 
 
 def _root(doc) -> dict:
@@ -398,24 +376,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir", f"must be a non-empty string, got {output_dir!r}")
 
-    dataset = _parse_dataset(_section(doc, "dataset"))
-    if kind == "noisy-label" and dataset.corrupted == 0:
-        raise ConfigError("dataset.corrupt_ratio",
-                          "noisy-label detection needs at least one corrupted label")
-    model = _parse_model(_section(doc, "model"))
-    with _field("model.loss"):
-        models.check_labels(model, dataset.labels)
-    noise = _parse_noise(doc)
+    dataset = model = utility = semivalue = None  # the oracle check reads none of them
+    if kind != "oracle-check":
+        dataset = _parse_dataset(_section(doc, "dataset"))
+        if kind == "noisy-label" and dataset.corrupted == 0:
+            raise ConfigError("dataset.corrupt_ratio",
+                              "noisy-label detection needs at least one corrupted label")
+        model = _parse_model(_section(doc, "model"))
+        with _field("model.loss"):
+            models.check_labels(model, dataset.labels)
+    noise = _parse_noise(doc, kind)
     if kind in ("valuation", "removal"):  # the one chain each runs, at budget k
         with _field("k"):
             valuation.estimable(noise)
 
-    utility = doc.get("utility", "neg_test_loss")
-    with _field("utility"):
-        models.utility_kind(utility)
-
-    semivalue = None  # the oracle check takes its kinds from its own block
     if kind != "oracle-check":
+        utility = doc.get("utility", "neg_test_loss")
+        with _field("utility"):
+            models.utility_kind(utility)
         semi = _section(doc, "semivalue")
         with _field("semivalue.kind"):
             semivalue = SemivalueSpec(semi.get("kind", "shapley"))
@@ -435,11 +413,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind == "variance-probe":
         plan = _parse_probe(_section(doc, "probe"), noise)
     elif kind == "removal":
-        plan = _parse_removal(_section(doc, "removal"))
+        plan, section = metrics.Removal(), _section(doc, "removal")
+        for key, cast in (("fractions", _entries(_number)), ("orders", _entries())):
+            plan = _set(plan, "removal", section, key, cast)
     elif kind == "similarity":
         plan = _parse_similarity(_section(doc, "similarity"), noise)
     elif kind == "federated":
-        plan = _parse_federated(_section(doc, "federated"), noise, utility, semivalue)
+        noise, plan = _parse_federated(_section(doc, "federated"), noise, utility, semivalue)
     elif kind == "noisy-label":
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":

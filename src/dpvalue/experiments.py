@@ -134,10 +134,8 @@ def run_removal_experiment(cfg: ExperimentConfig):
     res = run_valuation(run)
     rows = [["order", "fraction", "score", "stderr"]]
     tidy = [["order", "fraction", "seed", "score"]]
-    curves = {}
-    for order in cfg.plan.orders:
-        curve = metrics.removal_curve(res.psi, run.model, res.task, order, cfg.plan.fractions)
-        curves[order] = curve
+    curves = metrics.removal_curve(res.psi, run.model, res.task, cfg.plan)
+    for order, curve in curves.items():
         for i, f in enumerate(curve.fractions):
             se = _fmt(curve.stderr[i]) if curve.stderr else ""
             rows.append([order, _fmt(f), _fmt(curve.scores[i]), se])
@@ -159,15 +157,12 @@ def run_removal_experiment(cfg: ExperimentConfig):
 
 
 def run_variance_probe_experiment(cfg: ExperimentConfig):
-    ks, trials, modes, q = cfg.plan.ks, cfg.plan.noise_trials, cfg.plan.modes, cfg.plan.q
     ds = build_dataset(cfg, cfg.seed)
     base = build_run(cfg, ds, cfg.seed)
     rows = [["mode", "k", "variance", "slope"]]
     samples = ["mode,k,trial,party,psi\n"]
     out = {}
-    probes = metrics.variance_scaling_probe(modes, ks, base, trials, seed=cfg.seed, q=q)
-    for mode in modes:
-        probe = probes[mode]
+    for mode, probe in metrics.variance_scaling_probe(cfg.plan, base, cfg.seed).items():
         out[mode] = {"ks": list(probe.ks), "variances": list(probe.variances), "slope": probe.slope}
         for k, v in zip(probe.ks, probe.variances):
             rows.append([mode, str(k), _fmt(v), ""])
@@ -197,10 +192,8 @@ def run_similarity_experiment(cfg: ExperimentConfig):
 
 
 def run_federated_experiment(cfg: ExperimentConfig):
-    fed = cfg.plan
     ds = build_dataset(cfg, cfg.seed)
-    run = build_run(cfg, ds, cfg.seed, fed.noise)
-    psi = run_federated(run, fed.permutations, q=fed.q)
+    psi = run_federated(build_run(cfg, ds, cfg.seed), cfg.plan)
     rows = [["party", "psi"]] + [[str(j), _fmt(v)] for j, v in enumerate(psi)]
     return ({"kind": "federated", "psi": [format(v, ".17g") for v in psi]},
             {"summary.csv": _csv(rows)})

@@ -64,27 +64,34 @@ def auc_roc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def removal_fractions(fractions) -> tuple[float, ...]:
-    fractions = tuple(float(f) for f in fractions)
-    if any(f < 0 or f >= 1 for f in fractions) or list(fractions) != sorted(set(fractions)):
-        raise ValueError("fractions must be strictly increasing within [0, 1)")
-    return fractions
+REMOVAL_ORDERS = ("highest-first", "lowest-first", "random")
 
 
-def removal_order(order: str) -> str:
-    if order not in ("highest-first", "lowest-first", "random"):
-        raise ValueError(f"unknown removal order {order!r}")
-    return order
+@dataclass(frozen=True)
+class Removal:
+    """The removal block: the shares of the parties dropped, and the orders
+    they are dropped in (``REMOVAL_ORDERS``)."""
+
+    fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4)
+    orders: tuple[str, ...] = ("highest-first", "random")
+
+    def __post_init__(self):
+        fractions = list(self.fractions)
+        if any(f < 0 or f >= 1 for f in fractions) or fractions != sorted(set(fractions)):
+            raise ValueError("fractions must be strictly increasing within [0, 1)")
+        for order in self.orders:
+            if order not in REMOVAL_ORDERS:
+                raise ValueError(f"unknown removal order {order!r}")
 
 
 def removal_curve(
     psi: np.ndarray,
     model: models.ModelSpec,
     task: _kernels.Task,
-    order: str,
-    fractions,
-) -> RemovalCurve:
-    """Score the model after dropping a growing share of the ``len(psi)`` parties.
+    removal: Removal,
+) -> dict[str, RemovalCurve]:
+    """Score the model after dropping a growing share of the ``len(psi)``
+    parties: one curve per order of ``removal``, in its order.
 
     Each kept set is retrained from scratch on the prepared ``task`` by
     ``models.train_one_pass`` from ``model``'s init and scored by
@@ -92,40 +99,36 @@ def removal_curve(
     ``random`` averages over ``REMOVAL_RANDOM_SEEDS`` removal orders and
     reports the standard error.
     """
-    fractions = removal_fractions(fractions)
-    removal_order(order)
-
     n_parties = len(psi)
     all_parties = np.arange(n_parties)
 
-    def curve_for(removal_order: np.ndarray, seed: int) -> list[float]:
-        scores = []
-        for f in fractions:
+    def scores(ranked: np.ndarray, seed: int) -> tuple[float, ...]:
+        row = []
+        for f in removal.fractions:
             drop = int(f * n_parties)
-            keep = np.setdiff1d(all_parties, removal_order[:drop], assume_unique=True)
+            keep = np.setdiff1d(all_parties, ranked[:drop], assume_unique=True)
             # fraction 0 is the full-data baseline and must not depend on the
             # removal order or its seed
             theta = models.train_one_pass(model, task, keep, 0 if drop == 0 else seed)
-            scores.append(float(_kernels.utility_np(theta, task)))
-        return scores
+            row.append(float(_kernels.utility_np(theta, task)))
+        return tuple(row)
 
-    if order == "random":
-        rows = []
-        for seed in range(REMOVAL_RANDOM_SEEDS):
-            rng = np.random.default_rng(seed)
-            rows.append(curve_for(rng.permutation(n_parties), seed))
-        arr = np.array(rows)
-        # anchored mean keeps shared values (the fraction-0 baseline) exact
-        mean = arr[0] + (arr - arr[0]).mean(axis=0)
-        dev = arr - mean
-        seeds = REMOVAL_RANDOM_SEEDS
-        stderr = np.sqrt((dev * dev).sum(axis=0) / (seeds - 1)) / np.sqrt(seeds)
-        return RemovalCurve(fractions, tuple(mean), tuple(tuple(row) for row in rows),
-                            tuple(stderr))
-
-    ranked = np.argsort(-psi if order == "highest-first" else psi, kind="stable")
-    scores = tuple(curve_for(ranked, 0))
-    return RemovalCurve(fractions, scores, (scores,))
+    curves = {}
+    for order in removal.orders:
+        if order == "random":
+            rows = tuple(scores(np.random.default_rng(seed).permutation(n_parties), seed)
+                         for seed in range(REMOVAL_RANDOM_SEEDS))
+            arr = np.array(rows)
+            # anchored mean keeps shared values (the fraction-0 baseline) exact
+            mean = arr[0] + (arr - arr[0]).mean(axis=0)
+            dev = arr - mean
+            seeds = REMOVAL_RANDOM_SEEDS
+            stderr = np.sqrt((dev * dev).sum(axis=0) / (seeds - 1)) / np.sqrt(seeds)
+            curves[order] = RemovalCurve(removal.fractions, tuple(mean), rows, tuple(stderr))
+        else:
+            row = scores(np.argsort(-psi if order == "highest-first" else psi, kind="stable"), 0)
+            curves[order] = RemovalCurve(removal.fractions, row, (row,))
+    return curves
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,24 +238,31 @@ _utility_rows = _kernels.utility_np  # the probe's (trials, d) blocks, traced as
 PROBE_MODES = ("iid", "corr_x", "corr_y")
 
 
-def probe_budgets(ks) -> tuple[int, ...]:
-    """The budgets of a slope fit: at least three, all positive."""
-    ks = tuple(int(k) for k in ks)
-    if len(ks) < 3 or min(ks) < 1:
-        raise ValueError(f"need at least three positive budgets for a slope fit, got {list(ks)}")
-    return ks
-
-
-def probe_trials(trials: int) -> int:
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials per budget, got {trials}")
-    return trials
-
-
 def probe_mode(mode: str) -> str:
     if mode not in PROBE_MODES:
         raise ValueError(f"probe mode must be one of {', '.join(PROBE_MODES)}, got {mode!r}")
     return mode
+
+
+@dataclass(frozen=True)
+class Probe:
+    """The probe block: the budgets of the slope fit, the noise redraws per
+    budget, the modes replayed from each draw, and corr_y's burn-in share."""
+
+    ks: tuple[int, ...] = (50, 100, 200, 400, 800)
+    trials: int = 500
+    modes: tuple[str, ...] = ("iid", "corr_x")
+    q: float = 0.5
+
+    def __post_init__(self):
+        if len(self.ks) < 3 or min(self.ks) < 1:
+            raise ValueError(
+                f"need at least three positive budgets for a slope fit, got {list(self.ks)}")
+        if self.trials < 100:
+            raise ValueError(f"need at least 100 trials per budget, got {self.trials}")
+        for i, mode in enumerate(self.modes):
+            if probe_mode(mode) in self.modes[:i]:
+                raise ValueError(f"repeats the mode {mode!r}")
 
 
 def probe_sigma(sigma: float) -> float:
@@ -383,41 +393,32 @@ def conditional_variance(
     return [(float(out.var(axis=1, ddof=1).mean()), out) for out in draws]
 
 
-def variance_scaling_probe(
-    modes,
-    ks,
-    base_cfg: RunConfig,
-    trials: int,
-    seed: int = 0,
-    q: float = 0.0,
-) -> dict[str, ProbeResult]:
+def variance_scaling_probe(probe: Probe, base_cfg: RunConfig, seed: int) -> dict[str, ProbeResult]:
     """Conditional estimator variance versus budget, with a log-log slope fit
-    per mode.
+    per mode of ``probe``, in its order.
 
     For each budget the scenario is re-frozen at that length (the noiseless
-    chain does not depend on the noise scale), then ``trials`` fresh noise
-    draws, shared by every mode (corr_y with burn-in share ``q``), estimate
-    Var[psi | theta^p sequence]. Every budget's mechanisms are checked before
-    the first chain runs.
+    chain does not depend on the noise scale), then ``probe.trials`` fresh
+    noise draws, shared by every mode (corr_y with burn-in share ``probe.q``),
+    estimate Var[psi | theta^p sequence]. The noise and every budget's
+    mechanisms are checked before the first chain runs.
     """
-    ks = probe_budgets(ks)
-    probe_trials(trials)
     probe_sigma(base_cfg.noise.noise_multiplier)
-    modes = tuple(dict.fromkeys(probe_mode(mode) for mode in modes))
-    for k in ks:
-        for mode in modes:
-            mechanism(base_cfg.noise, mode, k, q)
-    variances: dict[str, list[float]] = {mode: [] for mode in modes}
-    samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in modes}
-    for i, k in enumerate(ks):
+    for k in probe.ks:
+        for mode in probe.modes:
+            mechanism(base_cfg.noise, mode, k, probe.q)
+    variances: dict[str, list[float]] = {mode: [] for mode in probe.modes}
+    samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in probe.modes}
+    for i, k in enumerate(probe.ks):
         cfg = replace(base_cfg, noise=replace(base_cfg.noise, budget=k))
-        replays = conditional_variance(cfg, modes, trials, seed=seed * 7919 + i, q=q)
-        for mode, (var, draws) in zip(modes, replays):
+        replays = conditional_variance(cfg, probe.modes, probe.trials, seed=seed * 7919 + i,
+                                       q=probe.q)
+        for mode, (var, draws) in zip(probe.modes, replays):
             variances[mode].append(var)
             samples[mode][k] = draws
     return {
-        mode: ProbeResult(ks, tuple(variances[mode]),
-                          float(np.polyfit(np.log(ks), np.log(variances[mode]), 1)[0]),
+        mode: ProbeResult(probe.ks, tuple(variances[mode]),
+                          float(np.polyfit(np.log(probe.ks), np.log(variances[mode]), 1)[0]),
                           samples[mode])
-        for mode in modes
+        for mode in probe.modes
     }

@@ -317,31 +317,37 @@ def federated_semivalue(kind: str) -> str:
     return kind
 
 
-def federated_permutations(count: int) -> int:
-    if count < 1:
-        raise ValueError("need at least one permutation per round")
-    return count
+@dataclass(frozen=True)
+class Federated:
+    """The federated block: the permutations of each round's Shapley estimate,
+    and the burn-in share q of the rounds dropped from the average."""
+
+    permutations: int = 100
+    q: float = 0.2
+
+    def __post_init__(self):
+        if self.permutations < 1:
+            raise ValueError("need at least one permutation per round")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the logistic gradient's exp overflows harmlessly
-def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -> np.ndarray:
+def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
     """Round-averaged Shapley attribution with a persistent global model.
 
     Each of the ``cfg.noise.budget`` rounds every party releases one privatized
     (and combiner-smoothed) gradient at the current global model; a per-round
-    Shapley nu_j is estimated over ``per_round_permutations`` permutations of
+    Shapley nu_j is estimated over ``plan.permutations`` permutations of
     those released gradients, the global model takes the average released
     step, and the final value averages nu_j over the rounds after the burn-in
-    share q. A non-finite utility raises ``ChainDiverged`` naming the round and
-    the party, or party -1 for a permutation's starting model.
+    share ``plan.q``. A non-finite utility raises ``ChainDiverged`` naming the
+    round and the party, or party -1 for a permutation's starting model.
     """
     if cfg.noise.mode not in ("fl_schedule", "corr_x"):
         raise ValueError("federated attribution needs fl_schedule or corr_x noise")
     federated_utility(cfg.utility)
     federated_semivalue(cfg.semivalue.kind)
-    federated_permutations(per_round_permutations)
     rounds = cfg.noise.budget
-    burn = burn_in_count(rounds, q)
+    burn = burn_in_count(rounds, plan.q)
 
     task = prepare(cfg)
     x, y, ptr, lr, lam = task.x, task.y, task.ptr, task.lr, task.lam
@@ -367,7 +373,7 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
         perturbed += std * noise_rng.standard_normal((n, d))
         released = release(perturbed, history(roll, diag[t], t + 1), diag[t])
         fold(roll, perturbed, t + 1)
-        for _ in range(per_round_permutations):
+        for _ in range(plan.permutations):
             perm = perm_rng.permutation(n)
             th = theta.copy()
             v_prev = _kernels.utility_np(th, task)
@@ -380,6 +386,6 @@ def run_federated(cfg: RunConfig, per_round_permutations: int, q: float = 0.2) -
                     raise _kernels.ChainDiverged(t + 1, int(j))
                 nu[t, j] += v_after - v_prev
                 v_prev = v_after
-        nu[t] /= per_round_permutations
+        nu[t] /= plan.permutations
         theta = theta - lr * released.mean(axis=0)
     return nu[burn:].mean(axis=0)

@@ -70,8 +70,8 @@ def probe_results():
         SemivalueSpec("shapley"), master_seed=9,
     )
     start = time.time()
-    out = metrics.variance_scaling_probe(("iid", "corr_x", "corr_y"), PROBE_KS, base, trials=500,
-                                         seed=3, q=0.5)
+    out = metrics.variance_scaling_probe(
+        metrics.Probe(PROBE_KS, 500, ("iid", "corr_x", "corr_y"), 0.5), base, 3)
     out["elapsed"] = time.time() - start
     return out
 

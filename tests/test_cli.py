@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from dpvalue import _kernels, cli, config, data, experiments
+from dpvalue import _kernels, cli, config, data, experiments, metrics, valuation
 from dpvalue.config import ConfigError, load_config
 from dpvalue.dp import NoiseConfig
 
@@ -467,8 +467,8 @@ def test_validate_shipped_configs():
         assert cli.main(["validate", str(path)]) == 0, path.name
 
 
-PLAN_TYPES = {"valuation": type(None), "variance-probe": config.ProbeSection,
-              "removal": config.RemovalSection, "federated": config.FederatedSection,
+PLAN_TYPES = {"valuation": type(None), "variance-probe": metrics.Probe,
+              "removal": metrics.Removal, "federated": valuation.Federated,
               "oracle-check": config.OracleSection, "similarity": tuple, "noisy-label": tuple}
 
 
@@ -536,6 +536,7 @@ def kind_doc(outdir, kind):
         doc["similarity"] = {"ks": [10]}
     elif kind == "federated":
         doc["utility"] = "test_accuracy"
+        doc["noise"]["mode"] = "fl_schedule"
         doc["dataset"]["partition"] = {"mode": "equal-chunks", "n_parties": 4}
         doc["federated"] = {"rounds": 10, "permutations": 5, "q": 0.2}
     elif kind == "oracle-check":
@@ -672,6 +673,10 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("banzhaf-alpha", "removal", {"semivalue": {"kind": "banzhaf", "alpha": 16.0}},
      "semivalue.alpha"),
     ("removal-trials", "removal", {"trials": 9}, "trials"),
+    ("similarity-mode-iid", "similarity", {"noise.mode": "iid"}, "noise.mode"),
+    ("federated-mode-corr-y", "federated",
+     {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "corr_y", "q": 0.5}}, "noise.mode"),
+    ("oracle-dataset", "oracle-check", {"dataset": {"separation": 9.0}}, "dataset"),
 ]
 
 

@@ -74,9 +74,9 @@ def make_removal_setup():
 
 def test_removal_fraction_zero_mode_independent():
     psi, mspec, task = make_removal_setup()
-    hi = metrics.removal_curve(psi, mspec, task, "highest-first", [0.0, 0.2])
-    lo = metrics.removal_curve(psi, mspec, task, "lowest-first", [0.0, 0.2])
-    rnd = metrics.removal_curve(psi, mspec, task, "random", [0.0, 0.2])
+    orders = ("highest-first", "lowest-first", "random")
+    hi, lo, rnd = metrics.removal_curve(psi, mspec, task,
+                                        metrics.Removal((0.0, 0.2), orders)).values()
     assert hi.scores[0] == lo.scores[0] == rnd.scores[0]
     assert rnd.stderr is not None and rnd.stderr[0] == 0.0
     # a ranked order is one seed-0 row, a random one a row per removal seed
@@ -86,17 +86,17 @@ def test_removal_fraction_zero_mode_independent():
 
 def test_removal_highest_first_hurts_most():
     psi, mspec, task = make_removal_setup()
-    hi = metrics.removal_curve(psi, mspec, task, "highest-first", [0.0, 0.3])
-    rnd = metrics.removal_curve(psi, mspec, task, "random", [0.0, 0.3])
+    hi, rnd = metrics.removal_curve(psi, mspec, task,
+                                    metrics.Removal((0.0, 0.3), ("highest-first", "random"))).values()
     assert hi.scores[1] < rnd.scores[1]
 
 
 def test_removal_validation():
     psi, mspec, task = make_removal_setup()
     with pytest.raises(ValueError):
-        metrics.removal_curve(psi, mspec, task, "highest-first", [0.3, 0.1])
+        metrics.removal_curve(psi, mspec, task, metrics.Removal((0.3, 0.1), ("highest-first",)))
     with pytest.raises(ValueError):
-        metrics.removal_curve(psi, mspec, task, "sideways", [0.0])
+        metrics.removal_curve(psi, mspec, task, metrics.Removal((0.0,), ("sideways",)))
 
 
 # -- gradient similarity -------------------------------------------------------
@@ -330,7 +330,7 @@ def test_probe_rejects_zero_sigma(monkeypatch):
 
     monkeypatch.setattr(metrics, "freeze_scenario", no_freeze)
     with pytest.raises(ValueError, match=r"needs sigma > 0, got 0\.0"):
-        metrics.variance_scaling_probe(["iid", "corr_x"], [10, 20, 40], cfg, trials=100)
+        metrics.variance_scaling_probe(metrics.Probe((10, 20, 40), 100, ("iid", "corr_x")), cfg, 0)
 
 
 def reference_replay(scenario, mode, noise_cfg, trials, seed, q=0.0):
@@ -595,7 +595,7 @@ def test_probe_freeze_error_joins_the_draw_thread(monkeypatch):
     monkeypatch.setattr(metrics, "freeze_scenario", failing_freeze)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="freeze failed"):
-        metrics.variance_scaling_probe(["iid", "corr_x"], [10, 20, 40], cfg, trials=100)
+        metrics.variance_scaling_probe(metrics.Probe((10, 20, 40), 100, ("iid", "corr_x")), cfg, 0)
     assert threads_seen == [before + 1]  # the draw thread was running
     assert threading.active_count() == before
 
@@ -603,13 +603,14 @@ def test_probe_freeze_error_joins_the_draw_thread(monkeypatch):
 def test_probe_validation():
     cfg = probe_base()
     with pytest.raises(ValueError, match="three"):
-        metrics.variance_scaling_probe(["iid"], [10, 20], cfg, trials=500)
+        metrics.variance_scaling_probe(metrics.Probe((10, 20), 500, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="three"):
-        metrics.variance_scaling_probe(["iid"], [0, 10, 20], cfg, trials=500)
+        metrics.variance_scaling_probe(metrics.Probe((0, 10, 20), 500, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="100 trials"):
-        metrics.variance_scaling_probe(["iid"], [10, 20, 40], cfg, trials=50)
+        metrics.variance_scaling_probe(metrics.Probe((10, 20, 40), 50, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="integer"):
-        metrics.variance_scaling_probe(["iid", "corr_y"], [10, 20, 25], cfg, trials=100, q=0.3)
+        metrics.variance_scaling_probe(metrics.Probe((10, 20, 25), 100, ("iid", "corr_y"), 0.3),
+                                       cfg, 0)
     for mode in ("warp", "fl_schedule"):
         with pytest.raises(ValueError, match="probe mode"):
             metrics.conditional_variance(cfg, ["iid", mode], trials=200, seed=0)

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dpvalue import _kernels, cli, data, dp, experiments, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
     MAX_PARTIES_WEIGHTS,
+    Federated,
     RunConfig,
     SemivalueSpec,
     estimation_stats,
@@ -507,7 +509,7 @@ def test_federated_orders_corrupted_party_last():
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
     uspec = "test_accuracy"
     cfg = run_cfg(ds, mspec, uspec, 10, seed=3, mode="fl_schedule")
-    psi = run_federated(cfg, per_round_permutations=50, q=0.2)
+    psi = run_federated(cfg, Federated(50, 0.2))
     assert psi[0] > psi[1]
 
 
@@ -516,7 +518,7 @@ def test_federated_single_round_no_burn_in():
     mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("zeros"), l2=0.01)
     uspec = "test_accuracy"
     cfg = run_cfg(ds, mspec, uspec, 1, seed=3, mode="fl_schedule")
-    psi = run_federated(cfg, per_round_permutations=30, q=0.0)
+    psi = run_federated(cfg, Federated(30, 0.0))
     assert psi.shape == (2,)
     assert np.all(np.isfinite(psi))
 
@@ -527,19 +529,19 @@ def test_federated_validation():
     uspec = "test_accuracy"
     acc_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="fl_schedule")
     with pytest.raises(ValueError, match="integer"):
-        run_federated(acc_cfg, per_round_permutations=10, q=0.15)
+        run_federated(acc_cfg, Federated(10, 0.15))
     with pytest.raises(ValueError, match="permutation"):
-        run_federated(acc_cfg, per_round_permutations=0, q=0.2)
+        run_federated(acc_cfg, Federated(0, 0.2))
     loss_uspec = "neg_test_loss"
     bad_cfg = run_cfg(ds, mspec, loss_uspec, 10, seed=0, mode="fl_schedule")
     with pytest.raises(ValueError, match="accuracy"):
-        run_federated(bad_cfg, per_round_permutations=10, q=0.2)
+        run_federated(bad_cfg, Federated(10, 0.2))
     iid_cfg = run_cfg(ds, mspec, uspec, 10, seed=0, mode="iid", sigma=1.0)
     with pytest.raises(ValueError, match="fl_schedule"):
-        run_federated(iid_cfg, per_round_permutations=10, q=0.2)
+        run_federated(iid_cfg, Federated(10, 0.2))
     banzhaf_cfg = replace(acc_cfg, semivalue=SemivalueSpec("banzhaf"))
     with pytest.raises(ValueError, match="Shapley value only"):
-        run_federated(banzhaf_cfg, per_round_permutations=10, q=0.2)
+        run_federated(banzhaf_cfg, Federated(10, 0.2))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -550,14 +552,16 @@ def test_federated_divergence_names_round_and_party():
     mspec = models.ModelSpec("logistic_l2", 1e308, models.InitSpec("zeros"), l2=0.01)
     cfg = run_cfg(ds, mspec, "test_accuracy", 5, seed=3, mode="fl_schedule")
     with pytest.raises(_kernels.ChainDiverged) as err:
-        run_federated(cfg, per_round_permutations=4, q=0.2)
+        run_federated(cfg, Federated(4, 0.2))
     assert (err.value.iteration, err.value.party) == (1, 0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     """The federated loop before the shared release step, kept verbatim:
-    per-party clip, noise drawn one party at a time, and an inline combine."""
+    per-party clip, noise drawn one party at a time, and an inline combine.
+    Returns psi and the released stream, each round's global model and its
+    (n, d) released gradients."""
     rq = rounds * q
     if abs(rq - round(rq)) > 1e-9:
         raise ValueError(f"rounds*q must be an integer, got {rq}")
@@ -590,9 +594,11 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     std = cfg.noise.per_release_std
     roll = np.zeros((n, d))
     nu = np.zeros((rounds, n))
+    stream = []
 
     for t in range(rounds):
         released = np.empty((n, d))
+        stream.append((theta, released))
         for j in range(n):
             g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam, None)
             nrm = math.sqrt(float(g @ g))
@@ -616,7 +622,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
                 v_prev = v_after
         nu[t] /= per_round_permutations
         theta = theta - lr * released.mean(axis=0)
-    return nu[burn:].mean(axis=0)
+    return nu[burn:].mean(axis=0), stream
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.8])
@@ -629,8 +635,8 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
     uspec = "test_accuracy"
     ncfg = dp.NoiseConfig(clip, sigma, budget=5, mode=mode)
     cfg = RunConfig(ds, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=8)
-    want = reference_federated(cfg, 5, 12, q=0.2)
-    got = run_federated(cfg, 12, q=0.2)
+    want, _ = reference_federated(cfg, 5, 12, q=0.2)
+    got = run_federated(cfg, Federated(12, 0.2))
     assert np.array_equal(got, want)
     assert want.any()
 
@@ -647,11 +653,58 @@ def test_mse_stats_gradient_in_every_caller(mode):
     cfg = RunConfig(ds, mspec, "test_accuracy", ncfg, SemivalueSpec("shapley"), master_seed=8)
     task = valuation.prepare(cfg)
     assert all(stats is not None for stats in task.grad_stats)
-    want = reference_federated(cfg, 5, 12, q=0.2)
+    want, _ = reference_federated(cfg, 5, 12, q=0.2)
     assert want.any()
-    assert np.allclose(run_federated(cfg, 12, q=0.2), want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(run_federated(cfg, Federated(12, 0.2)), want, rtol=1e-12, atol=1e-12)
     rows_only = replace(task, grad_stats=(None,) * 6)
     for seed, keep in enumerate([np.arange(6), np.array([1, 4, 5])]):
         want = models.train_one_pass(mspec, rows_only, keep, seed)
         got = models.train_one_pass(mspec, task, keep, seed)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+FEDERATED_YAML = Path(__file__).resolve().parents[1] / "configs" / "federated.yaml"
+PSI_BAND_SE = 5.0  # psi's band around the exact value, in standard errors of its estimate
+
+
+def test_federated_matches_exact_per_round_shapley():
+    # within a round the steps add, so the round's game v_t(S) = U(theta_t - lr * sum_S r_j)
+    # is a set function at federated.yaml's shape: each subset scores the same in every order
+    # of its steps, and exact_semivalue gives the round's Shapley value phi_t. psi averages
+    # `permutations` sampled marginals per kept round, so it lies within PSI_BAND_SE standard
+    # errors of the mean phi_t; the standard error is exact, from each round's game
+    cfg = load_config(FEDERATED_YAML)
+    run = experiments.build_run(cfg, experiments.build_dataset(cfg, cfg.seed), cfg.seed)
+    psi = run_federated(run, cfg.plan)
+    want, stream = reference_federated(run, cfg.noise.budget, cfg.plan.permutations, cfg.plan.q)
+    assert np.array_equal(psi, want)
+    task, n = valuation.prepare(run), run.dataset.n_parties
+    burn = dp.burn_in_count(cfg.noise.budget, cfg.plan.q)
+    kept = len(stream) - burn
+    phi, var = np.zeros(n), np.zeros(n)
+    for t, (theta, released) in enumerate(stream):
+        table = {}
+
+        def v(subset, theta=theta, released=released, table=table):
+            scores = set()
+            for order in itertools.permutations(subset):
+                th = theta.copy()
+                for j in order:
+                    th = th - task.lr * released[j]
+                scores.add(_kernels.utility_np(th, task))
+            assert len(scores) == 1, subset
+            table[subset] = scores.pop()
+            return table[subset]
+
+        phi_t = exact_semivalue(v, SemivalueSpec("shapley"), n)
+        if t < burn:
+            continue
+        # E[m_j^2]: j's predecessors are S with probability 1 / (n * C(n-1, |S|))
+        second = np.zeros(n)
+        for s, value in table.items():
+            for j in set(range(n)) - set(s):
+                step = table[tuple(sorted(s + (j,)))] - value
+                second[j] += step * step / (n * math.comb(n - 1, len(s)))
+        phi += phi_t / kept
+        var += (second - phi_t * phi_t) / (cfg.plan.permutations * kept * kept)
+    assert np.all(np.abs(psi - phi) <= PSI_BAND_SE * np.sqrt(var) + 1e-12)
