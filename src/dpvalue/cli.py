@@ -69,11 +69,12 @@ def cmd_run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
         runner = RUNNERS[cfg.kind]
         doc, tables = runner(cfg)
+        # a NaN or infinity is no JSON: a result that holds one is an error
+        result = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except Exception as exc:  # noqa: BLE001 - error record is the contract
         _write_error(outdir, exc)
         return 1
-    _write_run(outdir, {"result.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        "config.echo": echo_config(cfg), **tables})
+    _write_run(outdir, {"result.json": result, "config.echo": echo_config(cfg), **tables})
     print(f"wrote {outdir}")
     return 0
 

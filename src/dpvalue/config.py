@@ -136,6 +136,9 @@ def _set(obj, path: str, section: dict, key: str, cast, attr: str | None = None)
         return replace(obj, **{attr or key: cast(section[key])})
 
 
+CORRUPT_SEED_OFFSET = 1000  # keeps a trial's corruption draws apart from its synth draws
+
+
 @dataclass
 class DatasetSection:
     synth: dict | None = None  # the shape arguments of synth_classification
@@ -154,6 +157,19 @@ class DatasetSection:
             return np.arange(self.synth["n_classes"], dtype=np.float64)
         return np.concatenate([self.loaded.labels, self.loaded.test_labels])
 
+    def build(self, seed: int) -> data.PartitionedDataset:
+        """The dataset of ``seed``: the synth draw or the loaded csv, its
+        labels corrupted and its rows partitioned as the section says."""
+        if self.synth is None:
+            ds = self.loaded
+        else:
+            ds = data.synth_classification(seed=seed, **self.synth)
+        if self.corrupt_ratio > 0:
+            ds = data.corrupt_labels(ds, self.corrupt_ratio, seed + CORRUPT_SEED_OFFSET)
+        if self.partition_mode != "per-sample":
+            ds = data.partition(ds, self.n_parties, self.partition_mode, size=self.party_size)
+        return ds
+
 
 @dataclass(frozen=True)
 class OracleSection:
@@ -171,7 +187,7 @@ class ExperimentConfig:
     # scores a random game of its own
     dataset: DatasetSection | None
     model: models.ModelSpec | None
-    noise: NoiseConfig  # at budget k; federated's fl_schedule at its rounds
+    noise: NoiseConfig  # at budget k (1 where k is no chain's budget); federated's at its rounds
     utility: str | None
     semivalue: SemivalueSpec | None  # over the dataset's parties
     trials: int | None  # seeds of noisy-label and similarity; None for the other kinds
@@ -180,6 +196,13 @@ class ExperimentConfig:
     plan: (metrics.Probe | metrics.Removal | valuation.Federated | OracleSection
            | tuple[NoiseConfig, ...] | tuple[tuple[str, NoiseConfig], ...] | None)
     raw: dict
+
+    def run(self, seed: int, noise: NoiseConfig | None = None,
+            record_gradients: bool = False) -> valuation.RunConfig:
+        """The run of ``noise`` (the config's own mechanism by default) on the
+        dataset of ``seed``, at master seed ``seed``."""
+        return valuation.RunConfig(self.dataset.build(seed), self.model, self.utility,
+                                   noise or self.noise, self.semivalue, seed, record_gradients)
 
 
 def _parse_dataset(section: dict) -> DatasetSection:
@@ -237,15 +260,18 @@ def _parse_model(section: dict) -> models.ModelSpec:
     return spec
 
 
-_KIND_MODES = {"similarity": "corr_x", "federated": "fl_schedule"}  # kinds that run one mode
+# kinds that run one mode; the probe freezes the plain chain and replays probe.modes
+_KIND_MODES = {"similarity": "corr_x", "federated": "fl_schedule", "variance-probe": "iid"}
+_CHAIN_AT_K = ("valuation", "removal", "noisy-label")  # the kinds that run a chain at budget k
 
 
-def _parse_noise(doc: dict, kind: str = "") -> NoiseConfig:
-    """The mechanism at budget ``k``: sigma given directly or calibrated from
-    epsilon/delta, then the mode (the one ``kind`` runs, if it runs one) and
-    its burn-in share."""
+def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
+    """The mechanism at budget ``k`` (at 1 where no chain runs at k): sigma
+    given directly or calibrated from epsilon/delta, then the mode (the one
+    ``kind`` runs, if it runs one) and its burn-in share."""
     with _field("k"):
-        noise = NoiseConfig(1.0, 0.0, _integer(doc.get("k", 100)))
+        k = _integer(doc.get("k", 100))
+        noise = NoiseConfig(1.0, 0.0, k if kind in _CHAIN_AT_K else 1)
     section = _section(doc, "noise")
     for key, attr in (("clip_norm", None), ("sigma_g_sq", None), ("sigma", "noise_multiplier")):
         noise = _set(noise, "noise", section, key, _number, attr)
@@ -322,7 +348,7 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     the q_grid ablation, where q = 0 is the square corr_x matrix. Each
     mechanism runs once, under one label: a repeat would count as a second,
     independent draw."""
-    noise = _parse_noise(_root(doc))
+    noise = _parse_noise(_root(doc), "noisy-label")
     section = _section(doc, "noisy_label")
     k = noise.budget
     with _field("noisy_label.q"):

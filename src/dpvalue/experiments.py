@@ -1,56 +1,23 @@
-"""Experiment drivers behind the CLI: each kind builds its datasets, runs the
-engine, and returns a result document plus its tables, each the text of one
-CSV file by name (``summary.csv`` and any per-sample table)."""
+"""Experiment drivers behind the CLI: each kind takes its runs from the
+config (``ExperimentConfig.run``), runs the engine, and returns a result
+document plus its tables, each the text of one CSV file by name
+(``summary.csv`` and any per-sample table)."""
 
 from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import data as data_mod
 from . import metrics
-from .dp import NoiseConfig
-from .valuation import (
-    RunConfig,
-    exact_semivalue,
-    permutation_expectation,
-    run_federated,
-    run_valuation,
-)
+from .valuation import exact_semivalue, permutation_expectation, run_federated, run_valuation
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-
-CORRUPT_SEED_OFFSET = 1000  # keeps a trial's corruption draws apart from its synth draws
-
-
-def build_dataset(cfg: ExperimentConfig, seed: int) -> data_mod.PartitionedDataset:
-    d = cfg.dataset
-    if d.synth is None:
-        ds = d.loaded
-    else:
-        ds = data_mod.synth_classification(seed=seed, **d.synth)
-    if d.corrupt_ratio > 0:
-        ds = data_mod.corrupt_labels(ds, d.corrupt_ratio, seed + CORRUPT_SEED_OFFSET)
-    if d.partition_mode != "per-sample":
-        ds = data_mod.partition(ds, d.n_parties, d.partition_mode, size=d.party_size)
-    return ds
-
-
-def build_run(cfg: ExperimentConfig, ds, seed: int, noise: NoiseConfig | None = None, **kw) -> RunConfig:
-    """The run of ``noise`` (the config's own mechanism by default) on ``ds``."""
-    return RunConfig(
-        dataset=ds,
-        model=cfg.model,
-        utility=cfg.utility,
-        noise=noise or cfg.noise,
-        semivalue=cfg.semivalue,
-        master_seed=seed,
-        **kw,
-    )
+    from .data import PartitionedDataset
 
 
 def _fmt(x: float) -> str:
@@ -76,9 +43,7 @@ def _sample_lines(mode: str, k: int, draws) -> str:
 
 
 def run_valuation_experiment(cfg: ExperimentConfig):
-    ds = build_dataset(cfg, cfg.seed)
-    run = build_run(cfg, ds, cfg.seed)
-    res = run_valuation(run)
+    res = run_valuation(cfg.run(cfg.seed))
     rows = [["party", "psi", "mu", "s_sq", "mean_adjusted"]]
     for j in range(res.n_parties):
         mav = res.mean_adjusted_var[j]
@@ -91,8 +56,8 @@ def run_valuation_experiment(cfg: ExperimentConfig):
         "psi": [format(v, ".17g") for v in res.psi],
         "mu": [format(v, ".17g") for v in res.mu],
         "s_sq": [format(v, ".17g") for v in res.s_sq],
-        "permutations_used": run.noise.budget,
-        "burn_in_dropped": run.noise.burn_in,
+        "permutations_used": cfg.noise.budget,
+        "burn_in_dropped": cfg.noise.burn_in,
     }
     return doc, {"summary.csv": _csv(rows)}
 
@@ -102,10 +67,10 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
     aucs: dict[str, list[float]] = {}
     for seed_idx in range(cfg.trials):
         seed = cfg.seed + seed_idx
-        ds = build_dataset(cfg, seed)
-        mask = _party_mask(ds)
+        base = cfg.run(seed)
+        mask = _party_mask(base.dataset)
         for label, noise in cfg.plan:
-            res = run_valuation(build_run(cfg, ds, seed, noise))
+            res = run_valuation(replace(base, noise=noise))
             auc = metrics.auc_roc(-res.psi, mask)
             aucs.setdefault(label, []).append(auc)
             rows.append([label, str(seed), _fmt(auc)])
@@ -123,18 +88,16 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
     return doc, {"summary.csv": _csv(rows)}
 
 
-def _party_mask(ds: data_mod.PartitionedDataset) -> np.ndarray:
+def _party_mask(ds: PartitionedDataset) -> np.ndarray:
     """Party-level corruption flag: any corrupted member marks the party."""
     return np.bincount(ds.party_of, weights=ds.corruption_mask, minlength=ds.n_parties) > 0
 
 
 def run_removal_experiment(cfg: ExperimentConfig):
-    ds = build_dataset(cfg, cfg.seed)
-    run = build_run(cfg, ds, cfg.seed)
-    res = run_valuation(run)
+    res = run_valuation(cfg.run(cfg.seed))
     rows = [["order", "fraction", "score", "stderr"]]
     tidy = [["order", "fraction", "seed", "score"]]
-    curves = metrics.removal_curve(res.psi, run.model, res.task, cfg.plan)
+    curves = metrics.removal_curve(res.psi, cfg.model, res.task, cfg.plan)
     for order, curve in curves.items():
         for i, f in enumerate(curve.fractions):
             se = _fmt(curve.stderr[i]) if curve.stderr else ""
@@ -157,8 +120,7 @@ def run_removal_experiment(cfg: ExperimentConfig):
 
 
 def run_variance_probe_experiment(cfg: ExperimentConfig):
-    ds = build_dataset(cfg, cfg.seed)
-    base = build_run(cfg, ds, cfg.seed)
+    base = cfg.run(cfg.seed)
     rows = [["mode", "k", "variance", "slope"]]
     samples = ["mode,k,trial,party,psi\n"]
     out = {}
@@ -180,9 +142,7 @@ def run_similarity_experiment(cfg: ExperimentConfig):
         per_seed = []
         for seed_idx in range(cfg.trials):
             seed = cfg.seed + seed_idx
-            ds = build_dataset(cfg, seed)
-            run = build_run(cfg, ds, seed, noise, record_gradients=True)
-            res = run_valuation(run)
+            res = run_valuation(cfg.run(seed, noise, record_gradients=True))
             rep = metrics.grad_similarity(res.g_hat, res.g_tilde, res.g_star)
             per_seed.append((rep.delta_cos, rep.delta_l2))
             rows.append([str(k), str(seed), _fmt(rep.delta_cos), _fmt(rep.delta_l2)])
@@ -192,8 +152,7 @@ def run_similarity_experiment(cfg: ExperimentConfig):
 
 
 def run_federated_experiment(cfg: ExperimentConfig):
-    ds = build_dataset(cfg, cfg.seed)
-    psi = run_federated(build_run(cfg, ds, cfg.seed), cfg.plan)
+    psi = run_federated(cfg.run(cfg.seed), cfg.plan)
     rows = [["party", "psi"]] + [[str(j), _fmt(v)] for j, v in enumerate(psi)]
     return ({"kind": "federated", "psi": [format(v, ".17g") for v in psi]},
             {"summary.csv": _csv(rows)})

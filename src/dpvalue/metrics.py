@@ -82,6 +82,8 @@ class Removal:
         for order in self.orders:
             if order not in REMOVAL_ORDERS:
                 raise ValueError(f"unknown removal order {order!r}")
+        if len(set(self.orders)) < len(self.orders):
+            raise ValueError(f"repeats an order in {list(self.orders)}")
 
 
 def removal_curve(
@@ -258,6 +260,8 @@ class Probe:
         if len(self.ks) < 3 or min(self.ks) < 1:
             raise ValueError(
                 f"need at least three positive budgets for a slope fit, got {list(self.ks)}")
+        if len(set(self.ks)) < len(self.ks):
+            raise ValueError(f"repeats a budget in {list(self.ks)}")
         if self.trials < 100:
             raise ValueError(f"need at least 100 trials per budget, got {self.trials}")
         for i, mode in enumerate(self.modes):
@@ -275,6 +279,7 @@ def probe_sigma(sigma: float) -> float:
 _CHUNK = 16  # iterations whose parameter slabs are built together
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging replay is reported below
 def conditional_variance(
     cfg: RunConfig,
     modes,
@@ -308,7 +313,8 @@ def conditional_variance(
     and the draws run in party order on one stream, so every result is
     bitwise that of a single-threaded replay of each mode alone. Leaving the
     pool joins the worker on every exit path, and ``result()`` re-raises an
-    error from it here.
+    error from it here. A non-finite estimate raises, without numpy warnings,
+    a ``RuntimeError`` naming the budget, the mode and the party.
     """
     k, n = cfg.noise.budget, cfg.dataset.n_parties
     d = cfg.dataset.features.shape[1] + int(cfg.model.add_bias)
@@ -388,7 +394,10 @@ def conditional_variance(
                     vt *= pcoefs[lo:t1, None]
                     vt[0] += psi
                     np.add.reduce(vt, axis=0, out=psi)
-            for out, psi, kq in zip(draws, psis, kqs):
+            for out, psi, noise, kq in zip(draws, psis, noises, kqs):
+                if not np.isfinite(psi).all():
+                    raise RuntimeError(f"the {noise.mode} replay at budget k={k} diverged "
+                                       f"at party {j}; lower the noise or the learning rate")
                 out[j] = psi / (k - kq)
     return [(float(out.var(axis=1, ddof=1).mean()), out) for out in draws]
 

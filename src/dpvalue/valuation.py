@@ -342,8 +342,8 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
     share ``plan.q``. A non-finite utility raises ``ChainDiverged`` naming the
     round and the party, or party -1 for a permutation's starting model.
     """
-    if cfg.noise.mode not in ("fl_schedule", "corr_x"):
-        raise ValueError("federated attribution needs fl_schedule or corr_x noise")
+    if cfg.noise.mode != "fl_schedule":
+        raise ValueError(f"federated attribution runs fl_schedule noise, got {cfg.noise.mode!r}")
     federated_utility(cfg.utility)
     federated_semivalue(cfg.semivalue.kind)
     rounds = cfg.noise.budget

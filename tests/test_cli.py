@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -676,6 +677,7 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("similarity-mode-iid", "similarity", {"noise.mode": "iid"}, "noise.mode"),
     ("federated-mode-corr-y", "federated",
      {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "corr_y", "q": 0.5}}, "noise.mode"),
+    ("probe-mode-corr-x", "variance-probe", {"noise.mode": "corr_x"}, "noise.mode"),
     ("oracle-dataset", "oracle-check", {"dataset": {"separation": 9.0}}, "dataset"),
 ]
 
@@ -712,6 +714,42 @@ def test_probe_k_is_not_a_chain_budget(tmp_path):
     assert cli.main(["validate", str(cfg)]) == 0
     assert cli.main(["run", str(cfg)]) == 0
     assert json.loads((out / "result.json").read_text())["probes"]["iid"]["ks"] == [10, 20, 40]
+    # nor is a k of 0 for any kind that runs no chain at k, and it moves no result
+    for kind in ("variance-probe", "similarity", "federated", "oracle-check"):
+        results = []
+        for k in (None, 0):
+            out = tmp_path / f"{kind}-{k}"
+            doc = kind_doc(out, kind)
+            if k is not None:
+                doc["k"] = k
+            cfg = write_config(tmp_path, doc)
+            assert cli.main(["validate", str(cfg)]) == 0, (kind, k)
+            assert cli.main(["run", str(cfg)]) == 0, (kind, k)
+            results.append((out / "result.json").read_bytes())
+        assert results[0] == results[1], kind
+
+
+def test_diverging_probe_replay_is_an_error(tmp_path, monkeypatch):
+    # noise this large overflows the replayed utilities: the run fails naming the budget, the
+    # mode and the party, without numpy warnings, rather than writing NaN to result.json
+    out = tmp_path / "out"
+    doc = probe_doc(out)
+    doc["noise"]["sigma"] = 1.0e200
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", str(cfg)]) == 1
+    assert caught == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "RuntimeError"
+    assert record["message"].startswith("the iid replay at budget k=10 diverged at party 0;")
+    assert not (out / "result.json").exists()
+    # a non-finite value that still reaches a result is an error too
+    monkeypatch.setitem(experiments.RUNNERS, "variance-probe",
+                        lambda cfg: ({"kind": "variance-probe", "slope": math.nan}, {}))
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "JSON" in json.loads((out / "error.json").read_text())["message"]
+    assert not (out / "result.json").exists()
 
 
 def test_noisy_label_q_grid_alone_runs(tmp_path):

@@ -97,6 +97,8 @@ def test_removal_validation():
         metrics.removal_curve(psi, mspec, task, metrics.Removal((0.3, 0.1), ("highest-first",)))
     with pytest.raises(ValueError):
         metrics.removal_curve(psi, mspec, task, metrics.Removal((0.0,), ("sideways",)))
+    with pytest.raises(ValueError, match="repeats an order"):
+        metrics.removal_curve(psi, mspec, task, metrics.Removal((0.0,), ("random", "random")))
 
 
 # -- gradient similarity -------------------------------------------------------
@@ -608,6 +610,8 @@ def test_probe_validation():
         metrics.variance_scaling_probe(metrics.Probe((0, 10, 20), 500, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="100 trials"):
         metrics.variance_scaling_probe(metrics.Probe((10, 20, 40), 50, ("iid",)), cfg, 0)
+    with pytest.raises(ValueError, match="repeats a budget"):
+        metrics.variance_scaling_probe(metrics.Probe((10, 10, 20), 100, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="integer"):
         metrics.variance_scaling_probe(metrics.Probe((10, 20, 25), 100, ("iid", "corr_y"), 0.3),
                                        cfg, 0)

@@ -12,7 +12,7 @@ from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
 from conftest import MECHANISMS, orthogonal_chain_task
-from dpvalue import _kernels, cli, data, dp, experiments, models, valuation
+from dpvalue import _kernels, cli, data, dp, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
     MAX_PARTIES_WEIGHTS,
@@ -398,7 +398,7 @@ def test_result_serialization_roundtrip(tmp_path):
     assert cli.main(["run", str(path)]) == 0
     written = json.loads((tmp_path / "out" / "result.json").read_text())
     cfg = load_config(path)
-    res = run_valuation(experiments.build_run(cfg, experiments.build_dataset(cfg, 2), 2))
+    res = run_valuation(cfg.run(2))
     assert np.array_equal(np.array([float(v) for v in written["psi"]]), res.psi)
     assert np.array_equal(np.array([float(v) for v in written["s_sq"]]), res.s_sq)
 
@@ -627,7 +627,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
 
 @pytest.mark.parametrize("sigma", [0.0, 0.8])
 @pytest.mark.parametrize("clip", [0.05, 1e6])  # clipping active on every gradient, or never
-@pytest.mark.parametrize("mode", ["fl_schedule", "corr_x"])
+@pytest.mark.parametrize("mode", ["fl_schedule"])
 def test_federated_matches_reference_loop(mode, clip, sigma):
     ds = data.partition(data.synth_classification(48, 5, 2, seed=4, separation=2.0, n_test=40),
                         6, "equal-chunks")
@@ -641,7 +641,7 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
     assert want.any()
 
 
-@pytest.mark.parametrize("mode", ["fl_schedule", "corr_x"])
+@pytest.mark.parametrize("mode", ["fl_schedule"])
 def test_mse_stats_gradient_in_every_caller(mode):
     # 8-row parties of d = 6 with the bias column take their gradient from
     # (G, h) in federated attribution and retraining alike; both match the row
@@ -663,6 +663,17 @@ def test_mse_stats_gradient_in_every_caller(mode):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def test_federated_runs_fl_schedule_only():
+    ds = data.partition(data.synth_classification(48, 5, 2, seed=4, separation=2.0, n_test=40),
+                        6, "equal-chunks")
+    mspec = models.ModelSpec("logistic_l2", 0.3, models.InitSpec("gaussian", 0.2), l2=0.01)
+    for mode in ("iid", "corr_x"):
+        ncfg = dp.NoiseConfig(1.0, 0.8, budget=5, mode=mode)
+        cfg = RunConfig(ds, mspec, "test_accuracy", ncfg, SemivalueSpec("shapley"), master_seed=8)
+        with pytest.raises(ValueError, match=f"runs fl_schedule noise, got '{mode}'"):
+            run_federated(cfg, Federated(12, 0.2))
+
+
 FEDERATED_YAML = Path(__file__).resolve().parents[1] / "configs" / "federated.yaml"
 PSI_BAND_SE = 5.0  # psi's band around the exact value, in standard errors of its estimate
 
@@ -674,7 +685,7 @@ def test_federated_matches_exact_per_round_shapley():
     # `permutations` sampled marginals per kept round, so it lies within PSI_BAND_SE standard
     # errors of the mean phi_t; the standard error is exact, from each round's game
     cfg = load_config(FEDERATED_YAML)
-    run = experiments.build_run(cfg, experiments.build_dataset(cfg, cfg.seed), cfg.seed)
+    run = cfg.run(cfg.seed)
     psi = run_federated(run, cfg.plan)
     want, stream = reference_federated(run, cfg.noise.budget, cfg.plan.permutations, cfg.plan.q)
     assert np.array_equal(psi, want)
