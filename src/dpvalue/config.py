@@ -296,19 +296,15 @@ def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
 
 
 def _parse_probe(section: dict, noise: NoiseConfig) -> metrics.Probe:
-    """The probe block, then its noise and every budget and mode it will run."""
+    """The probe block, then its noise and every budget's mechanism of each mode."""
     probe = metrics.Probe()
     for key, cast, attr in (("ks", _entries(_integer), None), ("noise_trials", _integer, "trials"),
                             ("modes", _entries(), None), ("q", _number, None)):
         probe = _set(probe, "probe", section, key, cast, attr)
     with _field("noise.sigma"):
         metrics.probe_sigma(noise.noise_multiplier)
-    for k in probe.ks:
-        with _field("probe.ks"):  # the noiseless chain frozen at k
-            valuation.estimable(replace(noise, budget=k))
-        for mode in probe.modes:
-            with _field("probe.q"):
-                mechanism(noise, mode, k, probe.q)
+    with _field("probe.q"):
+        probe.mechanisms(noise)
     return probe
 
 
@@ -470,12 +466,31 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, but a key repeated in one mapping is an
+    error where ``safe_load`` keeps its last value. Keys merged in by ``<<``
+    may still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # rejects an unhashable key
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found the key {key!r} a second time", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError("", f"config file not found: {path}")
     with open(path, encoding="utf-8") as fh, _field(""):
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, _UniqueKeyLoader)
     return parse_config(doc)
 
 

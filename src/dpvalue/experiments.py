@@ -69,6 +69,11 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
         seed = cfg.seed + seed_idx
         base = cfg.run(seed)
         mask = _party_mask(base.dataset)
+        corrupted = int(mask.sum())
+        if not 0 < corrupted < len(mask):  # the draw decides it, so no parse can check it
+            raise ValueError(
+                f"seed {seed} has {corrupted} corrupted parties of {len(mask)}, and the AUC needs "
+                "a corrupted and a clean one: change dataset.corrupt_ratio or dataset.partition")
         for label, noise in cfg.plan:
             res = run_valuation(replace(base, noise=noise))
             auc = metrics.auc_roc(-res.psi, mask)

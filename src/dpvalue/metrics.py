@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, models
 from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism, prefix_weights
-from .valuation import RunConfig, ValuationResult, run_valuation
+from .valuation import RunConfig, ValuationResult, estimable, run_valuation
 
 
 REMOVAL_RANDOM_SEEDS = 5  # removal orders a ``random`` curve averages over
@@ -220,18 +220,13 @@ class ProbeResult:
 
 
 def freeze_scenario(cfg: RunConfig) -> ValuationResult:
-    """The noiseless run of ``cfg``'s chain, with its gradients and states
-    recorded: its ``ValuationResult`` is the conditioning. Replaying its
-    thetas with fresh noise realizes Var[psi | theta^p sequence]: the
-    permutations, initializations and clipped gradients ``g_hat`` are fixed
-    and only the privacy noise is redrawn."""
-    silent = replace(
-        cfg,
-        noise=replace(cfg.noise, noise_multiplier=0.0),
-        record_gradients=True,
-        record_states=True,
-    )
-    return run_valuation(silent)
+    """The ``no_dp`` run of ``cfg`` at its budget, whatever its mode, with its
+    gradients and states recorded: its ``ValuationResult`` is the conditioning.
+    Replaying its thetas with fresh noise realizes Var[psi | theta^p sequence]:
+    the permutations, initializations and clipped gradients ``g_hat`` are
+    fixed and only the privacy noise is redrawn."""
+    silent = mechanism(cfg.noise, "no_dp", cfg.noise.budget)
+    return run_valuation(replace(cfg, noise=silent, record_gradients=True, record_states=True))
 
 
 _utility_rows = _kernels.utility_np  # the probe's (trials, d) blocks, traced as their own layer
@@ -257,9 +252,14 @@ class Probe:
     q: float = 0.5
 
     def __post_init__(self):
-        if len(self.ks) < 3 or min(self.ks) < 1:
-            raise ValueError(
-                f"need at least three positive budgets for a slope fit, got {list(self.ks)}")
+        if len(self.ks) < 3:
+            raise ValueError(f"need at least three budgets for a slope fit, got {list(self.ks)}")
+        for k in self.ks:
+            try:  # the frozen chain is the no_dp run: iid, so without burn-in
+                estimable(NoiseConfig(1.0, 0.0, k))
+            except ValueError as exc:
+                raise ValueError(f"need at least three budgets for a slope fit, each one a chain "
+                                 f"can run, got {list(self.ks)}: {exc}") from None
         if len(set(self.ks)) < len(self.ks):
             raise ValueError(f"repeats a budget in {list(self.ks)}")
         if self.trials < 100:
@@ -267,6 +267,11 @@ class Probe:
         for i, mode in enumerate(self.modes):
             if probe_mode(mode) in self.modes[:i]:
                 raise ValueError(f"repeats the mode {mode!r}")
+
+    def mechanisms(self, noise: NoiseConfig) -> dict[int, tuple[NoiseConfig, ...]]:
+        """Each budget's mechanism of every mode, made from ``noise`` and so
+        checked by ``NoiseConfig``: the runs the probe replays."""
+        return {k: tuple(mechanism(noise, mode, k, self.q) for mode in self.modes) for k in self.ks}
 
 
 def probe_sigma(sigma: float) -> float:
@@ -285,7 +290,7 @@ def conditional_variance(
     modes,
     trials: int,
     seed: int,
-    q: float = 0.0,
+    q: float | None = None,
 ) -> list[tuple[float, np.ndarray]]:
     """Var[psi | frozen sequences] of the run ``cfg`` at its budget k by
     redrawing noise, averaged over parties, and the (n_parties, trials)
@@ -407,19 +412,17 @@ def variance_scaling_probe(probe: Probe, base_cfg: RunConfig, seed: int) -> dict
     per mode of ``probe``, in its order.
 
     For each budget the scenario is re-frozen at that length (the noiseless
-    chain does not depend on the noise scale), then ``probe.trials`` fresh
-    noise draws, shared by every mode (corr_y with burn-in share ``probe.q``),
-    estimate Var[psi | theta^p sequence]. The noise and every budget's
-    mechanisms are checked before the first chain runs.
+    chain does not depend on the noise scale or mode), then ``probe.trials``
+    fresh noise draws, shared by every mode (corr_y with burn-in share
+    ``probe.q``), estimate Var[psi | theta^p sequence]. The noise and every
+    budget's mechanisms are checked before the first chain runs.
     """
     probe_sigma(base_cfg.noise.noise_multiplier)
-    for k in probe.ks:
-        for mode in probe.modes:
-            mechanism(base_cfg.noise, mode, k, probe.q)
+    runs = probe.mechanisms(base_cfg.noise)
     variances: dict[str, list[float]] = {mode: [] for mode in probe.modes}
     samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in probe.modes}
-    for i, k in enumerate(probe.ks):
-        cfg = replace(base_cfg, noise=replace(base_cfg.noise, budget=k))
+    for i, (k, noises) in enumerate(runs.items()):
+        cfg = replace(base_cfg, noise=noises[0])  # any one: the replay makes each mode's from it
         replays = conditional_variance(cfg, probe.modes, probe.trials, seed=seed * 7919 + i,
                                        q=probe.q)
         for mode, (var, draws) in zip(probe.modes, replays):

@@ -558,6 +558,11 @@ def set_path(doc, dotted, value):
 CSV = "csv-placeholder"  # replaced by a small csv file written per case
 SHORT_ROW_CSV = "short-row-csv-placeholder"  # the same file with its row 3 one cell short
 YAML_TEXT = "yaml-text"  # a patch that replaces the config file's whole text
+REPEATED_KEY_TEXT = """\
+experiment: valuation
+k: 12
+noise: {{clip_norm: 1.0, sigma: 1.0}}
+{}"""  # a valid config, and the line that repeats a key of it
 
 BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("federated-q-fractional-burn-in", "federated", {"federated.q": 0.15}, "federated.q"),
@@ -653,6 +658,12 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      {"dataset": {"source": "csv", "path": SHORT_ROW_CSV, "label": "y", "test_rows": 2}},
      "dataset.path"),
     ("malformed-yaml", "valuation", {YAML_TEXT: "a: [1,\n"}, ""),
+    # yaml.safe_load would keep the second value: a run without noise, or at another separation
+    ("repeated-noise-block", "valuation", {YAML_TEXT: REPEATED_KEY_TEXT.format(
+        "noise: {clip_norm: 1.0, sigma: 0.0}\n")}, ""),
+    ("repeated-nested-key", "valuation", {YAML_TEXT: REPEATED_KEY_TEXT.format(
+        "dataset: {n_samples: 24, n_test: 30, d_feat: 4, separation: 3.0, separation: 0.5}\n")},
+     ""),
     ("probe-modes-empty", "variance-probe", {"probe.modes": []}, "probe.modes"),
     ("similarity-ks-empty", "similarity", {"similarity.ks": []}, "similarity.ks"),
     ("removal-orders-empty", "removal", {"removal.orders": []}, "removal.orders"),
@@ -680,6 +691,16 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("probe-mode-corr-x", "variance-probe", {"noise.mode": "corr_x"}, "noise.mode"),
     ("oracle-dataset", "oracle-check", {"dataset": {"separation": 9.0}}, "dataset"),
 ]
+
+
+def test_repeated_key_names_the_key_and_its_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(REPEATED_KEY_TEXT.format("seed: 4\nseed: 5\n"), encoding="utf-8")
+    assert cli.main(["validate", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == ""
+    assert "found the key 'seed' a second time" in record["message"]
+    assert record["message"].endswith("line 5, column 1")
 
 
 def _mapping_paths(doc, path=""):
@@ -749,6 +770,32 @@ def test_diverging_probe_replay_is_an_error(tmp_path, monkeypatch):
                         lambda cfg: ({"kind": "variance-probe", "slope": math.nan}, {}))
     assert cli.main(["run", str(cfg)]) == 1
     assert "JSON" in json.loads((out / "error.json").read_text())["message"]
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("partition,ratio,counts", [
+    ({"mode": "equal-chunks", "n_parties": 4}, 0.3, "4 corrupted parties of 4"),
+    ({"mode": "by-size", "n_parties": 5, "size": 1}, 0.05, "0 corrupted parties of 5"),
+], ids=["no-clean-party", "no-corrupted-party"])
+def test_noisy_label_seed_without_both_kinds_of_party(tmp_path, partition, ratio, counts):
+    # the parse checks that a label is corrupted, but which parties hold one is
+    # the seed's draw: a seed without a clean or a corrupted party fails, named,
+    # before its chains run
+    out = tmp_path / "out"
+    doc = kind_doc(out, "noisy-label")
+    doc.update(k=10, trials=2)
+    doc["dataset"].update(n_samples=40, corrupt_ratio=ratio, partition=partition)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["validate", str(cfg)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", str(cfg)]) == 1
+    assert caught == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(f"seed 3 has {counts},")
+    assert "dataset.corrupt_ratio" in record["message"]
+    assert "dataset.partition" in record["message"]
     assert not (out / "result.json").exists()
 
 

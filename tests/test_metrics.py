@@ -602,12 +602,20 @@ def test_probe_freeze_error_joins_the_draw_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_probe_validation():
+def test_probe_validation(monkeypatch):
+    # every rule fails before a chain is frozen
     cfg = probe_base()
+
+    def no_freeze(cfg):
+        raise AssertionError("a rejected probe froze a scenario")
+
+    monkeypatch.setattr(metrics, "freeze_scenario", no_freeze)
     with pytest.raises(ValueError, match="three"):
         metrics.variance_scaling_probe(metrics.Probe((10, 20), 500, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="three"):
         metrics.variance_scaling_probe(metrics.Probe((0, 10, 20), 500, ("iid",)), cfg, 0)
+    with pytest.raises(ValueError, match=r"three.*k=1 .*2 iterations"):  # the frozen chain's rule
+        metrics.variance_scaling_probe(metrics.Probe((5, 10, 1), 100, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="100 trials"):
         metrics.variance_scaling_probe(metrics.Probe((10, 20, 40), 50, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="repeats a budget"):
@@ -622,6 +630,21 @@ def test_probe_validation():
         metrics.conditional_variance(cfg, [], trials=200, seed=0)
     with pytest.raises(ValueError, match="integer"):
         probe_noise(cfg, "corr_y", q=0.13)
+
+
+def test_probe_freezes_the_no_dp_run_whatever_the_base_mode():
+    # the frozen chain is the noiseless iid run and the replays take their
+    # mechanisms from the base noise at each budget, so a correlated base
+    # gives the iid base's result bitwise
+    cfg = probe_base()
+    probe = metrics.Probe((10, 20, 40), 100, ("iid", "corr_x", "corr_y"), 0.5)
+    want = metrics.variance_scaling_probe(probe, cfg, 2)
+    for noise in (dp.mechanism(cfg.noise, "corr_x", 20), dp.mechanism(cfg.noise, "corr_y", 5, 0.2)):
+        got = metrics.variance_scaling_probe(probe, replace(cfg, noise=noise), 2)
+        assert list(got) == list(want)
+        for mode, res in got.items():
+            assert res.variances == want[mode].variances and res.slope == want[mode].slope
+            assert all(np.array_equal(res.samples[k], want[mode].samples[k]) for k in probe.ks)
 
 
 @pytest.mark.parametrize("mode,q", [("corr_x", 0.0), ("corr_y", 0.5)])
