@@ -4,6 +4,18 @@ The sequential chain (for every sampled permutation: clip, perturb, combine,
 step the model, score the utility) dominates runtime. It is a numpy loop over
 iterations and parties that consumes pre-generated permutation, init and noise
 arrays, so a given seed yields the same run every time.
+
+Per-step products are written ``a.dot(b)``, not ``a @ b`` or
+``np.vecdot``: both reach the same BLAS routine (ddot, dgemv, dgemm) with the
+same bits, but ``@`` and ``vecdot`` first go through numpy's gufunc dispatch.
+Only a block's row-wise ``np.vecdot``, which has no ``.dot`` form, stays.
+On a shared 2-core x86-64 box (numpy 2.4, OpenBLAS 0.3.31) that dispatch cost
+0.35-0.55 us per call: 865 against 511 ns for an 11-element dot, 1783 against
+1215 ns for the scores of 11 weights on 200 test rows, 1117 against 563 ns
+for a 7x7 matvec. The chain makes about four such products per step, so it
+pays about 12 % of the noisy-label workload's wall time. A test
+(``test_per_step_products_avoid_matmul``) rejects ``@`` in the per-step
+functions.
 """
 
 from __future__ import annotations
@@ -77,24 +89,24 @@ def utility_np(thetas, task):
     (trials, d) block in any memory layout, on the ``Task``'s test split; one
     formula per utility. The MSE neg-loss is ``-(theta.A.theta - b.theta +
     c)`` on ``mse_stats``: ``-c - theta.(A theta - b)`` for a vector, and for
-    a block with theta.A as ``(A.T @ thetas.T).T``, laid out as a transposed
+    a block with theta.A as ``A.T.dot(thetas.T).T``, laid out as a transposed
     (d, trials) array whatever the block's layout, so each row's bits do not
     depend on it. A vector's score equals its row's in a block to rounding."""
     if task.utility == "neg_test_loss" and task.loss == "mse_linear":
         a, b, c = task.mse
         if thetas.ndim == 1:
-            p = a @ thetas
+            p = a.dot(thetas)
             p -= b
-            return -c - thetas @ p
-        p = (a.T @ thetas.T).T
+            return -c - thetas.dot(p)
+        p = a.T.dot(thetas.T).T
         p -= b
         p *= thetas
         return -c - np.add.reduce(p, axis=-1)
-    s = thetas @ task.xt.T
+    s = thetas.dot(task.xt.T)
     if task.utility == "test_accuracy":
         return accuracy(s, task.yt, task.loss)
-    return (-np.add.reduce(log_loss(s, task.yt), axis=-1) / task.yt.shape[0]
-            - task.lam * np.vecdot(thetas, thetas))
+    sq = thetas.dot(thetas) if thetas.ndim == 1 else np.vecdot(thetas, thetas)
+    return -np.add.reduce(log_loss(s, task.yt), axis=-1) / task.yt.shape[0] - task.lam * sq
 
 
 def party_grad_np(theta, x, y, a, b, loss, lam, stats):
@@ -105,24 +117,26 @@ def party_grad_np(theta, x, y, a, b, loss, lam, stats):
     instead of four, equal to the row formula to rounding; where it is None
     the rows are used. A one-row party takes its score and sigmoid as numpy
     float64 scalars, bitwise equal to the block formula: the score is the same
-    dot product, dividing by 1 and the one-term sum are exact, and ``np.exp``
-    on a numpy scalar runs the array loop (``math.exp`` differs)."""
+    ``ndarray.dot`` of the row and ``theta``, dividing by 1 and the one-term
+    sum are exact, and ``np.exp`` on a numpy scalar runs the array loop
+    (``math.exp`` differs)."""
     if stats is not None:
-        g = stats[0] @ theta
+        g = stats[0].dot(theta)
         g -= stats[1]
         return g
     if b - a == 1:
-        s = x[a] @ theta
+        xa = x[a]
+        s = xa.dot(theta)
         if loss == "mse_linear":
-            return 2.0 * (x[a] * (s - y[a]))
-        return x[a] * (1.0 / (1.0 + np.exp(-s)) - y[a]) + 2.0 * lam * theta
+            return 2.0 * (xa * (s - y[a]))
+        return xa * (1.0 / (1.0 + np.exp(-s)) - y[a]) + 2.0 * lam * theta
     xb = x[a:b]
     yb = y[a:b]
-    s = xb @ theta
+    s = xb.dot(theta)
     if loss == "mse_linear":
-        return (2.0 / (b - a)) * (xb.T @ (s - yb))
+        return (2.0 / (b - a)) * xb.T.dot(s - yb)
     sig = 1.0 / (1.0 + np.exp(-s))
-    return (xb.T @ (sig - yb)) / (b - a) + 2.0 * lam * theta
+    return xb.T.dot(sig - yb) / (b - a) + 2.0 * lam * theta
 
 
 class ChainDiverged(RuntimeError):

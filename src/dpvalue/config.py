@@ -9,6 +9,7 @@ field that no step of the experiment's parse reads is an error too.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -94,9 +95,12 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """A float field: an int or a float, never a string or a boolean."""
+    """A float field: a finite int or float, never a string, a boolean, or
+    YAML's .nan or .inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -121,8 +121,8 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
     delta from 1e-3 to 1e-7) the classical value is the larger and is
     returned as is; above it the classical value gives less privacy than
     asked."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
     # a relative margin well above the rounding of delta(eps) near the solution
@@ -170,7 +170,7 @@ def prefix_weights(diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def clip_in_place(g: np.ndarray, clip_norm: float) -> np.ndarray:
     """Scale ``g`` in place to norm at most ``clip_norm``. A non-finite ``g``
     stays non-finite, so the chain's divergence guard still sees it."""
-    nrm = math.sqrt(float(g @ g))
+    nrm = math.sqrt(g.dot(g))
     if nrm > clip_norm:
         g *= clip_norm / nrm
     return g

@@ -690,6 +690,12 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "corr_y", "q": 0.5}}, "noise.mode"),
     ("probe-mode-corr-x", "variance-probe", {"noise.mode": "corr_x"}, "noise.mode"),
     ("oracle-dataset", "oracle-check", {"dataset": {"separation": 9.0}}, "dataset"),
+] + [  # YAML .nan and .inf: a NaN epsilon once hung the sigma calibration
+    (f"{name}-{value}", "valuation", {field: value}, field)
+    for name, field in (("epsilon", "noise.epsilon"), ("sigma", "noise.sigma"),
+                        ("clip-norm", "noise.clip_norm"), ("learning-rate", "model.learning_rate"),
+                        ("separation", "dataset.separation"))
+    for value in (math.nan, math.inf)
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -32,6 +33,18 @@ def test_clip_norm_property(vals, clip):
     # direction preserved
     if np.linalg.norm(g) > 0:
         assert np.dot(out, g) >= 0
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_clip_bitwise_equal_norm_scaling(d):
+    rng = np.random.default_rng(d)
+    for scale in 10.0 ** np.arange(-3.0, 4.0):
+        for _ in range(50):
+            g = rng.standard_normal(d) * scale
+            clip = scale * rng.uniform(0.1, 5.0)
+            nrm = np.linalg.norm(g)
+            want = g * (clip / nrm) if nrm > clip else g.copy()
+            assert np.array_equal(dp.clip_in_place(g, clip), want)
 
 
 def test_clip_rejects_nonfinite():
@@ -94,6 +107,23 @@ def test_calibrate_sigma_scaling_and_limits():
         dp.calibrate_sigma(0.0, 1e-5)
     with pytest.raises(ValueError):
         dp.calibrate_sigma(1.0, 1.0)
+
+
+def test_calibrate_sigma_rejects_non_finite_epsilon():
+    # NaN bisection bounds never meet, so a NaN epsilon could hang the caller:
+    # the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("calibrate_sigma did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for epsilon in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                dp.calibrate_sigma(epsilon, 5e-5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def gdp_delta(epsilon, mu):

@@ -1,6 +1,9 @@
 """Kernel checks: the chain against a plain reference loop, and the utility
 layer against the formulas it replaced."""
 
+import ast
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -405,3 +408,43 @@ def test_mse_vector_utility_matches_block_row(d):
         got = _kernels.utility_np(theta, task)
         assert type(got) is np.float64
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# -- per-step products on ndarray.dot (see the _kernels docstring) ---------------
+
+SCALES = 10.0 ** np.arange(-3.0, 4.0)
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_mse_vector_utility_bitwise_equal_formula(d):
+    rng = np.random.default_rng(d)
+    xt = rng.standard_normal((64, d))
+    task = batch_task(MSE, NEG_LOSS, 0.0, xt, rng.standard_normal(64))
+    a, b, c = task.mse
+    for scale in SCALES:
+        for _ in range(50):
+            theta = rng.standard_normal(d) * scale
+            assert _kernels.utility_np(theta, task) == -c - theta @ (a @ theta - b)
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_stats_gradient_bitwise_equal_formula(d):
+    rng = np.random.default_rng(d)
+    x, y = mse_party_rows(3 * d, d, seed=d)
+    g_mat, h = stats = _kernels.grad_stats(x, y, [0, 3 * d], MSE)[0]
+    for scale in SCALES:
+        for _ in range(50):
+            theta = rng.standard_normal(d) * scale
+            got = _kernels.party_grad_np(theta, x, y, 0, 3 * d, MSE, 0.0, stats)
+            assert np.array_equal(got, g_mat @ theta - h)
+
+
+@pytest.mark.parametrize("function", [_kernels.utility_np, _kernels.party_grad_np,
+                                      dp.clip_in_place, _kernels.run_chain],
+                         ids=lambda f: f.__name__)
+def test_per_step_products_avoid_matmul(function):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+    assert not lines, (f"{function.__name__} uses @ at its lines {lines}: per-step "
+                       "products take ndarray.dot, see the dpvalue._kernels docstring")
