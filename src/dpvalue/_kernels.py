@@ -157,7 +157,7 @@ class ChainDiverged(RuntimeError):
 class Task:
     """The chain's input, built once per run by ``valuation.prepare``.
 
-    ``x``/``y`` are the training design matrix and labels sorted by party,
+    ``x``/``y`` are the training design matrix and labels, grouped by party,
     party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
     the utility is scored on and ``mse`` its ``mse_stats``. ``grad_stats``
     holds each party's MSE gradient statistics ``(G, h)``, or None where the

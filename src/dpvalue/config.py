@@ -10,6 +10,7 @@ field that no step of the experiment's parse reads is an error too.
 from __future__ import annotations
 
 import math
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import data, metrics, models, valuation
-from .dp import NoiseConfig, burn_in_count, calibrate_sigma, mechanism
+from .dp import MODES, NoiseConfig, burn_in_count, calibrate_sigma, mechanism
 from .experiments import RUNNERS
 from .valuation import SemivalueSpec
 
@@ -86,22 +87,28 @@ def _field(path: str):
 
 def _integer(value) -> int:
     """An integer field: an int or an integral float, never a fraction, a
-    string or a boolean."""
+    string or a boolean, and within numpy's int64, the C long of the arrays
+    a count sizes and indexes (2**63 and 1e308 are not)."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+        value = int(value)
+    elif isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"must be an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"must fit a 64-bit integer, got {reprlib.repr(value)}")
     return value
 
 
 def _number(value) -> float:
     """A float field: a finite int or float, never a string, a boolean, or
-    YAML's .nan or .inf."""
+    YAML's .nan or .inf, nor an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"must be a number a float can hold, got {reprlib.repr(value)}") from None
 
 
 def _boolean(value) -> bool:
@@ -283,6 +290,8 @@ def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
     mode = section.get("mode", runs or "iid")
     if runs and mode != runs:
         raise ConfigError("noise.mode", f"the {kind} experiment runs {runs}, got {mode!r}")
+    if mode != "no_dp" and mode not in MODES:
+        raise ConfigError("noise.mode", f"unknown noise mode {mode!r}")
     if section.get("sigma") is None:
         if section.get("epsilon") is not None:
             with _field("noise.delta"):

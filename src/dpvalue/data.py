@@ -12,9 +12,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PartitionedDataset:
-    features: np.ndarray  # (n_train, d_feat)
+    features: np.ndarray  # (n_train, d_feat), rows grouped by party
     labels: np.ndarray  # (n_train,)
-    party_of: np.ndarray  # (n_train,) int64, contiguous 0..n_parties-1
+    ptr: np.ndarray  # (n_parties + 1,) int64 CSR offsets: party j owns rows ptr[j]:ptr[j+1]
     test_features: np.ndarray
     test_labels: np.ndarray
     task: str = "classification"  # classification | regression
@@ -22,12 +22,13 @@ class PartitionedDataset:
 
     def __post_init__(self):
         n = self.features.shape[0]
-        if self.labels.shape[0] != n or self.party_of.shape[0] != n:
-            raise ValueError("features/labels/party_of length mismatch")
-        if n > 0:
-            parties = np.unique(self.party_of)
-            if parties[0] != 0 or parties[-1] != len(parties) - 1:
-                raise ValueError("party indices must be contiguous 0..n-1 and non-empty")
+        if self.labels.shape[0] != n:
+            raise ValueError("features/labels length mismatch")
+        ptr = self.ptr
+        if ptr.ndim != 1 or len(ptr) < 2 or ptr[0] != 0 or ptr[-1] != n:
+            raise ValueError(f"party offsets must run from 0 to the {n} training rows")
+        if np.any(ptr[1:] <= ptr[:-1]):
+            raise ValueError("party offsets must rise strictly: every party non-empty")
         if self.corruption_mask is not None and self.corruption_mask.shape[0] != n:
             raise ValueError("corruption mask length must equal n_train")
         if self.task not in ("classification", "regression"):
@@ -39,25 +40,13 @@ class PartitionedDataset:
 
     @property
     def n_parties(self) -> int:
-        return int(self.party_of.max()) + 1 if self.n_train else 0
+        return len(self.ptr) - 1
 
     @property
     def n_classes(self) -> int:
         if self.task != "classification":
             raise ValueError("n_classes undefined for regression")
         return int(self.labels.max()) + 1
-
-    def sorted_by_party(self):
-        """Rows grouped by party plus CSR offsets; used by the run engine."""
-        order = np.argsort(self.party_of, kind="stable")
-        counts = np.bincount(self.party_of, minlength=self.n_parties)
-        ptr = np.zeros(self.n_parties + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        return (
-            np.ascontiguousarray(self.features[order]),
-            np.ascontiguousarray(self.labels[order]),
-            ptr,
-        )
 
 
 @dataclass(frozen=True)
@@ -143,7 +132,7 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
     return PartitionedDataset(
         features=x_train,
         labels=y_train,
-        party_of=np.arange(len(y_train), dtype=np.int64),
+        ptr=np.arange(len(y_train) + 1, dtype=np.int64),
         test_features=x_test,
         test_labels=y_test,
         task=schema.task,
@@ -151,13 +140,18 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
 
 
 def check_synth(n_samples: int, d_feat: int, n_classes: int, separation: float, n_test: int) -> None:
-    """The shape rules of ``synth_classification``."""
+    """The shape rules of ``synth_classification``: each split's features
+    are one float64 array, so rows * d_feat * 8 bytes must fit numpy's
+    largest allocation (``intp``)."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if n_test < 1:
         raise ValueError("need at least one test sample")
     if d_feat < 1:
         raise ValueError("need at least one feature")
+    if max(n_samples, n_test) * d_feat > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"{max(n_samples, n_test)} rows of {d_feat} float64 features exceed "
+                         "numpy's largest array")
     if n_classes < 2:
         raise ValueError("need at least two classes")
     if separation <= 0:
@@ -203,7 +197,7 @@ def synth_classification(
     return PartitionedDataset(
         features=x_train,
         labels=y_train,
-        party_of=np.arange(n_samples, dtype=np.int64),
+        ptr=np.arange(n_samples + 1, dtype=np.int64),
         test_features=x_test,
         test_labels=y_test,
         task="classification",
@@ -244,35 +238,36 @@ def partition_mode(mode: str) -> str:
 
 
 def party_layout(n: int, n_parties: int, mode: str, size: int | None = None) -> np.ndarray:
-    """The party of each row ``partition`` keeps out of n: ``per-sample`` makes
-    every row a party, ``equal-chunks`` cuts the rows into n_parties nearly
-    equal contiguous groups, and ``by-size`` keeps the first n_parties*size."""
+    """The CSR party offsets ``partition`` gives the first rows of n:
+    ``per-sample`` makes every row a party, ``equal-chunks`` cuts the rows
+    into n_parties nearly equal contiguous groups, and ``by-size`` keeps the
+    first n_parties*size in groups of size."""
     if partition_mode(mode) == "per-sample":
-        return np.arange(n, dtype=np.int64)
+        return np.arange(n + 1, dtype=np.int64)
     if n_parties < 1:
         raise ValueError("n_parties must be >= 1")
     if n_parties > n:
         raise ValueError(f"more parties ({n_parties}) than training samples ({n})")
+    j = np.arange(n_parties + 1, dtype=np.int64)
     if mode == "equal-chunks":
         base, extra = divmod(n, n_parties)
-        sizes = [base + (1 if p < extra else 0) for p in range(n_parties)]
-        return np.repeat(np.arange(n_parties, dtype=np.int64), sizes)
+        return base * j + np.minimum(j, extra)
     if size is None or size < 1:
         raise ValueError("by-size needs a positive party size")
     if n_parties * size > n:
         raise ValueError(f"n_parties*size = {n_parties * size} exceeds {n} training samples")
-    return np.repeat(np.arange(n_parties, dtype=np.int64), size)
+    return size * j
 
 
 def partition(ds: PartitionedDataset, n_parties: int, mode: str, size: int | None = None) -> PartitionedDataset:
     """Reassign training samples to parties by ``party_layout``."""
-    party_of = party_layout(ds.n_train, n_parties, mode, size)
-    keep = len(party_of)
+    ptr = party_layout(ds.n_train, n_parties, mode, size)
+    keep = ptr[-1]
     mask = ds.corruption_mask[:keep] if ds.corruption_mask is not None else None
     return replace(
         ds,
         features=ds.features[:keep],
         labels=ds.labels[:keep],
-        party_of=party_of,
+        ptr=ptr,
         corruption_mask=mask,
     )

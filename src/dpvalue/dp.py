@@ -129,6 +129,9 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
     # (about 1e-14) keeps the result on the private side
     target = delta * (1.0 - 1e-12)
     lo = math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+    if not math.isfinite(lo):
+        raise ValueError(f"epsilon {epsilon!r} and delta {delta!r} need a noise multiplier "
+                         "beyond float range")
     if _gdp_delta(epsilon, 1.0 / lo) <= target:
         return lo
     hi = 2.0 * lo

@@ -95,7 +95,7 @@ def run_noisy_label_experiment(cfg: ExperimentConfig):
 
 def _party_mask(ds: PartitionedDataset) -> np.ndarray:
     """Party-level corruption flag: any corrupted member marks the party."""
-    return np.bincount(ds.party_of, weights=ds.corruption_mask, minlength=ds.n_parties) > 0
+    return np.logical_or.reduceat(ds.corruption_mask, ds.ptr[:-1])
 
 
 def run_removal_experiment(cfg: ExperimentConfig):

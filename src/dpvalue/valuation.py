@@ -166,10 +166,15 @@ def estimation_stats(marginals: np.ndarray):
 
     ``marginals`` holds the retained raw utility deltas, one row per
     iteration. mu_j = mean_t m_jt and s_j^2 = sum_t (m_jt - mu_j)^2 / (k(k-1)),
-    the within-run spread of the marginals scaled to their mean. It estimates
-    Var[psi] for iid and no_dp, whose iterations are independent, and
-    understates it for corr_x and corr_y, which share the combiner's rolling
-    mean: E[s^2] / Var[psi] reads 0.99 / 0.35 / 0.019 (iid / corr_x / corr_y) at
+    the within-run spread of the marginals scaled to their mean. psi weighs
+    each marginal by its position coefficient (``pcoefs``), so mu is psi and
+    s^2 its variance only under Shapley weights, where every coefficient is 1:
+    at 8 per-sample parties, 4 features, logistic, iid, k=50, E[s^2] /
+    Var[psi] reads 0.94-1.11 (sigma 0) and 0.88-1.09 (sigma 0.5) for
+    Shapley, 0.01-0.24 and 0.48-0.63 for Banzhaf. Under Shapley weights s^2 estimates Var[psi] for
+    iid and no_dp, whose iterations are independent, and understates it for
+    corr_x and corr_y, which share the combiner's rolling mean: E[s^2] /
+    Var[psi] reads 0.99 / 0.35 / 0.019 (iid / corr_x / corr_y) at
     variance_probe.yaml's shape, k=100, and 1.01 / 0.12 / 0.014 at 4 parties,
     k=40 (fl_schedule unmeasured). mean_adjusted is s^2 / |mu|, NaN where |mu| < MU_GUARD.
     """
@@ -194,14 +199,14 @@ def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.
 
 
 def prepare(cfg: RunConfig) -> _kernels.Task:
-    """The chain's input arrays for one run, built once: the party-sorted
-    training design matrix with its CSR offsets and the parties' gradient
+    """The chain's input arrays for one run, built once: the training design
+    matrix with the dataset's CSR party offsets and the parties' gradient
     statistics, and the test design matrix with its mean-squared-error
     statistics."""
-    features, y, ptr = cfg.dataset.sorted_by_party()
-    x = design_matrix(features, cfg.model)
-    xt = design_matrix(cfg.dataset.test_features, cfg.model)
-    yt = np.ascontiguousarray(cfg.dataset.test_labels, dtype=np.float64)
+    ds = cfg.dataset
+    x, y, ptr = design_matrix(ds.features, cfg.model), ds.labels, ds.ptr
+    xt = design_matrix(ds.test_features, cfg.model)
+    yt = np.ascontiguousarray(ds.test_labels, dtype=np.float64)
     loss = cfg.model.loss_kind
     return _kernels.Task(
         x=x, y=y, ptr=ptr, xt=xt, yt=yt, loss=loss, utility=cfg.utility,

@@ -32,7 +32,7 @@ def orthogonal_chain_task(n: int, lr: float, seed: int = 0):
     xt = rng.standard_normal((15, n))
     yt = rng.standard_normal(15)
     ds = data.PartitionedDataset(
-        x, y, np.arange(n, dtype=np.int64), xt, yt, task="regression"
+        x, y, np.arange(n + 1, dtype=np.int64), xt, yt, task="regression"
     )
     mspec = models.ModelSpec("mse_linear", lr, models.InitSpec("zeros"), add_bias=False)
     uspec = "neg_test_loss"

@@ -139,6 +139,15 @@ def test_corrupt_labels_deterministic():
     assert np.array_equal(a.corruption_mask, b.corruption_mask)
 
 
+def test_check_synth_holds_each_split_to_numpy_largest_array():
+    # rows * d_feat float64s must fit an intp-sized allocation; nothing is allocated here
+    rows = np.iinfo(np.intp).max // 8 // 10
+    data.check_synth(rows, 10, 2, 1.0, 1)
+    for n_samples, n_test in ((rows + 1, 1), (1, rows + 1)):
+        with pytest.raises(ValueError, match="numpy's largest array"):
+            data.check_synth(n_samples, 10, 2, 1.0, n_test)
+
+
 def test_corrupt_labels_zero_ratio():
     ds = data.synth_classification(50, 4, 2, seed=2, separation=2.0)
     out = data.corrupt_labels(ds, 0.0, seed=9)
@@ -147,16 +156,24 @@ def test_corrupt_labels_zero_ratio():
 
 
 def test_dataset_rejects_an_empty_party():
-    # a party index with no rows would give retraining and the chain an empty batch
+    # a party with no rows would give retraining and the chain an empty batch
     ds = data.synth_classification(6, 3, 2, seed=1, separation=3.0, n_test=4)
     with pytest.raises(ValueError, match="non-empty"):
-        replace(ds, party_of=np.array([0, 0, 2, 2, 3, 3]))
+        replace(ds, ptr=np.array([0, 2, 2, 4, 6]))
+
+
+@pytest.mark.parametrize("ptr", [[0, 2, 4], [1, 3, 6], [0, 4, 7], [0], [[0, 6]]])
+def test_dataset_rejects_offsets_off_its_rows(ptr):
+    # offsets that miss row 0 or the last row, or hold no party, give no layout
+    ds = data.synth_classification(6, 3, 2, seed=1, separation=3.0, n_test=4)
+    with pytest.raises(ValueError, match="from 0 to the 6 training rows"):
+        replace(ds, ptr=np.array(ptr))
 
 
 def test_corrupt_labels_rejects_regression():
     ds = data.synth_classification(20, 4, 2, seed=2, separation=2.0)
     ds = data.PartitionedDataset(
-        ds.features, ds.labels, ds.party_of, ds.test_features, ds.test_labels,
+        ds.features, ds.labels, ds.ptr, ds.test_features, ds.test_labels,
         task="regression",
     )
     with pytest.raises(ValueError):
@@ -178,20 +195,20 @@ def test_partition_per_sample():
     ds = data.synth_classification(400, 4, 2, seed=0, separation=2.0)
     out = data.partition(ds, 0, "per-sample")
     assert out.n_parties == 400
-    assert np.all(np.bincount(out.party_of) == 1)
+    assert np.array_equal(out.ptr, np.arange(401))
 
 
 def test_partition_equal_chunks_pigeonhole():
     ds = data.synth_classification(10, 3, 2, seed=0, separation=2.0)
     out = data.partition(ds, 3, "equal-chunks")
-    assert sorted(np.bincount(out.party_of), reverse=True) == [4, 3, 3]
+    assert sorted(np.diff(out.ptr), reverse=True) == [4, 3, 3]
 
 
 def test_partition_by_size():
     ds = data.synth_classification(800, 3, 2, seed=0, separation=2.0)
     out = data.partition(ds, 100, "by-size", size=8)
     assert out.n_parties == 100
-    assert np.all(np.bincount(out.party_of) == 8)
+    assert np.all(np.diff(out.ptr) == 8)
     with pytest.raises(ValueError):
         data.partition(ds, 101, "by-size", size=8)
 
@@ -199,7 +216,7 @@ def test_partition_by_size():
 def test_partition_is_a_partition():
     ds = data.synth_classification(101, 3, 2, seed=4, separation=2.0)
     out = data.partition(ds, 7, "equal-chunks")
-    counts = np.bincount(out.party_of, minlength=out.n_parties)
+    counts = np.diff(out.ptr)
     assert counts.sum() == out.n_train
     assert np.all(counts > 0)
 

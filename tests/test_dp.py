@@ -121,6 +121,11 @@ def test_calibrate_sigma_rejects_non_finite_epsilon():
         for epsilon in (math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 dp.calibrate_sigma(epsilon, 5e-5)
+        # a subnormal epsilon or delta overflows the starting multiplier, whose
+        # mu = 1/inf = 0 would divide by zero
+        for epsilon, delta in ((1e-320, 5e-5), (6.0, 1e-320)):
+            with pytest.raises(ValueError, match="beyond float range"):
+                dp.calibrate_sigma(epsilon, delta)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -118,15 +118,15 @@ def scan_train_one_pass(spec, features, labels, party_of, include_parties, seed)
 def test_train_one_pass_matches_scan_loop(loss_kind):
     rng = np.random.default_rng(12)
     ds = data.synth_classification(90, 5, 2, seed=3, separation=3.0, n_test=20)
-    # unequal parties whose rows are scattered through the training set
+    # unequal parties, each its own run of rows
     sizes = rng.multinomial(90 - 12, [1 / 12] * 12) + 1
-    party_of = rng.permutation(np.repeat(np.arange(12), sizes))
-    ds = replace(ds, party_of=party_of)
+    party_of = np.repeat(np.arange(12), sizes)
+    ds = replace(ds, ptr=np.concatenate([[0], np.cumsum(sizes)]))
     lam = 0.01 if loss_kind == "logistic_l2" else 0.0
     spec = models.ModelSpec(loss_kind, 0.05, models.InitSpec("gaussian", 0.1), l2=lam)
     task = dataset_task(ds, spec, "neg_test_loss")
     for seed, keep in enumerate([np.arange(12), np.array([0, 3, 4, 7, 11]), np.array([5])]):
-        want = scan_train_one_pass(spec, ds.features, ds.labels, ds.party_of, keep, seed)
+        want = scan_train_one_pass(spec, ds.features, ds.labels, party_of, keep, seed)
         assert np.array_equal(models.train_one_pass(spec, task, keep, seed), want)
 
 

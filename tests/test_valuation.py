@@ -314,7 +314,7 @@ def test_no_noise_determinism_and_mode_equivalence():
     xt = np.random.default_rng(0).standard_normal((10, 3))
     yt = np.random.default_rng(1).standard_normal(10)
     zero_ds = data.PartitionedDataset(
-        np.zeros((n, 3)), np.zeros(n), np.arange(n, dtype=np.int64), xt, yt,
+        np.zeros((n, 3)), np.zeros(n), np.arange(n + 1, dtype=np.int64), xt, yt,
         task="regression",
     )
     mspec = models.ModelSpec("mse_linear", 0.1, add_bias=False)
@@ -494,12 +494,10 @@ def test_run_config_validation(small_task):
 def _two_party_task(flip_second=True):
     ds = data.synth_classification(60, 6, 2, seed=9, separation=4.0, n_test=100)
     labels = ds.labels.copy()
-    party = np.zeros(60, dtype=np.int64)
-    party[30:] = 1
     if flip_second:
         labels[30:] = 1.0 - labels[30:]
     return data.PartitionedDataset(
-        ds.features, labels, party, ds.test_features, ds.test_labels,
+        ds.features, labels, np.array([0, 30, 60]), ds.test_features, ds.test_labels,
         task="classification",
     )
 
@@ -569,8 +567,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
 
     ds = cfg.dataset
     n = ds.n_parties
-    x, y, ptr = ds.sorted_by_party()
-    x = models.design_matrix(x, cfg.model)
+    x, y, ptr = models.design_matrix(ds.features, cfg.model), ds.labels, ds.ptr
     xt = models.design_matrix(ds.test_features, cfg.model)
     yt = np.ascontiguousarray(ds.test_labels, dtype=np.float64)
     d = x.shape[1]
