@@ -16,45 +16,51 @@ for a 7x7 matvec. The chain makes about four such products per step, so it
 pays about 12 % of the noisy-label workload's wall time. A test
 (``test_per_step_products_avoid_matmul``) rejects ``@`` in the per-step
 functions.
+
+Per-step sums follow the same rule: a sum over the test rows, or over a
+block's coordinates, is ``v.dot(ones)`` with a ones vector the ``Task`` holds,
+not a ufunc reduction (a block's accuracy count aside, see ``accuracy``). On
+the same box, on 200 test rows, ``np.add.reduce`` cost 0.97 us against
+0.44-0.48 us for the dot; ``np.maximum`` against a Python scalar 0.73 us
+against 0.43 us for ``np.minimum`` into its input against a held zeros
+vector. The accuracy's finite check skips the Python wrappers of
+``ndarray.all`` and ``np.where`` too (``np.logical_and.reduce`` and a
+branch). The dot sums in another order than numpy's pairwise reduction, so a
+utility can move in its last bits. A test
+(``test_per_step_sums_avoid_ufunc_reductions``) rejects ``np.add.reduce``,
+``sum``, ``all`` and ``np.where`` calls in ``utility_np`` and ``accuracy``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dp import clip_in_place, fold, history, release
 
-# One formula per loss, scored by ``utility_np`` for the chain, federated
-# attribution, retraining and the variance probe's noise replay. Scores ``s``
-# may be a vector or a (trials, l) block; reductions run over the last axis.
+# One formula per utility, scored by ``utility_np`` for the chain, federated
+# attribution, retraining and the variance probe's noise replay. Scores may be
+# a vector or a (trials, l) block; sums run over the last axis.
 
 
-def log_loss(s, y):
-    """Per-point logistic loss ``softplus(-s) + (1-y)*s`` of the scores ``s``.
-
-    With ``softplus(-s) = log1p(exp(-|s|)) + max(-s, 0)`` the sum is evaluated
-    as ``log1p(exp(-|s|)) + max(s, 0) - y*s``: one stable softplus per point,
-    exact where it saturates, instead of two ``logaddexp`` calls.
-    """
-    out = np.abs(s)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(s, 0.0)
-    out -= y * s
-    return out
-
-
-def accuracy(s, y, loss):
-    """Share of test points whose thresholded score equals the label; NaN for
-    a row whose scores are not all finite, which thresholding would hide from
-    the chain's divergence check. A vector of scores gives a scalar."""
-    thr = 0.5 if loss == "mse_linear" else 0.0
-    acc = np.add.reduce((s >= thr) == y, axis=-1) / y.shape[0]
-    return np.where(np.isfinite(s).all(axis=-1), acc, np.nan)[()]
+def accuracy(s, task):
+    """Share of the ``Task``'s test points whose thresholded score in ``s``
+    equals the label; NaN for a row whose scores are not all finite, which
+    thresholding would hide from the chain's divergence check. A vector of
+    scores gives a scalar, its hits counted as a dot product with ``ones_l``;
+    a block counts with ``np.count_nonzero``, because a dot would first cast
+    its (trials, l) hits to a float64 copy (2.6 times slower on 300 rows)."""
+    thr = 0.5 if task.loss == "mse_linear" else 0.0
+    l = task.yt.shape[0]
+    hits = (s >= thr) == task.yt
+    finite = np.logical_and.reduce(np.isfinite(s), axis=-1)
+    if s.ndim == 1:
+        return hits.dot(task.ones_l) / l if finite else np.float64(np.nan)
+    acc = np.count_nonzero(hits, axis=-1) / l
+    acc[~finite] = np.nan
+    return acc
 
 
 def mse_stats(x, y):
@@ -87,26 +93,43 @@ def grad_stats(x, y, ptr, loss):
 def utility_np(thetas, task):
     """Test-set utility of a (d,) parameter vector, or of each row of a
     (trials, d) block in any memory layout, on the ``Task``'s test split; one
-    formula per utility. The MSE neg-loss is ``-(theta.A.theta - b.theta +
-    c)`` on ``mse_stats``: ``-c - theta.(A theta - b)`` for a vector, and for
-    a block with theta.A as ``A.T.dot(thetas.T).T``, laid out as a transposed
-    (d, trials) array whatever the block's layout, so each row's bits do not
-    depend on it. A vector's score equals its row's in a block to rounding."""
+    formula per utility, its sums ``.dot`` products with a ones vector.
+
+    The MSE neg-loss is ``-(theta.A.theta - b.theta + c)`` on ``task.mse``:
+    ``-c - theta.(A theta - b)`` for a vector; for a block, ``p = A.T.dot(thetas.T)``
+    is a C-contiguous (d, trials) array whatever the block's layout, so after
+    ``p -= b; p *= thetas.T`` each row's bits ``-c - ones_d.dot(p)`` do not
+    depend on it.
+
+    The logistic neg-loss scores the signed test design ``xs``, whose row i is
+    ``(2 y_i - 1) x_i``: its margins ``m = xs.theta`` are the scores with the
+    sign flipped where y_i = 0, exactly, and the loss of a point is
+    ``softplus(-m) = log1p(exp(-|m|)) + max(-m, 0)``. Both terms are
+    non-negative and summed apart, ``log1p(exp(-|m|)).1 - min(m, 0).1``, so the
+    neg-loss is never above 0 and is exact where the softplus saturates; the
+    hinge ``min(m, 0)`` is 0 for a point classified right (``np.minimum``, not
+    ``|m| - m``, because inf - inf would warn). A vector's score equals its
+    row's in a block to rounding."""
     if task.utility == "neg_test_loss" and task.loss == "mse_linear":
         a, b, c = task.mse
         if thetas.ndim == 1:
             p = a.dot(thetas)
             p -= b
             return -c - thetas.dot(p)
-        p = a.T.dot(thetas.T).T
-        p -= b
-        p *= thetas
-        return -c - np.add.reduce(p, axis=-1)
-    s = thetas.dot(task.xt.T)
+        p = a.T.dot(thetas.T)
+        p -= b[:, None]
+        p *= thetas.T
+        return -c - task.ones_d.dot(p)
     if task.utility == "test_accuracy":
-        return accuracy(s, task.yt, task.loss)
+        return accuracy(thetas.dot(task.xt.T), task)
+    m = thetas.dot(task.xs.T)
+    a = np.abs(m)
+    np.minimum(m, task.zeros_l, out=m)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    np.log1p(a, out=a)
     sq = thetas.dot(thetas) if thetas.ndim == 1 else np.vecdot(thetas, thetas)
-    return -np.add.reduce(log_loss(s, task.yt), axis=-1) / task.yt.shape[0] - task.lam * sq
+    return -(a.dot(task.ones_l) - m.dot(task.ones_l)) / task.yt.shape[0] - task.lam * sq
 
 
 def party_grad_np(theta, x, y, a, b, loss, lam, stats):
@@ -159,12 +182,17 @@ class Task:
 
     ``x``/``y`` are the training design matrix and labels, grouped by party,
     party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
-    the utility is scored on and ``mse`` its ``mse_stats``. ``grad_stats``
-    holds each party's MSE gradient statistics ``(G, h)``, or None where the
-    party keeps the row formula (see ``grad_stats``); all of them together
-    take at most ``x``'s memory. ``x`` and ``xt`` are C-contiguous float64.
-    ``loss`` and ``utility`` are the config's kind names
-    (``models.LOSS_KINDS``, ``models.UTILITY_KINDS``).
+    the utility is scored on. ``grad_stats`` holds each party's MSE gradient
+    statistics ``(G, h)``, or None where the party keeps the row formula (see
+    ``grad_stats``); all of them together take at most ``x``'s memory. ``x``
+    and ``xt`` are C-contiguous float64. ``loss`` and ``utility`` are the
+    config's kind names (``models.LOSS_KINDS``, ``models.UTILITY_KINDS``).
+
+    The test split's statistics that ``utility_np`` reads are derived once,
+    here: ``mse``, the split's ``mse_stats``; ``xs``, the signed test design
+    ``(2 yt - 1)[:, None] * xt`` (labels in {0, 1}) of the logistic loss;
+    ``ones_l`` and ``zeros_l``, of the test rows' length l, and ``ones_d``, of
+    the d coordinates, which turn its sums into BLAS dot products.
     """
 
     x: np.ndarray
@@ -176,8 +204,20 @@ class Task:
     utility: str
     lr: float
     lam: float
-    mse: tuple
     grad_stats: tuple
+    mse: tuple = field(init=False)
+    xs: np.ndarray = field(init=False)
+    ones_l: np.ndarray = field(init=False)
+    zeros_l: np.ndarray = field(init=False)
+    ones_d: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        l, d = self.xt.shape
+        derived = {"mse": mse_stats(self.xt, self.yt),
+                   "xs": (2.0 * self.yt - 1.0)[:, None] * self.xt,
+                   "ones_l": np.ones(l), "zeros_l": np.zeros(l), "ones_d": np.ones(d)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def run_chain(task, clip, perms, inits, noise, diag, correlated,

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import data, metrics, models, valuation
-from .dp import MODES, NoiseConfig, burn_in_count, calibrate_sigma, mechanism
+from .dp import MODES, NoiseConfig, burn_in_count, calibrate_sigma, check_delta, mechanism
 from .experiments import RUNNERS
 from .valuation import SemivalueSpec
 
@@ -295,7 +295,7 @@ def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
     if section.get("sigma") is None:
         if section.get("epsilon") is not None:
             with _field("noise.delta"):
-                delta = _number(section.get("delta", 5e-5))
+                delta = check_delta(_number(section.get("delta", 5e-5)))
             with _field("noise.epsilon"):
                 sigma = calibrate_sigma(_number(section["epsilon"]), delta)
             noise = replace(noise, noise_multiplier=sigma)

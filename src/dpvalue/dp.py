@@ -112,6 +112,16 @@ def _gdp_delta(epsilon: float, mu: float) -> float:
     return first - (0.5 * math.exp(epsilon + math.log(tail)) if tail > 0.0 else 0.0)
 
 
+def check_delta(delta: float) -> float:
+    """The delta of an (eps, delta) target: in (0, 1), and large enough that
+    the classical multiplier's ``1.25/delta`` is a finite float."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if not math.isfinite(1.25 / delta):
+        raise ValueError(f"delta {delta!r} puts 1.25/delta beyond float range")
+    return delta
+
+
 def calibrate_sigma(epsilon: float, delta: float) -> float:
     """The noise multiplier that meets (eps, delta) under this module's
     accounting: the larger of the classical sqrt(2*ln(1.25/delta))/eps
@@ -123,8 +133,7 @@ def calibrate_sigma(epsilon: float, delta: float) -> float:
     asked."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0, 1)")
+    check_delta(delta)
     # a relative margin well above the rounding of delta(eps) near the solution
     # (about 1e-14) keeps the result on the private side
     target = delta * (1.0 - 1e-12)

@@ -201,8 +201,8 @@ def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.
 def prepare(cfg: RunConfig) -> _kernels.Task:
     """The chain's input arrays for one run, built once: the training design
     matrix with the dataset's CSR party offsets and the parties' gradient
-    statistics, and the test design matrix with its mean-squared-error
-    statistics."""
+    statistics, and the test design matrix, whose statistics the ``Task``
+    derives."""
     ds = cfg.dataset
     x, y, ptr = design_matrix(ds.features, cfg.model), ds.labels, ds.ptr
     xt = design_matrix(ds.test_features, cfg.model)
@@ -210,7 +210,7 @@ def prepare(cfg: RunConfig) -> _kernels.Task:
     loss = cfg.model.loss_kind
     return _kernels.Task(
         x=x, y=y, ptr=ptr, xt=xt, yt=yt, loss=loss, utility=cfg.utility,
-        lr=cfg.model.learning_rate, lam=cfg.model.l2, mse=_kernels.mse_stats(xt, yt),
+        lr=cfg.model.learning_rate, lam=cfg.model.l2,
         grad_stats=_kernels.grad_stats(x, y, ptr.tolist(), loss),
     )
 

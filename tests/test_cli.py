@@ -676,6 +676,10 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("valuation-probe-block", "valuation", {"probe": {"ks": [10, 20, 40]}}, "probe"),
     ("delta-beside-sigma", "valuation",
      {"noise": {"clip_norm": 1.0, "sigma": 1.0, "delta": 1e-5, "mode": "corr_x"}}, "noise.delta"),
+    ("delta-above-one", "valuation",
+     {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "delta": 3, "mode": "corr_x"}}, "noise.delta"),
+    ("delta-subnormal", "valuation",
+     {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "delta": 1e-320, "mode": "corr_x"}}, "noise.delta"),
     ("unread-init-key", "valuation", {"model.init": {"kind": "zeros", "scal": 1.0}},
      "model.init.scal"),
     ("per-sample-n-parties", "valuation",

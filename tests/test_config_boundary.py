@@ -24,7 +24,6 @@ CROSS = {
     "dataset.n_samples": {"dataset.partition.n_parties", "dataset.corrupt_ratio",
                           "semivalue.kind"},  # parties within the rows; corrupted rows; weights cap
     "noise.epsilon": {"noise.sigma"},  # sigma or epsilon must be given
-    "noise.delta": {"noise.epsilon"},  # calibrate_sigma checks (epsilon, delta) together
     "probe.ks": {"probe.q"},  # each budget's burn-in k*q
     "federated.rounds": {"federated.q"},  # the rounds' burn-in
 }

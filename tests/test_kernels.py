@@ -96,7 +96,7 @@ def random_chain(mechanism, loss, utility, n=7, d=4, k=12):
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
     args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated)
     task = _kernels.Task(x, y, ptr, xt, yt, loss, utility, 0.1, lam,
-                         _kernels.mse_stats(xt, yt), _kernels.grad_stats(x, y, ptr, loss))
+                         _kernels.grad_stats(x, y, ptr, loss))
     return task, args
 
 
@@ -151,9 +151,10 @@ def test_accuracy_chain_divergence_names_iteration_and_party():
 def test_accuracy_of_non_finite_scores_is_nan():
     y = np.array([1.0, 0.0, 1.0])
     s = np.array([[0.5, -1.0, 2.0], [np.inf, -1.0, 2.0], [0.5, np.nan, 2.0]])
-    got = _kernels.accuracy(s, y, LOGISTIC)
+    task = batch_task(LOGISTIC, ACCURACY, 0.0, np.eye(3), y)
+    got = _kernels.accuracy(s, task)
     assert got[0] == 1.0 and np.isnan(got[1:]).all()
-    assert type(_kernels.accuracy(s[0], y, LOGISTIC)) is np.float64
+    assert type(_kernels.accuracy(s[0], task)) is np.float64
 
 
 def test_softplus_utility_stable_at_extremes():
@@ -233,19 +234,15 @@ def test_model_loss_matches_reference(loss, min_abs_score):
 
 
 def wrapper_utility(thetas, task):
-    """``utility_np``'s accuracy and logistic branches as written with numpy's
-    ``count_nonzero`` and ``ndarray.sum`` wrappers."""
+    """``utility_np``'s accuracy branch as written with numpy's
+    ``count_nonzero`` wrapper."""
     s = thetas @ task.xt.T
-    if task.utility == ACCURACY:
-        thr = 0.5 if task.loss == MSE else 0.0
-        return np.count_nonzero((s >= thr) == task.yt, axis=-1) / task.yt.shape[0]
-    return (-_kernels.log_loss(s, task.yt).sum(axis=-1) / task.yt.shape[0]
-            - task.lam * np.vecdot(thetas, thetas))
+    thr = 0.5 if task.loss == MSE else 0.0
+    return np.count_nonzero((s >= thr) == task.yt, axis=-1) / task.yt.shape[0]
 
 
 @pytest.mark.parametrize("shape", [(11,), (7, 11)])
-@pytest.mark.parametrize("loss,utility",
-                         [(MSE, ACCURACY), (LOGISTIC, ACCURACY), (LOGISTIC, NEG_LOSS)], ids=kind_id)
+@pytest.mark.parametrize("loss,utility", [(MSE, ACCURACY), (LOGISTIC, ACCURACY)], ids=kind_id)
 def test_utility_reductions_bitwise_equal_wrappers(loss, utility, shape):
     rng = np.random.default_rng(23)
     xt = rng.standard_normal((200, 11))
@@ -254,6 +251,98 @@ def test_utility_reductions_bitwise_equal_wrappers(loss, utility, shape):
     for _ in range(50):
         thetas = rng.standard_normal(shape)
         assert np.array_equal(_kernels.utility_np(thetas, task), wrapper_utility(thetas, task))
+
+
+def signed_design_utility(thetas, xt, yt, lam):
+    """The logistic neg-loss on the signed test design, written out with the
+    hinge as a difference: with margins m, ``a = |m|``, the hinge ``(a - m).1``
+    (twice ``max(-m, 0)`` per point) and
+    ``-(log1p(exp(-a)).1 + hinge/2)/l - lam*theta.theta``."""
+    ones = np.ones(len(yt))
+    m = thetas @ ((2.0 * yt - 1.0)[:, None] * xt).T
+    a = np.abs(m)
+    hinge = (a - m) @ ones
+    return -(np.log1p(np.exp(-a)) @ ones + hinge / 2) / len(yt) - lam * np.vecdot(thetas, thetas)
+
+
+@pytest.mark.parametrize("shape", [(11,), (7, 11)])
+def test_logistic_utility_bitwise_equal_formula(shape):
+    rng = np.random.default_rng(23)
+    xt = rng.standard_normal((200, 11))
+    yt = rng.integers(0, 2, 200).astype(np.float64)
+    task = batch_task(LOGISTIC, NEG_LOSS, 0.02, xt, yt)
+    for scale in SCALES:
+        for _ in range(50):
+            thetas = rng.standard_normal(shape) * scale
+            want = signed_design_utility(thetas, xt, yt, 0.02)
+            assert np.array_equal(_kernels.utility_np(thetas, task), want)
+
+
+def test_logistic_utility_without_penalty_at_most_zero():
+    # each point's loss is a sum of non-negative terms, so no cancellation
+    # lifts the neg-loss above 0: not where every |score| >= 40, nor where
+    # every point is classified right and only the softplus tails remain
+    rng = np.random.default_rng(41)
+    xt = rng.standard_normal((200, 11))
+    w = rng.standard_normal(11)
+    for yt in (rng.integers(0, 2, 200).astype(np.float64), (xt @ w > 0).astype(np.float64)):
+        task = batch_task(LOGISTIC, NEG_LOSS, 0.0, xt, yt)
+        thetas = list(random_thetas(xt, rng, 40, 40.0))
+        thetas += [w * (scale / np.min(np.abs(xt @ w))) for scale in np.geomspace(40.0, 1e4, 40)]
+        thetas = np.array(thetas)
+        assert (_kernels.utility_np(thetas, task) <= 0.0).all()
+        for theta in thetas:
+            assert _kernels.utility_np(theta, task) <= 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_utility_is_not_finite(bad):
+    rng = np.random.default_rng(3)
+    xt = rng.standard_normal((50, 5))
+    yt = rng.integers(0, 2, 50).astype(np.float64)
+    for loss, utility in ((LOGISTIC, NEG_LOSS), (LOGISTIC, ACCURACY), (MSE, ACCURACY)):
+        task = batch_task(loss, utility, 0.02 if loss == LOGISTIC else 0.0, xt, yt)
+        # one non-finite entry per row: two infinities could already meet as
+        # inf - inf inside the scores' product, which numpy reports
+        thetas = rng.standard_normal((4, 5))
+        thetas[1, 2] = bad
+        thetas[3, 0] = bad
+        rows = _kernels.utility_np(thetas, task)
+        vectors = np.array([_kernels.utility_np(theta, task) for theta in thetas])
+        for got in (rows, vectors):
+            assert np.isfinite(got[[0, 2]]).all()
+            if utility == ACCURACY:
+                assert np.isnan(got[[1, 3]]).all()
+            else:
+                assert not np.isfinite(got[[1, 3]]).any()
+
+
+def assert_vector_matches_block_row(task, rng):
+    d = task.xt.shape[1]
+    block = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-3, 2, (40, 1))
+    rows = _kernels.utility_np(block, task)
+    for theta, want in zip(block, rows):
+        got = _kernels.utility_np(theta, task)
+        assert type(got) is np.float64
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 7, 12])
+def test_logistic_vector_utility_matches_block_row(d):
+    rng = np.random.default_rng(d)
+    xt = rng.standard_normal((64, d))
+    yt = rng.integers(0, 2, 64).astype(np.float64)
+    assert_vector_matches_block_row(batch_task(LOGISTIC, NEG_LOSS, 0.02, xt, yt), rng)
+
+
+@pytest.mark.parametrize("loss", [MSE, LOGISTIC], ids=kind_id)
+@pytest.mark.parametrize("d", [1, 7, 12])
+def test_accuracy_vector_utility_matches_block_row(d, loss):
+    rng = np.random.default_rng(d)
+    xt = rng.standard_normal((64, d))
+    yt = rng.integers(0, 2, 64).astype(np.float64)
+    assert_vector_matches_block_row(batch_task(loss, ACCURACY, 0.0, xt, yt), rng)
 
 
 @pytest.mark.parametrize("d", [1, 7, 12, 16, 33])
@@ -391,7 +480,7 @@ def test_stats_bytes_at_most_the_design_matrix(d):
         ptr = np.cumsum([0] + sizes).tolist()
         x, y = mse_party_rows(ptr[-1], d, seed=d)
         task = _kernels.Task(x, y, np.array(ptr), x, y, MSE, NEG_LOSS, 0.1, 0.0,
-                             _kernels.mse_stats(x, y), _kernels.grad_stats(x, y, ptr, MSE))
+                             _kernels.grad_stats(x, y, ptr, MSE))
         held = sum(g.nbytes + h.nbytes for g, h in filter(None, task.grad_stats))
         assert held <= task.x.nbytes
 
@@ -401,13 +490,7 @@ def test_mse_vector_utility_matches_block_row(d):
     rng = np.random.default_rng(d)
     xt = rng.standard_normal((64, d))
     yt = rng.standard_normal(64)
-    task = batch_task(MSE, NEG_LOSS, 0.0, xt, yt)
-    block = rng.standard_normal((40, d)) * 10.0 ** rng.uniform(-3, 2, (40, 1))
-    rows = _kernels.utility_np(block, task)
-    for theta, want in zip(block, rows):
-        got = _kernels.utility_np(theta, task)
-        assert type(got) is np.float64
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert_vector_matches_block_row(batch_task(MSE, NEG_LOSS, 0.0, xt, yt), rng)
 
 
 # -- per-step products on ndarray.dot (see the _kernels docstring) ---------------
@@ -448,3 +531,15 @@ def test_per_step_products_avoid_matmul(function):
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
     assert not lines, (f"{function.__name__} uses @ at its lines {lines}: per-step "
                        "products take ndarray.dot, see the dpvalue._kernels docstring")
+
+
+@pytest.mark.parametrize("function", [_kernels.utility_np, _kernels.accuracy],
+                         ids=lambda f: f.__name__)
+def test_per_step_sums_avoid_ufunc_reductions(function):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    calls = [(node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    banned = [(line, name) for line, name in calls
+              if name in ("np.where", "np.add.reduce") or name.rsplit(".", 1)[-1] in ("sum", "all")]
+    assert not banned, (f"{function.__name__} calls {banned}: per-step sums take "
+                        "ndarray.dot with a ones vector, see the dpvalue._kernels docstring")

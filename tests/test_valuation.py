@@ -574,8 +574,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     loss = cfg.model.loss_kind
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
-    task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam,
-                         _kernels.mse_stats(xt, yt), (None,) * n)
+    task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam, (None,) * n)
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
