@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -31,6 +32,17 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
+def _exact(field: str, values) -> list[str]:
+    """A per-party result as round-trip strings. JSON's ``allow_nan=False``
+    does not look inside a string, so a value that is not finite is refused
+    here, naming its field and party."""
+    for party, v in enumerate(values):
+        if not math.isfinite(v):
+            raise ValueError(f"{field} of party {party} is {v}, which the result cannot hold: "
+                             "the run's values overflowed; lower model.l2 or model.learning_rate")
+    return [format(v, ".17g") for v in values]
+
+
 def _sample_lines(mode: str, k: int, draws) -> str:
     """probe_samples.csv's lines ``mode,k,trial,party,psi`` of one mode and
     budget, for each party's row of trials in ``draws``: one join of
@@ -53,9 +65,9 @@ def run_valuation_experiment(cfg: ExperimentConfig):
         )
     doc = {
         "kind": "valuation",
-        "psi": [format(v, ".17g") for v in res.psi],
-        "mu": [format(v, ".17g") for v in res.mu],
-        "s_sq": [format(v, ".17g") for v in res.s_sq],
+        "psi": _exact("psi", res.psi),
+        "mu": _exact("mu", res.mu),
+        "s_sq": _exact("s_sq", res.s_sq),
         "permutations_used": cfg.noise.budget,
         "burn_in_dropped": cfg.noise.burn_in,
     }
@@ -159,18 +171,15 @@ def run_similarity_experiment(cfg: ExperimentConfig):
 def run_federated_experiment(cfg: ExperimentConfig):
     psi = run_federated(cfg.run(cfg.seed), cfg.plan)
     rows = [["party", "psi"]] + [[str(j), _fmt(v)] for j, v in enumerate(psi)]
-    return ({"kind": "federated", "psi": [format(v, ".17g") for v in psi]},
+    return ({"kind": "federated", "psi": _exact("psi", psi)},
             {"summary.csv": _csv(rows)})
 
 
 def run_oracle_check_experiment(cfg: ExperimentConfig):
     n, tol = cfg.plan.n, cfg.plan.tolerance
     rng = np.random.default_rng(cfg.seed)
-    table = {tuple(sorted(s)): float(rng.standard_normal()) for s in _powerset(n)}
-
-    def v(subset):
-        return table[tuple(sorted(subset))]
-
+    # one game value per coalition, keyed by its sorted members as both oracles ask
+    v = dict(zip(_powerset(n), rng.standard_normal(1 << n).tolist())).__getitem__
     rows = [["kind", "max_abs_diff", "pass"]]
     worst = 0.0
     for spec in cfg.plan.semivalues:

@@ -415,7 +415,8 @@ def variance_scaling_probe(probe: Probe, base_cfg: RunConfig, seed: int) -> dict
     chain does not depend on the noise scale or mode), then ``probe.trials``
     fresh noise draws, shared by every mode (corr_y with burn-in share
     ``probe.q``), estimate Var[psi | theta^p sequence]. The noise and every
-    budget's mechanisms are checked before the first chain runs.
+    budget's mechanisms are checked before the first chain runs; a variance
+    that is not positive and finite, which has no log, raises ``ValueError``.
     """
     probe_sigma(base_cfg.noise.noise_multiplier)
     runs = probe.mechanisms(base_cfg.noise)
@@ -426,6 +427,11 @@ def variance_scaling_probe(probe: Probe, base_cfg: RunConfig, seed: int) -> dict
         replays = conditional_variance(cfg, probe.modes, probe.trials, seed=seed * 7919 + i,
                                        q=probe.q)
         for mode, (var, draws) in zip(probe.modes, replays):
+            if not 0.0 < var < np.inf:  # the slope is fit to log(variance)
+                raise ValueError(
+                    f"the {mode} probe's variance at budget k={k} is {var}, which has no log: "
+                    "its noise does not move the utility; raise noise.sigma, noise.clip_norm "
+                    "or model.learning_rate")
             variances[mode].append(var)
             samples[mode][k] = draws
     return {

@@ -177,25 +177,26 @@ def estimation_stats(marginals: np.ndarray):
     Var[psi] reads 0.99 / 0.35 / 0.019 (iid / corr_x / corr_y) at
     variance_probe.yaml's shape, k=100, and 1.01 / 0.12 / 0.014 at 4 parties,
     k=40 (fl_schedule unmeasured). mean_adjusted is s^2 / |mu|, NaN where |mu| < MU_GUARD.
+    A statistic that overflows is inf, without a warning; the result writers refuse it.
     """
     m = np.asarray(marginals, dtype=np.float64)
     k = m.shape[0]
     if k < 2:
         raise ValueError("need at least two retained marginals")
-    mu = m.mean(axis=0)
-    s_sq = np.sum((m - mu) ** 2, axis=0) / (k * (k - 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu = m.mean(axis=0)
+        s_sq = np.sum((m - mu) ** 2, axis=0) / (k * (k - 1))
         mav = np.where(np.abs(mu) < MU_GUARD, np.nan, s_sq / np.abs(mu))
     return mu, s_sq, mav
 
 
-def sample_permutations(n: int, k: int, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """The engine's permutation stream: k uniform draws from one generator."""
-    rng = np.random.default_rng(seed_seq)
-    perms = np.empty((k, n), dtype=np.int64)
-    for t in range(k):
-        perms[t] = rng.permutation(n)
-    return perms
+def sample_permutations(n: int, k: int,
+                        seed: np.random.SeedSequence | np.random.Generator) -> np.ndarray:
+    """The engine's permutation stream: k uniform orders of n parties as one
+    (k, n) int64 draw. Row by row it is bitwise the k ``permutation(n)`` calls
+    of the same generator, which it leaves where they leave it. ``seed`` is a
+    ``SeedSequence``, or a ``Generator`` drawn from in place."""
+    return np.random.default_rng(seed).permuted(np.tile(np.arange(n), (k, 1)), axis=1)
 
 
 def prepare(cfg: RunConfig) -> _kernels.Task:
@@ -378,8 +379,7 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
         perturbed += std * noise_rng.standard_normal((n, d))
         released = release(perturbed, history(roll, diag[t], t + 1), diag[t])
         fold(roll, perturbed, t + 1)
-        for _ in range(plan.permutations):
-            perm = perm_rng.permutation(n)
+        for perm in sample_permutations(n, plan.permutations, perm_rng):
             th = theta.copy()
             v_prev = _kernels.utility_np(th, task)
             if not math.isfinite(v_prev):

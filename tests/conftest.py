@@ -1,3 +1,8 @@
+import multiprocessing
+import os
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -62,3 +67,26 @@ def dataset_task(ds, mspec, uspec):
     """The prepared Task of a noiseless run on ``ds``."""
     return prepare(RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 0.0, budget=2),
                              SemivalueSpec("shapley"), master_seed=0))
+
+
+def _install_filters(filters):
+    """A worker's warning filters: exactly the caller's, in the caller's order."""
+    warnings.resetwarnings()
+    for action, message, category, module, lineno in reversed(filters):
+        # a filter holds its patterns compiled, a default filter as plain text, or None
+        warnings.filterwarnings(action, getattr(message, "pattern", message) or "", category,
+                                getattr(module, "pattern", module) or "", lineno)
+
+
+def map_runs(fn, items):
+    """``[fn(item) for item in items]``, in that order, with the calls spread
+    over ``os.cpu_count()`` fresh worker processes. Each worker starts with the
+    warning filters of the calling test, so a warning that fails the suite
+    fails the run in a worker too. ``fn`` and the items are pickled, so ``fn``
+    must be importable, such as ``run_valuation``."""
+    items = list(items)
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(items)),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_install_filters,
+                             initargs=(list(warnings.filters),)) as pool:
+        return list(pool.map(fn, items))

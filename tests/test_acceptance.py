@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import map_runs
 
 from dpvalue import cli, data, dp, metrics, models
 from dpvalue.valuation import (
@@ -195,6 +196,7 @@ def test_criterion_07_noisy_label_auc_ordering():
     k = 500
     sigma = dp.calibrate_sigma(6.0, EPS_DELTA)
     aucs = {"no_dp": [], "iid": [], "corr_y": []}
+    runs = []  # (label, corruption mask, config) of 15 independent chains
     for seed in range(5):
         ds = data.synth_classification(400, 10, 2, seed=300 + seed, separation=5.0, n_test=200)
         ds = data.corrupt_labels(ds, 0.3, seed=900 + seed)
@@ -210,8 +212,9 @@ def test_criterion_07_noisy_label_auc_ordering():
                 ds, mspec, uspec, dp.NoiseConfig(1.0, s, budget=k, mode=mode, q=q),
                 SemivalueSpec("banzhaf"), master_seed=seed,
             )
-            res = run_valuation(cfg)
-            aucs[label].append(metrics.auc_roc(-res.psi, ds.corruption_mask))
+            runs.append((label, ds.corruption_mask, cfg))
+    for (label, mask, _), res in zip(runs, map_runs(run_valuation, [cfg for *_, cfg in runs])):
+        aucs[label].append(metrics.auc_roc(-res.psi, mask))
     mean = {m: float(np.mean(v)) for m, v in aucs.items()}
     assert mean["no_dp"] > mean["corr_y"] > mean["iid"]
     assert mean["iid"] < 0.62

@@ -783,6 +783,44 @@ def test_diverging_probe_replay_is_an_error(tmp_path, monkeypatch):
     assert not (out / "result.json").exists()
 
 
+def test_overflowed_statistic_is_an_error(tmp_path):
+    # an l2 this large leaves finite marginals whose squared spread overflows: the run fails
+    # naming the field and the party, without numpy warnings, rather than writing "inf"
+    out = tmp_path / "out"
+    doc = base_valuation_doc(out)
+    doc["model"]["l2"] = 1.0e300
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", str(cfg)]) == 1
+    assert caught == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith("s_sq of party 0 is inf, which the result cannot hold")
+    assert not (out / "result.json").exists()
+    with pytest.raises(ValueError, match="^psi of party 1 is nan"):  # the federated runner's too
+        experiments._exact("psi", np.array([0.5, math.nan]))
+
+
+@pytest.mark.parametrize("field,value", [("noise.clip_norm", 1.0e-300),
+                                         ("model.learning_rate", 1.0e-300)])
+def test_probe_noise_that_cannot_move_the_utility_is_an_error(tmp_path, field, value):
+    # every replayed variance is 0, whose log no slope can fit: the run names the mode, the
+    # budget and the fields to raise, without numpy warnings or the JSON encoder's message
+    out = tmp_path / "out"
+    doc = probe_doc(out)
+    set_path(doc, field, value)
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", str(cfg)]) == 1
+    assert caught == []
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith("the iid probe's variance at budget k=10 is 0.0,")
+    assert "noise.clip_norm or model.learning_rate" in record["message"]
+
+
 @pytest.mark.parametrize("partition,ratio,counts", [
     ({"mode": "equal-chunks", "n_parties": 4}, 0.3, "4 corrupted parties of 4"),
     ({"mode": "by-size", "n_parties": 5, "size": 1}, 0.05, "0 corrupted parties of 5"),

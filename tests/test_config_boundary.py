@@ -1,16 +1,24 @@
 """The config boundary, fuzzed: every leaf of every shipped config, set to
 each of a fixed list of awkward values, either parses or fails as a
-``ConfigError`` on a field near the cause, and never hangs."""
+``ConfigError`` on a field near the cause, and never hangs. Past the
+boundary, a tiny run of every traced kind with one numeric field at an
+extreme that validates either succeeds or fails with a cause the engine
+names, and warns of nothing."""
 
 import copy
+import json
 import math
+import re
 import signal
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 import yaml
+from test_perfbench_bindings import TRACED_CONFIGS
 
+from dpvalue import cli
 from dpvalue.config import ConfigError, parse_config
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
@@ -96,3 +104,53 @@ def test_unallocatable_sample_count_fails_at_n_samples(n_samples):
     with pytest.raises(ConfigError) as err, deadline(2):
         parse_config(doc)
     assert err.value.field_path == "dataset.n_samples"
+
+
+# (section, field, value): one numeric field pushed to an extreme that still validates
+EXTREMES = [("model", "learning_rate", 1e6), ("model", "learning_rate", 1e-300),
+            ("noise", "sigma", 1e200), ("noise", "sigma", 1e-300),
+            ("noise", "clip_norm", 1e-300), ("noise", "clip_norm", 1e300),
+            ("dataset", "separation", 1e6), ("model", "l2", 1e300)]
+
+# the causes a run may fail with, as error.json records them: never a numpy
+# warning's text or the JSON encoder's
+NAMED_CAUSES = [
+    ("ChainDiverged", r"non-finite utility at iteration \d+ "),
+    ("RuntimeError", r"the \w+ replay at budget k=\d+ diverged at party \d+"),
+    ("RuntimeError", r"retraining on \d+ parties \(seed \d+\) diverged"),
+    ("ValueError", r"\w+ of party \d+ is \S+, which the result cannot hold"),
+    ("ValueError", r"the \w+ probe's variance at budget k=\d+ is \S+, which has no log"),
+]
+
+
+def extreme_cases(doc):
+    """The extremes a traced config holds the field of; l2 only where a logistic loss reads it."""
+    for section, field, value in EXTREMES:
+        if field in doc.get(section, {}) and (
+                field != "l2" or doc["model"]["loss"] == "logistic_l2"):
+            yield section, field, value
+
+
+@pytest.mark.parametrize("kind", sorted(TRACED_CONFIGS))
+def test_extreme_fields_run_or_name_their_cause(tmp_path, kind):
+    failures = []
+    for section, field, value in extreme_cases(TRACED_CONFIGS[kind]):
+        doc = copy.deepcopy(TRACED_CONFIGS[kind])
+        doc[section][field] = value
+        doc.update(experiment=kind, seed=1, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        case = f"{section}.{field}={value}"
+        with warnings.catch_warnings(record=True) as caught, deadline(10):
+            warnings.simplefilter("always")
+            code = cli.main(["run", str(path)])
+        if caught:
+            failures.append((case, [str(w.message) for w in caught]))
+        if code == 1:
+            record = json.loads((tmp_path / "out" / "error.json").read_text(encoding="utf-8"))
+            if not any(record["error"] == error and re.match(cause, record["message"])
+                       for error, cause in NAMED_CAUSES):
+                failures.append((case, record))
+        elif code != 0:
+            failures.append((case, f"exit {code}"))
+    assert not failures

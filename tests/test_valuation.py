@@ -11,7 +11,7 @@ import yaml
 from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
-from conftest import MECHANISMS, orthogonal_chain_task
+from conftest import MECHANISMS, map_runs, orthogonal_chain_task
 from dpvalue import _kernels, cli, data, dp, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
@@ -371,6 +371,26 @@ def test_permutation_sampling_uniform():
     expected = draws / 24
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     assert stat < chi2.ppf(1 - 1e-3, 23)
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["seed_sequence", "generator"])
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (2, 7), (6, 800), (400, 20)])
+def test_permutations_are_one_draw_of_the_per_row_stream(n, k, as_generator):
+    # one (k, n) draw is bitwise k permutation(n) calls, and leaves the generator where they do
+    seed = np.random.SeedSequence(31 + n)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.array([want_rng.permutation(n) for _ in range(k)])
+    perms = sample_permutations(n, k, got_rng if as_generator else seed)
+    assert perms.dtype == np.int64 and perms.flags.c_contiguous
+    assert perms.shape == want.shape and perms.tobytes() == want.tobytes()
+    if as_generator:  # drawn in place, to where the k calls leave it
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_map_runs_keeps_order_and_warning_filters():
+    assert map_runs(abs, [-3, 2, -1, 0]) == [3, 2, 1, 0]
+    with pytest.raises(RuntimeWarning):  # a warning fails a worker's run as it fails the suite
+        map_runs(np.log, [np.float64(1.0), np.float64(0.0)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
