@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dp
 from .dp import clip_in_place, fold, history, release
 
 # One formula per utility, scored by ``utility_np`` for the chain, federated
@@ -182,17 +183,16 @@ class Task:
 
     ``x``/``y`` are the training design matrix and labels, grouped by party,
     party ``j`` owning rows ``ptr[j]:ptr[j+1]``; ``xt``/``yt`` the test split
-    the utility is scored on. ``grad_stats`` holds each party's MSE gradient
-    statistics ``(G, h)``, or None where the party keeps the row formula (see
-    ``grad_stats``); all of them together take at most ``x``'s memory. ``x``
-    and ``xt`` are C-contiguous float64. ``loss`` and ``utility`` are the
-    config's kind names (``models.LOSS_KINDS``, ``models.UTILITY_KINDS``).
-
-    The test split's statistics that ``utility_np`` reads are derived once,
-    here: ``mse``, the split's ``mse_stats``; ``xs``, the signed test design
-    ``(2 yt - 1)[:, None] * xt`` (labels in {0, 1}) of the logistic loss;
-    ``ones_l`` and ``zeros_l``, of the test rows' length l, and ``ones_d``, of
-    the d coordinates, which turn its sums into BLAS dot products.
+    the utility is scored on, ``x`` and ``xt`` C-contiguous float64. ``loss``
+    and ``utility`` are the config's kind names (``models.LOSS_KINDS``,
+    ``models.UTILITY_KINDS``). What the kernels read of these is derived once,
+    here, and again by any ``dataclasses.replace``: ``grad_stats``, each
+    party's MSE gradient statistics ``(G, h)`` or None where it keeps the row
+    formula (see ``grad_stats``), together at most ``x``'s memory; ``mse``, the
+    test split's ``mse_stats``; ``xs``, the logistic loss's signed test design
+    ``(2 yt - 1)[:, None] * xt`` (labels in {0, 1}); ``ones_l`` and
+    ``zeros_l``, of the test rows' length l, and ``ones_d``, of the d
+    coordinates, which turn its sums into BLAS dot products.
     """
 
     x: np.ndarray
@@ -204,7 +204,7 @@ class Task:
     utility: str
     lr: float
     lam: float
-    grad_stats: tuple
+    grad_stats: tuple = field(init=False)
     mse: tuple = field(init=False)
     xs: np.ndarray = field(init=False)
     ones_l: np.ndarray = field(init=False)
@@ -213,16 +213,18 @@ class Task:
 
     def __post_init__(self):
         l, d = self.xt.shape
-        derived = {"mse": mse_stats(self.xt, self.yt),
+        derived = {"grad_stats": grad_stats(self.x, self.y, self.ptr, self.loss),
+                   "mse": mse_stats(self.xt, self.yt),
                    "xs": (2.0 * self.yt - 1.0)[:, None] * self.xt,
                    "ones_l": np.ones(l), "zeros_l": np.zeros(l), "ones_d": np.ones(d)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
 
-def run_chain(task, clip, perms, inits, noise, diag, correlated,
-              record_grads=False, record_states=False):
-    """Walk the valuation chain on a ``Task``; returns a dict of per-run arrays.
+def run_chain(task, mechanism, perms, inits, noise, record_grads=False, record_states=False):
+    """Walk the valuation chain on a ``Task`` under the run's ``NoiseConfig``
+    ``mechanism`` (its clip norm, ``dp.diag_schedule`` and ``correlated``) with
+    its pre-drawn (k, n, d) ``noise``; returns a dict of per-run arrays.
 
     ``marginals[t, j]`` is the raw utility delta of party ``j`` at iteration
     ``t``; the recorded arrays are added when asked for. The estimator over
@@ -232,7 +234,7 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated,
     k, n = perms.shape
     d = inits.shape[1]
     x, y, loss, lr, lam = task.x, task.y, task.loss, task.lr, task.lam
-    stats = task.grad_stats
+    stats, clip, correlated = task.grad_stats, mechanism.clip_norm, mechanism.correlated
     marginals = np.zeros((k, n))
     roll = np.zeros((n, d))
     out = {"marginals": marginals}
@@ -243,18 +245,20 @@ def run_chain(task, clip, perms, inits, noise, diag, correlated,
     if record_states:
         theta_prev = out["theta_prev"] = np.zeros((k, n, d))
         v_prev_rec = out["v_prev"] = np.zeros((k, n))
+    # unrecorded, one iteration's perturbed gradients, read by fold before the next rewrites them
+    buf = np.empty((n, d)) if correlated and not record_grads else None
 
     # Per-step scalars come from Python lists: indexing numpy arrays for them
     # costs more than the arithmetic they feed.
     orders = perms.tolist()
     ptr = task.ptr.tolist()
-    diags = diag.tolist()
+    diags = dp.diag_schedule(mechanism).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k):
             noise_t = noise[t]
             marg_t = marginals[t]
             dg = diags[t]
-            tilde = g_tilde[t] if record_grads else np.empty((n, d)) if correlated else None
+            tilde = g_tilde[t] if record_grads else buf
             hist = history(roll, dg, t + 1) if correlated else None
             theta = inits[t].copy()
             v_prev = utility_np(theta, task)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels, models
-from .dp import NoiseConfig, burn_in_count, diag_schedule, mechanism, prefix_weights
+from .dp import NoiseConfig, diag_schedule, mechanism, prefix_weights
 from .valuation import RunConfig, ValuationResult, estimable, run_valuation
 
 
@@ -166,23 +166,22 @@ def grad_similarity(g_hat: np.ndarray, g_tilde: np.ndarray, g_star: np.ndarray) 
     return SimilarityReport(d_cos, d_l2, k * n - terms)
 
 
-def noise_var_closed_form(g_hat: np.ndarray, k: int, clip: float, sigma: float, t: int = 1) -> float:
-    """Variance of |g + z|^2 for z with per-coordinate variance k(C*sigma)^2/t.
+def noise_var_closed_form(g_hat: np.ndarray, noise: NoiseConfig, t: int = 1) -> float:
+    """Variance of |g + z|^2 for z of per-coordinate variance k(C*sigma)^2/t under ``noise``.
 
     t = 1 is the plain perturbed gradient; t > 1 covers the t-averaged noise.
     """
     d = len(g_hat)
-    v = k * (clip * sigma) ** 2 / t
+    v = noise.budget * (noise.clip_norm * noise.noise_multiplier) ** 2 / t
     sq = float(g_hat @ g_hat)
     return 4.0 * sq * v + 2.0 * d * v * v
 
 
-def npq_closed_form(
-    k: int, clip: float, sigma: float, sigma_g_sq: float, d: int, q: float = 0.0
-) -> tuple[float, float, float]:
-    """Moment sums N, P, Q of the implicit correlated noise.
+def npq_closed_form(noise: NoiseConfig, d: int) -> tuple[float, float, float]:
+    """Moment sums N, P, Q of the implicit correlated noise of the corr_x or
+    corr_y mechanism ``noise`` in d coordinates.
 
-    With the variance-aware matrix (prefix mean when sigma_g_sq = 0) the
+    With its variance-aware matrix (prefix mean when sigma_g_sq = 0) the
     implicit noise at iteration t is isotropic Gaussian with per-coordinate
     variance
 
@@ -191,15 +190,16 @@ def npq_closed_form(
 
     where sum_{l<t} X_tl^2 = (1 - X_tt)^2 / (t - 1) for the combiner's
     uniform off-diagonals, so E|z_t|^2 = d s_t^2 and E|z_t|^4 = d(d+2) s_t^4.
-    Sums start at kq+1 when a burn-in share q is given.
+    Sums start after the mechanism's burn-in (corr_y's k*q).
     """
-    start = burn_in_count(k, q)
-    cfg = NoiseConfig(clip, sigma, k, mode="corr_x", sigma_g_sq=sigma_g_sq)
-    x = diag_schedule(cfg)[start:]
+    if noise.mode not in ("corr_x", "corr_y"):
+        raise ValueError(f"the N/P/Q sums hold for corr_x and corr_y, got {noise.mode!r}")
+    k, start, sg_sq = noise.budget, noise.burn_in, noise.sigma_g_sq
+    x = diag_schedule(noise)[start:]
     t = np.arange(start + 1, k + 1)
     head_sq = (1.0 - x) ** 2 / np.maximum(t - 1, 1)  # zero at t = 1, where X_11 = 1
-    kcs = k * (clip * sigma) ** 2
-    s_t = kcs * (head_sq + x * x) + sigma_g_sq * head_sq + (1.0 - x) ** 2 * sigma_g_sq
+    kcs = k * (noise.clip_norm * noise.noise_multiplier) ** 2
+    s_t = kcs * (head_sq + x * x) + sg_sq * head_sq + (1.0 - x) ** 2 * sg_sq
     n_sum = float(d * s_t.sum())
     p_sum = float(d * (d + 2) * (s_t * s_t).sum())
     q_sum = float(np.sqrt(d * (d + 2)) * s_t.sum())
@@ -264,6 +264,8 @@ class Probe:
             raise ValueError(f"repeats a budget in {list(self.ks)}")
         if self.trials < 100:
             raise ValueError(f"need at least 100 trials per budget, got {self.trials}")
+        if not self.modes:
+            raise ValueError("modes must name at least one mode to replay, got none")
         for i, mode in enumerate(self.modes):
             if probe_mode(mode) in self.modes[:i]:
                 raise ValueError(f"repeats the mode {mode!r}")
@@ -321,6 +323,8 @@ def conditional_variance(
     error from it here. A non-finite estimate raises, without numpy warnings,
     a ``RuntimeError`` naming the budget, the mode and the party.
     """
+    if trials < 2:  # a sample variance needs two draws
+        raise ValueError(f"need at least 2 trials for a variance, got {trials}")
     k, n = cfg.noise.budget, cfg.dataset.n_parties
     d = cfg.dataset.features.shape[1] + int(cfg.model.add_bias)
     noises = [mechanism(cfg.noise, probe_mode(mode), k, q) for mode in modes]

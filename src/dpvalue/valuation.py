@@ -201,18 +201,16 @@ def sample_permutations(n: int, k: int,
 
 def prepare(cfg: RunConfig) -> _kernels.Task:
     """The chain's input arrays for one run, built once: the training design
-    matrix with the dataset's CSR party offsets and the parties' gradient
-    statistics, and the test design matrix, whose statistics the ``Task``
-    derives."""
+    matrix with the dataset's CSR party offsets, and the test design matrix;
+    the ``Task`` derives the parties' gradient statistics and the test
+    split's."""
     ds = cfg.dataset
-    x, y, ptr = design_matrix(ds.features, cfg.model), ds.labels, ds.ptr
-    xt = design_matrix(ds.test_features, cfg.model)
-    yt = np.ascontiguousarray(ds.test_labels, dtype=np.float64)
-    loss = cfg.model.loss_kind
     return _kernels.Task(
-        x=x, y=y, ptr=ptr, xt=xt, yt=yt, loss=loss, utility=cfg.utility,
+        x=design_matrix(ds.features, cfg.model), y=ds.labels, ptr=ds.ptr,
+        xt=design_matrix(ds.test_features, cfg.model),
+        yt=np.ascontiguousarray(ds.test_labels, dtype=np.float64),
+        loss=cfg.model.loss_kind, utility=cfg.utility,
         lr=cfg.model.learning_rate, lam=cfg.model.l2,
-        grad_stats=_kernels.grad_stats(x, y, ptr.tolist(), loss),
     )
 
 
@@ -240,12 +238,11 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     std = cfg.noise.per_release_std
     noise = std * np.random.default_rng(noise_ss).standard_normal((k, n, d))
 
-    out = _kernels.run_chain(task, cfg.noise.clip_norm, perms, inits, noise,
-                             diag_schedule(cfg.noise), cfg.noise.correlated,
+    out = _kernels.run_chain(task, cfg.noise, perms, inits, noise,
                              cfg.record_gradients, cfg.record_states)
 
     pcoefs = p[np.argsort(perms, axis=1)]  # pcoefs[t, perms[t, pos]] = p[pos]
-    marginals = out["marginals"]
+    marginals = out.pop("marginals")
     kq = cfg.noise.burn_in
     mu, s_sq, mav = estimation_stats(marginals[kq:])
     return ValuationResult(
@@ -256,7 +253,7 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
         s_sq=s_sq,
         mean_adjusted_var=mav,
         task=task,
-        **{key: out.get(key) for key in ("g_hat", "g_tilde", "g_star", "theta_prev", "v_prev")},
+        **out,
     )
 
 
@@ -380,7 +377,7 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
         released = release(perturbed, history(roll, diag[t], t + 1), diag[t])
         fold(roll, perturbed, t + 1)
         for perm in sample_permutations(n, plan.permutations, perm_rng):
-            th = theta.copy()
+            th = theta  # only rebound below, never written
             v_prev = _kernels.utility_np(th, task)
             if not math.isfinite(v_prev):
                 raise _kernels.ChainDiverged(t + 1, -1)

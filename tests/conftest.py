@@ -59,8 +59,7 @@ def batch_task(loss, utility, lam, x, y):
     """A Task whose one party and whose test split are both the batch (x, y):
     ``party_grad_np`` over rows 0:len(y) is the gradient of ``-utility_np``."""
     ptr = np.array([0, len(y)])
-    return _kernels.Task(x, y, ptr, x, y, loss, utility, 0.1, lam,
-                         _kernels.grad_stats(x, y, ptr, loss))
+    return _kernels.Task(x, y, ptr, x, y, loss, utility, 0.1, lam)
 
 
 def dataset_task(ds, mspec, uspec):

@@ -115,8 +115,8 @@ def test_criterion_04_noise_variance_closed_forms():
         g = rng.standard_normal(d)
         g *= rng.uniform(0.3, 2.0) / np.linalg.norm(g)
         for tt, pred in (
-            (1, metrics.noise_var_closed_form(g, k, 1.0, cs)),
-            (t, metrics.noise_var_closed_form(g, k, 1.0, cs, t=t)),
+            (1, metrics.noise_var_closed_form(g, dp.NoiseConfig(1.0, cs, k))),
+            (t, metrics.noise_var_closed_form(g, dp.NoiseConfig(1.0, cs, k), t=t)),
         ):
             std = math.sqrt(k / tt) * cs
             acc = []
@@ -139,11 +139,11 @@ def test_criterion_04_noise_variance_closed_forms():
 
 
 def test_criterion_05_noise_moment_sum_bound():
-    n, _, _ = metrics.npq_closed_form(4, 1.0, 1.0, 0.0, d=1, q=0.0)
+    n, _, _ = metrics.npq_closed_form(dp.NoiseConfig(1.0, 1.0, 4, mode="corr_x"), d=1)
     assert n == pytest.approx(25.0 / 3.0, abs=1e-12)
     for k in (10, 100, 1000):
         for d, cs in ((1, 1.0), (7, 0.5)):
-            nk, _, _ = metrics.npq_closed_form(k, 1.0, cs, 0.0, d=d, q=0.0)
+            nk, _, _ = metrics.npq_closed_form(dp.NoiseConfig(1.0, cs, k, mode="corr_x"), d=d)
             assert nk <= d * k * cs * cs * (1.0 + math.log(k))
     report(5, "N(d=1,k=4) = 25/3 exactly; N <= d*k*(Cs)^2*(1+ln k) for k in {10,100,1000}")
 

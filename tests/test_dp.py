@@ -385,12 +385,13 @@ def test_effective_noise_variance():
     # which is also the per-t term of the closed-form N sum
     k, clip, sigma = 100, 2.0, 1.5
     base = k * (clip * sigma) ** 2
-    rows = release_all(np.eye(k), dp.diag_schedule(dp.NoiseConfig(clip, sigma, budget=k,
-                                                                  mode="corr_x")))
+    corr_x = dp.NoiseConfig(clip, sigma, budget=k, mode="corr_x")
+    rows = release_all(np.eye(k), dp.diag_schedule(corr_x))
     per_row = base * (rows * rows).sum(axis=1)
     t = np.arange(1, k + 1)
     assert np.allclose(per_row, base / t, rtol=1e-12)
-    n_from = [metrics.npq_closed_form(k, clip, sigma, 0.0, d=1, q=s / k)[0] for s in range(k)]
+    n_from = [metrics.npq_closed_form(dp.mechanism(corr_x, "corr_y" if s else "corr_x", k, s / k),
+                                      d=1)[0] for s in range(k)]
     assert np.allclose(-np.diff(n_from + [0.0]), base / t, rtol=1e-9)
 
 

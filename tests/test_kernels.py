@@ -39,9 +39,11 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a.marginals, b.marginals)
 
 
-def reference_chain(task, clip, perms, inits, noise, diag, correlated):
+def reference_chain(task, mechanism, perms, inits, noise):
     """One step at a time with numpy scalars and fresh arrays, no hoisting."""
     x, y, ptr, loss, lr, lam = task.x, task.y, task.ptr, task.loss, task.lr, task.lam
+    clip, correlated = mechanism.clip_norm, mechanism.correlated
+    diag = dp.diag_schedule(mechanism)
     k, n = perms.shape
     d = inits.shape[1]
     out = {name: np.zeros((k, n)) for name in ("marginals", "v_prev")}
@@ -94,9 +96,8 @@ def random_chain(mechanism, loss, utility, n=7, d=4, k=12):
     perms = np.array([rng.permutation(n) for _ in range(k)])
     inits = 0.1 * rng.standard_normal((k, d))
     noise = ncfg.per_release_std * rng.standard_normal((k, n, d))
-    args = (ncfg.clip_norm, perms, inits, noise, dp.diag_schedule(ncfg), ncfg.correlated)
-    task = _kernels.Task(x, y, ptr, xt, yt, loss, utility, 0.1, lam,
-                         _kernels.grad_stats(x, y, ptr, loss))
+    args = (ncfg, perms, inits, noise)
+    task = _kernels.Task(x, y, ptr, xt, yt, loss, utility, 0.1, lam)
     return task, args
 
 
@@ -471,6 +472,24 @@ def test_stats_only_for_mse_parties_with_more_rows_than_columns():
         assert all((s is None) == (loss == LOGISTIC) for s in task.grad_stats)
 
 
+@pytest.mark.parametrize("field", ["x", "y"])
+def test_replaced_rows_derive_their_grad_stats(field):
+    # the Task derives its parties' statistics from its own rows, so a Task
+    # with replaced rows takes its gradient from those rows, not the old ones
+    d, ptr = 4, [0, 6, 12]  # two 6-row MSE parties
+    x, y = mse_party_rows(12, d, seed=1)
+    task = _kernels.Task(x, y, np.array(ptr), x, y, MSE, NEG_LOSS, 0.1, 0.0)
+    x2, y2 = mse_party_rows(12, d, seed=2)
+    new = replace(task, **{field: {"x": x2, "y": y2}[field]})
+    want_stats = _kernels.grad_stats(new.x, new.y, ptr, MSE)
+    theta = np.random.default_rng(3).standard_normal(d)
+    for j, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
+        assert all(same_bits(a, b) for a, b in zip(new.grad_stats[j], want_stats[j]))
+        want = block_party_grad(theta, new.x, new.y, lo, hi, MSE, 0.0)
+        got = _kernels.party_grad_np(theta, new.x, new.y, lo, hi, MSE, 0.0, new.grad_stats[j])
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("d", [1, 3, 7])
 def test_stats_bytes_at_most_the_design_matrix(d):
     # more rows than columns: d*d + d statistics never outnumber m*d entries,
@@ -479,8 +498,7 @@ def test_stats_bytes_at_most_the_design_matrix(d):
     for sizes in ([d + 1] * 4, rng.integers(1, 4 * d + 2, 12).tolist()):
         ptr = np.cumsum([0] + sizes).tolist()
         x, y = mse_party_rows(ptr[-1], d, seed=d)
-        task = _kernels.Task(x, y, np.array(ptr), x, y, MSE, NEG_LOSS, 0.1, 0.0,
-                             _kernels.grad_stats(x, y, ptr, MSE))
+        task = _kernels.Task(x, y, np.array(ptr), x, y, MSE, NEG_LOSS, 0.1, 0.0)
         held = sum(g.nbytes + h.nbytes for g, h in filter(None, task.grad_stats))
         assert held <= task.x.nbytes
 

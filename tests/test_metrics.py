@@ -190,7 +190,7 @@ def test_similarity_shape_mismatch_raises():
 
 def test_noise_var_simplest_case():
     # d=1, g=0, k=1, C*sigma=1: variance of a chi-square_1 scaled by 1 is 2
-    assert metrics.noise_var_closed_form(np.zeros(1), 1, 1.0, 1.0) == pytest.approx(2.0)
+    assert metrics.noise_var_closed_form(np.zeros(1), dp.NoiseConfig(1.0, 1.0, 1)) == pytest.approx(2.0)
 
 
 def test_noise_var_monte_carlo():
@@ -200,7 +200,7 @@ def test_noise_var_monte_carlo():
     g *= 1.0 / np.linalg.norm(g)
     z = np.sqrt(k) * cs * rng.standard_normal((1_000_000, d))
     emp = np.sum((g + z) ** 2, axis=1).var()
-    pred = metrics.noise_var_closed_form(g, k, 1.0, cs)
+    pred = metrics.noise_var_closed_form(g, dp.NoiseConfig(1.0, cs, k))
     assert abs(emp / pred - 1.0) < 0.02
 
 
@@ -210,7 +210,7 @@ def test_noise_var_averaged_monte_carlo():
     g = rng.standard_normal(d)
     z = np.sqrt(k / t) * cs * rng.standard_normal((1_000_000, d))
     emp = np.sum((g + z) ** 2, axis=1).var()
-    pred = metrics.noise_var_closed_form(g, k, 1.0, cs, t=t)
+    pred = metrics.noise_var_closed_form(g, dp.NoiseConfig(1.0, cs, k), t=t)
     assert abs(emp / pred - 1.0) < 0.02
 
 
@@ -218,7 +218,7 @@ def test_noise_var_averaged_monte_carlo():
 
 
 def test_npq_harmonic_hand_sum():
-    n, p, q = metrics.npq_closed_form(4, 1.0, 1.0, 0.0, d=1, q=0.0)
+    n, p, q = metrics.npq_closed_form(dp.NoiseConfig(1.0, 1.0, 4, mode="corr_x"), d=1)
     assert n == pytest.approx(25.0 / 3.0)
     # P = sum d(d+2) (k/t)^2 = 3 * 16 * (1 + 1/4 + 1/9 + 1/16)
     assert p == pytest.approx(3.0 * 16.0 * sum(1.0 / t**2 for t in range(1, 5)))
@@ -228,14 +228,14 @@ def test_npq_harmonic_hand_sum():
 @pytest.mark.parametrize("sg_sq", [0.0, 0.5])
 def test_npq_burn_in_drops_leading_terms(sg_sq):
     k = 8
-    full = metrics.npq_closed_form(k, 1.0, 2.0, sg_sq, d=3, q=0.0)
-    tail = metrics.npq_closed_form(k, 1.0, 2.0, sg_sq, d=3, q=1.0 / k)
+    full = metrics.npq_closed_form(dp.NoiseConfig(1.0, 2.0, k, "corr_x", sigma_g_sq=sg_sq), d=3)
+    tail = metrics.npq_closed_form(dp.NoiseConfig(1.0, 2.0, k, "corr_y", 1.0 / k, sg_sq), d=3)
     # q = 1/k removes exactly the t=1 term; at t=1 the implicit per-coordinate
     # variance is k(Cs)^2 regardless of sg (diagonal weight is 1)
     assert full[0] - tail[0] == pytest.approx(3 * k * 4.0)
     assert full[1] - tail[1] == pytest.approx(3 * 5 * (k * 4.0) ** 2)
     with pytest.raises(ValueError):
-        metrics.npq_closed_form(8, 1.0, 1.0, 0.0, d=2, q=0.3)
+        metrics.npq_closed_form(dp.NoiseConfig(1.0, 1.0, 8, "corr_y", 0.3), d=2)
 
 
 def test_npq_monte_carlo():
@@ -260,9 +260,10 @@ def test_npq_monte_carlo():
             done += m
         emp = total / reps
         # per-t contribution of the closed-form N
-        upto = metrics.npq_closed_form(k, 1.0, cs, sg_sq, d=d, q=0.0)[0]
+        noise = dp.NoiseConfig(1.0, cs, k, "corr_x", sigma_g_sq=sg_sq)
+        upto = metrics.npq_closed_form(noise, d)[0]
         before = (
-            metrics.npq_closed_form(k, 1.0, cs, sg_sq, d=d, q=0.0)[0]
+            metrics.npq_closed_form(noise, d)[0]
             if t_probe == 1
             else None
         )
@@ -285,10 +286,17 @@ def test_npq_monte_carlo():
         assert partial(k) == pytest.approx(upto)
 
 
+@pytest.mark.parametrize("mode", ["iid", "fl_schedule"])
+def test_npq_takes_the_variance_aware_modes_only(mode):
+    # the sums take X_11 = 1 at t = 1: iid has no combiner, fl_schedule another diagonal
+    with pytest.raises(ValueError, match=f"corr_x and corr_y, got '{mode}'"):
+        metrics.npq_closed_form(dp.NoiseConfig(1.0, 1.0, 8, mode=mode), d=2)
+
+
 def test_npq_bound_from_minimum():
     # N with sigma_g = 0 stays under d*k*(C s)^2*(1 + ln k)
     for k in (10, 100, 1000):
-        n, _, _ = metrics.npq_closed_form(k, 1.0, 1.0, 0.0, d=3, q=0.0)
+        n, _, _ = metrics.npq_closed_form(dp.NoiseConfig(1.0, 1.0, k, mode="corr_x"), d=3)
         assert n <= 3 * k * (1.0 + np.log(k))
 
 
@@ -630,6 +638,27 @@ def test_probe_validation(monkeypatch):
         metrics.conditional_variance(cfg, [], trials=200, seed=0)
     with pytest.raises(ValueError, match="integer"):
         probe_noise(cfg, "corr_y", q=0.13)
+
+
+def test_probe_rejects_empty_modes():
+    # no mode replays nothing; the probe's results would have no first mode to read
+    with pytest.raises(ValueError, match="modes must name at least one mode"):
+        metrics.Probe(modes=())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("trials", [0, 1])
+def test_conditional_variance_needs_two_trials(monkeypatch, trials):
+    # a sample variance of under two draws has no value; the count is refused
+    # before a scenario is frozen, a block mapped or the draw thread started
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused trial count got past the check")
+
+    for name in ("freeze_scenario", "ThreadPoolExecutor"):
+        monkeypatch.setattr(metrics, name, unreachable)
+    monkeypatch.setattr(metrics.mmap, "mmap", unreachable)
+    with pytest.raises(ValueError, match=f"at least 2 trials for a variance, got {trials}"):
+        metrics.conditional_variance(probe_base(), ["iid"], trials, 0)
 
 
 def test_probe_freezes_the_no_dp_run_whatever_the_base_mode():

@@ -5,6 +5,7 @@ refactor that renames or re-signs a traced function, or changes how often a
 hot layer is called per step, fails here rather than only when the benchmark
 runs with ``--trace 1``."""
 
+import functools
 import importlib.util
 import inspect
 from pathlib import Path
@@ -47,21 +48,34 @@ def test_run_chain_keeps_the_recorded_arguments():
         assert name in params, name
 
 
-def test_traced_chain_records_spans_and_restores_bindings(spans):
+def test_traced_chain_records_spans_and_restores_bindings(spans, monkeypatch):
     ds = data.synth_classification(6, 3, 2, seed=1, separation=3.0, n_test=10)
     mspec = models.ModelSpec("logistic_l2", 0.1, models.InitSpec("zeros"), l2=0.01)
     uspec = "neg_test_loss"
-    cfg = RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=4, mode="corr_x"),
-                    SemivalueSpec("shapley"), master_seed=0)
-    before = _kernels.run_chain
-    tracer = spans.Tracer()
-    with tracer.installed(dpvalue):
-        dpvalue.valuation.run_valuation(cfg)
-    assert _kernels.run_chain is before
-    layers = tracer.layer_metrics()
-    assert layers["kernels.utility_np.calls"] == 4 * (6 + 1)
-    assert layers["kernels.party_grad_np.calls"] == 4 * 6
-    assert layers["kernels.alloc_bytes"] > 0
+    run_chain, seen = _kernels.run_chain, []
+
+    @functools.wraps(run_chain)  # the tracer reads run_chain's own signature through it
+    def capturing(*args, **kwargs):
+        seen.append(inspect.signature(run_chain).bind(*args, **kwargs).arguments)
+        return run_chain(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "run_chain", capturing)
+    for record in (False, True):
+        cfg = RunConfig(ds, mspec, uspec, dp.NoiseConfig(1.0, 1.0, budget=4, mode="corr_x"),
+                        SemivalueSpec("shapley"), master_seed=0, record_gradients=record,
+                        record_states=record)
+        tracer = spans.Tracer()
+        with tracer.installed(dpvalue):
+            dpvalue.valuation.run_valuation(cfg)
+        assert _kernels.run_chain is capturing
+        layers = tracer.layer_metrics()
+        assert layers["kernels.utility_np.calls"] == 4 * (6 + 1)
+        assert layers["kernels.party_grad_np.calls"] == 4 * 6
+        # the footprint of the run's own arrays, bound by name as the tracer binds them
+        args = seen.pop()
+        assert args["noise"].shape == (4, 6, 3 + 1)  # 3 features and the bias
+        assert layers["kernels.alloc_bytes"] == spans.chain_bytes(
+            args["perms"], args["inits"], args["noise"], record, record)
     assert run_valuation is dpvalue.valuation.run_valuation
 
 

@@ -350,9 +350,9 @@ def test_zero_noise_run_is_the_chain_on_zero_noise(small_task, mode):
     perm_ss, init_ss, _ = np.random.SeedSequence(4).spawn(3)
     perms = sample_permutations(n, k, perm_ss)
     d = res.task.x.shape[1]
-    out = _kernels.run_chain(valuation.prepare(cfg), 1.0, perms,
+    out = _kernels.run_chain(valuation.prepare(cfg), cfg.noise, perms,
                              models.init_params(mspec, (k, d), init_ss), np.zeros((k, n, d)),
-                             dp.diag_schedule(cfg.noise), cfg.noise.correlated, True, True)
+                             True, True)
     for name, want in out.items():
         assert getattr(res, name).tobytes() == want.tobytes(), name
     assert res.psi.tobytes() == np.mean(res.pcoefs * out["marginals"], axis=0).tobytes()
@@ -594,7 +594,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     loss = cfg.model.loss_kind
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
-    task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam, (None,) * n)
+    task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam)
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
@@ -658,7 +658,7 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
 
 
 @pytest.mark.parametrize("mode", ["fl_schedule"])
-def test_mse_stats_gradient_in_every_caller(mode):
+def test_mse_stats_gradient_in_every_caller(mode, monkeypatch):
     # 8-row parties of d = 6 with the bias column take their gradient from
     # (G, h) in federated attribution and retraining alike; both match the row
     # formula, that of the reference loop and of a Task without the statistics
@@ -672,7 +672,10 @@ def test_mse_stats_gradient_in_every_caller(mode):
     want, _ = reference_federated(cfg, 5, 12, q=0.2)
     assert want.any()
     assert np.allclose(run_federated(cfg, Federated(12, 0.2)), want, rtol=1e-12, atol=1e-12)
-    rows_only = replace(task, grad_stats=(None,) * 6)
+    with monkeypatch.context() as patch:  # the same rows, every party on the row formula
+        patch.setattr(_kernels, "grad_stats", lambda x, y, ptr, loss: (None,) * (len(ptr) - 1))
+        rows_only = replace(task)
+    assert rows_only.grad_stats == (None,) * 6
     for seed, keep in enumerate([np.arange(6), np.array([1, 4, 5])]):
         want = models.train_one_pass(mspec, rows_only, keep, seed)
         got = models.train_one_pass(mspec, task, keep, seed)
