@@ -133,34 +133,36 @@ def utility_np(thetas, task):
     return -(a.dot(task.ones_l) - m.dot(task.ones_l)) / task.yt.shape[0] - task.lam * sq
 
 
-def party_grad_np(theta, x, y, a, b, loss, lam, stats):
-    """Gradient over the party's rows ``a:b`` (``m = b - a`` rows): MSE
-    ``(2/m) X^T (X theta - y)``, logistic ``X^T (sigmoid(X theta) - y) / m
-    + 2*lam*theta``. ``stats`` is the party's entry of ``grad_stats``: where
-    it is ``(G, h)`` the MSE gradient is ``G theta - h``, two numpy calls
-    instead of four, equal to the row formula to rounding; where it is None
-    the rows are used. A one-row party takes its score and sigmoid as numpy
-    float64 scalars, bitwise equal to the block formula: the score is the same
-    ``ndarray.dot`` of the row and ``theta``, dividing by 1 and the one-term
-    sum are exact, and ``np.exp`` on a numpy scalar runs the array loop
-    (``math.exp`` differs)."""
+def party_grad_np(theta, task, j):
+    """Gradient of the ``Task``'s party ``j`` over its rows ``a:b =
+    task.rows[j]`` (``m = b - a`` rows): MSE ``(2/m) X^T (X theta - y)``,
+    logistic ``X^T (sigmoid(X theta) - y) / m + 2*lam*theta``. Where the
+    party's ``task.grad_stats[j]`` is ``(G, h)`` the MSE gradient is
+    ``G theta - h``, two numpy calls instead of four, equal to the row formula
+    to rounding; where it is None the rows are used. A one-row party takes its
+    score and sigmoid as numpy float64 scalars, bitwise equal to the block
+    formula: the score is the same ``ndarray.dot`` of the row and ``theta``,
+    dividing by 1 and the one-term sum are exact, and ``np.exp`` on a numpy
+    scalar runs the array loop (``math.exp`` differs)."""
+    stats = task.grad_stats[j]
     if stats is not None:
         g = stats[0].dot(theta)
         g -= stats[1]
         return g
+    a, b = task.rows[j]
     if b - a == 1:
-        xa = x[a]
+        xa = task.x[a]
         s = xa.dot(theta)
-        if loss == "mse_linear":
-            return 2.0 * (xa * (s - y[a]))
-        return xa * (1.0 / (1.0 + np.exp(-s)) - y[a]) + 2.0 * lam * theta
-    xb = x[a:b]
-    yb = y[a:b]
+        if task.loss == "mse_linear":
+            return 2.0 * (xa * (s - task.y[a]))
+        return xa * (1.0 / (1.0 + np.exp(-s)) - task.y[a]) + 2.0 * task.lam * theta
+    xb = task.x[a:b]
+    yb = task.y[a:b]
     s = xb.dot(theta)
-    if loss == "mse_linear":
+    if task.loss == "mse_linear":
         return (2.0 / (b - a)) * xb.T.dot(s - yb)
     sig = 1.0 / (1.0 + np.exp(-s))
-    return xb.T.dot(sig - yb) / (b - a) + 2.0 * lam * theta
+    return xb.T.dot(sig - yb) / (b - a) + 2.0 * task.lam * theta
 
 
 class ChainDiverged(RuntimeError):
@@ -186,13 +188,14 @@ class Task:
     the utility is scored on, ``x`` and ``xt`` C-contiguous float64. ``loss``
     and ``utility`` are the config's kind names (``models.LOSS_KINDS``,
     ``models.UTILITY_KINDS``). What the kernels read of these is derived once,
-    here, and again by any ``dataclasses.replace``: ``grad_stats``, each
-    party's MSE gradient statistics ``(G, h)`` or None where it keeps the row
-    formula (see ``grad_stats``), together at most ``x``'s memory; ``mse``, the
-    test split's ``mse_stats``; ``xs``, the logistic loss's signed test design
-    ``(2 yt - 1)[:, None] * xt`` (labels in {0, 1}); ``ones_l`` and
-    ``zeros_l``, of the test rows' length l, and ``ones_d``, of the d
-    coordinates, which turn its sums into BLAS dot products.
+    here, and again by any ``dataclasses.replace``: ``rows``, each party's row
+    range ``(ptr[j], ptr[j+1])`` as ints, the kernels' one read of ``ptr``;
+    ``grad_stats``, each party's MSE gradient statistics ``(G, h)`` or None
+    where it keeps the row formula (see ``grad_stats``), together at most
+    ``x``'s memory; ``mse``, the test split's ``mse_stats``; ``xs``, the
+    logistic loss's signed test design ``(2 yt - 1)[:, None] * xt`` (labels in
+    {0, 1}); ``ones_l`` and ``zeros_l``, of the test rows' length l, and
+    ``ones_d``, of the d coordinates, which turn its sums into BLAS dot products.
     """
 
     x: np.ndarray
@@ -204,6 +207,7 @@ class Task:
     utility: str
     lr: float
     lam: float
+    rows: tuple = field(init=False)
     grad_stats: tuple = field(init=False)
     mse: tuple = field(init=False)
     xs: np.ndarray = field(init=False)
@@ -213,7 +217,8 @@ class Task:
 
     def __post_init__(self):
         l, d = self.xt.shape
-        derived = {"grad_stats": grad_stats(self.x, self.y, self.ptr, self.loss),
+        derived = {"rows": tuple(zip(self.ptr[:-1].tolist(), self.ptr[1:].tolist())),
+                   "grad_stats": grad_stats(self.x, self.y, self.ptr, self.loss),
                    "mse": mse_stats(self.xt, self.yt),
                    "xs": (2.0 * self.yt - 1.0)[:, None] * self.xt,
                    "ones_l": np.ones(l), "zeros_l": np.zeros(l), "ones_d": np.ones(d)}
@@ -233,8 +238,7 @@ def run_chain(task, mechanism, perms, inits, noise, record_grads=False, record_s
     """
     k, n = perms.shape
     d = inits.shape[1]
-    x, y, loss, lr, lam = task.x, task.y, task.loss, task.lr, task.lam
-    stats, clip, correlated = task.grad_stats, mechanism.clip_norm, mechanism.correlated
+    lr, clip, correlated = task.lr, mechanism.clip_norm, mechanism.correlated
     marginals = np.zeros((k, n))
     roll = np.zeros((n, d))
     out = {"marginals": marginals}
@@ -251,7 +255,6 @@ def run_chain(task, mechanism, perms, inits, noise, record_grads=False, record_s
     # Per-step scalars come from Python lists: indexing numpy arrays for them
     # costs more than the arithmetic they feed.
     orders = perms.tolist()
-    ptr = task.ptr.tolist()
     diags = dp.diag_schedule(mechanism).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k):
@@ -265,7 +268,7 @@ def run_chain(task, mechanism, perms, inits, noise, record_grads=False, record_s
             if not math.isfinite(v_prev):
                 raise ChainDiverged(t + 1, -1)
             for j in orders[t]:
-                g = party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam, stats[j])
+                g = party_grad_np(theta, task, j)
                 clip_in_place(g, clip)
                 if record_grads:
                     g_hat[t, j] = g

@@ -168,6 +168,11 @@ class DatasetSection:
             return np.arange(self.synth["n_classes"], dtype=np.float64)
         return np.concatenate([self.loaded.labels, self.loaded.test_labels])
 
+    @property
+    def n_features(self) -> int:
+        """Feature columns of every build, before a model's bias column."""
+        return self.synth["d_feat"] if self.loaded is None else self.loaded.features.shape[1]
+
     def build(self, seed: int) -> data.PartitionedDataset:
         """The dataset of ``seed``: the synth draw or the loaded csv, its
         labels corrupted and its rows partitioned as the section says."""
@@ -208,12 +213,12 @@ class ExperimentConfig:
            | tuple[NoiseConfig, ...] | tuple[tuple[str, NoiseConfig], ...] | None)
     raw: dict
 
-    def run(self, seed: int, noise: NoiseConfig | None = None,
-            record_gradients: bool = False) -> valuation.RunConfig:
-        """The run of ``noise`` (the config's own mechanism by default) on the
-        dataset of ``seed``, at master seed ``seed``."""
+    def run(self, seed: int) -> valuation.RunConfig:
+        """The run of the config's own mechanism on the dataset of ``seed``, at
+        master seed ``seed``; a driver that runs another mechanism, or records
+        gradients, ``dataclasses.replace``s it in."""
         return valuation.RunConfig(self.dataset.build(seed), self.model, self.utility,
-                                   noise or self.noise, self.semivalue, seed, record_gradients)
+                                   self.noise, self.semivalue, seed)
 
 
 def _parse_dataset(section: dict) -> DatasetSection:
@@ -387,6 +392,16 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     return tuple((label, run) for run, label in labels.items())
 
 
+def _runs(kind: str, noise: NoiseConfig, plan) -> tuple[NoiseConfig, ...]:
+    """The mechanisms of the kind's chains and federated rounds (the probe's
+    replays aside)."""
+    if kind == "noisy-label":
+        return tuple(run for _, run in plan)
+    if kind == "similarity":
+        return plan
+    return () if kind == "oracle-check" else (noise,)
+
+
 def _parse_oracle(section: dict) -> OracleSection:
     with _field("oracle.n"):
         n = valuation.enumerable_parties(_integer(section.get("n", 4)))
@@ -420,6 +435,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         model = _parse_model(_section(doc, "model"))
         with _field("model.loss"):
             models.check_labels(model, dataset.labels)
+        with _field("model.add_bias"):
+            models.check_dimension(dataset.n_features + model.add_bias)
     noise = _parse_noise(doc, kind)
     if kind in ("valuation", "removal"):  # the one chain each runs, at budget k
         with _field("k"):
@@ -459,6 +476,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":
         plan = _parse_oracle(_section(doc, "oracle"))
+    # sigma_g_sq sets only the corr_x and corr_y diagonals, so a kind that runs
+    # neither would drop it; a probe is not checked, as its iid-only replay has
+    # always taken the key (ROADMAP item 17)
+    if kind != "variance-probe" and (doc.get("noise") or {}).get("sigma_g_sq") is not None:
+        if not any(run.mode in ("corr_x", "corr_y") for run in _runs(kind, noise, plan)):
+            raise ConfigError("noise.sigma_g_sq", "only the corr_x and corr_y combiners use it, "
+                              f"and the {kind} experiment runs neither")
     for fields in sections:
         for key in fields:
             if key not in fields.read:

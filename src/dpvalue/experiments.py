@@ -159,7 +159,7 @@ def run_similarity_experiment(cfg: ExperimentConfig):
         per_seed = []
         for seed_idx in range(cfg.trials):
             seed = cfg.seed + seed_idx
-            res = run_valuation(cfg.run(seed, noise, record_gradients=True))
+            res = run_valuation(replace(cfg.run(seed), noise=noise, record_gradients=True))
             rep = metrics.grad_similarity(res.g_hat, res.g_tilde, res.g_star)
             per_seed.append((rep.delta_cos, rep.delta_l2))
             rows.append([str(k), str(seed), _fmt(rep.delta_cos), _fmt(rep.delta_l2)])

@@ -89,12 +89,18 @@ def design_matrix(features: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return np.ascontiguousarray(features, dtype=np.float64)
 
 
+def check_dimension(shape) -> None:
+    """A parameter shape, ``d`` or ``(k, d)``: a model has at least one
+    parameter, so its design matrix at least one column."""
+    if min(np.atleast_1d(shape)) < 1:
+        raise ValueError(f"model dimension must be >= 1, got {shape}")
+
+
 def init_params(spec: ModelSpec, shape, seed) -> np.ndarray:
     """Initial parameters of ``shape``: ``d``, or ``(k, d)`` for one row per
     chain iteration. A gaussian init draws them from ``seed``, an int or a
     ``SeedSequence``."""
-    if min(np.atleast_1d(shape)) < 1:
-        raise ValueError("model dimension must be >= 1")
+    check_dimension(shape)
     if spec.init.kind == "zeros":
         return np.zeros(shape)
     return spec.init.scale * np.random.default_rng(seed).standard_normal(shape)
@@ -111,12 +117,9 @@ def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.nda
     rng = np.random.default_rng(seed)
     order = np.asarray(include_parties)[rng.permutation(len(include_parties))]
     theta = init_params(spec, task.x.shape[1], seed=seed)
-    ptr = task.ptr
     with np.errstate(over="ignore", invalid="ignore"):
         for party in order:
-            g = _kernels.party_grad_np(theta, task.x, task.y, ptr[party], ptr[party + 1],
-                                       task.loss, task.lam, task.grad_stats[party])
-            theta = theta - task.lr * g
+            theta = theta - task.lr * _kernels.party_grad_np(theta, task, party)
     if not np.isfinite(theta).all():  # NaN is absorbing: one check per retraining
         raise RuntimeError(f"retraining on {len(order)} parties (seed {seed}) diverged: its "
                            f"unclipped steps at learning rate {task.lr} overflowed")

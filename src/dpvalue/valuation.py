@@ -235,8 +235,8 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     perms = sample_permutations(n, k, perm_ss)
     inits = init_params(cfg.model, (k, d), init_ss)
 
-    std = cfg.noise.per_release_std
-    noise = std * np.random.default_rng(noise_ss).standard_normal((k, n, d))
+    noise = np.random.default_rng(noise_ss).standard_normal((k, n, d))
+    noise *= cfg.noise.per_release_std  # in place: one (k, n, d) block, not two
 
     out = _kernels.run_chain(task, cfg.noise, perms, inits, noise,
                              cfg.record_gradients, cfg.record_states)
@@ -353,8 +353,8 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
     burn = burn_in_count(rounds, plan.q)
 
     task = prepare(cfg)
-    x, y, ptr, lr, lam = task.x, task.y, task.ptr, task.lr, task.lam
-    n, d = cfg.dataset.n_parties, x.shape[1]
+    lr = task.lr
+    n, d = cfg.dataset.n_parties, task.x.shape[1]
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
@@ -370,8 +370,7 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
     for t in range(rounds):
         perturbed = np.empty((n, d))
         for j in range(n):
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], task.loss, lam,
-                                       task.grad_stats[j])
+            g = _kernels.party_grad_np(theta, task, j)
             perturbed[j] = clip_in_place(g, cfg.noise.clip_norm)
         perturbed += std * noise_rng.standard_normal((n, d))
         released = release(perturbed, history(roll, diag[t], t + 1), diag[t])

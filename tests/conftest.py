@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import os
 import warnings
@@ -57,9 +58,18 @@ def orthogonal_chain_task(n: int, lr: float, seed: int = 0):
 
 def batch_task(loss, utility, lam, x, y):
     """A Task whose one party and whose test split are both the batch (x, y):
-    ``party_grad_np`` over rows 0:len(y) is the gradient of ``-utility_np``."""
+    ``party_grad_np`` of its party 0 is the gradient of ``-utility_np``."""
     ptr = np.array([0, len(y)])
     return _kernels.Task(x, y, ptr, x, y, loss, utility, 0.1, lam)
+
+
+@contextlib.contextmanager
+def row_formula():
+    """Tasks built in the block derive no MSE gradient statistics, so every
+    party's ``party_grad_np`` takes the row formula."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "grad_stats", lambda x, y, ptr, loss: (None,) * (len(ptr) - 1))
+        yield
 
 
 def dataset_task(ds, mspec, uspec):

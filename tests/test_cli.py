@@ -557,6 +557,7 @@ def set_path(doc, dotted, value):
 
 CSV = "csv-placeholder"  # replaced by a small csv file written per case
 SHORT_ROW_CSV = "short-row-csv-placeholder"  # the same file with its row 3 one cell short
+LABEL_ONLY_CSV = "label-only-csv-placeholder"  # the same file's label column alone
 YAML_TEXT = "yaml-text"  # a patch that replaces the config file's whole text
 REPEATED_KEY_TEXT = """\
 experiment: valuation
@@ -694,6 +695,21 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
      {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "corr_y", "q": 0.5}}, "noise.mode"),
     ("probe-mode-corr-x", "variance-probe", {"noise.mode": "corr_x"}, "noise.mode"),
     ("oracle-dataset", "oracle-check", {"dataset": {"separation": 9.0}}, "dataset"),
+    # a design of no columns: the run once failed at the model's init, naming no field
+    ("csv-label-only-without-bias", "valuation",
+     {"dataset": {"source": "csv", "path": LABEL_ONLY_CSV, "label": "y", "test_rows": 3},
+      "model.add_bias": False}, "model.add_bias"),
+    # sigma_g_sq sets only the corr_x and corr_y diagonals; these runs once dropped it
+    ("valuation-iid-sigma-g-sq", "valuation",
+     {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "iid", "sigma_g_sq": 0.5}},
+     "noise.sigma_g_sq"),
+    ("removal-iid-sigma-g-sq", "removal",
+     {"noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "iid", "sigma_g_sq": 0.5}},
+     "noise.sigma_g_sq"),
+    ("federated-sigma-g-sq", "federated", {"noise.sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
+    ("noisy-label-uncorrelated-sigma-g-sq", "noisy-label",
+     {"noisy_label.modes": ["no_dp", "iid"], "noise.sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
+    ("oracle-sigma-g-sq", "oracle-check", {"noise.sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
 ] + [  # YAML .nan and .inf: a NaN epsilon once hung the sigma calibration
     (f"{name}-{value}", "valuation", {field: value}, field)
     for name, field in (("epsilon", "noise.epsilon"), ("sigma", "noise.sigma"),
@@ -980,13 +996,32 @@ def test_kind_doc_runs(tmp_path, kind):
     assert cli.main(["run", str(cfg)]) == 0
 
 
+@pytest.mark.parametrize("kind,patch", [
+    ("valuation", {}),  # corr_x
+    ("removal", {}),
+    ("similarity", {}),
+    ("noisy-label", {}),  # corr_y among its modes
+    ("noisy-label", {"noisy_label.modes": ["iid"], "noisy_label.q_grid": [0.0]}),  # corr_x
+])
+def test_sigma_g_sq_accepted_where_a_run_combines(tmp_path, kind, patch):
+    doc = kind_doc(tmp_path / "out", kind)
+    for dotted, value in {"noise.sigma_g_sq": 0.5, **patch}.items():
+        set_path(doc, dotted, value)
+    cfg = load_config(write_config(tmp_path, doc))
+    assert any(run.sigma_g_sq == 0.5 and run.mode in ("corr_x", "corr_y")
+               for run in config._runs(kind, cfg.noise, cfg.plan))
+
+
 @pytest.mark.parametrize("kind,patch,field", [case[1:] for case in BAD_CONFIGS],
                          ids=[case[0] for case in BAD_CONFIGS])
 def test_bad_config_is_a_config_error(tmp_path, capsys, kind, patch, field):
     text = "a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(12))
-    csv_paths = {CSV: tmp_path / "data.csv", SHORT_ROW_CSV: tmp_path / "short.csv"}
+    csv_paths = {CSV: tmp_path / "data.csv", SHORT_ROW_CSV: tmp_path / "short.csv",
+                 LABEL_ONLY_CSV: tmp_path / "label.csv"}
     csv_paths[CSV].write_text(text)
     csv_paths[SHORT_ROW_CSV].write_text(text.replace("\n3,0,1\n", "\n3,0\n"))
+    csv_paths[LABEL_ONLY_CSV].write_text("".join(line.rsplit(",", 1)[-1] + "\n"
+                                                 for line in text.splitlines()))
     doc = kind_doc(tmp_path / "out", kind)
     for dotted, value in patch.items():
         if isinstance(value, dict) and value.get("path") in csv_paths:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import MECHANISMS, batch_task, dataset_task
-from dpvalue import _kernels, data, dp, models
+from dpvalue import _kernels, data, dp, models, valuation
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
 MSE, LOGISTIC = "mse_linear", "logistic_l2"
@@ -41,8 +41,7 @@ def test_same_seed_bit_identical():
 
 def reference_chain(task, mechanism, perms, inits, noise):
     """One step at a time with numpy scalars and fresh arrays, no hoisting."""
-    x, y, ptr, loss, lr, lam = task.x, task.y, task.ptr, task.loss, task.lr, task.lam
-    clip, correlated = mechanism.clip_norm, mechanism.correlated
+    lr, clip, correlated = task.lr, mechanism.clip_norm, mechanism.correlated
     diag = dp.diag_schedule(mechanism)
     k, n = perms.shape
     d = inits.shape[1]
@@ -55,8 +54,7 @@ def reference_chain(task, mechanism, perms, inits, noise):
         v_prev = _kernels.utility_np(theta, task)
         for pos in range(n):
             j = perms[t, pos]
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam,
-                                       task.grad_stats[j])
+            g = _kernels.party_grad_np(theta, task, j)
             nrm = np.linalg.norm(g)
             if nrm > clip:
                 g = g * (clip / nrm)
@@ -386,6 +384,7 @@ def test_one_row_party_grad_matches_block_formula(loss):
     x = rng.standard_normal((400, 11))
     y = rng.integers(0, 2, 400).astype(np.float64)
     lam = 0.01 if loss == LOGISTIC else 0.0
+    task = _kernels.Task(x, y, np.arange(401), x, y, loss, NEG_LOSS, 0.1, lam)  # per-sample
     with np.errstate(over="ignore"):  # exp(-s) overflows to inf for s < -709
         for _ in range(3000):
             a = int(rng.integers(0, 400))
@@ -393,7 +392,7 @@ def test_one_row_party_grad_matches_block_formula(loss):
             # scores from 1e-3 to 800, so the sigmoid runs from 1/2 into saturation
             theta *= 10.0 ** rng.uniform(-3.0, np.log10(800.0)) / abs(x[a] @ theta)
             want = block_party_grad(theta, x, y, a, a + 1, loss, lam)
-            got = _kernels.party_grad_np(theta, x, y, a, a + 1, loss, lam, None)
+            got = _kernels.party_grad_np(theta, task, a)
             assert np.array_equal(got, want), (a, x[a] @ theta)
 
 
@@ -405,7 +404,8 @@ def test_party_grad_of_nan_theta_is_nan(loss, rows):
     x = rng.standard_normal((5, 4))
     y = rng.integers(0, 2, 5).astype(np.float64)
     theta = np.array([0.5, np.nan, -1.0, 2.0])
-    g = _kernels.party_grad_np(theta, x, y, 1, 1 + rows, loss, 0.01, None)
+    task = _kernels.Task(x, y, np.array([0, 1, 1 + rows, 5]), x, y, loss, NEG_LOSS, 0.1, 0.01)
+    g = _kernels.party_grad_np(theta, task, 1)
     assert g.shape == (4,)
     assert np.isnan(g).all()
 
@@ -426,17 +426,17 @@ def test_stats_gradient_matches_row_formula(d):
     rng = np.random.default_rng(d)
     for rows in (d, d + 1, 3 * d):
         x, y = mse_party_rows(rows, d, seed=rows)
-        stats = _kernels.grad_stats(x, y, [0, rows], MSE)[0]
-        assert (stats is None) == (rows == d)
-        if stats is None:
+        task = batch_task(MSE, NEG_LOSS, 0.0, x, y)
+        assert (task.grad_stats[0] is None) == (rows == d)
+        if task.grad_stats[0] is None:
             continue
         for _ in range(50):
             theta = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
             want = block_party_grad(theta, x, y, 0, rows, MSE, 0.0)
-            got = _kernels.party_grad_np(theta, x, y, 0, rows, MSE, 0.0, stats)
+            got = _kernels.party_grad_np(theta, task, 0)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
         nan_theta = np.full(d, np.nan)
-        assert np.isnan(_kernels.party_grad_np(nan_theta, x, y, 0, rows, MSE, 0.0, stats)).all()
+        assert np.isnan(_kernels.party_grad_np(nan_theta, task, 0)).all()
 
 
 @pytest.mark.parametrize("d", [2, 7, 12])
@@ -445,10 +445,11 @@ def test_stats_gradient_near_the_party_optimum(d):
     # difference is bounded by the size of its terms, not of the gradient
     for rows in (d + 1, 3 * d):
         x, y = mse_party_rows(rows, d, seed=100 + rows)
-        g_mat, h = _kernels.grad_stats(x, y, [0, rows], MSE)[0]
+        task = batch_task(MSE, NEG_LOSS, 0.0, x, y)
+        g_mat, h = task.grad_stats[0]
         theta = np.linalg.lstsq(x, y, rcond=None)[0]
         want = block_party_grad(theta, x, y, 0, rows, MSE, 0.0)
-        got = _kernels.party_grad_np(theta, x, y, 0, rows, MSE, 0.0, (g_mat, h))
+        got = _kernels.party_grad_np(theta, task, 0)
         bound = 1e-12 * (np.linalg.norm(g_mat, 2) * np.linalg.norm(theta) + np.linalg.norm(h))
         assert np.abs(got - want).max() <= bound
         assert np.abs(want).max() < 1e-3 * np.linalg.norm(h)  # the terms do cancel
@@ -486,7 +487,22 @@ def test_replaced_rows_derive_their_grad_stats(field):
     for j, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
         assert all(same_bits(a, b) for a, b in zip(new.grad_stats[j], want_stats[j]))
         want = block_party_grad(theta, new.x, new.y, lo, hi, MSE, 0.0)
-        got = _kernels.party_grad_np(theta, new.x, new.y, lo, hi, MSE, 0.0, new.grad_stats[j])
+        got = _kernels.party_grad_np(theta, new, j)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_replaced_offsets_derive_their_rows():
+    # each party's row range is derived from the Task's own offsets, as ints
+    x, y = mse_party_rows(12, 3, seed=1)
+    task = _kernels.Task(x, y, np.array([0, 6, 12]), x, y, MSE, NEG_LOSS, 0.1, 0.0)
+    assert task.rows == ((0, 6), (6, 12))
+    new = replace(task, ptr=np.array([0, 1, 5, 12]))
+    assert new.rows == ((0, 1), (1, 5), (5, 12))
+    assert all(type(a) is int and type(b) is int for a, b in new.rows)
+    theta = np.random.default_rng(4).standard_normal(3)
+    for j, (lo, hi) in enumerate(new.rows):
+        want = block_party_grad(theta, x, y, lo, hi, MSE, 0.0)
+        got = _kernels.party_grad_np(theta, new, j)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -532,11 +548,12 @@ def test_mse_vector_utility_bitwise_equal_formula(d):
 def test_stats_gradient_bitwise_equal_formula(d):
     rng = np.random.default_rng(d)
     x, y = mse_party_rows(3 * d, d, seed=d)
-    g_mat, h = stats = _kernels.grad_stats(x, y, [0, 3 * d], MSE)[0]
+    task = batch_task(MSE, NEG_LOSS, 0.0, x, y)
+    g_mat, h = task.grad_stats[0]
     for scale in SCALES:
         for _ in range(50):
             theta = rng.standard_normal(d) * scale
-            got = _kernels.party_grad_np(theta, x, y, 0, 3 * d, MSE, 0.0, stats)
+            got = _kernels.party_grad_np(theta, task, 0)
             assert np.array_equal(got, g_mat @ theta - h)
 
 
@@ -549,6 +566,22 @@ def test_per_step_products_avoid_matmul(function):
              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
     assert not lines, (f"{function.__name__} uses @ at its lines {lines}: per-step "
                        "products take ndarray.dot, see the dpvalue._kernels docstring")
+
+
+@pytest.mark.parametrize("function", [_kernels.run_chain, valuation.run_federated,
+                                      models.train_one_pass], ids=lambda f: f.__name__)
+def test_party_gradient_callers_pass_the_task(function):
+    # a party's rows and statistics are read inside party_grad_np, from the Task
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    reads = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("ptr", "grad_stats")]
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).rsplit(".", 1)[-1] == "party_grad_np"]
+    shapes = [len(call.args) + len(call.keywords) for call in calls]
+    assert calls and shapes == [3] * len(calls), (f"{function.__name__} calls party_grad_np "
+                                                  f"with {shapes} arguments, not (theta, task, j)")
+    assert not reads, (f"{function.__name__} reads {reads}: party_grad_np(theta, task, j) "
+                       "reads the party's row range and statistics from the Task")
 
 
 @pytest.mark.parametrize("function", [_kernels.utility_np, _kernels.accuracy],

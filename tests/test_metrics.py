@@ -262,11 +262,6 @@ def test_npq_monte_carlo():
         # per-t contribution of the closed-form N
         noise = dp.NoiseConfig(1.0, cs, k, "corr_x", sigma_g_sq=sg_sq)
         upto = metrics.npq_closed_form(noise, d)[0]
-        before = (
-            metrics.npq_closed_form(noise, d)[0]
-            if t_probe == 1
-            else None
-        )
         # extract the single-t term by differencing partial sums
         def partial(tmax):
             tot = 0.0

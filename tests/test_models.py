@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import batch_task, dataset_task
+from conftest import batch_task, dataset_task, row_formula
 from dpvalue import _kernels, data, models
 
 
@@ -12,7 +12,10 @@ NEG_LOSS, ACCURACY = "neg_test_loss", "test_accuracy"
 
 
 def batch_grad(loss, lam, theta, x, y):
-    return _kernels.party_grad_np(theta, x, y, 0, len(y), loss, lam, None)
+    """The row formula's gradient over the batch (x, y)."""
+    with row_formula():
+        task = batch_task(loss, NEG_LOSS, lam, x, y)
+    return _kernels.party_grad_np(theta, task, 0)
 
 
 def finite_diff_grad(loss, lam, theta, x, y, step=1e-5):
@@ -107,9 +110,8 @@ def scan_train_one_pass(spec, features, labels, party_of, include_parties, seed)
     theta = models.init_params(spec, x.shape[1], seed=seed)
     for party in order:
         idx = np.nonzero(party_of == party)[0]
-        xb, yb = x[idx], labels[idx]
-        stats = _kernels.grad_stats(xb, yb, [0, idx.size], spec.loss_kind)[0]
-        g = _kernels.party_grad_np(theta, xb, yb, 0, idx.size, spec.loss_kind, spec.l2, stats)
+        g = _kernels.party_grad_np(theta, batch_task(spec.loss_kind, NEG_LOSS, spec.l2,
+                                                     x[idx], labels[idx]), 0)
         theta = theta - spec.learning_rate * g
     return theta
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import yaml
 from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
-from conftest import MECHANISMS, map_runs, orthogonal_chain_task
+from conftest import MECHANISMS, map_runs, orthogonal_chain_task, row_formula
 from dpvalue import _kernels, cli, data, dp, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
@@ -358,6 +359,25 @@ def test_zero_noise_run_is_the_chain_on_zero_noise(small_task, mode):
     assert res.psi.tobytes() == np.mean(res.pcoefs * out["marginals"], axis=0).tobytes()
 
 
+def test_run_holds_one_noise_block():
+    # the (k, n, d) noise is drawn and scaled in place, so a run never holds a
+    # second block for the scaled copy; below numpy's 256 KiB temporary-elision
+    # threshold the product std * draw would allocate one
+    k, n, d = 50, 20, 30
+    ds = data.synth_classification(n, d - 1, 2, seed=1, separation=3.0, n_test=20)
+    mspec = models.ModelSpec("logistic_l2", 0.05, l2=0.01)
+    cfg = run_cfg(ds, mspec, "neg_test_loss", k, seed=0, sigma=1.0)
+    block = k * n * d * 8
+    assert block < 256 * 1024
+    tracemalloc.start()
+    try:
+        run_valuation(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block, peak / block
+
+
 def test_permutation_sampling_uniform():
     # chi-square over all 24 permutations of n=4 at significance 1e-3,
     # drawn through the engine's own sampler
@@ -594,7 +614,8 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
     loss = cfg.model.loss_kind
     lam = cfg.model.l2
     lr = cfg.model.learning_rate
-    task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam)
+    with row_formula():
+        task = _kernels.Task(x, y, ptr, xt, yt, loss, cfg.utility, lr, lam)
 
     ss = np.random.SeedSequence(cfg.master_seed)
     init_ss, noise_ss, perm_ss = ss.spawn(3)
@@ -616,7 +637,7 @@ def reference_federated(cfg, rounds, per_round_permutations, q=0.2):
         released = np.empty((n, d))
         stream.append((theta, released))
         for j in range(n):
-            g = _kernels.party_grad_np(theta, x, y, ptr[j], ptr[j + 1], loss, lam, None)
+            g = _kernels.party_grad_np(theta, task, j)
             nrm = math.sqrt(float(g @ g))
             if nrm > cfg.noise.clip_norm:
                 g *= cfg.noise.clip_norm / nrm
@@ -658,7 +679,7 @@ def test_federated_matches_reference_loop(mode, clip, sigma):
 
 
 @pytest.mark.parametrize("mode", ["fl_schedule"])
-def test_mse_stats_gradient_in_every_caller(mode, monkeypatch):
+def test_mse_stats_gradient_in_every_caller(mode):
     # 8-row parties of d = 6 with the bias column take their gradient from
     # (G, h) in federated attribution and retraining alike; both match the row
     # formula, that of the reference loop and of a Task without the statistics
@@ -672,8 +693,7 @@ def test_mse_stats_gradient_in_every_caller(mode, monkeypatch):
     want, _ = reference_federated(cfg, 5, 12, q=0.2)
     assert want.any()
     assert np.allclose(run_federated(cfg, Federated(12, 0.2)), want, rtol=1e-12, atol=1e-12)
-    with monkeypatch.context() as patch:  # the same rows, every party on the row formula
-        patch.setattr(_kernels, "grad_stats", lambda x, y, ptr, loss: (None,) * (len(ptr) - 1))
+    with row_formula():  # the same rows, every party on the row formula
         rows_only = replace(task)
     assert rows_only.grad_stats == (None,) * 6
     for seed, keep in enumerate([np.arange(6), np.array([1, 4, 5])]):
