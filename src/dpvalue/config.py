@@ -237,11 +237,14 @@ def _parse_dataset(section: dict) -> DatasetSection:
     else:
         path = str(_require(section, "path", "dataset"))
         with _field("dataset.label"):
-            schema = data.CsvSchema(str(_require(section, "label", "dataset")))
+            schema = data.CsvSchema(_require(section, "label", "dataset"))
         for key, cast in (("task", str), ("standardize", _boolean), ("test_rows", _integer)):
             schema = _set(schema, "dataset", section, key, cast)
         with _field("dataset.path"):
-            ds.loaded = loaded = data.load_csv(path, schema)
+            try:
+                ds.loaded = loaded = data.load_csv(path, schema)
+            except data.SplitError as exc:
+                raise ConfigError("dataset.test_rows", str(exc)) from exc
         with _field("dataset.test_rows"):
             models.check_test_split(loaded.test_features, loaded.test_labels)
         task, rows = loaded.task, loaded.n_train
@@ -322,7 +325,8 @@ def _parse_probe(section: dict, noise: NoiseConfig) -> metrics.Probe:
     with _field("noise.sigma"):
         metrics.probe_sigma(noise.noise_multiplier)
     with _field("probe.q"):
-        probe.mechanisms(noise)
+        for k in probe.ks:
+            probe.mechanisms(noise, k)
     return probe
 
 
@@ -393,12 +397,13 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
 
 
 def _runs(kind: str, noise: NoiseConfig, plan) -> tuple[NoiseConfig, ...]:
-    """The mechanisms of the kind's chains and federated rounds (the probe's
-    replays aside)."""
+    """The mechanisms of the kind's chains, federated rounds and probe replays."""
     if kind == "noisy-label":
         return tuple(run for _, run in plan)
     if kind == "similarity":
         return plan
+    if kind == "variance-probe":
+        return tuple(run for k in plan.ks for run in plan.mechanisms(noise, k))
     return () if kind == "oracle-check" else (noise,)
 
 
@@ -476,10 +481,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":
         plan = _parse_oracle(_section(doc, "oracle"))
-    # sigma_g_sq sets only the corr_x and corr_y diagonals, so a kind that runs
-    # neither would drop it; a probe is not checked, as its iid-only replay has
-    # always taken the key (ROADMAP item 17)
-    if kind != "variance-probe" and (doc.get("noise") or {}).get("sigma_g_sq") is not None:
+    if (doc.get("noise") or {}).get("sigma_g_sq") is not None:
         if not any(run.mode in ("corr_x", "corr_y") for run in _runs(kind, noise, plan)):
             raise ConfigError("noise.sigma_g_sq", "only the corr_x and corr_y combiners use it, "
                               f"and the {kind} experiment runs neither")

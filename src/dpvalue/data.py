@@ -57,10 +57,16 @@ class CsvSchema:
     test_rows: int = 0  # tail rows held out as the test split
 
     def __post_init__(self):
+        if not isinstance(self.label, str) or not self.label:
+            raise ValueError(f"label must name a column, a non-empty string, got {self.label!r}")
         if self.task not in ("classification", "regression"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.test_rows < 0:
             raise ValueError("test_rows must be >= 0")
+
+
+class SplitError(ValueError):
+    """A file that reads, but whose rows cannot hold the schema's test split."""
 
 
 def _number(cell: str, row: int, column: str) -> float:
@@ -118,7 +124,7 @@ def load_csv(path, schema: CsvSchema) -> PartitionedDataset:
 
     n_test = schema.test_rows
     if n_test >= n:
-        raise ValueError("test_rows leaves no training rows")
+        raise SplitError(f"test_rows {n_test} leaves no training rows of the file's {n}")
     x_train, x_test = values[: n - n_test], values[n - n_test :]
     y_train, y_test = labels[: n - n_test], labels[n - n_test :]
 

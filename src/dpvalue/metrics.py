@@ -235,12 +235,6 @@ _utility_rows = _kernels.utility_np  # the probe's (trials, d) blocks, traced as
 PROBE_MODES = ("iid", "corr_x", "corr_y")
 
 
-def probe_mode(mode: str) -> str:
-    if mode not in PROBE_MODES:
-        raise ValueError(f"probe mode must be one of {', '.join(PROBE_MODES)}, got {mode!r}")
-    return mode
-
-
 @dataclass(frozen=True)
 class Probe:
     """The probe block: the budgets of the slope fit, the noise redraws per
@@ -267,13 +261,17 @@ class Probe:
         if not self.modes:
             raise ValueError("modes must name at least one mode to replay, got none")
         for i, mode in enumerate(self.modes):
-            if probe_mode(mode) in self.modes[:i]:
+            if mode not in PROBE_MODES:
+                raise ValueError(f"probe mode must be one of {', '.join(PROBE_MODES)}, "
+                                 f"got {mode!r}")
+            if mode in self.modes[:i]:
                 raise ValueError(f"repeats the mode {mode!r}")
 
-    def mechanisms(self, noise: NoiseConfig) -> dict[int, tuple[NoiseConfig, ...]]:
-        """Each budget's mechanism of every mode, made from ``noise`` and so
-        checked by ``NoiseConfig``: the runs the probe replays."""
-        return {k: tuple(mechanism(noise, mode, k, self.q) for mode in self.modes) for k in self.ks}
+    def mechanisms(self, noise: NoiseConfig, k: int) -> tuple[NoiseConfig, ...]:
+        """The mechanism of each mode at budget ``k``, in mode order, made from
+        ``noise`` (corr_y's at burn-in share ``q``) and so checked by
+        ``NoiseConfig``: the runs the probe replays at k."""
+        return tuple(mechanism(noise, mode, k, self.q) for mode in self.modes)
 
 
 def probe_sigma(sigma: float) -> float:
@@ -287,32 +285,28 @@ _CHUNK = 16  # iterations whose parameter slabs are built together
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging replay is reported below
-def conditional_variance(
-    cfg: RunConfig,
-    modes,
-    trials: int,
-    seed: int,
-    q: float | None = None,
-) -> list[tuple[float, np.ndarray]]:
-    """Var[psi | frozen sequences] of the run ``cfg`` at its budget k by
-    redrawing noise, averaged over parties, and the (n_parties, trials)
-    estimator draws it is taken over: one ``(var, draws)`` per mode of
-    ``modes``, all replayed from one draw.
+def conditional_variance(cfg: RunConfig, probe: Probe, seed: int
+                         ) -> list[tuple[float, np.ndarray]]:
+    """Var[psi | frozen sequences] of the run ``cfg`` at its budget k, from
+    ``probe.trials`` noise redraws, averaged over parties, and the
+    (n_parties, trials) estimator draws it is taken over: one ``(var, draws)``
+    per mode of ``probe``, all replayed from one draw. The ``Probe`` already
+    holds its trial count and modes to its rules, so the replay checks neither.
 
-    Each mode's mechanism is ``cfg.noise`` at k in that mode: iid, or
+    The mechanisms are ``probe.mechanisms(cfg.noise, k)``: iid, or
     corr_x/corr_y with the base noise's combiner diagonal (the prefix mean or
     the variance-aware one); corr_y additionally drops the first k*q
-    iterations from the estimator. One base noise gives every mode the same
-    per-release noise scale and the correlated ones the same diagonal, so one
-    standard normal (trials, k, d) block per party feeds every mode. A chunk
-    of iterations is gathered from it at a time, scaled by std, into reused
-    (chunk, d, trials) slab buffers with trials innermost: the iid parameters
-    are ``base_iid[t] - lr*std*z_t`` and the correlated ones ``base_corr[t] -
-    lr*(c_t * std * prefix sum of z + e_t * std*z_t)`` with ``dp``'s
-    prefix-sum weights (c, e) of the diagonal, shared by corr_x and corr_y,
-    with the prefix sum carried from chunk to chunk. Each (d, trials) slab is
-    scored once per mode as the (trials, d) view ``slab.T``, and a chunk's
-    utilities are folded into psi in the order of t.
+    iterations from the estimator, with q = ``probe.q``. One base noise gives
+    every mode the same per-release noise scale and the correlated ones the
+    same diagonal, so one standard normal (trials, k, d) block per party feeds
+    every mode. A chunk of iterations is gathered from it at a time, scaled by
+    std, into reused (chunk, d, trials) slab buffers with trials innermost:
+    the iid parameters are ``base_iid[t] - lr*std*z_t`` and the correlated
+    ones ``base_corr[t] - lr*(c_t * std * prefix sum of z + e_t * std*z_t)``
+    with ``dp``'s prefix-sum weights (c, e) of the diagonal, shared by corr_x
+    and corr_y, with the prefix sum carried from chunk to chunk. Each (d,
+    trials) slab is scored once per mode as the (trials, d) view ``slab.T``,
+    and a chunk's utilities are folded into psi in the order of t.
 
     One worker thread owns the noise generator. It draws party 1's block
     while ``freeze_scenario`` runs the noiseless chains of ``cfg`` and party
@@ -323,13 +317,9 @@ def conditional_variance(
     error from it here. A non-finite estimate raises, without numpy warnings,
     a ``RuntimeError`` naming the budget, the mode and the party.
     """
-    if trials < 2:  # a sample variance needs two draws
-        raise ValueError(f"need at least 2 trials for a variance, got {trials}")
-    k, n = cfg.noise.budget, cfg.dataset.n_parties
+    k, n, trials = cfg.noise.budget, cfg.dataset.n_parties, probe.trials
     d = cfg.dataset.features.shape[1] + int(cfg.model.add_bias)
-    noises = [mechanism(cfg.noise, probe_mode(mode), k, q) for mode in modes]
-    if not noises:
-        raise ValueError("need at least one mode to replay")
+    noises = probe.mechanisms(cfg.noise, k)
     std = cfg.noise.per_release_std
     corr = [noise for noise in noises if noise.correlated]
     kqs = [noise.burn_in for noise in noises]
@@ -416,20 +406,19 @@ def variance_scaling_probe(probe: Probe, base_cfg: RunConfig, seed: int) -> dict
     per mode of ``probe``, in its order.
 
     For each budget the scenario is re-frozen at that length (the noiseless
-    chain does not depend on the noise scale or mode), then ``probe.trials``
-    fresh noise draws, shared by every mode (corr_y with burn-in share
-    ``probe.q``), estimate Var[psi | theta^p sequence]. The noise and every
-    budget's mechanisms are checked before the first chain runs; a variance
-    that is not positive and finite, which has no log, raises ``ValueError``.
+    chain does not depend on the noise scale or mode), then
+    ``conditional_variance`` replays ``probe`` there to estimate Var[psi |
+    theta^p sequence]. The noise and every budget's ``probe.mechanisms`` are
+    checked before the first chain runs; a variance that is not positive and
+    finite, which has no log, raises ``ValueError``.
     """
     probe_sigma(base_cfg.noise.noise_multiplier)
-    runs = probe.mechanisms(base_cfg.noise)
+    runs = {k: probe.mechanisms(base_cfg.noise, k) for k in probe.ks}
     variances: dict[str, list[float]] = {mode: [] for mode in probe.modes}
     samples: dict[str, dict[int, np.ndarray]] = {mode: {} for mode in probe.modes}
     for i, (k, noises) in enumerate(runs.items()):
         cfg = replace(base_cfg, noise=noises[0])  # any one: the replay makes each mode's from it
-        replays = conditional_variance(cfg, probe.modes, probe.trials, seed=seed * 7919 + i,
-                                       q=probe.q)
+        replays = conditional_variance(cfg, probe, seed=seed * 7919 + i)
         for mode, (var, draws) in zip(probe.modes, replays):
             if not 0.0 < var < np.inf:  # the slope is fit to log(variance)
                 raise ValueError(

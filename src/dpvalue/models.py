@@ -63,8 +63,9 @@ def check_labels(spec: ModelSpec, labels: np.ndarray) -> None:
     cross-entropy of ``logistic_l2`` needs labels in {0, 1}."""
     if spec.loss_kind == "logistic_l2":
         other = np.setdiff1d(labels, (0.0, 1.0))
-        if other.size:
-            raise ValueError(f"logistic_l2 needs labels in {{0, 1}}, got {other.tolist()}")
+        if other.size:  # named in full up to five, then counted
+            got = f"{other.size} others, first " if other.size > 5 else ""
+            raise ValueError(f"logistic_l2 needs labels in {{0, 1}}, got {got}{other[:5].tolist()}")
 
 
 def utility_kind(kind: str) -> str:

@@ -421,6 +421,7 @@ def probe_doc(outdir, **probe):
     ({"modes": ["corr_y"], "ks": [10, 20, 25], "q": 0.3}, {}, "probe.q"),  # k*q = 7.5 at k=25
     ({"modes": ["corr_y"], "q": 1.0}, {}, "probe.q"),
     ({}, {"sigma": 0.0}, "noise.sigma"),  # no noise: variances of 0 and a log(0) slope
+    ({"modes": ["iid"]}, {"sigma_g_sq": 0.5}, "noise.sigma_g_sq"),  # iid replays no combiner
 ])
 def test_validate_rejects_bad_probe(tmp_path, capsys, probe, noise, field):
     doc = probe_doc(tmp_path / "out", **probe)
@@ -436,9 +437,9 @@ def test_validate_rejects_bad_probe(tmp_path, capsys, probe, noise, field):
 @pytest.mark.parametrize("probe,noise", [
     ({}, {}),
     ({"modes": ["iid", "corr_x", "corr_y"]}, {"sigma_g_sq": 0.0}),
-    ({"modes": ["iid"]}, {"sigma_g_sq": 0.5}),  # iid replays no combiner
     ({"modes": ["iid", "corr_x"]}, {"sigma_g_sq": 0.5}),  # the variance-aware diagonal
     ({"modes": ["corr_y"]}, {"sigma_g_sq": 0.5}),
+    ({"modes": ["iid", "corr_y"]}, {"sigma_g_sq": 0.5}),  # iid beside a mode with a combiner
 ])
 def test_validate_accepts_good_probe(tmp_path, probe, noise):
     doc = probe_doc(tmp_path / "out", **probe)
@@ -658,6 +659,14 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("csv-short-row", "valuation",
      {"dataset": {"source": "csv", "path": SHORT_ROW_CSV, "label": "y", "test_rows": 2}},
      "dataset.path"),
+    # a label that is not a non-empty string was once cast with str and looked up as a column
+    *((f"csv-label-{name}", "valuation",
+       {"dataset": {"source": "csv", "path": CSV, "label": label, "test_rows": 2}}, "dataset.label")
+      for name, label in (("null", None), ("number", 3), ("list", ["y"]), ("empty", ""))),
+    # the file's 12 rows cannot hold the split; this once failed at dataset.path
+    *((f"csv-test-rows-{rows}", "valuation",
+       {"dataset": {"source": "csv", "path": CSV, "label": "y", "test_rows": rows}},
+       "dataset.test_rows") for rows in (12, 13)),
     ("malformed-yaml", "valuation", {YAML_TEXT: "a: [1,\n"}, ""),
     # yaml.safe_load would keep the second value: a run without noise, or at another separation
     ("repeated-noise-block", "valuation", {YAML_TEXT: REPEATED_KEY_TEXT.format(

@@ -418,7 +418,8 @@ def test_probe_matches_single_threaded_replay(mode, q):
         scenario = metrics.freeze_scenario(cfg)
         assert scenario.theta_prev.shape == (20, 6, d)
         want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
-        [(var, draws)] = metrics.conditional_variance(cfg, [mode], trials=137, seed=11, q=q)
+        probe = metrics.Probe(trials=137, modes=(mode,), q=q)
+        [(var, draws)] = metrics.conditional_variance(cfg, probe, seed=11)
         assert draws.shape == (6, 137)
         assert np.array_equal(draws, want), add_bias
         assert var == want_var
@@ -436,8 +437,8 @@ def test_probe_chunked_replay_matches_single_threaded_replay(k, q):
     cfg = replace(cfg, noise=replace(cfg.noise, budget=k))
     scenario = metrics.freeze_scenario(cfg)
     modes = [("iid", 0.0), ("corr_x", 0.0), ("corr_y", q)]
-    replays = metrics.conditional_variance(cfg, [mode for mode, _ in modes], trials=103, seed=5,
-                                           q=q)
+    probe = metrics.Probe(trials=103, modes=tuple(mode for mode, _ in modes), q=q)
+    replays = metrics.conditional_variance(cfg, probe, seed=5)
     for (mode, mode_q), (var, draws) in zip(modes, replays):
         want_var, want = reference_replay(scenario, mode, cfg.noise, 103, seed=5, q=mode_q)
         assert np.array_equal(draws, want) and var == want_var, mode
@@ -447,8 +448,8 @@ def test_probe_replays_every_mode_from_one_draw():
     # one call with all three mechanisms equals three single-mode replays bitwise
     cfg = probe_base()
     scenario = metrics.freeze_scenario(cfg)
-    replays = metrics.conditional_variance(cfg, [mode for mode, _ in PROBE_MODES], trials=137,
-                                           seed=11, q=0.5)
+    probe = metrics.Probe(trials=137, modes=tuple(mode for mode, _ in PROBE_MODES), q=0.5)
+    replays = metrics.conditional_variance(cfg, probe, seed=11)
     assert len(replays) == len(PROBE_MODES)
     for (mode, q), (var, draws) in zip(PROBE_MODES, replays):
         want_var, want = reference_replay(scenario, mode, cfg.noise, 137, seed=11, q=q)
@@ -478,7 +479,8 @@ def test_probe_draws_one_block_per_party(monkeypatch):
             return self.rng.standard_normal(out=out)
 
     monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
-    metrics.conditional_variance(cfg, [m for m, _ in PROBE_MODES], trials=101, seed=0, q=0.5)
+    probe = metrics.Probe(trials=101, modes=tuple(m for m, _ in PROBE_MODES), q=0.5)
+    metrics.conditional_variance(cfg, probe, seed=0)
     assert blocks == [(101, 20, 7)] * 6  # one block per party, shared by the three modes
 
 
@@ -488,8 +490,8 @@ def test_probe_replay_holds_two_noise_blocks(monkeypatch):
     # would be a third mapping or a heap peak of >= 1 block
     cfg = probe_base(n_parties=2)
     cfg = replace(cfg, noise=replace(cfg.noise, budget=400))
-    modes = [m for m, _ in PROBE_MODES]
-    trials, block = 500, 500 * 400 * 7 * 8
+    probe = metrics.Probe(trials=500, modes=tuple(m for m, _ in PROBE_MODES), q=0.5)
+    block = 500 * 400 * 7 * 8
     mapped, real_mmap = [], metrics.mmap.mmap
 
     def counting_mmap(fileno, length, *args, **kwargs):
@@ -499,7 +501,7 @@ def test_probe_replay_holds_two_noise_blocks(monkeypatch):
     monkeypatch.setattr(metrics.mmap, "mmap", counting_mmap)
     tracemalloc.start()
     try:
-        metrics.conditional_variance(cfg, modes, trials=trials, seed=0, q=0.5)
+        metrics.conditional_variance(cfg, probe, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -517,7 +519,8 @@ def test_probe_concurrent_replays_stay_exact():
 
     def replay(job):
         mode, q, seed = job
-        [results[job]] = metrics.conditional_variance(cfg, [mode], trials=101, seed=seed, q=q)
+        probe = metrics.Probe(trials=101, modes=(mode,), q=q)
+        [results[job]] = metrics.conditional_variance(cfg, probe, seed=seed)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -551,7 +554,8 @@ def test_probe_scoring_error_joins_the_draw_thread(monkeypatch):
     monkeypatch.setattr(metrics, "_utility_rows", failing_rows)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="scoring failed"):
-        metrics.conditional_variance(cfg, ["corr_x"], trials=137, seed=0)
+        metrics.conditional_variance(cfg, metrics.Probe(trials=137, modes=("corr_x",), q=0.0),
+                                     seed=0)
     assert threads_seen == [before + 1] * 3  # exactly one draw thread
     assert threading.active_count() == before
 
@@ -583,7 +587,8 @@ def test_probe_draw_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="draw failed"):
-        metrics.conditional_variance(cfg, ["iid"], trials=137, seed=0)
+        metrics.conditional_variance(cfg, metrics.Probe(trials=137, modes=("iid",), q=0.0),
+                                     seed=0)
     assert threading.active_count() == before
     assert len(draw_threads) == 1 and threading.get_ident() not in draw_threads
 
@@ -606,20 +611,23 @@ def test_probe_freeze_error_joins_the_draw_thread(monkeypatch):
 
 
 def test_probe_validation(monkeypatch):
-    # every rule fails before a chain is frozen
+    # every rule fails before a scenario is frozen, a block mapped or the draw
+    # thread started
     cfg = probe_base()
 
-    def no_freeze(cfg):
-        raise AssertionError("a rejected probe froze a scenario")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected probe got past its checks")
 
-    monkeypatch.setattr(metrics, "freeze_scenario", no_freeze)
+    for name in ("freeze_scenario", "ThreadPoolExecutor"):
+        monkeypatch.setattr(metrics, name, unreachable)
+    monkeypatch.setattr(metrics.mmap, "mmap", unreachable)
     with pytest.raises(ValueError, match="three"):
         metrics.variance_scaling_probe(metrics.Probe((10, 20), 500, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="three"):
         metrics.variance_scaling_probe(metrics.Probe((0, 10, 20), 500, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match=r"three.*k=1 .*2 iterations"):  # the frozen chain's rule
         metrics.variance_scaling_probe(metrics.Probe((5, 10, 1), 100, ("iid",)), cfg, 0)
-    with pytest.raises(ValueError, match="100 trials"):
+    with pytest.raises(ValueError, match="at least 100 trials per budget, got 50$"):
         metrics.variance_scaling_probe(metrics.Probe((10, 20, 40), 50, ("iid",)), cfg, 0)
     with pytest.raises(ValueError, match="repeats a budget"):
         metrics.variance_scaling_probe(metrics.Probe((10, 10, 20), 100, ("iid",)), cfg, 0)
@@ -628,9 +636,7 @@ def test_probe_validation(monkeypatch):
                                        cfg, 0)
     for mode in ("warp", "fl_schedule"):
         with pytest.raises(ValueError, match="probe mode"):
-            metrics.conditional_variance(cfg, ["iid", mode], trials=200, seed=0)
-    with pytest.raises(ValueError, match="at least one mode"):
-        metrics.conditional_variance(cfg, [], trials=200, seed=0)
+            metrics.Probe(trials=200, modes=("iid", mode))
     with pytest.raises(ValueError, match="integer"):
         probe_noise(cfg, "corr_y", q=0.13)
 
@@ -644,16 +650,17 @@ def test_probe_rejects_empty_modes():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("trials", [0, 1])
 def test_conditional_variance_needs_two_trials(monkeypatch, trials):
-    # a sample variance of under two draws has no value; the count is refused
-    # before a scenario is frozen, a block mapped or the draw thread started
+    # a sample variance of under two draws has no value; the ``Probe`` the
+    # replay takes refuses the count before a scenario is frozen, a block
+    # mapped or the draw thread started
     def unreachable(*args, **kwargs):
         raise AssertionError("a refused trial count got past the check")
 
     for name in ("freeze_scenario", "ThreadPoolExecutor"):
         monkeypatch.setattr(metrics, name, unreachable)
     monkeypatch.setattr(metrics.mmap, "mmap", unreachable)
-    with pytest.raises(ValueError, match=f"at least 2 trials for a variance, got {trials}"):
-        metrics.conditional_variance(probe_base(), ["iid"], trials, 0)
+    with pytest.raises(ValueError, match=f"at least 100 trials per budget, got {trials}$"):
+        metrics.conditional_variance(probe_base(), metrics.Probe(trials=trials, modes=("iid",)), 0)
 
 
 def test_probe_freezes_the_no_dp_run_whatever_the_base_mode():
@@ -682,7 +689,8 @@ def test_probe_replays_variance_aware_combiner(mode, q):
     for sigma_g_sq in (0.5, 0.0):
         cfg = replace(cfg, noise=replace(cfg.noise, sigma_g_sq=sigma_g_sq))
         noise = probe_noise(cfg, mode, q)
-        [(var, draws)] = metrics.conditional_variance(cfg, [mode], trials=101, seed=3, q=q)
+        probe = metrics.Probe(trials=101, modes=(mode,), q=q)
+        [(var, draws)] = metrics.conditional_variance(cfg, probe, seed=3)
         want = explicit_matrix_replay(scenario, noise, trials=101, seed=3)
         # relative to the largest draw: a psi near 0 is a sum of cancelling terms
         assert np.abs(draws - want).max() <= 1e-12 * np.abs(want).max(), sigma_g_sq
@@ -699,7 +707,8 @@ def test_probe_wide_replay_matches_references(mode, q):
     cfg = probe_base(features=12)
     scenario = metrics.freeze_scenario(cfg)
     assert scenario.theta_prev.shape == (20, 6, 13)
-    [(var, draws)] = metrics.conditional_variance(cfg, [mode], trials=101, seed=7, q=q)
+    probe = metrics.Probe(trials=101, modes=(mode,), q=q)
+    [(var, draws)] = metrics.conditional_variance(cfg, probe, seed=7)
     want_var, want = reference_replay(scenario, mode, cfg.noise, 101, seed=7, q=q)
     assert np.array_equal(draws, want) and var == want_var
     if mode != "iid":
@@ -730,5 +739,6 @@ def test_probe_iid_matches_direct_simulation():
                 acc += scenario.pcoefs[t, j] * (-np.mean(e * e) - scenario.v_prev[t, j])
             psis.append(acc / k)
         direct.append(np.var(psis, ddof=1))
-    [(fast, _)] = metrics.conditional_variance(cfg, ["iid"], trials=2000, seed=1)
+    probe = metrics.Probe(trials=2000, modes=("iid",), q=0.0)
+    [(fast, _)] = metrics.conditional_variance(cfg, probe, seed=1)
     assert abs(np.mean(direct) / fast - 1.0) < 0.25  # both are MC estimates

@@ -176,3 +176,17 @@ def test_model_spec_validation():
         models.ModelSpec("mse_linear", 0.1, l2=0.1)
     with pytest.raises(ValueError):
         models.ModelSpec("huber", 0.1)
+
+
+def test_check_labels_names_five_bad_labels_and_counts_the_rest():
+    # one label per class once made the message list every one: 9.9 MB of
+    # text at a million classes
+    spec = models.ModelSpec("logistic_l2", 0.05, l2=0.01)
+    first = "[2.0, 3.0, 4.0, 5.0, 6.0]"
+    for labels, got in ((np.arange(3.0), "[2.0]"), (np.arange(7.0), first),
+                        (np.arange(8.0), f"6 others, first {first}"),
+                        (np.arange(1e6), f"999998 others, first {first}")):
+        with pytest.raises(ValueError) as exc:
+            models.check_labels(spec, labels)
+        assert str(exc.value) == f"logistic_l2 needs labels in {{0, 1}}, got {got}"
+    models.check_labels(spec, np.array([1.0, 0.0, 1.0]))

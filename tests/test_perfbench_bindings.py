@@ -8,6 +8,7 @@ runs with ``--trace 1``."""
 import functools
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from dpvalue import _kernels, cli, data, dp, models
 from dpvalue.valuation import RunConfig, SemivalueSpec, run_valuation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCHMARK = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def load_perfbench(name):
@@ -128,3 +130,18 @@ def test_traced_calls_match_workload_formulas(spans, tmp_path, kind):
     assert any(expected.values())
     for span, calls in expected.items():
         assert layers[f"{span}.calls"] == calls, span
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
+def test_workload_outputs_match_recorded_values(monkeypatch, tmp_path, workload):
+    # the benchmark's own check of every run, at benchmark seed 0: exit code,
+    # MANIFEST digests, finite values, the paper invariant at the workload's
+    # shape and parity with perfbench/expected.json within its PARITY_TOL
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports spans, workloads and clock
+    run = load_perfbench("run")
+    recorded = json.loads(run.EXPECTED.read_text(encoding="utf-8"))[workload]["0"]
+    configs = run.write_configs(workload, 0, tmp_path / "configs")
+    assert set(configs) == set(recorded)
+    for name, (cfg, path) in configs.items():
+        rc = cli.main(["run", str(path), "--output", str(tmp_path / name)])
+        assert run.check_outputs(tmp_path / name, cfg, rc, recorded[name]) == [], name
