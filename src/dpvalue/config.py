@@ -235,7 +235,9 @@ def _parse_dataset(section: dict) -> DatasetSection:
                 data.check_synth(**ds.synth)
         task, rows = "classification", ds.synth["n_samples"]
     else:
-        path = str(_require(section, "path", "dataset"))
+        path = _require(section, "path", "dataset")
+        if not isinstance(path, str) or not path:  # open() takes an integer as a file descriptor
+            raise ConfigError("dataset.path", f"must be a non-empty string, got {path!r}")
         with _field("dataset.label"):
             schema = data.CsvSchema(_require(section, "label", "dataset"))
         for key, cast in (("task", str), ("standardize", _boolean), ("test_rows", _integer)):
@@ -439,7 +441,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                               "noisy-label detection needs at least one corrupted label")
         model = _parse_model(_section(doc, "model"))
         with _field("model.loss"):
-            models.check_labels(model, dataset.labels)
+            models.check_labels(model.loss_kind, dataset.labels)
         with _field("model.add_bias"):
             models.check_dimension(dataset.n_features + model.add_bias)
     noise = _parse_noise(doc, kind)
@@ -450,7 +452,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if kind != "oracle-check":
         utility = doc.get("utility", "neg_test_loss")
         with _field("utility"):
-            models.utility_kind(utility)
+            models.check_labels(models.utility_kind(utility), dataset.labels)
         semi = _section(doc, "semivalue")
         with _field("semivalue.kind"):
             semivalue = SemivalueSpec(semi.get("kind", "shapley"))

@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import metrics
-from .valuation import exact_semivalue, permutation_expectation, run_federated, run_valuation
+from .valuation import (coalitions, exact_semivalue, permutation_expectation, run_federated,
+                        run_valuation)
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -179,7 +180,7 @@ def run_oracle_check_experiment(cfg: ExperimentConfig):
     n, tol = cfg.plan.n, cfg.plan.tolerance
     rng = np.random.default_rng(cfg.seed)
     # one game value per coalition, keyed by its sorted members as both oracles ask
-    v = dict(zip(_powerset(n), rng.standard_normal(1 << n).tolist())).__getitem__
+    v = dict(zip(coalitions(n), rng.standard_normal(1 << n).tolist())).__getitem__
     rows = [["kind", "max_abs_diff", "pass"]]
     worst = 0.0
     for spec in cfg.plan.semivalues:
@@ -192,11 +193,6 @@ def run_oracle_check_experiment(cfg: ExperimentConfig):
     if not ok:
         raise RuntimeError(f"oracle check failed: max |diff| = {worst:.3e} >= {tol}")
     return doc, {"summary.csv": _csv(rows)}
-
-
-def _powerset(n: int):
-    for mask in range(1 << n):
-        yield tuple(i for i in range(n) if mask >> i & 1)
 
 
 RUNNERS = {

@@ -58,14 +58,15 @@ class ModelSpec:
             raise ValueError("l2 penalty only applies to logistic_l2")
 
 
-def check_labels(spec: ModelSpec, labels: np.ndarray) -> None:
-    """Labels a model of ``spec`` trains or is scored on: the binary
-    cross-entropy of ``logistic_l2`` needs labels in {0, 1}."""
-    if spec.loss_kind == "logistic_l2":
+def check_labels(kind: str, labels: np.ndarray) -> None:
+    """Labels a loss or utility of ``kind`` trains or is scored on: the binary
+    cross-entropy of ``logistic_l2`` and the thresholded scores of
+    ``test_accuracy`` need labels in {0, 1}."""
+    if kind in ("logistic_l2", "test_accuracy"):
         other = np.setdiff1d(labels, (0.0, 1.0))
         if other.size:  # named in full up to five, then counted
             got = f"{other.size} others, first " if other.size > 5 else ""
-            raise ValueError(f"logistic_l2 needs labels in {{0, 1}}, got {got}{other[:5].tolist()}")
+            raise ValueError(f"{kind} needs labels in {{0, 1}}, got {got}{other[:5].tolist()}")
 
 
 def utility_kind(kind: str) -> str:

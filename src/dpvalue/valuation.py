@@ -132,8 +132,9 @@ class RunConfig:
         seed_value(self.master_seed)
         utility_kind(self.utility)
         check_test_split(self.dataset.test_features, self.dataset.test_labels)
-        check_labels(self.model, self.dataset.labels)
-        check_labels(self.model, self.dataset.test_labels)
+        check_labels(self.model.loss_kind, self.dataset.labels)
+        check_labels(self.model.loss_kind, self.dataset.test_labels)
+        check_labels(self.utility, self.dataset.test_labels)
 
 
 @dataclass
@@ -257,6 +258,13 @@ def run_valuation(cfg: RunConfig) -> ValuationResult:
     )
 
 
+def coalitions(n: int):
+    """Every coalition of n parties as its sorted members, in bitmask order:
+    the one at mask holds party i where bit i of mask is set."""
+    for mask in range(1 << n):
+        yield tuple(i for i in range(n) if mask >> i & 1)
+
+
 def exact_semivalue(v_oracle, spec: SemivalueSpec, n: int) -> np.ndarray:
     """Brute-force semivalue of a deterministic n-party set function by subset sums.
 
@@ -265,11 +273,7 @@ def exact_semivalue(v_oracle, spec: SemivalueSpec, n: int) -> np.ndarray:
     if n > 12:
         raise ValueError("exact enumeration capped at n <= 12")
     w, _ = semivalue_weights(spec, n)
-    table = {}
-    members = list(range(n))
-    for mask in range(1 << n):
-        subset = tuple(i for i in members if mask >> i & 1)
-        table[mask] = float(v_oracle(subset))
+    table = [float(v_oracle(subset)) for subset in coalitions(n)]  # indexed by mask
     phi = np.zeros(n)
     for i in range(n):
         for mask in range(1 << n):

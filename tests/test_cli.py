@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import hashlib
@@ -511,6 +512,41 @@ def test_run_loads_no_scipy(tmp_path):
     assert json.loads((tmp_path / "out" / "result.json").read_text())["pass"] is True
 
 
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    # the package root re-exports nothing, so no name has a second import path
+    import dpvalue
+    import dpvalue.cli  # noqa: F401 - loads every module
+
+    assert [name for name, value in vars(dpvalue).items() if not name.startswith("_")
+            and sys.modules.get(f"dpvalue.{name}") is not value] == []
+    package = REPO / "src" / "dpvalue"
+    defined = {}  # module -> the names its top level binds, not by importing them
+    for path in package.glob("*.py"):
+        names = defined[path.stem] = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    submodules = set(defined) - {"__init__"}
+    wrong = []
+    for path in sorted([*package.glob("*.py"), *(REPO / "tests").glob("*.py"),
+                        *(REPO / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:  # relative: a module of the package
+                module = node.module
+            elif node.module == "dpvalue" or (node.module or "").startswith("dpvalue."):
+                module = node.module.removeprefix("dpvalue").lstrip(".")
+            else:
+                continue
+            home = defined[module] if module else submodules
+            wrong += [f"{path.name}:{node.lineno} imports {alias.name} from dpvalue.{module}"
+                      for alias in node.names if alias.name not in home]
+    assert wrong == []
+
+
 def test_validate_benchmark_configs(tmp_path):
     # the benchmark counts a config that fails to validate against pass_ratio
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
@@ -559,6 +595,7 @@ def set_path(doc, dotted, value):
 CSV = "csv-placeholder"  # replaced by a small csv file written per case
 SHORT_ROW_CSV = "short-row-csv-placeholder"  # the same file with its row 3 one cell short
 LABEL_ONLY_CSV = "label-only-csv-placeholder"  # the same file's label column alone
+MSE_MODEL = {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0}
 YAML_TEXT = "yaml-text"  # a patch that replaces the config file's whole text
 REPEATED_KEY_TEXT = """\
 experiment: valuation
@@ -663,6 +700,16 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     *((f"csv-label-{name}", "valuation",
        {"dataset": {"source": "csv", "path": CSV, "label": label, "test_rows": 2}}, "dataset.label")
       for name, label in (("null", None), ("number", 3), ("list", ["y"]), ("empty", ""))),
+    # a path was once cast with str: null failed as a missing file named 'None'
+    *((f"csv-path-{name}", "valuation",
+       {"dataset": {"source": "csv", "path": path, "label": "y", "test_rows": 2}}, "dataset.path")
+      for name, path in (("null", None), ("number", 1), ("list", ["d.csv"]), ("empty", ""))),
+    # test_accuracy thresholds a score into {0, 1}: these labels could never be hit
+    ("accuracy-three-classes", "valuation",
+     {"dataset.n_classes": 3, "model": MSE_MODEL, "utility": "test_accuracy"}, "utility"),
+    ("accuracy-csv-regression", "valuation",  # column a holds 0 to 11
+     {"dataset": {"source": "csv", "path": CSV, "label": "a", "task": "regression",
+                  "test_rows": 2}, "model": MSE_MODEL, "utility": "test_accuracy"}, "utility"),
     # the file's 12 rows cannot hold the split; this once failed at dataset.path
     *((f"csv-test-rows-{rows}", "valuation",
        {"dataset": {"source": "csv", "path": CSV, "label": "y", "test_rows": rows}},
@@ -1033,8 +1080,9 @@ def test_bad_config_is_a_config_error(tmp_path, capsys, kind, patch, field):
                                                  for line in text.splitlines()))
     doc = kind_doc(tmp_path / "out", kind)
     for dotted, value in patch.items():
-        if isinstance(value, dict) and value.get("path") in csv_paths:
-            value = dict(value, path=str(csv_paths[value["path"]]))
+        path = value.get("path") if isinstance(value, dict) else None
+        if isinstance(path, str) and path in csv_paths:  # a list path is not hashable
+            value = dict(value, path=str(csv_paths[path]))
         set_path(doc, dotted, value)
     cfg = write_config(tmp_path, doc)
     if YAML_TEXT in patch:
@@ -1044,3 +1092,17 @@ def test_bad_config_is_a_config_error(tmp_path, capsys, kind, patch, field):
     assert record["field"] == field
     assert cli.main(["run", str(cfg)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", [None, 1, ["d.csv"], ""], ids=["null", "number", "list", "empty"])
+def test_csv_path_is_a_string_checked_before_any_read(tmp_path, monkeypatch, path):
+    # open() takes an integer as a file descriptor: path 1 would read standard output
+    def load_csv(*args):
+        raise AssertionError(f"read {args[0]!r}")
+
+    monkeypatch.setattr(data, "load_csv", load_csv)
+    doc = base_valuation_doc(tmp_path / "out")
+    doc["dataset"] = {"source": "csv", "path": path, "label": "y", "test_rows": 2}
+    with pytest.raises(ConfigError) as err:
+        config.parse_config(doc)
+    assert str(err.value) == f"dataset.path: must be a non-empty string, got {path!r}"

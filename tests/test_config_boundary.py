@@ -1,6 +1,7 @@
-"""The config boundary, fuzzed: every leaf of every shipped config, set to
-each of a fixed list of awkward values, either parses or fails as a
-``ConfigError`` on a field near the cause, and never hangs. Past the
+"""The config boundary, fuzzed: every leaf of every shipped config and of one
+base document per kind, set to each of a fixed list of awkward values,
+either parses or fails as a ``ConfigError`` on a field near the cause, and
+never hangs; together the documents set every field the parse reads. Past the
 boundary, a tiny run of every traced kind with one numeric field at an
 extreme that validates either succeeds or fails with a cause the engine
 names, and warns of nothing."""
@@ -18,10 +19,68 @@ import pytest
 import yaml
 from test_perfbench_bindings import TRACED_CONFIGS
 
-from dpvalue import cli
+from dpvalue import cli, config
 from dpvalue.config import ConfigError, parse_config
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+# One base per kind. Together they set every field the parse reads, those no
+# shipped config sets among them; the valuation base reads data.csv.
+MSE = {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0, "add_bias": False,
+       "init": {"kind": "zeros", "scale": 0.1}}
+LOGISTIC = {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01, "add_bias": True,
+            "init": {"kind": "gaussian", "scale": 0.1}}
+SYNTH = {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4, "n_classes": 2,
+         "separation": 3.0, "corrupt_ratio": 0.25,
+         "partition": {"mode": "equal-chunks", "n_parties": 8}}
+BASES = {
+    "valuation": {
+        "experiment": "valuation", "seed": 1, "k": 12, "output_dir": "out",
+        "dataset": {"source": "csv", "path": "data.csv", "label": "y", "task": "classification",
+                    "standardize": True, "test_rows": 10, "corrupt_ratio": 0.25,
+                    "partition": {"mode": "by-size", "n_parties": 4, "size": 3}},
+        "model": LOGISTIC, "utility": "neg_test_loss",
+        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "epsilon": 1.0, "delta": 1e-5,
+                  "mode": "corr_y", "q": 0.5},
+        "semivalue": {"kind": "beta", "alpha": 4.0, "beta": 1.0}},
+    "noisy-label": {
+        "experiment": "noisy-label", "seed": 2, "k": 20, "trials": 2, "output_dir": "out",
+        "dataset": SYNTH, "model": MSE, "utility": "test_accuracy",
+        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "sigma": 1.0, "mode": "corr_y", "q": 0.5},
+        "semivalue": {"kind": "banzhaf"},
+        "noisy_label": {"modes": ["no_dp", "iid", "corr_y"], "q": 0.5, "q_grid": [0.0, 0.25]}},
+    "removal": {
+        "experiment": "removal", "seed": 3, "k": 12, "output_dir": "out",
+        "dataset": SYNTH, "model": LOGISTIC, "utility": "test_accuracy",
+        "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"},
+        "semivalue": {"kind": "beta", "alpha": 2.0, "beta": 3.0},
+        "removal": {"fractions": [0.0, 0.5], "orders": ["random", "lowest-first"]}},
+    "variance-probe": {
+        "experiment": "variance-probe", "seed": 4, "k": 20, "output_dir": "out",
+        "dataset": SYNTH, "model": MSE, "utility": "neg_test_loss",
+        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "sigma": 1.0, "mode": "iid"},
+        "semivalue": {"kind": "shapley"},
+        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid", "corr_y"],
+                  "q": 0.5}},
+    "similarity": {
+        "experiment": "similarity", "seed": 5, "k": 20, "trials": 2, "output_dir": "out",
+        "dataset": SYNTH, "model": LOGISTIC, "utility": "neg_test_loss",
+        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "epsilon": 2.0, "delta": 1e-5,
+                  "mode": "corr_x"},
+        "semivalue": {"kind": "shapley"}, "similarity": {"ks": [10, 20]}},
+    "federated": {
+        "experiment": "federated", "seed": 6, "k": 10, "output_dir": "out",
+        "dataset": SYNTH, "model": LOGISTIC, "utility": "test_accuracy",
+        "noise": {"clip_norm": 1.0, "epsilon": 6.0, "delta": 1e-5, "mode": "fl_schedule"},
+        "semivalue": {"kind": "shapley"},
+        "federated": {"rounds": 10, "permutations": 5, "q": 0.2}},
+    "oracle-check": {
+        "experiment": "oracle-check", "seed": 7, "k": 1, "output_dir": "out",
+        "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "no_dp"},
+        "oracle": {"n": 3, "kinds": ["loo", "beta"], "tolerance": 1e-9}},
+}
+SWEPT = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8")) for path in SHIPPED} | {
+    f"base-{kind}": doc for kind, doc in BASES.items()}
 
 VALUES = [math.nan, math.inf, -math.inf, 10**400, -10**400, 2**63, 1e308, -1e308, 1e-320,
           -1, 0, 0.5, 3, 1e6, True, "x", "", [], [1], {}, {"a": 1}, None]
@@ -34,6 +93,9 @@ CROSS = {
     "noise.epsilon": {"noise.sigma"},  # sigma or epsilon must be given
     "probe.ks": {"probe.q"},  # each budget's burn-in k*q
     "federated.rounds": {"federated.q"},  # the rounds' burn-in
+    "dataset.n_classes": {"model.loss", "utility"},  # logistic_l2, test_accuracy: labels in {0, 1}
+    "dataset.label": {"dataset.path"},  # the label names a column of the file
+    "noise.sigma": {"noisy_label.modes"},  # iid at sigma 0 repeats the no_dp run
 }
 
 
@@ -82,9 +144,18 @@ def parse_fails_near(doc, path):
     return None
 
 
-@pytest.mark.parametrize("shipped", SHIPPED, ids=[p.stem for p in SHIPPED])
-def test_every_leaf_and_value_parses_or_names_its_field(shipped):
-    base = yaml.safe_load(shipped.read_text(encoding="utf-8"))
+@pytest.fixture
+def csv_dir(tmp_path, monkeypatch):
+    """Run in ``tmp_path``, beside the data.csv of the valuation base: 30 rows,
+    the last 10 its test split."""
+    (tmp_path / "data.csv").write_text(
+        "a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(30)), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_every_leaf_and_value_parses_or_names_its_field(csv_dir, name):
+    base = SWEPT[name]
     assert parse_fails_near(base, ()) is None
     for path in leaves(base):
         for value in VALUES:
@@ -94,6 +165,25 @@ def test_every_leaf_and_value_parses_or_names_its_field(shipped):
                 node = node[key]
             node[path[-1]] = value
             parse_fails_near(doc, path)
+
+
+def test_sweep_sets_every_field_the_parse_reads(csv_dir, monkeypatch):
+    # a field the parse reads but no swept document sets is never fuzzed
+    made = []
+
+    class Recorded(config._Fields):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(config, "_Fields", Recorded)
+    for doc in SWEPT.values():
+        parse_config(doc)
+    read = {f"{fields.path}.{key}" if fields.path else key for fields in made for key in fields.read}
+    swept = {".".join(key for key in path if isinstance(key, str))
+             for doc in SWEPT.values() for path in leaves(doc)}
+    assert sorted(field for field in read
+                  if not any(leaf == field or leaf.startswith(field + ".") for leaf in swept)) == []
 
 
 @pytest.mark.parametrize("n_samples", [2**62, 2**63, 2**63 + 5])

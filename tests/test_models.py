@@ -187,6 +187,6 @@ def test_check_labels_names_five_bad_labels_and_counts_the_rest():
                         (np.arange(8.0), f"6 others, first {first}"),
                         (np.arange(1e6), f"999998 others, first {first}")):
         with pytest.raises(ValueError) as exc:
-            models.check_labels(spec, labels)
+            models.check_labels(spec.loss_kind, labels)
         assert str(exc.value) == f"logistic_l2 needs labels in {{0, 1}}, got {got}"
-    models.check_labels(spec, np.array([1.0, 0.0, 1.0]))
+    models.check_labels(spec.loss_kind, np.array([1.0, 0.0, 1.0]))

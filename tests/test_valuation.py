@@ -520,6 +520,9 @@ def test_run_config_validation(small_task):
         RunConfig(multi_test, mspec, uspec, ncfg, SemivalueSpec("shapley"), master_seed=0)
     mse = models.ModelSpec("mse_linear", 0.05)
     RunConfig(multi, mse, uspec, ncfg, SemivalueSpec("shapley"), master_seed=0)
+    # test accuracy thresholds each score into {0, 1}, so it is scored on 0/1 labels only
+    with pytest.raises(ValueError, match=r"test_accuracy needs labels in \{0, 1\}, got \[2.0\]"):
+        RunConfig(multi, mse, "test_accuracy", ncfg, SemivalueSpec("shapley"), master_seed=0)
     # the utility is a kind, scored on the dataset's own non-empty test split
     with pytest.raises(ValueError, match="unknown utility kind"):
         RunConfig(ds, mspec, "test_loss", ncfg, SemivalueSpec("shapley"), master_seed=0)
