@@ -41,8 +41,8 @@ def _require(mapping: dict, key: str, path: str):
 class _Fields(dict):
     """A copy of the config mapping at the dotted ``path`` that records the
     keys the parse reads. ``parse_config`` makes the root one and ``_section``
-    one per section taken from it; all join the ``sections`` list that
-    ``parse_config`` checks for keys no step read."""
+    one per section, however often it is taken; all join the ``sections`` list
+    that ``parse_config`` checks for keys no step read."""
 
     def __init__(self, mapping: dict, path: str, sections: list):
         super().__init__(mapping)
@@ -64,14 +64,17 @@ class _Fields(dict):
 
 def _section(doc: dict, key: str, path: str = "") -> dict:
     """The mapping under ``key`` ({} when absent or null), recording its reads
-    when ``doc`` records its own."""
+    in the section's one recorder when ``doc`` records its own."""
     value = doc.get(key)
     dotted = f"{path}.{key}" if path else key
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(dotted, "must be a mapping")
-    return _Fields(value, dotted, doc.sections) if isinstance(doc, _Fields) else value
+    if not isinstance(doc, _Fields):
+        return value
+    fields = next((fields for fields in doc.sections if fields.path == dotted), None)
+    return _Fields(value, dotted, doc.sections) if fields is None else fields
 
 
 @contextmanager
@@ -272,7 +275,8 @@ def _parse_model(section: dict) -> models.ModelSpec:
     init_section = _section(section, "init", "model")
     with _field("model.init.kind"):
         init = models.InitSpec(init_section.get("kind", "zeros"))
-    init = _set(init, "model.init", init_section, "scale", _number)
+    if init.kind == "gaussian":  # a zeros init has no scale
+        init = _set(init, "model.init", init_section, "scale", _number)
     loss = section.get("loss", "logistic_l2")
     with _field("model.loss"):
         spec = models.ModelSpec(loss, 0.05, init, l2=0.01 if loss == "logistic_l2" else 0.0)
@@ -287,30 +291,32 @@ _CHAIN_AT_K = ("valuation", "removal", "noisy-label")  # the kinds that run a ch
 
 
 def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
-    """The mechanism at budget ``k`` (at 1 where no chain runs at k): sigma
-    given directly or calibrated from epsilon/delta, then the mode (the one
-    ``kind`` runs, if it runs one) and its burn-in share."""
+    """The mechanism at budget ``k`` (at 1 where no chain runs at k): the mode
+    (the one ``kind`` runs, if it runs one), sigma given directly or
+    calibrated from epsilon/delta, and the burn-in share. A no_dp mode reads
+    no sigma, but for noisy-label, whose other runs take it."""
     with _field("k"):
         k = _integer(doc.get("k", 100))
         noise = NoiseConfig(1.0, 0.0, k if kind in _CHAIN_AT_K else 1)
     section = _section(doc, "noise")
-    for key, attr in (("clip_norm", None), ("sigma_g_sq", None), ("sigma", "noise_multiplier")):
-        noise = _set(noise, "noise", section, key, _number, attr)
+    noise = _set(noise, "noise", section, "clip_norm", _number)
     runs = _KIND_MODES.get(kind)
     mode = section.get("mode", runs or "iid")
     if runs and mode != runs:
         raise ConfigError("noise.mode", f"the {kind} experiment runs {runs}, got {mode!r}")
     if mode != "no_dp" and mode not in MODES:
         raise ConfigError("noise.mode", f"unknown noise mode {mode!r}")
-    if section.get("sigma") is None:
-        if section.get("epsilon") is not None:
-            with _field("noise.delta"):
-                delta = check_delta(_number(section.get("delta", 5e-5)))
-            with _field("noise.epsilon"):
-                sigma = calibrate_sigma(_number(section["epsilon"]), delta)
-            noise = replace(noise, noise_multiplier=sigma)
-        elif mode != "no_dp":
-            raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
+    if mode != "no_dp" or kind == "noisy-label":
+        noise = _set(noise, "noise", section, "sigma", _number, "noise_multiplier")
+        if section.get("sigma") is None:
+            if section.get("epsilon") is not None:
+                with _field("noise.delta"):
+                    delta = check_delta(_number(section.get("delta", 5e-5)))
+                with _field("noise.epsilon"):
+                    sigma = calibrate_sigma(_number(section["epsilon"]), delta)
+                noise = replace(noise, noise_multiplier=sigma)
+            elif mode != "no_dp":
+                raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
     with _field("noise.q"):
         q = None if section.get("q") is None else _number(section["q"])
     # a q given to a mode without burn-in is rejected by NoiseConfig, not dropped
@@ -318,12 +324,22 @@ def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
         return replace(mechanism(noise, mode, noise.budget, q), q=q)
 
 
+def _with_sigma_g_sq(doc: dict, noise: NoiseConfig, modes) -> NoiseConfig:
+    """``noise`` with ``noise.sigma_g_sq``, the variance-aware diagonal, read
+    only when one of the runs' ``modes`` is a combiner that uses it."""
+    if not any(mode in ("corr_x", "corr_y") for mode in modes):
+        return noise
+    return _set(noise, "noise", _section(doc, "noise"), "sigma_g_sq", _number)
+
+
 def _parse_probe(section: dict, noise: NoiseConfig) -> metrics.Probe:
     """The probe block, then its noise and every budget's mechanism of each mode."""
     probe = metrics.Probe()
     for key, cast, attr in (("ks", _entries(_integer), None), ("noise_trials", _integer, "trials"),
-                            ("modes", _entries(), None), ("q", _number, None)):
+                            ("modes", _entries(), None)):
         probe = _set(probe, "probe", section, key, cast, attr)
+    if "corr_y" in probe.modes:  # the one mode with a burn-in
+        probe = _set(probe, "probe", section, "q", _number)
     with _field("noise.sigma"):
         metrics.probe_sigma(noise.noise_multiplier)
     with _field("probe.q"):
@@ -370,12 +386,13 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     independent draw."""
     noise = _parse_noise(_root(doc), "noisy-label")
     section = _section(doc, "noisy_label")
-    k = noise.budget
-    with _field("noisy_label.q"):
-        q = noise.q if section.get("q") is None else _number(section["q"])
-        burn_in_count(k, q or 0.0)  # an unset q fails below, at the corr_y run
+    k, q = noise.budget, None
     with _field("noisy_label.modes"):
         modes = _list(section.get("modes", ("no_dp", "iid", "corr_y")), empty=True)
+    if "corr_y" in modes:  # an unset q fails below, at the corr_y run
+        with _field("noisy_label.q"):
+            q = noise.q if section.get("q") is None else _number(section["q"])
+    noise = _with_sigma_g_sq(doc, noise, (*modes, "corr_x") if section.get("q_grid") else modes)
     labels: dict[NoiseConfig, str] = {}  # each mechanism in the plan and its label
 
     def add(path: str, label: str, run: NoiseConfig):
@@ -396,17 +413,6 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     if not labels:
         raise ConfigError("noisy_label.modes", "must not be empty without a q_grid")
     return tuple((label, run) for run, label in labels.items())
-
-
-def _runs(kind: str, noise: NoiseConfig, plan) -> tuple[NoiseConfig, ...]:
-    """The mechanisms of the kind's chains, federated rounds and probe replays."""
-    if kind == "noisy-label":
-        return tuple(run for _, run in plan)
-    if kind == "similarity":
-        return plan
-    if kind == "variance-probe":
-        return tuple(run for k in plan.ks for run in plan.mechanisms(noise, k))
-    return () if kind == "oracle-check" else (noise,)
 
 
 def _parse_oracle(section: dict) -> OracleSection:
@@ -445,6 +451,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         with _field("model.add_bias"):
             models.check_dimension(dataset.n_features + model.add_bias)
     noise = _parse_noise(doc, kind)
+    if kind in ("valuation", "removal", "similarity"):  # each runs noise.mode alone
+        noise = _with_sigma_g_sq(doc, noise, (noise.mode,))
     if kind in ("valuation", "removal"):  # the one chain each runs, at budget k
         with _field("k"):
             valuation.estimable(noise)
@@ -471,6 +479,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     plan = None
     if kind == "variance-probe":
         plan = _parse_probe(_section(doc, "probe"), noise)
+        noise = _with_sigma_g_sq(doc, noise, plan.modes)
     elif kind == "removal":
         plan, section = metrics.Removal(), _section(doc, "removal")
         for key, cast in (("fractions", _entries(_number)), ("orders", _entries())):
@@ -483,10 +492,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":
         plan = _parse_oracle(_section(doc, "oracle"))
-    if (doc.get("noise") or {}).get("sigma_g_sq") is not None:
-        if not any(run.mode in ("corr_x", "corr_y") for run in _runs(kind, noise, plan)):
-            raise ConfigError("noise.sigma_g_sq", "only the corr_x and corr_y combiners use it, "
-                              f"and the {kind} experiment runs neither")
     for fields in sections:
         for key in fields:
             if key not in fields.read:

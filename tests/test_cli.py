@@ -409,7 +409,7 @@ def probe_doc(outdir, **probe):
                     "partition": {"mode": "equal-chunks", "n_parties": 3}},
         "model": {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0},
         "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
-        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid"], "q": 0.5, **probe},
+        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid"], **probe},
     }
 
 
@@ -766,6 +766,19 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("noisy-label-uncorrelated-sigma-g-sq", "noisy-label",
      {"noisy_label.modes": ["no_dp", "iid"], "noise.sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
     ("oracle-sigma-g-sq", "oracle-check", {"noise.sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
+    ("oracle-corr-x-sigma-g-sq", "oracle-check",  # the oracle runs no chain, so no combiner
+     {"noise.mode": "corr_x", "noise.sigma_g_sq": 0.5}, "noise.sigma_g_sq"),
+    # values that no run uses: these were once accepted and dropped
+    ("zeros-init-scale", "valuation", {"model.init": {"kind": "zeros", "scale": -1}},
+     "model.init.scale"),
+    ("probe-q-without-corr-y", "variance-probe", {"probe.modes": ["iid", "corr_x"], "probe.q": 7.5},
+     "probe.q"),
+    ("noisy-label-q-without-corr-y", "noisy-label",
+     {"noisy_label": {"modes": ["no_dp", "iid"], "q": 0.5}}, "noisy_label.q"),
+    ("no-dp-epsilon", "valuation",  # a no_dp run is at sigma 0, whatever the budget says
+     {"noise": {"clip_norm": 1.0, "mode": "no_dp", "epsilon": 1.0}}, "noise.epsilon"),
+    ("no-dp-sigma", "valuation", {"noise": {"clip_norm": 1.0, "mode": "no_dp", "sigma": 1.0}},
+     "noise.sigma"),
 ] + [  # YAML .nan and .inf: a NaN epsilon once hung the sigma calibration
     (f"{name}-{value}", "valuation", {field: value}, field)
     for name, field in (("epsilon", "noise.epsilon"), ("sigma", "noise.sigma"),
@@ -923,7 +936,7 @@ def test_noisy_label_q_grid_alone_runs(tmp_path):
     # empty modes are a ConfigError only without a q_grid, which runs on its own
     out = tmp_path / "out"
     doc = kind_doc(out, "noisy-label")
-    doc["noisy_label"].update(modes=[], q_grid=[0.0, 0.5])
+    doc["noisy_label"] = {"modes": [], "q_grid": [0.0, 0.5]}
     assert cli.main(["run", str(write_config(tmp_path, doc))]) == 0
     assert sorted(json.loads((out / "result.json").read_text())["auc"]) == ["corr_x",
                                                                           "corr_y(q=0.5)"]
@@ -1057,15 +1070,17 @@ def test_kind_doc_runs(tmp_path, kind):
     ("removal", {}),
     ("similarity", {}),
     ("noisy-label", {}),  # corr_y among its modes
-    ("noisy-label", {"noisy_label.modes": ["iid"], "noisy_label.q_grid": [0.0]}),  # corr_x
+    ("noisy-label", {"noisy_label": {"modes": ["iid"], "q_grid": [0.0]}}),  # corr_x
 ])
 def test_sigma_g_sq_accepted_where_a_run_combines(tmp_path, kind, patch):
     doc = kind_doc(tmp_path / "out", kind)
     for dotted, value in {"noise.sigma_g_sq": 0.5, **patch}.items():
         set_path(doc, dotted, value)
     cfg = load_config(write_config(tmp_path, doc))
-    assert any(run.sigma_g_sq == 0.5 and run.mode in ("corr_x", "corr_y")
-               for run in config._runs(kind, cfg.noise, cfg.plan))
+    runs = cfg.plan if kind == "similarity" else (cfg.noise,)
+    if kind == "noisy-label":
+        runs = [run for _, run in cfg.plan]
+    assert any(run.sigma_g_sq == 0.5 and run.mode in ("corr_x", "corr_y") for run in runs)
 
 
 @pytest.mark.parametrize("kind,patch,field", [case[1:] for case in BAD_CONFIGS],

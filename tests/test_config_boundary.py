@@ -27,7 +27,7 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"
 # One base per kind. Together they set every field the parse reads, those no
 # shipped config sets among them; the valuation base reads data.csv.
 MSE = {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0, "add_bias": False,
-       "init": {"kind": "zeros", "scale": 0.1}}
+       "init": {"kind": "zeros"}}
 LOGISTIC = {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01, "add_bias": True,
             "init": {"kind": "gaussian", "scale": 0.1}}
 SYNTH = {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4, "n_classes": 2,
@@ -76,7 +76,7 @@ BASES = {
         "federated": {"rounds": 10, "permutations": 5, "q": 0.2}},
     "oracle-check": {
         "experiment": "oracle-check", "seed": 7, "k": 1, "output_dir": "out",
-        "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "no_dp"},
+        "noise": {"clip_norm": 1.0, "mode": "no_dp"},
         "oracle": {"n": 3, "kinds": ["loo", "beta"], "tolerance": 1e-9}},
 }
 SWEPT = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8")) for path in SHIPPED} | {
@@ -184,6 +184,21 @@ def test_sweep_sets_every_field_the_parse_reads(csv_dir, monkeypatch):
              for doc in SWEPT.values() for path in leaves(doc)}
     assert sorted(field for field in read
                   if not any(leaf == field or leaf.startswith(field + ".") for leaf in swept)) == []
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_each_section_has_one_recorder(csv_dir, monkeypatch, name):
+    # a key read only through a second recorder of its section would be reported as unread
+    paths = []
+
+    class Recorded(config._Fields):
+        def __init__(self, mapping, path, sections):
+            super().__init__(mapping, path, sections)
+            paths.append(path)
+
+    monkeypatch.setattr(config, "_Fields", Recorded)
+    parse_config(SWEPT[name])
+    assert sorted(path for path in set(paths) if paths.count(path) > 1) == []
 
 
 @pytest.mark.parametrize("n_samples", [2**62, 2**63, 2**63 + 5])
