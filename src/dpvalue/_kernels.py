@@ -167,16 +167,16 @@ def party_grad_np(theta, task, j):
 
 class ChainDiverged(RuntimeError):
     """Non-finite utility during a run; names the iteration (a federated
-    round) and party."""
+    round) and party, -1 for the starting model, and the likely cause: the
+    init's scale where that model is the init draw, else the learning rate."""
 
-    def __init__(self, iteration: int, party: int):
+    def __init__(self, iteration: int, party: int, drawn: bool = False):
         self.iteration = iteration
         self.party = party
         where = "initial model" if party < 0 else f"party {party}"
-        super().__init__(
-            f"non-finite utility at iteration {iteration} ({where}); "
-            "the learning rate is likely too large for the noise level"
-        )
+        cause = ("model.init.scale is likely too large" if drawn
+                 else "the learning rate is likely too large for the noise level")
+        super().__init__(f"non-finite utility at iteration {iteration} ({where}); {cause}")
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def run_chain(task, mechanism, perms, inits, noise, record_grads=False, record_s
             theta = inits[t].copy()
             v_prev = utility_np(theta, task)
             if not math.isfinite(v_prev):
-                raise ChainDiverged(t + 1, -1)
+                raise ChainDiverged(t + 1, -1, drawn=True)
             for j in orders[t]:
                 g = party_grad_np(theta, task, j)
                 clip_in_place(g, clip)

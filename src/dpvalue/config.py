@@ -190,13 +190,6 @@ class DatasetSection:
         return ds
 
 
-@dataclass(frozen=True)
-class OracleSection:
-    n: int
-    semivalues: tuple[SemivalueSpec, ...]
-    tolerance: float
-
-
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -212,7 +205,7 @@ class ExperimentConfig:
     trials: int | None  # seeds of noisy-label and similarity; None for the other kinds
     # the kind's parsed block (None for valuation); similarity's is the corr_x
     # mechanism at each of its ``ks``, noisy-label's the (label, mechanism) runs
-    plan: (metrics.Probe | metrics.Removal | valuation.Federated | OracleSection
+    plan: (metrics.Probe | metrics.Removal | valuation.Federated | valuation.Oracle
            | tuple[NoiseConfig, ...] | tuple[tuple[str, NoiseConfig], ...] | None)
     raw: dict
 
@@ -294,7 +287,7 @@ def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
     """The mechanism at budget ``k`` (at 1 where no chain runs at k): the mode
     (the one ``kind`` runs, if it runs one), sigma given directly or
     calibrated from epsilon/delta, and the burn-in share. A no_dp mode reads
-    no sigma, but for noisy-label, whose other runs take it."""
+    no sigma (but in noisy-label, whose other runs take it); oracle-check needs none."""
     with _field("k"):
         k = _integer(doc.get("k", 100))
         noise = NoiseConfig(1.0, 0.0, k if kind in _CHAIN_AT_K else 1)
@@ -315,7 +308,7 @@ def _parse_noise(doc: dict, kind: str) -> NoiseConfig:
                 with _field("noise.epsilon"):
                     sigma = calibrate_sigma(_number(section["epsilon"]), delta)
                 noise = replace(noise, noise_multiplier=sigma)
-            elif mode != "no_dp":
+            elif mode != "no_dp" and kind != "oracle-check":
                 raise ConfigError("noise.sigma", "either sigma or epsilon must be given")
     with _field("noise.q"):
         q = None if section.get("q") is None else _number(section["q"])
@@ -415,17 +408,6 @@ def noisy_label_runs(doc: dict) -> tuple[tuple[str, NoiseConfig], ...]:
     return tuple((label, run) for run, label in labels.items())
 
 
-def _parse_oracle(section: dict) -> OracleSection:
-    with _field("oracle.n"):
-        n = valuation.enumerable_parties(_integer(section.get("n", 4)))
-    with _field("oracle.kinds"):
-        specs = tuple(SemivalueSpec(kind, 4.0, 1.0)
-                      for kind in _list(section.get("kinds", ("shapley", "banzhaf"))))
-    with _field("oracle.tolerance"):
-        tolerance = _number(section.get("tolerance", 1e-10))
-    return OracleSection(n, specs, tolerance)
-
-
 def parse_config(doc: dict) -> ExperimentConfig:
     raw = _root(doc)
     sections: list[_Fields] = []
@@ -491,7 +473,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     elif kind == "noisy-label":
         plan = noisy_label_runs(doc)
     elif kind == "oracle-check":
-        plan = _parse_oracle(_section(doc, "oracle"))
+        plan, section = valuation.Oracle(), _section(doc, "oracle")
+        for key, cast in (("n", _integer), ("kinds", _entries()), ("tolerance", _number)):
+            plan = _set(plan, "oracle", section, key, cast)
     for fields in sections:
         for key in fields:
             if key not in fields.read:

@@ -155,15 +155,15 @@ def run_variance_probe_experiment(cfg: ExperimentConfig):
 def run_similarity_experiment(cfg: ExperimentConfig):
     rows = [["k", "seed", "delta_cos", "delta_l2"]]
     out = {}
+    bases = [cfg.run(cfg.seed + seed_idx) for seed_idx in range(cfg.trials)]  # built once a seed
     for noise in cfg.plan:
         k = noise.budget
         per_seed = []
-        for seed_idx in range(cfg.trials):
-            seed = cfg.seed + seed_idx
-            res = run_valuation(replace(cfg.run(seed), noise=noise, record_gradients=True))
+        for base in bases:
+            res = run_valuation(replace(base, noise=noise, record_gradients=True))
             rep = metrics.grad_similarity(res.g_hat, res.g_tilde, res.g_star)
             per_seed.append((rep.delta_cos, rep.delta_l2))
-            rows.append([str(k), str(seed), _fmt(rep.delta_cos), _fmt(rep.delta_l2)])
+            rows.append([str(k), str(base.master_seed), _fmt(rep.delta_cos), _fmt(rep.delta_l2)])
         arr = np.array(per_seed)
         out[str(k)] = {"delta_cos": arr[:, 0].tolist(), "delta_l2": arr[:, 1].tolist()}
     return {"kind": "similarity", "results": out}, {"summary.csv": _csv(rows)}

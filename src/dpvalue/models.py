@@ -101,11 +101,13 @@ def check_dimension(shape) -> None:
 def init_params(spec: ModelSpec, shape, seed) -> np.ndarray:
     """Initial parameters of ``shape``: ``d``, or ``(k, d)`` for one row per
     chain iteration. A gaussian init draws them from ``seed``, an int or a
-    ``SeedSequence``."""
+    ``SeedSequence``; a scale so large that a draw overflows gives inf, a
+    starting model the chain reports as not finite."""
     check_dimension(shape)
     if spec.init.kind == "zeros":
         return np.zeros(shape)
-    return spec.init.scale * np.random.default_rng(seed).standard_normal(shape)
+    with np.errstate(over="ignore"):
+        return spec.init.scale * np.random.default_rng(seed).standard_normal(shape)
 
 
 def train_one_pass(spec: ModelSpec, task: _kernels.Task, include_parties: np.ndarray,

@@ -312,6 +312,27 @@ def permutation_expectation(v_oracle, spec: SemivalueSpec, n: int) -> np.ndarray
     return psi / count
 
 
+@dataclass(frozen=True)
+class Oracle:
+    """The oracle check's block: its random game's parties, the kinds checked, the tolerance."""
+
+    n: int = 4
+    kinds: tuple[str, ...] = ("shapley", "banzhaf")
+    tolerance: float = 1e-10
+
+    def __post_init__(self):
+        enumerable_parties(self.n)
+        if not self.semivalues:  # each kind's SemivalueSpec checks the kind
+            raise ValueError("kinds must name at least one semivalue kind, got none")
+        if self.tolerance <= 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+
+    @property
+    def semivalues(self) -> tuple[SemivalueSpec, ...]:
+        """The weights of each kind, ``beta`` at alpha 4, beta 1."""
+        return tuple(SemivalueSpec(kind, 4.0, 1.0) for kind in self.kinds)
+
+
 def federated_utility(kind: str) -> str:
     if kind != "test_accuracy":
         raise ValueError("federated attribution uses test accuracy as the utility")
@@ -347,7 +368,8 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
     those released gradients, the global model takes the average released
     step, and the final value averages nu_j over the rounds after the burn-in
     share ``plan.q``. A non-finite utility raises ``ChainDiverged`` naming the
-    round and the party, or party -1 for a permutation's starting model.
+    round and the party, or party -1 for a permutation's starting model,
+    which in round 1 is the init draw.
     """
     if cfg.noise.mode != "fl_schedule":
         raise ValueError(f"federated attribution runs fl_schedule noise, got {cfg.noise.mode!r}")
@@ -383,7 +405,7 @@ def run_federated(cfg: RunConfig, plan: Federated) -> np.ndarray:
             th = theta  # only rebound below, never written
             v_prev = _kernels.utility_np(th, task)
             if not math.isfinite(v_prev):
-                raise _kernels.ChainDiverged(t + 1, -1)
+                raise _kernels.ChainDiverged(t + 1, -1, drawn=t == 0)  # round 1 starts at the init
             for j in perm:
                 th = th - lr * released[j]
                 v_after = _kernels.utility_np(th, task)

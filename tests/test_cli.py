@@ -142,6 +142,21 @@ def test_oracle_check_kind(tmp_path):
     assert doc_out["max_abs_diff"] < 1e-10
 
 
+def test_oracle_check_needs_only_its_own_block(tmp_path):
+    # the check runs no chain, so it reads no noise: a config without one runs
+    # and writes the result of the same config at sigma 0
+    results = []
+    for extra in ({}, {"noise": {"sigma": 0.0}}):
+        out = tmp_path / f"out{len(results)}"
+        cfg = write_config(tmp_path, {"experiment": "oracle-check", "output_dir": str(out),
+                                      **extra})
+        assert cli.main(["validate", str(cfg)]) == 0
+        assert cli.main(["run", str(cfg)]) == 0
+        results.append((out / "result.json").read_bytes())
+    assert results[0] == results[1]
+    assert json.loads(results[0])["pass"] is True
+
+
 def test_runtime_error_writes_record(tmp_path):
     # a valid config whose chain diverges: only the run can see the cause
     doc = base_valuation_doc(tmp_path / "out")
@@ -472,7 +487,7 @@ def test_validate_shipped_configs():
 
 PLAN_TYPES = {"valuation": type(None), "variance-probe": metrics.Probe,
               "removal": metrics.Removal, "federated": valuation.Federated,
-              "oracle-check": config.OracleSection, "similarity": tuple, "noisy-label": tuple}
+              "oracle-check": valuation.Oracle, "similarity": tuple, "noisy-label": tuple}
 
 
 @pytest.mark.parametrize("path", [*sorted(REPO.glob("configs/*.yaml")), "valuation"],
@@ -482,6 +497,8 @@ def test_plan_is_the_kinds_own_block(tmp_path, path):
         path = write_config(tmp_path, base_valuation_doc(tmp_path / "out"))
     cfg = load_config(path)
     assert type(cfg.plan) is PLAN_TYPES[cfg.kind]
+    if not isinstance(cfg.plan, (tuple, type(None))):  # a block is the engine's, not the parser's
+        assert type(cfg.plan).__module__ != "dpvalue.config"
     if cfg.kind == "similarity":  # the corr_x mechanism at each budget
         assert cfg.plan and all(isinstance(noise, NoiseConfig) and noise.mode == "corr_x"
                                 for noise in cfg.plan)
@@ -727,6 +744,9 @@ BAD_CONFIGS = [  # (id, kind, patched fields, field the error names)
     ("removal-fractions-empty", "removal", {"removal.fractions": []}, "removal.fractions"),
     ("noisy-label-modes-empty", "noisy-label", {"noisy_label.modes": []}, "noisy_label.modes"),
     ("oracle-kinds-empty", "oracle-check", {"oracle.kinds": []}, "oracle.kinds"),
+    # a tolerance of 0 or less fails every run: no difference is below it
+    ("oracle-tolerance-zero", "oracle-check", {"oracle.tolerance": 0.0}, "oracle.tolerance"),
+    ("oracle-tolerance-negative", "oracle-check", {"oracle.tolerance": -1.0}, "oracle.tolerance"),
     ("unread-dataset-key", "valuation", {"dataset.separaton": 9.0}, "dataset.separaton"),
     ("unread-model-key", "valuation", {"model.learning_rat": 5.0}, "model.learning_rat"),
     ("unread-root-key", "valuation", {"trails": 3}, "trails"),
@@ -987,6 +1007,49 @@ def test_repeated_list_entry_is_a_config_error(tmp_path, capsys, kind, field, va
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["field"] == field
     assert record["message"] == f"{field}: repeats the entry {value[-1]!r}"
+
+
+@pytest.mark.parametrize("kind", ["similarity", "noisy-label"])
+def test_each_seed_draws_one_dataset(tmp_path, monkeypatch, kind):
+    # every budget or mechanism of a seed runs on that seed's one draw
+    doc = kind_doc(tmp_path / "out", kind)
+    doc["trials"] = 2
+    if kind == "similarity":
+        doc["similarity"] = {"ks": [10, 20]}
+    calls = []
+    synth = data.synth_classification
+
+    def counting_synth(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return synth(*args, **kwargs)
+
+    monkeypatch.setattr(data, "synth_classification", counting_synth)
+    assert cli.main(["run", str(write_config(tmp_path, doc))]) == 0
+    assert calls == [3, 4]
+
+
+MISSING_FIELDS = [  # (required field, the dataset section without it; None keeps the dataset)
+    ("experiment", None),
+    ("dataset.path", {"source": "csv", "label": "y", "test_rows": 2}),
+    ("dataset.label", {"source": "csv", "path": "data.csv", "test_rows": 2}),
+    ("dataset.partition.n_parties", {"partition": {"mode": "equal-chunks"}}),
+    ("dataset.partition.size", {"partition": {"mode": "by-size", "n_parties": 4}}),
+]
+
+
+@pytest.mark.parametrize("field,dataset", MISSING_FIELDS, ids=[case[0] for case in MISSING_FIELDS])
+def test_missing_required_field_is_named(tmp_path, capsys, field, dataset):
+    doc = base_valuation_doc(tmp_path / "out")
+    if dataset is None:
+        del doc[field]
+    elif "source" in dataset:
+        doc["dataset"] = dataset
+    else:
+        doc["dataset"].update(dataset)
+    assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+    assert record["message"] == f"{field}: missing required field"
 
 
 def test_csv_source_is_read_once_per_run(tmp_path, monkeypatch):

@@ -3,8 +3,8 @@ base document per kind, set to each of a fixed list of awkward values,
 either parses or fails as a ``ConfigError`` on a field near the cause, and
 never hangs; together the documents set every field the parse reads. Past the
 boundary, a tiny run of every traced kind with one numeric field at an
-extreme that validates either succeeds or fails with a cause the engine
-names, and warns of nothing."""
+extreme that validates, or with a gaussian init of extreme scale, either
+succeeds or fails with a cause the engine names, and warns of nothing."""
 
 import copy
 import json
@@ -216,6 +216,7 @@ EXTREMES = [("model", "learning_rate", 1e6), ("model", "learning_rate", 1e-300),
             ("noise", "sigma", 1e200), ("noise", "sigma", 1e-300),
             ("noise", "clip_norm", 1e-300), ("noise", "clip_norm", 1e300),
             ("dataset", "separation", 1e6), ("model", "l2", 1e300)]
+INIT_SCALES = [1e200, 1e308]  # a gaussian init, set in every traced config; 1e308 overflows
 
 # the causes a run may fail with, as error.json records them: never a numpy
 # warning's text or the JSON encoder's
@@ -229,11 +230,14 @@ NAMED_CAUSES = [
 
 
 def extreme_cases(doc):
-    """The extremes a traced config holds the field of; l2 only where a logistic loss reads it."""
+    """The extremes a traced config holds the field of, l2 only where a logistic loss reads it,
+    then a gaussian init at each of ``INIT_SCALES``."""
     for section, field, value in EXTREMES:
         if field in doc.get(section, {}) and (
                 field != "l2" or doc["model"]["loss"] == "logistic_l2"):
             yield section, field, value
+    for scale in INIT_SCALES:
+        yield "model", "init", {"kind": "gaussian", "scale": scale}
 
 
 @pytest.mark.parametrize("kind", sorted(TRACED_CONFIGS))

@@ -18,6 +18,7 @@ from dpvalue.config import load_config
 from dpvalue.valuation import (
     MAX_PARTIES_WEIGHTS,
     Federated,
+    Oracle,
     RunConfig,
     SemivalueSpec,
     estimation_stats,
@@ -181,6 +182,22 @@ def test_loo_exact_value():
 def _subsets(n):
     for mask in range(1 << n):
         yield tuple(i for i in range(n) if mask >> i & 1)
+
+
+def test_oracle_block_defaults_and_rules():
+    oracle = Oracle()
+    assert (oracle.n, oracle.kinds, oracle.tolerance) == (4, ("shapley", "banzhaf"), 1e-10)
+    assert Oracle(kinds=("beta", "loo")).semivalues == (SemivalueSpec("beta", 4.0, 1.0),
+                                                        SemivalueSpec("loo", 4.0, 1.0))
+    for fields, message in [
+        ({"n": 9}, "permutation enumeration needs 1 <= n <= 8, got 9"),
+        ({"kinds": ("shapley", "bogus")}, "unknown semivalue kind 'bogus'"),
+        ({"kinds": ()}, "kinds must name at least one semivalue kind, got none"),
+        ({"tolerance": 0.0}, "tolerance must be > 0, got 0.0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Oracle(**fields)
+        assert str(err.value) == message, fields
 
 
 # -- engine vs oracle ------------------------------------------------------
@@ -595,6 +612,25 @@ def test_federated_divergence_names_round_and_party():
     with pytest.raises(_kernels.ChainDiverged) as err:
         run_federated(cfg, Federated(4, 0.2))
     assert (err.value.iteration, err.value.party) == (1, 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_starting_model_failure_names_init_scale(scale):
+    # a starting model drawn too large is no step's fault: the chain's and the
+    # first federated round's failures name model.init.scale, not the learning rate
+    ds = _two_party_task()
+    mspec = models.ModelSpec("logistic_l2", 0.2, models.InitSpec("gaussian", scale), l2=0.01)
+    runs = [(run_valuation, (run_cfg(ds, mspec, "neg_test_loss", 4, seed=3),))]
+    if scale == 1e308:  # at 1e200 every score is finite, and so is the accuracy
+        runs.append((run_federated, (run_cfg(ds, mspec, "test_accuracy", 5, seed=3,
+                                             mode="fl_schedule"), Federated(4, 0.2))))
+    for run, args in runs:
+        with pytest.raises(_kernels.ChainDiverged) as err:
+            run(*args)
+        assert (err.value.iteration, err.value.party) == (1, -1)
+        assert str(err.value) == ("non-finite utility at iteration 1 (initial model); "
+                                  "model.init.scale is likely too large")
 
 
 @np.errstate(over="ignore", invalid="ignore")
