@@ -142,18 +142,24 @@ def grad_similarity(g_hat: np.ndarray, g_tilde: np.ndarray, g_star: np.ndarray) 
 
     Inputs are (k, n, d) stacks, scored in one pass over all (t, j) records;
     records where any of the three gradients has zero norm are skipped and
-    counted.
+    counted. The stacks are first scaled by one power of two that brings their
+    largest magnitude into [0.5, 1), so the squared norms of tiny (a clip norm
+    of 1e-300) or huge gradients neither underflow nor overflow; the scaling is
+    exact, cancels in the cosines and is undone on ``delta_l2``.
     """
     if not (g_hat.shape == g_tilde.shape == g_star.shape):
         raise ValueError("gradient stacks must share one shape")
     k, n, _ = g_hat.shape
+    exp = int(np.frexp(max(float(np.abs(g).max(initial=0.0)) for g in (g_hat, g_tilde, g_star)))[1])
+    g_hat, g_tilde, g_star = (np.ldexp(g, -exp) for g in (g_hat, g_tilde, g_star))
     nh = np.sqrt(_row_dots(g_hat, g_hat))
     nt = np.sqrt(_row_dots(g_tilde, g_tilde))
     ns = np.sqrt(_row_dots(g_star, g_star))
     usable = (nh != 0.0) & (nt != 0.0) & (ns != 0.0)
     terms = int(np.count_nonzero(usable))
     if terms == 0:
-        raise ValueError("no usable gradient records")
+        raise ValueError("no usable gradient records: every record has a zero clipped, "
+                         "released or combined gradient")
     nh = nh[usable]
     cos_s = np.abs(_row_dots(g_hat, g_star)[usable]) / (nh * ns[usable])
     cos_t = np.abs(_row_dots(g_hat, g_tilde)[usable]) / (nh * nt[usable])
@@ -162,7 +168,7 @@ def grad_similarity(g_hat: np.ndarray, g_tilde: np.ndarray, g_star: np.ndarray) 
     np.subtract(g_hat, g_tilde, out=diff)
     l2_t = np.sqrt(_row_dots(diff, diff)[usable])
     d_cos = float((cos_s - cos_t).sum()) / terms
-    d_l2 = float((l2_s - l2_t).sum()) / terms
+    d_l2 = float(np.ldexp(float((l2_s - l2_t).sum()) / terms, exp))
     return SimilarityReport(d_cos, d_l2, k * n - terms)
 
 

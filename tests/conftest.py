@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import multiprocessing
 import os
 import warnings
@@ -17,6 +18,62 @@ MECHANISMS = {  # corr_x_aware and fl_schedule have diagonals that are not prefi
     "corr_x_aware": {"mode": "corr_x", "sigma_g_sq": 0.7},
     "fl_schedule": {"mode": "fl_schedule"},
 }
+
+
+SMALL = {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4, "n_classes": 2,
+         "separation": 3.0}
+LOGISTIC = {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01}
+# One small valid config per kind (``kind_doc`` copies one); each sets every field that
+# perfbench/workloads.expected_calls reads, so the traced call-count gate can run it.
+KIND_DOCS = {
+    "valuation": {
+        "experiment": "valuation", "seed": 3, "k": 12, "dataset": SMALL, "model": LOGISTIC,
+        "noise": {"clip_norm": 1.0, "epsilon": 1.0, "mode": "corr_x"},
+        "utility": "neg_test_loss", "semivalue": {"kind": "shapley"}},
+    "noisy-label": {
+        "experiment": "noisy-label", "seed": 3, "k": 20, "trials": 2,
+        "dataset": dict(SMALL, corrupt_ratio=0.3), "model": LOGISTIC,
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
+        "noisy_label": {"modes": ["no_dp", "iid", "corr_y"], "q": 0.5}},
+    "removal": {
+        "experiment": "removal", "seed": 3, "k": 12, "dataset": SMALL, "model": LOGISTIC,
+        "utility": "test_accuracy", "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"},
+        "removal": {"fractions": [0.0, 0.25, 0.5], "orders": ["highest-first", "random"]}},
+    "similarity": {
+        "experiment": "similarity", "seed": 3, "trials": 2, "dataset": SMALL, "model": LOGISTIC,
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "corr_x"},
+        "similarity": {"ks": [10, 20]}},
+    "federated": {
+        "experiment": "federated", "seed": 3,
+        "dataset": dict(SMALL, partition={"mode": "equal-chunks", "n_parties": 4}),
+        "model": LOGISTIC, "utility": "test_accuracy",
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "fl_schedule"},
+        "federated": {"rounds": 10, "permutations": 5, "q": 0.2}},
+    "oracle-check": {
+        "experiment": "oracle-check", "k": 1, "noise": {"sigma": 0.0}, "oracle": {"n": 4}},
+    "variance-probe": {
+        "experiment": "variance-probe", "seed": 1, "k": 5,
+        "dataset": {"source": "synth", "n_samples": 12, "n_test": 16, "d_feat": 3,
+                    "partition": {"mode": "equal-chunks", "n_parties": 3}},
+        "model": {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0},
+        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
+        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid"]}},
+}
+# the kinds whose hot layers perfbench/workloads.py counts; where one differs from its
+# KIND_DOCS entry, the comment says why
+TRACED_CONFIGS = {kind: KIND_DOCS[kind] for kind in KIND_DOCS if kind != "oracle-check"} | {
+    # the extremes sweep pushes noise.sigma, which the valuation doc's epsilon leaves unset
+    "valuation": dict(KIND_DOCS["valuation"],
+                      noise={"clip_norm": 1.0, "sigma": 1.0, "mode": "corr_y", "q": 0.5}),
+    # the gate counts every mode's replays; the CLI's probe rows set modes that read no probe.q
+    "variance-probe": dict(KIND_DOCS["variance-probe"], probe={
+        "ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid", "corr_x", "corr_y"], "q": 0.5}),
+}
+
+
+def kind_doc(outdir, kind):
+    """A copy of the kind's small config, writing to ``outdir``."""
+    return dict(copy.deepcopy(KIND_DOCS[kind]), output_dir=str(outdir))
 
 
 @pytest.fixture

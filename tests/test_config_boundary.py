@@ -17,67 +17,31 @@ from pathlib import Path
 
 import pytest
 import yaml
-from test_perfbench_bindings import TRACED_CONFIGS
+from conftest import KIND_DOCS, LOGISTIC, TRACED_CONFIGS
 
 from dpvalue import cli, config
 from dpvalue.config import ConfigError, parse_config
 
 SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
-# One base per kind. Together they set every field the parse reads, those no
-# shipped config sets among them; the valuation base reads data.csv.
-MSE = {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0, "add_bias": False,
-       "init": {"kind": "zeros"}}
-LOGISTIC = {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01, "add_bias": True,
-            "init": {"kind": "gaussian", "scale": 0.1}}
-SYNTH = {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4, "n_classes": 2,
-         "separation": 3.0, "corrupt_ratio": 0.25,
-         "partition": {"mode": "equal-chunks", "n_parties": 8}}
-BASES = {
+# One base per kind, its small config (the traced one where it has two), and a
+# second document only where the sweep needs fields those leave unset: valuation
+# reads data.csv with every optional field of its parse, and noisy-label sets a
+# q_grid, which the traced documents cannot carry. With the shipped configs they
+# set every field the parse reads.
+BASES = KIND_DOCS | TRACED_CONFIGS | {
     "valuation": {
         "experiment": "valuation", "seed": 1, "k": 12, "output_dir": "out",
         "dataset": {"source": "csv", "path": "data.csv", "label": "y", "task": "classification",
                     "standardize": True, "test_rows": 10, "corrupt_ratio": 0.25,
                     "partition": {"mode": "by-size", "n_parties": 4, "size": 3}},
-        "model": LOGISTIC, "utility": "neg_test_loss",
+        "model": dict(LOGISTIC, add_bias=True, init={"kind": "gaussian", "scale": 0.1}),
+        "utility": "neg_test_loss",
         "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "epsilon": 1.0, "delta": 1e-5,
                   "mode": "corr_y", "q": 0.5},
         "semivalue": {"kind": "beta", "alpha": 4.0, "beta": 1.0}},
-    "noisy-label": {
-        "experiment": "noisy-label", "seed": 2, "k": 20, "trials": 2, "output_dir": "out",
-        "dataset": SYNTH, "model": MSE, "utility": "test_accuracy",
-        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "sigma": 1.0, "mode": "corr_y", "q": 0.5},
-        "semivalue": {"kind": "banzhaf"},
-        "noisy_label": {"modes": ["no_dp", "iid", "corr_y"], "q": 0.5, "q_grid": [0.0, 0.25]}},
-    "removal": {
-        "experiment": "removal", "seed": 3, "k": 12, "output_dir": "out",
-        "dataset": SYNTH, "model": LOGISTIC, "utility": "test_accuracy",
-        "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"},
-        "semivalue": {"kind": "beta", "alpha": 2.0, "beta": 3.0},
-        "removal": {"fractions": [0.0, 0.5], "orders": ["random", "lowest-first"]}},
-    "variance-probe": {
-        "experiment": "variance-probe", "seed": 4, "k": 20, "output_dir": "out",
-        "dataset": SYNTH, "model": MSE, "utility": "neg_test_loss",
-        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "sigma": 1.0, "mode": "iid"},
-        "semivalue": {"kind": "shapley"},
-        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid", "corr_y"],
-                  "q": 0.5}},
-    "similarity": {
-        "experiment": "similarity", "seed": 5, "k": 20, "trials": 2, "output_dir": "out",
-        "dataset": SYNTH, "model": LOGISTIC, "utility": "neg_test_loss",
-        "noise": {"clip_norm": 1.0, "sigma_g_sq": 0.5, "epsilon": 2.0, "delta": 1e-5,
-                  "mode": "corr_x"},
-        "semivalue": {"kind": "shapley"}, "similarity": {"ks": [10, 20]}},
-    "federated": {
-        "experiment": "federated", "seed": 6, "k": 10, "output_dir": "out",
-        "dataset": SYNTH, "model": LOGISTIC, "utility": "test_accuracy",
-        "noise": {"clip_norm": 1.0, "epsilon": 6.0, "delta": 1e-5, "mode": "fl_schedule"},
-        "semivalue": {"kind": "shapley"},
-        "federated": {"rounds": 10, "permutations": 5, "q": 0.2}},
-    "oracle-check": {
-        "experiment": "oracle-check", "seed": 7, "k": 1, "output_dir": "out",
-        "noise": {"clip_norm": 1.0, "mode": "no_dp"},
-        "oracle": {"n": 3, "kinds": ["loo", "beta"], "tolerance": 1e-9}},
+    "noisy-label": dict(KIND_DOCS["noisy-label"], noisy_label={
+        "modes": ["no_dp", "iid", "corr_y"], "q": 0.5, "q_grid": [0.0, 0.25]}),
 }
 SWEPT = {path.stem: yaml.safe_load(path.read_text(encoding="utf-8")) for path in SHIPPED} | {
     f"base-{kind}": doc for kind, doc in BASES.items()}
@@ -87,7 +51,7 @@ VALUES = [math.nan, math.inf, -math.inf, 10**400, -10**400, 2**63, 1e308, -1e308
 
 # rules that tie two fields report at the field the README names for them
 CROSS = {
-    "k": {"noise.q"},  # corr_y's burn-in k*q must be integral
+    "k": {"noise.q", "noisy_label.q"},  # corr_y's burn-in k*q must be integral
     "dataset.n_samples": {"dataset.partition.n_parties", "dataset.corrupt_ratio",
                           "semivalue.kind"},  # parties within the rows; corrupted rows; weights cap
     "noise.epsilon": {"noise.sigma"},  # sigma or epsilon must be given
@@ -246,7 +210,7 @@ def test_extreme_fields_run_or_name_their_cause(tmp_path, kind):
     for section, field, value in extreme_cases(TRACED_CONFIGS[kind]):
         doc = copy.deepcopy(TRACED_CONFIGS[kind])
         doc[section][field] = value
-        doc.update(experiment=kind, seed=1, output_dir=str(tmp_path / "out"))
+        doc.update(seed=1, output_dir=str(tmp_path / "out"))
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         case = f"{section}.{field}={value}"

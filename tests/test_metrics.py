@@ -171,9 +171,23 @@ def test_similarity_matches_reference_loop():
     assert rep.skipped_terms == want_skipped == 4
 
 
+@pytest.mark.parametrize("exp", [-1000, -500, 0, 500, 1000])
+def test_similarity_is_scale_free(exp):
+    # a clip norm of 1e-300 once squared every norm to 0 and skipped every record
+    rng = np.random.default_rng(5)
+    g_hat = rng.standard_normal((6, 4, 3))
+    g_tilde = g_hat + rng.standard_normal((6, 4, 3))
+    g_star = np.cumsum(g_tilde, axis=0) / np.arange(1.0, 7.0)[:, None, None]
+    rep = metrics.grad_similarity(g_hat, g_tilde, g_star)
+    scaled = metrics.grad_similarity(*(np.ldexp(g, exp) for g in (g_hat, g_tilde, g_star)))
+    assert scaled.delta_cos == rep.delta_cos
+    assert scaled.delta_l2 == np.ldexp(rep.delta_l2, exp)
+    assert scaled.skipped_terms == rep.skipped_terms == 0
+
+
 def test_similarity_all_zero_raises():
     g = np.zeros((4, 3, 2))
-    with pytest.raises(ValueError, match="no usable"):
+    with pytest.raises(ValueError, match="no usable gradient records: every record has a zero"):
         metrics.grad_similarity(g, np.ones_like(g), np.ones_like(g))
 
 

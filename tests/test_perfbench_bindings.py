@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from conftest import TRACED_CONFIGS
 
 import dpvalue
 import dpvalue.cli  # noqa: F401 - loads every module the spans bind into
@@ -81,45 +82,11 @@ def test_traced_chain_records_spans_and_restores_bindings(spans, monkeypatch):
     assert run_valuation is dpvalue.valuation.run_valuation
 
 
-SMALL = {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4, "separation": 3.0,
-         "partition": {"mode": "equal-chunks", "n_parties": 4}}
-LOGISTIC = {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01}
-TRACED_CONFIGS = {  # tiny configs of the kinds whose hot layers the workloads count
-    "variance-probe": {
-        "k": 10, "dataset": SMALL, "model": {"loss": "mse_linear", "learning_rate": 0.05, "l2": 0},
-        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
-        "probe": {"ks": [10, 20, 40], "noise_trials": 100, "modes": ["iid", "corr_x", "corr_y"],
-                  "q": 0.5},
-    },
-    "federated": {
-        "k": 10, "dataset": SMALL, "model": LOGISTIC, "utility": "test_accuracy",
-        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "fl_schedule"},
-        "federated": {"rounds": 10, "permutations": 5, "q": 0.2},
-    },
-    "removal": {
-        "k": 12, "dataset": SMALL, "model": LOGISTIC, "utility": "test_accuracy",
-        "noise": {"clip_norm": 1.0, "sigma": 0.0, "mode": "iid"},
-        "removal": {"fractions": [0.0, 0.25, 0.5], "orders": ["highest-first", "random"]},
-    },
-    "valuation": {
-        "k": 12, "dataset": SMALL, "model": LOGISTIC,
-        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "corr_y", "q": 0.5},
-    },
-    "noisy-label": {  # per-sample parties, as in the workload
-        "k": 10, "trials": 2, "model": LOGISTIC,
-        "dataset": {"source": "synth", "n_samples": 24, "n_test": 30, "d_feat": 4,
-                    "separation": 3.0, "corrupt_ratio": 0.25},
-        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
-        "noisy_label": {"modes": ["no_dp", "iid", "corr_y"], "q": 0.5},
-    },
-}
-
-
 @pytest.mark.parametrize("kind", sorted(TRACED_CONFIGS))
 def test_traced_calls_match_workload_formulas(spans, tmp_path, kind):
     # the call-count gate of a traced benchmark run, on a config small enough for tier 1
     workloads = load_perfbench("workloads")
-    doc = dict(TRACED_CONFIGS[kind], experiment=kind, seed=1, output_dir=str(tmp_path / "out"))
+    doc = dict(TRACED_CONFIGS[kind], seed=1, output_dir=str(tmp_path / "out"))
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     tracer = spans.Tracer()

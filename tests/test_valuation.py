@@ -12,7 +12,7 @@ import yaml
 from scipy.special import betaln, gammaln, logsumexp
 from scipy.stats import chi2
 
-from conftest import MECHANISMS, map_runs, orthogonal_chain_task, row_formula
+from conftest import MECHANISMS, kind_doc, map_runs, orthogonal_chain_task, row_formula
 from dpvalue import _kernels, cli, data, dp, models, valuation
 from dpvalue.config import load_config
 from dpvalue.valuation import (
@@ -444,18 +444,12 @@ def test_divergence_guard():
 def test_result_serialization_roundtrip(tmp_path):
     # the CLI's result.json writes psi with 17 significant digits, which
     # round-trips every float64 exactly
-    doc = {
-        "experiment": "valuation", "seed": 2, "k": 8, "output_dir": str(tmp_path / "out"),
-        "dataset": {"source": "synth", "n_samples": 20, "n_test": 30, "d_feat": 4},
-        "model": {"loss": "logistic_l2", "learning_rate": 0.05, "l2": 0.01},
-        "noise": {"clip_norm": 1.0, "sigma": 1.0, "mode": "iid"},
-    }
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    path.write_text(yaml.safe_dump(kind_doc(tmp_path / "out", "valuation")), encoding="utf-8")
     assert cli.main(["run", str(path)]) == 0
     written = json.loads((tmp_path / "out" / "result.json").read_text())
     cfg = load_config(path)
-    res = run_valuation(cfg.run(2))
+    res = run_valuation(cfg.run(cfg.seed))
     assert np.array_equal(np.array([float(v) for v in written["psi"]]), res.psi)
     assert np.array_equal(np.array([float(v) for v in written["s_sq"]]), res.s_sq)
 
